@@ -239,7 +239,11 @@ def _cmd_homes(args) -> int:
     out = _outdir(args)
     fileio.write_homes_csv(homes, os.path.join(out, "homes.csv"))
     placed = sum(1 for h in homes if h.zone_id is not None)
-    print(f"located {len(homes)} users ({placed} inside a zone); wrote {out}/homes.csv")
+    cells = len({h.cell for h in homes})
+    print(
+        f"located {len(homes)} users ({placed} inside a zone) "
+        f"in {cells} distinct home cells; wrote {out}/homes.csv"
+    )
     return 0
 
 

@@ -134,11 +134,15 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 
 
 def _on_segment(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> bool:
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    dx, dy = b.x - a.x, b.y - a.y
+    cross = dx * (p.y - a.y) - dy * (p.x - a.x)
     if abs(cross) > _EDGE_EPS:
         return False
-    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-    return -_EDGE_EPS <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + _EDGE_EPS
+    if dx == 0.0 and dy == 0.0:
+        # a repeated vertex: the zero-length edge holds only that vertex
+        return p.x == a.x and p.y == a.y
+    dot = (p.x - a.x) * dx + (p.y - a.y) * dy
+    return -_EDGE_EPS <= dot <= dx ** 2 + dy ** 2 + _EDGE_EPS
 
 
 def point_on_boundary(p: PlanarPoint, poly: PolygonM) -> bool:
@@ -165,6 +169,32 @@ def point_in_polygon(p: PlanarPoint, poly: PolygonM) -> bool:
                 if p.x < x_cross:
                     inside = not inside
     return inside
+
+
+def containment_box(poly: PolygonM) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) outside which :func:`point_in_polygon` is False.
+
+    The box spans every ring, since the even-odd test counts holes too. It
+    is padded to hold every point the edge tolerance accepts: an edge of
+    length L accepts points up to d = _EDGE_EPS / L across it and beyond
+    its ends, a rectangle whose corners stick out of the edge's own box by
+    at most sqrt(2) * d. The pad is 2 * d for the shortest edge, plus some
+    ulps of the coordinate magnitude for the rounding of the cross, dot and
+    crossing computations.
+    """
+    xs = [v.x for ring in poly.rings() for v in ring]
+    ys = [v.y for ring in poly.rings() for v in ring]
+    tolerance = 0.0
+    for ring in poly.rings():
+        n = len(ring)
+        for i in range(n):
+            a, b = ring[i], ring[(i + 1) % n]
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            if length > 0.0:
+                tolerance = max(tolerance, _EDGE_EPS / length)
+    xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
+    pad = 2.0 * tolerance + 64.0 * math.ulp(max(-xmin, xmax, -ymin, ymax, 1.0))
+    return xmin - pad, ymin - pad, xmax + pad, ymax + pad
 
 
 def _point_segment_distance(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> float:

@@ -12,9 +12,12 @@ so results cannot silently depend on corpus order.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
+
+import numpy as np
 
 from .errors import (
     AmbiguousZoneError,
@@ -24,10 +27,13 @@ from .errors import (
     InvalidParameterError,
 )
 from .geometry import (
+    EARTH_RADIUS_M,
+    MAX_FRAME_DEGREES,
     GeoPoint,
     GridCell,
     PlanarPoint,
     PolygonM,
+    containment_box,
     distance_to_polygon_m,
     haversine_km,
     point_in_polygon,
@@ -127,14 +133,6 @@ class TaggedFeature:
             object.__setattr__(self, "rings", tuple(tuple(r) for r in self.rings))
             if not self.rings or any(len(r) < 3 for r in self.rings):
                 raise InvalidGeometryError("polygon feature needs rings of >=3 vertices")
-
-
-@dataclass(frozen=True)
-class CoverageRow:
-    level: str
-    n_zones: int
-    n_zones_with_tweets: int
-    tweets_per_nonempty_zone: float
 
 
 @dataclass(frozen=True)
@@ -277,23 +275,61 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
 
     Tied cells resolve to the one holding the user's earliest tweet among
     the tied cells; result is sorted by user id.
+
+    Cells are computed for the whole corpus at once, with the operations of
+    :func:`project` and :func:`snap_to_grid` in the same order, so each is
+    bit for bit the cell the scalar functions give.
     """
-    homes = []
-    for user_id, tweets in _by_user(corpus).items():
-        cells: dict[GridCell, list[Tweet]] = {}
-        for t in tweets:
-            cell = snap_to_grid(project(t.location, ref), resolution)
-            cells.setdefault(cell, []).append(t)
-        top = max(len(ts) for ts in cells.values())
-        tied = [cell for cell, ts in cells.items() if len(ts) == top]
-        if len(tied) == 1:
-            best = tied[0]
-        else:
-            best = min(
-                tied,
-                key=lambda cell: min((t.timestamp, t.id) for t in cells[cell]),
-            )
-        homes.append(UserHome(user_id=user_id, cell=best, tweet_count_at_cell=top))
+    if not corpus:
+        return []
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
+    n = len(corpus)
+    user_codes: dict[str, int] = {}
+    codes = np.fromiter(
+        (user_codes.setdefault(t.user_id, len(user_codes)) for t in corpus), np.int64, n
+    )
+    dlat = np.fromiter((t.location.lat for t in corpus), np.float64, n) - ref.lat
+    dlon = np.fromiter((t.location.lon for t in corpus), np.float64, n) - ref.lon
+    far = np.flatnonzero((np.abs(dlat) > MAX_FRAME_DEGREES) | (np.abs(dlon) > MAX_FRAME_DEGREES))
+    if far.size:
+        # raise for the first such tweet in user order, as a per-user loop meets it
+        project(corpus[far[np.argmin(codes[far])]].location, ref)
+    ix = np.floor(
+        (EARTH_RADIUS_M * math.cos(math.radians(ref.lat))) * np.radians(dlon) / resolution
+    ).astype(np.int64)
+    iy = np.floor(EARTH_RADIUS_M * np.radians(dlat) / resolution).astype(np.int64)
+    del dlat, dlon
+
+    # one run of equal (user, ix, iy) per cell a user tweeted from
+    order = np.lexsort((iy, ix, codes))
+    codes, ix, iy = codes[order], ix[order], iy[order]
+    change = (codes[1:] != codes[:-1]) | (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    counts = np.diff(np.append(starts, n))
+    run_user = codes[starts]
+    user_first_run = np.flatnonzero(np.concatenate(([True], run_user[1:] != run_user[:-1])))
+    top = np.maximum.reduceat(counts, user_first_run)
+    top_runs = np.flatnonzero(counts == top[run_user])
+    # each user's top runs are top_runs[first_top[user]: first_top[user + 1]]
+    first_top = np.searchsorted(run_user[top_runs], np.arange(len(user_codes) + 1))
+    best_run = top_runs[first_top[:-1]]
+
+    def earliest(run):
+        # a cell's earliest (timestamp, id); an exact tie goes to the cell seen first
+        members = order[starts[run]: starts[run] + counts[run]].tolist()
+        return min((corpus[i].timestamp, corpus[i].id) for i in members), min(members)
+
+    for user in np.flatnonzero(np.diff(first_top) > 1).tolist():
+        best_run[user] = min(top_runs[first_top[user]: first_top[user + 1]].tolist(), key=earliest)
+
+    names = list(user_codes)
+    homes = [
+        UserHome(names[user], GridCell(cx, cy, resolution), count)
+        for user, (cx, cy, count) in enumerate(
+            zip(ix[starts[best_run]].tolist(), iy[starts[best_run]].tolist(), top.tolist())
+        )
+    ]
     homes.sort(key=lambda h: h.user_id)
     return homes
 
@@ -304,24 +340,39 @@ def assign_home_zone(homes, zones):
     Homes outside every zone keep zone_id None. A center claimed by several
     zones goes to the first zone in input order when it sits on a shared
     boundary; strict interior overlap is an error in the zone system itself.
+
+    Resolution is per distinct cell: each cell is resolved once, for the
+    first home in it, and only against the zones whose containment box holds
+    its center; every later home in that cell reuses the result.
     """
     for z in zones:
         if z.boundary is None:
             raise InvalidGeometryError(f"zone {z.id} has no boundary polygon")
+    boxed = [(z, containment_box(z.boundary)) for z in zones]
+    zone_of_cell: dict[GridCell, str | None] = {}
     out = []
     for home in homes:
-        center = home.cell.center()
-        containing = [z for z in zones if point_in_polygon(center, z.boundary)]
-        if not containing:
-            out.append(replace(home, zone_id=None))
-        elif len(containing) == 1:
-            out.append(replace(home, zone_id=containing[0].id))
-        elif any(point_on_boundary(center, z.boundary) for z in containing):
-            out.append(replace(home, zone_id=containing[0].id))
-        else:
-            ids = [z.id for z in containing]
-            raise AmbiguousZoneError(f"home of {home.user_id} strictly inside zones {ids}")
+        cell = home.cell
+        if cell not in zone_of_cell:
+            zone_of_cell[cell] = _zone_containing(cell.center(), boxed, home.user_id)
+        out.append(UserHome(home.user_id, cell, home.tweet_count_at_cell, zone_of_cell[cell]))
     return out
+
+
+def _zone_containing(center: PlanarPoint, boxed, user_id: str) -> str | None:
+    containing = [
+        z
+        for z, (xmin, ymin, xmax, ymax) in boxed
+        if xmin <= center.x <= xmax
+        and ymin <= center.y <= ymax
+        and point_in_polygon(center, z.boundary)
+    ]
+    if not containing:
+        return None
+    if len(containing) == 1 or any(point_on_boundary(center, z.boundary) for z in containing):
+        return containing[0].id
+    ids = [z.id for z in containing]
+    raise AmbiguousZoneError(f"home of {user_id} strictly inside zones {ids}")
 
 
 def assign_nearest_museum(t: Tweet, museums) -> str:
@@ -355,23 +406,6 @@ def build_observed_matrix(museum_tweets, homes, zones, museums):
     matrix = FlowMatrix(zone_ids, museum_ids, values)
     entry = StageCount("aggregate", len(museum_tweets), contributing, len(contributors))
     return matrix, entry
-
-
-def zone_coverage_summary(tweets, zonings, ref: GeoPoint):
-    """Per zoning level: zone count, nonempty zones, mean tweets per nonempty zone."""
-    rows = []
-    for level, zones in zonings:
-        per_zone = {z.id: 0 for z in zones}
-        for t in tweets:
-            p = project(t.location, ref)
-            for z in zones:
-                if z.boundary is not None and point_in_polygon(p, z.boundary):
-                    per_zone[z.id] += 1
-                    break
-        nonempty = [n for n in per_zone.values() if n > 0]
-        mean = sum(nonempty) / len(nonempty) if nonempty else 0.0
-        rows.append(CoverageRow(level, len(zones), len(nonempty), mean))
-    return rows
 
 
 def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):

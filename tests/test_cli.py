@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import museumflows
 from museumflows.cli import main
 from museumflows.fileio import (
     read_matrix_csv,
@@ -115,8 +117,15 @@ def test_unknown_verb_and_flag_rejected():
 
 
 def test_help_via_module_invocation():
+    # the child imports the package from where this process found it
+    package_root = os.path.dirname(os.path.dirname(museumflows.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "museumflows.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "museumflows.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "calibrate" in proc.stdout and "simulate" in proc.stdout
@@ -215,13 +224,18 @@ def test_unknown_stage_rejected_before_io(tmp_path):
     assert exc.value.code == 2
 
 
-def test_homes_verb(tmp_path, small_region):
+def test_homes_verb(tmp_path, small_region, capsys):
+    # u3 shares u1's home cell, so three users resolve through two cells
+    with open(small_region["tweets"], encoding="utf-8") as fh:
+        lines = fh.read() + ndjson_line("t9", "u3", 5, 53.79, -1.59, "next door") + "\n"
+    tweets = tmp_path / "with_neighbour.ndjson"
+    tweets.write_text(lines, encoding="utf-8")
     out = tmp_path / "out"
     assert (
         main(
             [
                 "homes",
-                "--tweets", small_region["tweets"],
+                "--tweets", str(tweets),
                 "--zones", small_region["zones"],
                 "--out", str(out),
             ]
@@ -232,6 +246,8 @@ def test_homes_verb(tmp_path, small_region):
         rows = {r["user_id"]: r for r in csv.DictReader(fh)}
     assert rows["u1"]["zone_id"] == "zA"
     assert rows["u2"]["zone_id"] == "zB"
+    assert rows["u3"]["zone_id"] == "zA"
+    assert "located 3 users (3 inside a zone) in 2 distinct home cells" in capsys.readouterr().out
 
 
 def test_flows_verb_counts_and_lines(tmp_path, small_region):

@@ -22,6 +22,7 @@ from museumflows.geometry import (
     GridCell,
     PlanarPoint,
     PolygonM,
+    containment_box,
     distance_to_polygon_m,
     haversine_km,
     point_in_polygon,
@@ -231,6 +232,81 @@ def test_point_in_polygon_degenerate_ring():
         PolygonM(exterior=(PlanarPoint(0, 0), PlanarPoint(1, 0)))
     with pytest.raises(InvalidGeometryError):
         PolygonM(exterior=square().exterior, holes=((PlanarPoint(0, 0),),))
+
+
+def test_repeated_vertex_edge_holds_only_its_vertex():
+    # exported rings often repeat a vertex; the zero-length edge it makes
+    # must not claim the whole plane
+    a, b, c, d = square().exterior
+    repeated = PolygonM(exterior=(a, b, b, c, d))
+    far = PlanarPoint(500.0, -300.0)
+    assert not point_in_polygon(far, repeated)
+    assert not point_on_boundary(far, repeated)
+    assert distance_to_polygon_m(far, repeated) == pytest.approx(math.hypot(499.0, 300.0))
+    assert point_on_boundary(PlanarPoint(1.0, 0.0), repeated)
+    rng = np.random.default_rng(29)
+    for x, y in rng.uniform(-2.0, 3.0, size=(200, 2)):
+        p = PlanarPoint(x, y)
+        assert point_in_polygon(p, repeated) == point_in_polygon(p, square())
+        assert point_on_boundary(p, repeated) == point_on_boundary(p, square())
+
+
+def _in_box(p, box):
+    xmin, ymin, xmax, ymax = box
+    return xmin <= p.x <= xmax and ymin <= p.y <= ymax
+
+
+def test_containment_box_spans_every_ring_and_the_edge_tolerance():
+    # a "hole" outside the exterior still counts under the even-odd rule
+    stray = PolygonM(exterior=square().exterior, holes=(square(5.0, 5.0).exterior,))
+    assert point_in_polygon(PlanarPoint(5.5, 5.5), stray)
+    assert _in_box(PlanarPoint(5.5, 5.5), containment_box(stray))
+
+    # 5e-13 m beyond a 1 km edge is within its tolerance, outside its vertices
+    big = square(0.0, 0.0, 1000.0)
+    beyond = PlanarPoint(1000.0 + 5e-13, 500.0)
+    assert beyond.x > 1000.0 and point_in_polygon(beyond, big)
+    assert _in_box(beyond, containment_box(big))
+
+    # a 1 um edge accepts points up to 1 mm past its ends
+    sliver = PolygonM(exterior=(PlanarPoint(0.0, 0.0), PlanarPoint(1e-6, 0.0), PlanarPoint(0.0, 10.0)))
+    before = PlanarPoint(-5e-4, 0.0)
+    assert point_in_polygon(before, sliver)
+    assert _in_box(before, containment_box(sliver))
+
+
+def test_containment_box_holds_every_point_in_polygon_accepts():
+    rng = np.random.default_rng(31)
+    outside_vertices = 0
+    for _ in range(200):
+        ring = list(random_convex_ring(rng, n_vertices=int(rng.integers(3, 8))))
+        k = int(rng.integers(len(ring)))
+        if rng.random() < 0.3:  # a repeated vertex
+            ring.insert(k, ring[k])
+        elif rng.random() < 0.3:  # a very short edge, at any angle
+            step = 10.0 ** rng.uniform(-9.0, -5.0)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            ring.insert(k + 1, PlanarPoint(ring[k].x + step * math.cos(angle),
+                                           ring[k].y + step * math.sin(angle)))
+        poly = PolygonM(exterior=tuple(ring))
+        box = containment_box(poly)
+        vertex_box = (min(v.x for v in ring), min(v.y for v in ring),
+                      max(v.x for v in ring), max(v.y for v in ring))
+        for i in range(len(ring)):
+            a, b = ring[i], ring[(i + 1) % len(ring)]
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            if length == 0.0:
+                continue
+            reach = 1e-9 / length  # the edge tolerance across and beyond the ends
+            ux, uy = (b.x - a.x) / length, (b.y - a.y) / length
+            for _ in range(10):
+                along = rng.uniform(-2.0 * reach, length + 2.0 * reach)
+                across = rng.uniform(-2.0 * reach, 2.0 * reach)
+                p = PlanarPoint(a.x + along * ux - across * uy, a.y + along * uy + across * ux)
+                if point_in_polygon(p, poly):
+                    assert _in_box(p, box)
+                    outside_vertices += not _in_box(p, vertex_box)
+    assert outside_vertices > 0  # the tolerance region was reached
 
 
 def test_point_in_polygon_matches_oracles_on_random_convex():

@@ -45,7 +45,6 @@ from museumflows.pipeline import (
     semantic_filter,
     spatial_filter,
     tokenize,
-    zone_coverage_summary,
 )
 from museumflows.sim import Zone
 
@@ -337,32 +336,6 @@ def test_build_observed_matrix():
     empty, entry0 = build_observed_matrix([], homes, zones, museums)
     assert empty.total() == 0.0
     assert entry0.tweets_out == 0
-
-
-def test_zone_coverage_summary():
-    zones = [
-        planar_zone("z1", 0.0, 200.0, 0.0, 200.0),
-        planar_zone("z2", 200.0, 400.0, 0.0, 200.0),
-        planar_zone("z3", 400.0, 600.0, 0.0, 200.0),
-        planar_zone("z4", 600.0, 800.0, 0.0, 200.0),
-    ]
-    no_rows = zone_coverage_summary([], [("wards", zones)], REF)
-    assert (no_rows[0].n_zones, no_rows[0].n_zones_with_tweets) == (4, 0)
-    assert no_rows[0].tweets_per_nonempty_zone == 0.0
-
-    one = [at_planar("u", 50.0, 50.0, "x")]
-    (row,) = zone_coverage_summary(one, [("wards", zones)], REF)
-    assert (row.n_zones, row.n_zones_with_tweets, row.tweets_per_nonempty_zone) == (4, 1, 1.0)
-
-    # 29 tweets: 12 in z1, 9 in z2, 8 in z3, none in z4
-    spread = (
-        [at_planar("u", 50.0, 50.0, f"a{i}") for i in range(12)]
-        + [at_planar("u", 250.0, 50.0, f"b{i}") for i in range(9)]
-        + [at_planar("u", 450.0, 50.0, f"c{i}") for i in range(8)]
-    )
-    (row,) = zone_coverage_summary(spread, [("wards", zones)], REF)
-    assert (row.n_zones, row.n_zones_with_tweets) == (4, 3)
-    assert row.tweets_per_nonempty_zone == pytest.approx(29.0 / 3.0)
 
 
 def geo_ring(lat, lon, half_deg):
