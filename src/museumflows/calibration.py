@@ -18,17 +18,7 @@ from .errors import (
     InvalidParameterError,
     ShapeError,
 )
-from .sim import (
-    Deterrence,
-    FlowMatrix,
-    ModelSpec,
-    attractiveness_weights,
-    demand_weights,
-    deterrence_matrix,
-    distance_matrix,
-    doubly_constrained_flows,
-    model_matrix,
-)
+from .sim import FlowMatrix, ModelSpec, model_inputs, model_values
 
 
 @dataclass(frozen=True)
@@ -118,51 +108,9 @@ def rms_error(x, y) -> float:
 
 
 def fit_at_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, beta: float) -> FitMetrics:
-    """Fit of the model at one beta against the observed matrix."""
-    spec = replace(spec, deterrence=Deterrence(spec.deterrence.kind, beta))
-    model = model_matrix(zones, museums, spec, observed)
-    obs = observed.reindex(model.origin_ids, model.destination_ids)
-    return FitMetrics(
-        pearson_r=pearson_r(model.flat(), obs.flat()),
-        rms=rms_error(model.flat(), obs.flat()),
-    )
-
-
-class _SweepContext:
-    """Everything beta-independent, computed once per sweep."""
-
-    def __init__(self, zones, museums, observed: FlowMatrix, spec: ModelSpec):
-        self.spec = spec
-        self.kind = spec.deterrence.kind
-        self.dmat = distance_matrix(zones, museums)
-        obs = observed.reindex([z.id for z in zones], [m.id for m in museums])
-        self.obs_flat = obs.flat()
-        self.w = (
-            attractiveness_weights(museums, spec.attractiveness)
-            if spec.use_attractiveness
-            else np.ones(len(museums))
-        )
-        if spec.constraint == "unconstrained":
-            pop = np.array([z.population for z in zones])
-            inc = demand_weights(zones) if spec.use_demand else np.ones(len(zones))
-            self.production = inc * pop
-        else:
-            self.O = obs.row_sums()
-            self.D = obs.col_sums()
-
-    def model_values(self, beta: float) -> np.ndarray:
-        det = Deterrence(self.kind, beta)
-        f = deterrence_matrix(self.dmat, det)
-        if self.spec.constraint == "unconstrained":
-            return self.production[:, None] * self.w[None, :] * f
-        if self.spec.constraint == "origin":
-            scores = self.w[None, :] * f
-            denom = scores.sum(axis=1)
-            share = np.divide(
-                scores, denom[:, None], out=np.zeros_like(scores), where=denom[:, None] > 0
-            )
-            return self.O[:, None] * share
-        return doubly_constrained_flows(self.O, self.D, self.dmat, det).values
+    """Fit of the model at one beta against the observed matrix: a one-point sweep."""
+    sweep = sweep_beta(zones, museums, observed, spec, [beta])
+    return FitMetrics(pearson_r=sweep.best_r, rms=sweep.best_rms)
 
 
 def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None) -> SweepResult:
@@ -178,14 +126,15 @@ def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None)
     betas = grid.betas() if isinstance(grid, BetaGrid) else np.asarray(grid, dtype=float)
     if betas.ndim != 1 or betas.size < 1:
         raise InvalidParameterError("beta grid must be a non-empty 1-D sequence")
-    ctx = _SweepContext(zones, museums, observed, spec)
+    inputs = model_inputs(zones, museums, spec, observed)
+    obs_flat = observed.reindex(inputs.origin_ids, inputs.destination_ids).flat()
     r_values = np.empty(betas.size)
     rms_values = np.empty(betas.size)
     for k, beta in enumerate(betas):
-        values = ctx.model_values(float(beta)).ravel()
-        rms_values[k] = rms_error(values, ctx.obs_flat)
+        values = model_values(inputs, float(beta)).ravel()
+        rms_values[k] = rms_error(values, obs_flat)
         try:
-            r_values[k] = pearson_r(values, ctx.obs_flat)
+            r_values[k] = pearson_r(values, obs_flat)
         except DegenerateVarianceError:
             r_values[k] = math.nan
     finite = np.isfinite(r_values)
@@ -201,7 +150,7 @@ def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None)
         best_beta=float(betas[best_idx]),
         best_r=best_r,
         best_rms=float(rms_values[best_idx]),
-        spec=ctx.spec,
+        spec=spec,
     )
 
 

@@ -32,7 +32,7 @@ from .pipeline import (
     spatial_filter,
 )
 from .sim import Deterrence, ModelSpec, model_matrix
-from .synth import SynthConfig, demo_region, generate_corpus, recovery_report
+from .synth import SynthConfig, demo_region, recovery_report
 
 _SPEC_FLAGS = {
     "baseline": (False, False),
@@ -333,17 +333,12 @@ def _cmd_simulate(args) -> int:
 
     spec = _build_spec(args, args.beta, constraint="unconstrained")
     cfg = SynthConfig(true_spec=spec, n_trips=args.n_trips, noise=args.noise, seed=args.seed)
-    corpus, truth = generate_corpus(zones, museums, cfg, ref)
-    fileio.write_tweets(corpus, os.path.join(out, "corpus.ndjson"))
-    fileio.write_matrix_csv(truth, os.path.join(out, "truth.csv"))
-
     grid = BetaGrid(args.beta_start, args.beta_step, args.beta_count)
     rep = recovery_report(zones, museums, cfg, ref, grid)
+    fileio.write_tweets(rep.corpus, os.path.join(out, "corpus.ndjson"))
+    fileio.write_matrix_csv(rep.truth, os.path.join(out, "truth.csv"))
     fileio.write_sweep_csv(rep.sweep, os.path.join(out, "sweep.csv"))
-    fileio.write_json(
-        {"best_beta": rep.best_beta, "true_beta": rep.true_beta, "abs_error": rep.abs_error},
-        os.path.join(out, "recovery.json"),
-    )
+    fileio.write_recovery_json(rep, os.path.join(out, "recovery.json"))
     print(
         f"simulated {args.n_trips} trips; recovered beta {rep.best_beta:g} "
         f"(true {rep.true_beta:g}); wrote {out}/recovery.json"

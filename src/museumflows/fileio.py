@@ -21,6 +21,7 @@ from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproj
 from .pipeline import PipelineReport, StageCount, TaggedFeature, Tweet
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
+from .synth import RecoveryReport
 
 
 # --- tweets (NDJSON) ---
@@ -308,23 +309,6 @@ def read_footprints(path, museums, ref):
     return footprints
 
 
-def write_footprints(footprints, ref, path) -> None:
-    features = []
-    for museum, poly in footprints:
-        coords = []
-        for ring in poly.rings():
-            geo = [unproject(q, ref) for q in ring]
-            coords.append([[p.lon, p.lat] for p in geo] + [[geo[0].lon, geo[0].lat]])
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {"museum_id": museum.id},
-                "geometry": {"type": "Polygon", "coordinates": coords},
-            }
-        )
-    _dump_json({"type": "FeatureCollection", "features": features}, path)
-
-
 def read_tagged_features(path) -> list[TaggedFeature]:
     """Raw map features (points or polygons) with their property tags."""
     features = _feature_list(_load_json(path), path)
@@ -407,6 +391,11 @@ def write_sweep_json(sweep: SweepResult, path) -> None:
             for b, r, rms in zip(sweep.betas, sweep.r_values, sweep.rms_values)
         ],
     }
+    _dump_json(payload, path)
+
+
+def write_recovery_json(report: RecoveryReport, path) -> None:
+    payload = {"best_beta": report.best_beta, "true_beta": report.true_beta, "abs_error": report.abs_error}
     _dump_json(payload, path)
 
 
@@ -502,11 +491,7 @@ def write_homes_csv(homes, path) -> None:
 
 
 def _dump_json(payload, path) -> None:
+    """Serialize any JSON-safe payload with deterministic bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False, ensure_ascii=False)
         fh.write("\n")
-
-
-def write_json(payload, path) -> None:
-    """Serialize any JSON-safe payload with deterministic bytes."""
-    _dump_json(payload, path)

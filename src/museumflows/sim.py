@@ -1,9 +1,10 @@
 """Spatial interaction models over zones and museums.
 
-Three constraint regimes share one deterrence kernel: unconstrained
-(production driven by weighted population), origin-constrained (rows pinned
-to observed origin totals), and doubly constrained (both margins pinned via
-alternating balancing factors).
+Three constraint regimes share one deterrence kernel and one formula
+(``flow_values``): unconstrained (production driven by weighted population),
+origin-constrained (rows pinned to observed origin totals), and doubly
+constrained (origin-constrained with solved destination weights, so both
+margins are pinned).
 """
 
 from __future__ import annotations
@@ -208,17 +209,6 @@ def distance_matrix(zones, museums) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def deterrence_value(d: float, det: Deterrence) -> float:
-    """Kernel value at a single distance in km."""
-    if not (math.isfinite(d) and d >= 0):
-        raise InvalidParameterError(f"distance {d} must be finite and >= 0")
-    if det.kind == "power" and d == 0.0:
-        raise SingularDistanceError("power deterrence undefined at zero distance")
-    if det.kind == "exponential":
-        return math.exp(-det.beta * d)
-    return d ** (-det.beta)
-
-
 def deterrence_matrix(dmat: np.ndarray, det: Deterrence) -> np.ndarray:
     if det.kind == "power" and np.any(dmat == 0.0):
         raise SingularDistanceError("power deterrence undefined at zero distance")
@@ -278,17 +268,142 @@ def demand_weights(zones) -> np.ndarray:
     return raw / raw.mean()
 
 
+@dataclass(frozen=True)
+class ModelInputs:
+    """The beta-independent arrays of one model over zones and museums."""
+
+    spec: ModelSpec
+    origin_ids: tuple[str, ...]
+    destination_ids: tuple[str, ...]
+    dmat: np.ndarray
+    rows: np.ndarray  # Inc_i * P_i unconstrained, origin totals O_i otherwise
+    w: np.ndarray
+    D: np.ndarray | None  # destination totals; only the doubly regime uses them
+
+
+def model_inputs(zones, museums, spec: ModelSpec, observed: FlowMatrix | None = None) -> ModelInputs:
+    """Everything a model evaluation needs except beta.
+
+    Constrained regimes take their marginal totals from ``observed``, which
+    is reordered to the zone/museum label order first.
+    """
+    zone_ids = tuple(z.id for z in zones)
+    museum_ids = tuple(m.id for m in museums)
+    dmat = distance_matrix(zones, museums)
+    D = None
+    if spec.constraint == "unconstrained":
+        pop = np.array([z.population for z in zones])
+        rows = (demand_weights(zones) if spec.use_demand else np.ones(len(zones))) * pop
+    elif observed is None:
+        raise InvalidParameterError(f"{spec.constraint!r} constraint needs an observed matrix")
+    else:
+        obs = observed.reindex(zone_ids, museum_ids)
+        rows, D = obs.row_sums(), obs.col_sums()
+    w = attractiveness_weights(museums, spec.attractiveness) if spec.use_attractiveness else np.ones(len(museums))
+    return ModelInputs(spec, zone_ids, museum_ids, dmat, rows, w, D)
+
+
+def model_values(inputs: ModelInputs, beta: float) -> np.ndarray:
+    """The model matrix of ``inputs`` at one beta."""
+    f = deterrence_matrix(inputs.dmat, Deterrence(inputs.spec.deterrence.kind, beta))
+    return flow_values(inputs.spec.constraint, f, inputs.rows, inputs.w, inputs.D)
+
+
+def flow_values(constraint, f, rows, w, D=None, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
+    """The one model formula of all three regimes, over precomputed arrays.
+
+    - unconstrained: ``rows ⊗ w ⊙ f``, rows being the weighted populations;
+    - origin: ``O · rownorm(w ⊙ f)``, rows being the origin totals O;
+    - doubly: the origin formula with ``w`` replaced by destination weights
+      solved so that the column sums equal ``D`` (``w`` is ignored).
+    """
+    if constraint == "unconstrained":
+        return rows[:, None] * w[None, :] * f
+    if constraint == "origin":
+        return rows[:, None] * _row_shares(w[None, :] * f, rows)
+    return _balanced_values(f, rows, D, tol, max_iter)
+
+
+def _row_shares(scores: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """rownorm(scores); an origin with flow to send must have a positive row."""
+    denom = scores.sum(axis=1)
+    dead = (denom == 0.0) & (O > 0)
+    if np.any(dead):
+        raise UnreachableOriginError(
+            f"origins {np.nonzero(dead)[0].tolist()} have positive flow but cannot reach any destination"
+        )
+    return np.divide(scores, denom[:, None], out=np.zeros_like(scores), where=denom[:, None] > 0)
+
+
+_MAX_LOG_STEP = 10.0
+_BACKTRACKS = 30
+
+
+def _balanced_values(f, O, D, tol: float, max_iter: int) -> np.ndarray:
+    """Origin formula with destination weights w = exp(u) solved for column sums D.
+
+    Newton's method on the column sums C(u) = O · rownorm(exp(u) ⊙ f), whose
+    Jacobian is diag(C) - Pᵀ diag(O) P for the row shares P (Knight & Ruiz
+    2013). Each step is capped at ``_MAX_LOG_STEP`` in u and halved until
+    the margin residual max_j |C_j - D_j| / D_j falls; when no length
+    helps, one fixed-point sweep u += log(D / C) is taken instead. Scores
+    are shifted by their row maximum, which rownorm cancels, so no weight
+    under- or overflows. Columns with D_j = 0 get w_j = 0.
+    """
+    values = np.zeros_like(f)
+    live = D > 0
+    if not np.any(live):
+        return values
+    D = D[live]
+    with np.errstate(divide="ignore"):
+        log_f = np.log(f[:, live])
+
+    def evaluate(u):
+        s = log_f + u
+        shift = s.max(axis=1, keepdims=True)
+        shift[~np.isfinite(shift)] = 0.0  # a row that reaches no live column
+        P = _row_shares(np.exp(s - shift), O)
+        T = O[:, None] * P
+        C = T.sum(axis=0)
+        return u, P, T, C, float(np.max(np.abs(C - D) / D))
+
+    # exact for a flat kernel; raises for an origin that reaches no live column
+    u, P, T, C, residual = evaluate(np.log(D))
+    steps = 0
+    while not residual <= tol:  # a NaN residual keeps iterating, then raises
+        if steps == max_iter:
+            raise ConvergenceError(
+                f"destination weights did not converge in {max_iter} Newton steps "
+                f"(last residual {residual:.3e})",
+                residual=residual,
+            )
+        steps += 1
+        step = np.linalg.lstsq(np.diag(C) - P.T @ T, D - C, rcond=None)[0]
+        step *= _MAX_LOG_STEP / max(np.abs(step).max(), _MAX_LOG_STEP)
+        for _ in range(_BACKTRACKS):
+            trial = evaluate(u + step)
+            if trial[-1] < residual:
+                break
+            step /= 2.0
+        else:
+            trial = evaluate(u + np.log(D / np.maximum(C, np.finfo(float).tiny)))
+        u, P, T, C, residual = trial
+    values[:, live] = T
+    return values
+
+
+def model_matrix(zones, museums, spec: ModelSpec, observed: FlowMatrix | None = None) -> FlowMatrix:
+    """Evaluate a ModelSpec over zones and museums (``observed`` as for model_inputs)."""
+    inputs = model_inputs(zones, museums, spec, observed)
+    values = model_values(inputs, spec.deterrence.beta)
+    return FlowMatrix(inputs.origin_ids, inputs.destination_ids, values)
+
+
 def unconstrained_flows(zones, museums, spec: ModelSpec) -> FlowMatrix:
     """T_ij = Inc_i * P_i * W_j * f(d_ij)."""
     if spec.constraint != "unconstrained":
         raise InvalidParameterError(f"expected unconstrained spec, got {spec.constraint!r}")
-    dmat = distance_matrix(zones, museums)
-    f = deterrence_matrix(dmat, spec.deterrence)
-    pop = np.array([z.population for z in zones])
-    inc = demand_weights(zones) if spec.use_demand else np.ones(len(zones))
-    w = attractiveness_weights(museums, spec.attractiveness) if spec.use_attractiveness else np.ones(len(museums))
-    values = (inc * pop)[:, None] * w[None, :] * f
-    return FlowMatrix([z.id for z in zones], [m.id for m in museums], values)
+    return model_matrix(zones, museums, spec)
 
 
 def origin_constrained_flows(O, museums, dmat, spec: ModelSpec, origin_ids=None) -> FlowMatrix:
@@ -303,18 +418,10 @@ def origin_constrained_flows(O, museums, dmat, spec: ModelSpec, origin_ids=None)
     if np.any(O < 0) or not np.all(np.isfinite(O)):
         raise InvalidAttributeError("origin totals must be finite and >= 0")
     w = attractiveness_weights(museums, spec.attractiveness) if spec.use_attractiveness else np.ones(len(museums))
-    f = deterrence_matrix(dmat, spec.deterrence)
-    scores = w[None, :] * f
-    denom = scores.sum(axis=1)
-    dead = (denom == 0.0) & (O > 0)
-    if np.any(dead):
-        raise UnreachableOriginError(
-            f"origins {np.nonzero(dead)[0].tolist()} have zero total deterrence but positive flow"
-        )
-    share = np.divide(scores, denom[:, None], out=np.zeros_like(scores), where=denom[:, None] > 0)
+    values = flow_values("origin", deterrence_matrix(dmat, spec.deterrence), O, w)
     if origin_ids is None:
         origin_ids = [f"o{i}" for i in range(O.size)]
-    return FlowMatrix(origin_ids, [m.id for m in museums], O[:, None] * share)
+    return FlowMatrix(origin_ids, [m.id for m in museums], values)
 
 
 def doubly_constrained_flows(
@@ -327,11 +434,13 @@ def doubly_constrained_flows(
     origin_ids=None,
     destination_ids=None,
 ) -> FlowMatrix:
-    """T_ij = A_i O_i B_j D_j f(d_ij) with balancing factors A, B.
+    """T_ij = O_i * w_j f(d_ij) / sum_k w_k f(d_ik), with w solved for column sums D.
 
-    Factors start at 1 and alternate B-then-A sweeps until the largest
-    relative change drops below tol. The A update runs last, which makes row
-    sums exact; column sums match D to within the convergence tolerance.
+    This is the origin-constrained formula with the destination weights
+    solved rather than given; in balancing-factor terms A_i is the inverse
+    row sum and B_j D_j = w_j. Row sums are exact up to rounding. ``tol``
+    bounds the per-column relative margin residual max_j |C_j - D_j| / D_j
+    of the returned matrix, and ``max_iter`` the number of Newton steps.
     """
     O = np.asarray(O, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -346,65 +455,9 @@ def doubly_constrained_flows(
     if abs(total - D.sum()) > 1e-9 * max(total, D.sum(), 1.0):
         raise MarginalMismatchError(f"origin total {total} != destination total {D.sum()}")
 
-    f = deterrence_matrix(dmat, det)
-    dead_rows = ((f * D[None, :]).sum(axis=1) == 0.0) & (O > 0)
-    if np.any(dead_rows):
-        raise UnreachableOriginError(
-            f"origins {np.nonzero(dead_rows)[0].tolist()} cannot reach any positive destination"
-        )
-
-    A = np.ones(O.size)
-    B = np.ones(D.size)
-    residual = math.inf
-    for _ in range(max_iter):
-        col = (f * (A * O)[:, None]).sum(axis=0)
-        B_new = np.divide(1.0, col, out=np.zeros_like(col), where=col > 0)
-        row = (f * (B_new * D)[None, :]).sum(axis=1)
-        A_new = np.divide(1.0, row, out=np.zeros_like(row), where=row > 0)
-        with np.errstate(invalid="ignore"):
-            residual = max(
-                float(np.max(np.abs(A_new - A) / np.maximum(np.abs(A_new), 1e-300))),
-                float(np.max(np.abs(B_new - B) / np.maximum(np.abs(B_new), 1e-300))),
-            )
-        A, B = A_new, B_new
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"balancing factors did not converge in {max_iter} sweeps "
-            f"(last residual {residual:.3e})",
-            residual=residual,
-        )
-
-    values = (A * O)[:, None] * (B * D)[None, :] * f
+    values = flow_values("doubly", deterrence_matrix(dmat, det), O, None, D, tol, max_iter)
     if origin_ids is None:
         origin_ids = [f"o{i}" for i in range(O.size)]
     if destination_ids is None:
         destination_ids = [f"d{j}" for j in range(D.size)]
     return FlowMatrix(origin_ids, destination_ids, values)
-
-
-def model_matrix(zones, museums, spec: ModelSpec, observed: FlowMatrix | None = None) -> FlowMatrix:
-    """Evaluate a ModelSpec over zones and museums.
-
-    Constrained regimes take their marginal totals from ``observed``, which
-    is reordered to the zone/museum label order first.
-    """
-    if spec.constraint == "unconstrained":
-        return unconstrained_flows(zones, museums, spec)
-    if observed is None:
-        raise InvalidParameterError(f"{spec.constraint!r} constraint needs an observed matrix")
-    zone_ids = [z.id for z in zones]
-    museum_ids = [m.id for m in museums]
-    obs = observed.reindex(zone_ids, museum_ids)
-    dmat = distance_matrix(zones, museums)
-    if spec.constraint == "origin":
-        return origin_constrained_flows(obs.row_sums(), museums, dmat, spec, origin_ids=zone_ids)
-    return doubly_constrained_flows(
-        obs.row_sums(),
-        obs.col_sums(),
-        dmat,
-        spec.deterrence,
-        origin_ids=zone_ids,
-        destination_ids=museum_ids,
-    )

@@ -80,12 +80,17 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Did the sweep find the beta the corpus was generated with?"""
+    """Did the sweep find the beta the corpus was generated with?
+
+    Carries the corpus it generated and its exact trip-count matrix.
+    """
 
     best_beta: float
     true_beta: float
     abs_error: float
     sweep: SweepResult
+    corpus: tuple[Tweet, ...]
+    truth: FlowMatrix
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
 
 def recovery_report(zones, museums, cfg: SynthConfig, ref: GeoPoint, grid=None) -> RecoveryReport:
     """Generate, run the full pipeline, sweep, and compare against beta*."""
-    corpus, _ = generate_corpus(zones, museums, cfg, ref)
+    corpus, truth = generate_corpus(zones, museums, cfg, ref)
     result = run_pipeline(corpus, zones, museums, ref)
     sweep = sweep_beta(zones, museums, result.matrix, cfg.true_spec, grid)
     true_beta = cfg.true_spec.deterrence.beta
@@ -189,6 +194,8 @@ def recovery_report(zones, museums, cfg: SynthConfig, ref: GeoPoint, grid=None) 
         true_beta=true_beta,
         abs_error=abs(sweep.best_beta - true_beta),
         sweep=sweep,
+        corpus=tuple(corpus),
+        truth=truth,
     )
 
 

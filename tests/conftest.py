@@ -1,6 +1,8 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and oracles for the test suite."""
 
 import math
+
+import numpy as np
 
 from museumflows.geometry import GeoPoint
 from museumflows.sim import Museum, Zone
@@ -33,3 +35,19 @@ def make_museum(mid, lat, lon, floor_area_m2=1000.0, media_mentions=5.0):
         floor_area_m2=floor_area_m2,
         media_mentions=media_mentions,
     )
+
+
+def ipf_oracle(O, D, f, n_sweeps=20000):
+    """Oracle: scale the kernel matrix itself, no balancing factors."""
+    M = np.array(f, dtype=float)
+    for _ in range(n_sweeps):
+        before = M.copy()
+        rows = M.sum(axis=1)
+        M = M * np.divide(O, rows, out=np.zeros_like(rows), where=rows > 0)[:, None]
+        cols = M.sum(axis=0)
+        M = M * np.divide(D, cols, out=np.zeros_like(cols), where=cols > 0)[None, :]
+        if np.max(np.abs(M - before)) < 1e-13:
+            break
+    # finish on a row scaling to share the row-exact convention
+    rows = M.sum(axis=1)
+    return M * np.divide(O, rows, out=np.zeros_like(rows), where=rows > 0)[:, None]

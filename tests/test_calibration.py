@@ -1,16 +1,16 @@
 """Fit statistic and sweep tests.
 
 pearson_r is checked against a sum-by-sum covariance oracle written in plain
-Python; fit_at_beta against hand-flattened vectors; the sweep against
-fit_at_beta itself at sampled grid points (one route precomputes, the other
-rebuilds everything per call).
+Python; fit_at_beta against hand-flattened vectors; the sweep and
+fit_at_beta against model matrices built in the tests from numpy formulas,
+with the IPF oracle for the doubly constrained regime.
 """
 
 import math
 
 import numpy as np
 import pytest
-from conftest import make_museum, make_zone
+from conftest import ipf_oracle, make_museum, make_zone
 
 from museumflows.calibration import (
     BetaGrid,
@@ -27,12 +27,17 @@ from museumflows.errors import (
     InvalidParameterError,
     ShapeError,
 )
+from museumflows.geometry import haversine_km
 from museumflows.sim import (
     Deterrence,
     FlowMatrix,
     ModelSpec,
+    attractiveness_weights,
+    demand_weights,
+    model_matrix,
     unconstrained_flows,
 )
+from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
 
 def pearson_oracle(xs, ys):
@@ -250,17 +255,56 @@ def test_sweep_skips_degenerate_points():
         sweep_beta(same_zones, same_museums, obs2, spec, [0.5])
 
 
-def test_sweep_matches_fit_at_beta_per_constraint():
+def test_sweep_and_fit_at_beta_match_numpy_models_per_constraint():
     zones, museums, _ = small_world()
     observed = FlowMatrix(("z0", "z1", "z2"), ("m0", "m1"), [[6.0, 1.0], [2.0, 3.0], [8.0, 2.0]])
+    obs = observed.values
+    O, D = obs.sum(axis=1), obs.sum(axis=0)
+    dmat = np.array([[haversine_km(z.centroid, m.location) for m in museums] for z in zones])
+    production = demand_weights(zones) * np.array([z.population for z in zones])
+    w = attractiveness_weights(museums)
+
+    def expected_model(constraint, beta):
+        f = np.exp(-beta * dmat)
+        if constraint == "unconstrained":
+            return production[:, None] * w[None, :] * f
+        if constraint == "origin":
+            return O[:, None] * (w * f) / (w * f).sum(axis=1, keepdims=True)
+        return ipf_oracle(O, D, f)
+
     grid = BetaGrid(0.05, 0.25, 6)
     for constraint in ("unconstrained", "origin", "doubly"):
         spec = ModelSpec(constraint=constraint, use_attractiveness=True, use_demand=True)
         result = sweep_beta(zones, museums, observed, spec, grid)
-        for k in (0, 3, 5):
-            direct = fit_at_beta(zones, museums, observed, spec, float(grid.betas()[k]))
-            assert result.r_values[k] == pytest.approx(direct.pearson_r, abs=1e-10)
-            assert result.rms_values[k] == pytest.approx(direct.rms, abs=1e-10)
+        fits = [(k, result.r_values[k], result.rms_values[k]) for k in range(grid.count)]
+        fit = fit_at_beta(zones, museums, observed, spec, 0.42)
+        fits.append((None, fit.pearson_r, fit.rms))
+        # closed forms agree to rounding; the doubly solve to its 1e-8 margin tolerance
+        tol = 1e-7 if constraint == "doubly" else 1e-12
+        for k, r, rms in fits:
+            beta = 0.42 if k is None else float(grid.betas()[k])
+            model = expected_model(constraint, beta).ravel()
+            assert r == pytest.approx(pearson_oracle(list(model), list(obs.ravel())), abs=tol)
+            assert rms == pytest.approx(math.sqrt(np.mean((model - obs.ravel()) ** 2)), rel=tol)
+
+
+def test_doubly_sweep_at_paper_scale_holds_margins_at_every_beta():
+    # 179 zones x 15 museums and 5000 trips, as in the paper: the trip
+    # matrix has empty zone rows, and every beta must still converge
+    region = demo_region(179, 15, seed=11)
+    truth_spec = ModelSpec(deterrence=Deterrence("exponential", 0.95))
+    cfg = SynthConfig(true_spec=truth_spec, n_trips=5000, seed=11)
+    _, truth = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    assert np.any(truth.row_sums() == 0)
+    spec = ModelSpec(constraint="doubly")
+    result = sweep_beta(region.zones, region.museums, truth, spec)
+    assert len(result.r_values) == 200
+    assert np.all(np.isfinite(result.r_values))
+    for beta in result.betas:
+        at_beta = ModelSpec(deterrence=Deterrence("exponential", beta), constraint="doubly")
+        model = model_matrix(region.zones, region.museums, at_beta, truth)
+        np.testing.assert_allclose(model.row_sums(), truth.row_sums(), rtol=1e-6, atol=0)
+        np.testing.assert_allclose(model.col_sums(), truth.col_sums(), rtol=1e-6, atol=0)
 
 
 def test_sweep_recovers_beta_from_multinomial_sample():

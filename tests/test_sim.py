@@ -1,17 +1,20 @@
 """Model family tests.
 
 The doubly constrained solver is checked against a raw iterative
-proportional fitting oracle that rescales the kernel matrix directly, a
-different algorithm from the balancing-factor fixed point inside the
-implementation. Attractiveness and demand weights are checked against
-element-by-element arithmetic written out in the tests.
+proportional fitting oracle (``conftest.ipf_oracle``) that rescales the
+kernel matrix directly, a different algorithm from the Newton solve for
+destination weights inside the implementation. Attractiveness and demand
+weights are checked against element-by-element arithmetic written out in
+the tests.
 """
 
 import math
 
 import numpy as np
 import pytest
-from conftest import ANCHOR, deg_for_km, make_museum, make_zone
+from conftest import ANCHOR, deg_for_km, ipf_oracle, make_museum, make_zone
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from museumflows.errors import (
     ConvergenceError,
@@ -26,6 +29,7 @@ from museumflows.errors import (
 )
 from museumflows.geometry import GeoPoint, haversine_km
 from museumflows.sim import (
+    DETERRENCE_KINDS,
     AttractivenessSpec,
     Deterrence,
     FlowMatrix,
@@ -34,29 +38,13 @@ from museumflows.sim import (
     Zone,
     attractiveness_weights,
     demand_weights,
-    deterrence_value,
+    deterrence_matrix,
     distance_matrix,
     doubly_constrained_flows,
     model_matrix,
     origin_constrained_flows,
     unconstrained_flows,
 )
-
-
-def ipf_oracle(O, D, f, n_sweeps=20000):
-    """Oracle: scale the kernel matrix itself, no balancing factors."""
-    M = np.array(f, dtype=float)
-    for _ in range(n_sweeps):
-        before = M.copy()
-        rows = M.sum(axis=1)
-        M = M * np.divide(O, rows, out=np.zeros_like(rows), where=rows > 0)[:, None]
-        cols = M.sum(axis=0)
-        M = M * np.divide(D, cols, out=np.zeros_like(cols), where=cols > 0)[None, :]
-        if np.max(np.abs(M - before)) < 1e-13:
-            break
-    # finish on a row scaling to share the row-exact convention
-    rows = M.sum(axis=1)
-    return M * np.divide(O, rows, out=np.zeros_like(rows), where=rows > 0)[:, None]
 
 
 def test_zone_and_museum_validation():
@@ -129,16 +117,14 @@ def test_distance_matrix_zero_and_shape():
 
 
 def test_deterrence_values():
-    assert deterrence_value(0.0, Deterrence("exponential", 2.0)) == 1.0
+    assert deterrence_matrix(np.array([0.0]), Deterrence("exponential", 2.0)).tolist() == [1.0]
     # e^-0.95, evaluated separately and frozen
-    assert deterrence_value(1.0, Deterrence("exponential", 0.95)) == pytest.approx(
+    assert deterrence_matrix(np.array([1.0]), Deterrence("exponential", 0.95))[0] == pytest.approx(
         0.3867410235, abs=1e-9
     )
-    assert deterrence_value(2.0, Deterrence("power", 1.0)) == 0.5
+    assert deterrence_matrix(np.array([2.0]), Deterrence("power", 1.0)).tolist() == [0.5]
     with pytest.raises(SingularDistanceError):
-        deterrence_value(0.0, Deterrence("power", 1.0))
-    with pytest.raises(InvalidParameterError):
-        deterrence_value(-1.0, Deterrence("exponential", 1.0))
+        deterrence_matrix(np.array([2.0, 0.0]), Deterrence("power", 1.0))
     with pytest.raises(InvalidParameterError):
         Deterrence("exponential", -0.5)
     with pytest.raises(InvalidParameterError):
@@ -146,9 +132,10 @@ def test_deterrence_values():
 
 
 def test_deterrence_strictly_decreasing():
-    det = Deterrence("exponential", 0.8)
-    values = [deterrence_value(d, det) for d in (0.5, 1.0, 2.0, 5.0, 20.0)]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    distances = np.array([0.5, 1.0, 2.0, 5.0, 20.0])
+    for det in (Deterrence("exponential", 0.8), Deterrence("power", 0.8)):
+        values = deterrence_matrix(distances, det)
+        assert np.all(values[:-1] > values[1:])
 
 
 def test_attractiveness_identical_museums():
@@ -341,6 +328,68 @@ def test_doubly_constrained_against_ipf_oracle():
             fm = doubly_constrained_flows(O, D, dmat, det, tol=1e-12)
             f = np.exp(-beta * dmat) if kind == "exponential" else dmat ** (-beta)
             np.testing.assert_allclose(fm.values, ipf_oracle(O, D, f), rtol=1e-6, atol=1e-9)
+
+
+@st.composite
+def sparse_doubly_instances(draw):
+    """Margins of a random sparse count matrix, with whole rows and columns zeroed."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 6))
+    counts = np.array(draw(st.lists(st.integers(0, 30), min_size=n * m, max_size=n * m)), dtype=float)
+    counts = counts.reshape(n, m)
+    counts[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - 1))), :] = 0.0
+    counts[:, sorted(draw(st.sets(st.integers(0, m - 1), max_size=m - 1)))] = 0.0
+    # kernel cross-ratios stay below e^10 for beta <= 2, which IPF resolves
+    # within its sweep budget; the closed-form test below goes far beyond
+    dmat = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=n * m, max_size=n * m)))
+    kind = draw(st.sampled_from(DETERRENCE_KINDS))
+    beta = draw(st.floats(0.0, 2.0))
+    return counts.sum(axis=1), counts.sum(axis=0), dmat.reshape(n, m), Deterrence(kind, beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_doubly_instances())
+def test_doubly_constrained_matches_ipf_on_sparse_instances(instance):
+    O, D, dmat, det = instance
+    fm = doubly_constrained_flows(O, D, dmat, det)
+    f = np.exp(-det.beta * dmat) if det.kind == "exponential" else dmat ** (-det.beta)
+    np.testing.assert_allclose(fm.values, ipf_oracle(O, D, f), rtol=1e-6, atol=0)
+
+
+def test_doubly_constrained_extreme_kernel_ratios_closed_form():
+    # With two live rows and columns the margins leave one free entry x = T_10,
+    # fixed by the cross-ratio rho = f01 f10 / (f00 f11) of the kernel:
+    # rho (D0 - x)(O1 - x) = x (O0 - D0 + x). Zero rows and columns around
+    # the 2 x 2 block must stay zero.
+    cases = (
+        ((1.0, 1.0, 0.0), (0.0, 1.0, 1.0), [[5.0, 1.0, 2.0], [5.0, 9.0, 1.0], [5.0, 1.0, 1.0]], 2.0),
+        ((3.0, 1.0), (1.0, 3.0), [[1.0, 20.0], [30.0, 1.0]], 1.0),
+        ((3.0, 1.0), (1.0, 3.0), [[1.0, 20.0], [30.0, 1.0]], 5.0),
+    )
+    for O, D, dmat, beta in cases:
+        fm = doubly_constrained_flows(O, D, np.array(dmat), Deterrence("exponential", beta))
+        (o0, o1), d0 = O[:2], D[-2]
+        block = np.exp(-beta * np.array(dmat)[:2, -2:])
+        rho = block[0, 1] * block[1, 0] / (block[0, 0] * block[1, 1])
+        a, b, c = 1.0 - rho, o0 - d0 + rho * (d0 + o1), rho * d0 * o1
+        x = 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))  # the stable root
+        expected = np.zeros(fm.shape)
+        expected[:2, -2:] = [[d0 - x, o0 - d0 + x], [x, o1 - x]]
+        np.testing.assert_allclose(fm.values, expected, rtol=1e-6, atol=0)
+
+
+def test_doubly_constrained_converges_on_harsh_sparse_instances():
+    # kernels spanning up to e^-160 on sparse margins, beyond the IPF oracle's
+    # reach: every instance must converge, with rows exact and columns within tol
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 40)), int(rng.integers(2, 16))
+        counts = rng.integers(0, 5, size=(n, m)) * (rng.random((n, m)) < rng.uniform(0.05, 1.0))
+        O, D = counts.sum(axis=1).astype(float), counts.sum(axis=0).astype(float)
+        dmat = rng.uniform(0.1, 40.0, size=(n, m))
+        fm = doubly_constrained_flows(O, D, dmat, Deterrence("exponential", float(rng.uniform(0.0, 4.0))))
+        np.testing.assert_allclose(fm.row_sums(), O, rtol=1e-12, atol=0, err_msg=f"seed {seed}")
+        np.testing.assert_allclose(fm.col_sums(), D, rtol=1e-8, atol=0, err_msg=f"seed {seed}")
 
 
 def test_doubly_constrained_zero_marginal_row():
