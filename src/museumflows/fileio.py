@@ -6,19 +6,46 @@ museum ids across the first row and zone ids down the first column.
 Floats are written with repr so a write/read cycle is lossless. All
 writers emit deterministic bytes: sorted keys, fixed field order, no
 timestamps of their own.
+
+:func:`read_tweets` streams the NDJSON file line by line straight into
+the columns of a :class:`~museumflows.pipeline.Corpus` (user codes,
+float64 coordinates, UTC microsecond timestamps with each stamp's own
+UTC offset kept, ids, texts, sources); no Tweet object is built.
+:func:`write_tweets` takes a Corpus or any sequence of Tweet, and writes
+each timestamp in its own offset, so a read/write cycle keeps the bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import json.decoder
+import json.scanner
 import math
+from array import array
 from dataclasses import asdict
 from datetime import datetime, timezone
 
-from .errors import DataFormatError, FlowModelError, InvalidGeometryError
+import numpy as np
+
+from .errors import (
+    DataFormatError,
+    FlowModelError,
+    InvalidAttributeError,
+    InvalidCoordinateError,
+    InvalidGeometryError,
+)
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import PipelineReport, StageCount, TaggedFeature, Tweet
+from .pipeline import (
+    _EPOCH,
+    _MICROSECOND,
+    MAX_TEXT_CODEPOINTS,
+    Corpus,
+    PipelineReport,
+    StageCount,
+    TaggedFeature,
+    _check_tweet_fields,
+)
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
@@ -27,6 +54,7 @@ from .synth import RecoveryReport
 # --- tweets (NDJSON) ---
 
 _TWEET_FIELDS = ("id", "user_id", "timestamp", "lat", "lon", "text")
+_TWEET_KEYS = frozenset(_TWEET_FIELDS)
 
 
 def _parse_timestamp(raw, path, line_no) -> datetime:
@@ -44,38 +72,94 @@ def _parse_timestamp(raw, path, line_no) -> datetime:
     return stamp
 
 
-def read_tweets(path) -> list[Tweet]:
-    tweets: list[Tweet] = []
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+_json_space = json.decoder.WHITESPACE.match
+
+
+def _json_line(line: str):
+    """``json.loads(line)``, minus its Python layers on the way to the scanner.
+
+    Anything but one clean JSON value goes through json.loads itself, so
+    errors carry its exact messages.
+    """
+    try:
+        obj, end = _scan_json(line, _json_space(line, 0).end())
+    except StopIteration:
+        return json.loads(line)
+    if _json_space(line, end).end() != len(line):
+        return json.loads(line)
+    return obj
+
+
+def _check_coordinates(lat, lon, line_nos, path) -> None:
+    """Raise for the first row whose coordinates :class:`GeoPoint` rejects."""
+    lat_a, lon_a = np.frombuffer(lat, dtype=np.float64), np.frombuffer(lon, dtype=np.float64)
+    bad = ~((lat_a >= -90.0) & (lat_a <= 90.0) & (lon_a >= -180.0) & (lon_a <= 180.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        try:
+            GeoPoint(lat[k], lon[k])
+        except InvalidCoordinateError as exc:
+            raise DataFormatError(f"{path}:{line_nos[k]}: {exc}") from exc
+
+
+def read_tweets(path) -> Corpus:
+    """Stream an NDJSON file, line by line, into a :class:`Corpus`.
+
+    Each line gets the checks a :class:`Tweet` makes, and the first bad
+    line in the file is reported as ``path:line``. Coordinate ranges are
+    checked for all rows at once, and a bad coordinate is still reported
+    ahead of any later line's error and of its own line's later checks.
+    """
+    ids, texts, sources = [], [], []
+    users: dict[str, int] = {}
+    tzinfos: dict = {}
+    user, stamp_us, tz, line_nos = array("q"), array("q"), array("q"), array("q")
+    lat, lon = array("d"), array("d")
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
-            missing = [k for k in _TWEET_FIELDS if k not in obj]
-            if missing:
-                raise DataFormatError(f"{path}:{line_no}: missing fields {', '.join(missing)}")
-            try:
-                tweet = Tweet(
-                    id=str(obj["id"]),
-                    user_id=str(obj["user_id"]),
-                    timestamp=_parse_timestamp(obj["timestamp"], path, line_no),
-                    location=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-                    text=str(obj["text"]),
-                    source=None if obj.get("source") is None else str(obj["source"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
-            if tweet.id in seen:
-                raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tweet.id!r}")
-            seen.add(tweet.id)
-            tweets.append(tweet)
-    return tweets
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = _json_line(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+                if not isinstance(obj, dict):
+                    raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
+                if not obj.keys() >= _TWEET_KEYS:
+                    missing = [k for k in _TWEET_FIELDS if k not in obj]
+                    raise DataFormatError(f"{path}:{line_no}: missing fields {', '.join(missing)}")
+                tid, user_id, text = str(obj["id"]), str(obj["user_id"]), str(obj["text"])
+                stamp = _parse_timestamp(obj["timestamp"], path, line_no)
+                try:
+                    point = float(obj["lat"]), float(obj["lon"])
+                except (TypeError, ValueError) as exc:
+                    raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
+                lat.append(point[0])
+                lon.append(point[1])
+                line_nos.append(line_no)
+                if not tid or not user_id or len(text) > MAX_TEXT_CODEPOINTS:
+                    try:
+                        _check_tweet_fields(tid, user_id, text)
+                    except InvalidAttributeError as exc:
+                        raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
+                if tid in seen:
+                    raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
+                seen.add(tid)
+                source = obj.get("source")
+                ids.append(tid)
+                user.append(users.setdefault(user_id, len(users)))
+                stamp_us.append((stamp - _EPOCH) // _MICROSECOND)  # _timestamp_us of an aware stamp
+                tz.append(tzinfos.setdefault(stamp.tzinfo, len(tzinfos)))
+                texts.append(text)
+                sources.append(None if source is None else str(source))
+        except DataFormatError:
+            _check_coordinates(lat, lon, line_nos, path)
+            raise
+    _check_coordinates(lat, lon, line_nos, path)
+    return Corpus(ids, users, user, lat, lon, stamp_us, tzinfos, tz, texts, sources)
 
 
 def write_tweets(tweets, path) -> None:

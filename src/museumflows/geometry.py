@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     InvalidCoordinateError,
     InvalidGeometryError,
@@ -116,6 +118,27 @@ def project(p: GeoPoint, ref: GeoPoint) -> PlanarPoint:
     return PlanarPoint(x, y)
 
 
+def project_arrays(lat, lon, ref: GeoPoint):
+    """:func:`project` for arrays of latitudes and longitudes; returns (x, y).
+
+    The operations are those of :func:`project`, in the same order, so each
+    point lands bit for bit where the scalar function puts it. Raises, through
+    :func:`project`, for the first point outside the frame.
+    """
+    dlat = np.asarray(lat, dtype=np.float64) - ref.lat
+    dlon = np.asarray(lon, dtype=np.float64) - ref.lon
+    far = (np.abs(dlat) > MAX_FRAME_DEGREES) | (np.abs(dlon) > MAX_FRAME_DEGREES)
+    if far.any():
+        k = int(np.argmax(far))
+        project(GeoPoint(float(lat[k]), float(lon[k])), ref)
+    # in place: x *= c is c * x, as multiplication commutes bit for bit
+    x = np.radians(dlon, out=dlon)
+    x *= EARTH_RADIUS_M * math.cos(math.radians(ref.lat))
+    y = np.radians(dlat, out=dlat)
+    y *= EARTH_RADIUS_M
+    return x, y
+
+
 def unproject(q: PlanarPoint, ref: GeoPoint) -> GeoPoint:
     """Inverse of :func:`project` for the same reference point."""
     lat = ref.lat + math.degrees(q.y / EARTH_RADIUS_M)
@@ -131,6 +154,20 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     dlon = math.radians(b.lon - a.lon)
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
+def haversine_km_arrays(lat, lon, b: GeoPoint) -> np.ndarray:
+    """:func:`haversine_km` from arrays of points to one point ``b``.
+
+    Same formula and order of operations; numpy's sin, cos and arcsin may
+    round differently from the math module's in the last place.
+    """
+    lat1 = np.radians(lat)
+    lat2 = math.radians(b.lat)
+    dlat = np.radians(b.lat - lat)
+    dlon = np.radians(b.lon - lon)
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * math.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 def _on_segment(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> bool:
@@ -169,6 +206,34 @@ def point_in_polygon(p: PlanarPoint, poly: PolygonM) -> bool:
                 if p.x < x_cross:
                     inside = not inside
     return inside
+
+
+def _on_segment_arrays(x, y, a: PlanarPoint, b: PlanarPoint) -> np.ndarray:
+    dx, dy = b.x - a.x, b.y - a.y
+    on = np.abs(dx * (y - a.y) - dy * (x - a.x)) <= _EDGE_EPS
+    if dx == 0.0 and dy == 0.0:
+        return on & (x == a.x) & (y == a.y)
+    dot = (x - a.x) * dx + (y - a.y) * dy
+    return on & (-_EDGE_EPS <= dot) & (dot <= dx ** 2 + dy ** 2 + _EDGE_EPS)
+
+
+def point_in_polygon_arrays(x, y, poly: PolygonM) -> np.ndarray:
+    """:func:`point_in_polygon` for arrays of planar coordinates.
+
+    Only +, -, *, / and comparisons act on each point, in the scalar
+    function's order, so every answer is the scalar one bit for bit.
+    """
+    on_edge = np.zeros(len(x), dtype=bool)
+    inside = np.zeros(len(x), dtype=bool)
+    for ring in poly.rings():
+        n = len(ring)
+        for i in range(n):
+            a, b = ring[i], ring[(i + 1) % n]
+            on_edge |= _on_segment_arrays(x, y, a, b)
+            rows = np.flatnonzero((a.y > y) != (b.y > y))
+            x_cross = a.x + (y[rows] - a.y) * (b.x - a.x) / (b.y - a.y)
+            inside[rows] ^= x[rows] < x_cross
+    return on_edge | inside
 
 
 def containment_box(poly: PolygonM) -> tuple[float, float, float, float]:
@@ -216,6 +281,30 @@ def distance_to_polygon_m(p: PlanarPoint, poly: PolygonM) -> float:
         n = len(ring)
         for i in range(n):
             best = min(best, _point_segment_distance(p, ring[i], ring[(i + 1) % n]))
+    return best
+
+
+def edge_distance_m_arrays(x, y, poly: PolygonM) -> np.ndarray:
+    """Distance from each point to the nearest ring edge of ``poly``.
+
+    :func:`distance_to_polygon_m` of an uncontained point, with the scalar
+    arithmetic except ``np.hypot``, which may differ from ``math.hypot`` in
+    the last place.
+    """
+    best = np.full(len(x), math.inf)
+    for ring in poly.rings():
+        n = len(ring)
+        for i in range(n):
+            a, b = ring[i], ring[(i + 1) % n]
+            dx, dy = b.x - a.x, b.y - a.y
+            seg2 = dx * dx + dy * dy
+            if seg2 == 0.0:
+                d = np.hypot(x - a.x, y - a.y)
+            else:
+                t = ((x - a.x) * dx + (y - a.y) * dy) / seg2
+                t = np.maximum(0.0, np.minimum(1.0, t))
+                d = np.hypot(x - (a.x + t * dx), y - (a.y + t * dy))
+            np.minimum(best, d, out=best)
     return best
 
 

@@ -5,6 +5,16 @@ full activity, filter the corpus down to museum-visit evidence (keywords,
 optionally building footprints), deduplicate, drop check-in relays, then
 count (home zone, nearest museum) pairs.
 
+The corpus is a :class:`Corpus`, a struct of arrays with one row per
+message: user codes, coordinates, UTC microsecond timestamps, ids, texts
+and sources. Every stage takes a Corpus or any sequence of :class:`Tweet`,
+works on the columns with numpy, and returns the surviving rows as a
+Corpus in their input order. Text stages test strings in Python, but only
+the rows a case-folded substring test leaves them. Where numpy's
+arithmetic may round differently from the scalar geometry (``hypot``,
+``arcsin``), rows within a hair of a decision are re-decided by the
+scalar functions, so every result is the one a per-message loop gives.
+
 Every planar step shares one local frame; its reference coordinate is a
 required argument wherever grid cells or footprint distances are involved,
 so results cannot silently depend on corpus order.
@@ -13,9 +23,10 @@ so results cannot silently depend on corpus order.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -27,7 +38,6 @@ from .errors import (
     InvalidParameterError,
 )
 from .geometry import (
-    EARTH_RADIUS_M,
     MAX_FRAME_DEGREES,
     GeoPoint,
     GridCell,
@@ -35,12 +45,15 @@ from .geometry import (
     PolygonM,
     containment_box,
     distance_to_polygon_m,
+    edge_distance_m_arrays,
     haversine_km,
+    haversine_km_arrays,
     point_in_polygon,
+    point_in_polygon_arrays,
     point_on_boundary,
     polygon_centroid_area,
     project,
-    snap_to_grid,
+    project_arrays,
     unproject,
 )
 from .sim import FlowMatrix, Museum, Zone
@@ -55,8 +68,27 @@ DEFAULT_MERGE_RADIUS_M = 100.0
 DEFAULT_FLOOR_AREA_M2 = 1.0
 GRID_RESOLUTION_M = 100.0
 
+# Relative width of the band around a decision inside which the scalar
+# geometry re-decides: far wider than the last-place rounding of numpy's
+# hypot, sin and arcsin, far narrower than any real difference.
+_TIE_BAND = 1e-9
+
 _TOKEN_SPLIT = re.compile(r"[\s.,!?:;]+")
 _URL = re.compile(r"\S+://\S+|\bt\.co/\S+", re.IGNORECASE)
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _check_tweet_fields(tid: str, user_id: str, text: str) -> None:
+    """The field rules of :class:`Tweet`, for readers that build no Tweet."""
+    if not tid or not user_id:
+        raise InvalidAttributeError("tweet id and user_id must be non-empty")
+    if len(text) > MAX_TEXT_CODEPOINTS:
+        raise InvalidAttributeError(
+            f"tweet {tid}: text has {len(text)} code points, limit is {MAX_TEXT_CODEPOINTS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,13 +103,126 @@ class Tweet:
     source: str | None = None
 
     def __post_init__(self):
-        if not self.id or not self.user_id:
-            raise InvalidAttributeError("tweet id and user_id must be non-empty")
-        if len(self.text) > MAX_TEXT_CODEPOINTS:
-            raise InvalidAttributeError(
-                f"tweet {self.id}: text has {len(self.text)} code points, "
-                f"limit is {MAX_TEXT_CODEPOINTS}"
-            )
+        _check_tweet_fields(self.id, self.user_id, self.text)
+
+
+def _timestamp_us(stamp: datetime) -> int:
+    """Microseconds since 1970-01-01 UTC; a naive stamp counts as UTC.
+
+    Aware stamps order by instant whatever their UTC offset, as datetime
+    comparison does.
+    """
+    epoch = _NAIVE_EPOCH if stamp.utcoffset() is None else _EPOCH
+    return (stamp - epoch) // _MICROSECOND
+
+
+def _objects(values) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+class Corpus:
+    """A message corpus as a struct of arrays, one row per message.
+
+    Columns: ``user`` (int64 codes into the ``users`` names), ``lat`` and
+    ``lon`` (float64 degrees), ``stamp_us`` (int64 microseconds since the
+    epoch, UTC, for ordering), ``tz`` (int codes into ``tzinfos``, the
+    stamps' own time zones), and object arrays ``ids``, ``texts`` and
+    ``sources``. Rows are validated where they are made (the reader, or
+    :class:`Tweet`), so the columns hold valid messages only.
+
+    ``len()``, indexing and iteration give :class:`Tweet` rows, rebuilt
+    with each timestamp in its own zone, so they equal the tweets the
+    corpus was read or built from. A Corpus equals any sequence of equal
+    rows. :meth:`take` selects rows; the names table is shared, so a user
+    code means the same user in every corpus taken from one source.
+    """
+
+    __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
+
+    def __init__(self, ids, users, user, lat, lon, stamp_us, tzinfos, tz, texts, sources):
+        self.ids = ids if isinstance(ids, np.ndarray) else _objects(ids)
+        self.users = tuple(users)
+        self.user = np.asarray(user, dtype=np.int64)
+        self.lat = np.asarray(lat, dtype=np.float64)
+        self.lon = np.asarray(lon, dtype=np.float64)
+        self.stamp_us = np.asarray(stamp_us, dtype=np.int64)
+        self.tzinfos = tuple(tzinfos)
+        self.tz = np.asarray(tz, dtype=np.int64)
+        self.texts = texts if isinstance(texts, np.ndarray) else _objects(texts)
+        self.sources = sources if isinstance(sources, np.ndarray) else _objects(sources)
+
+    @classmethod
+    def from_tweets(cls, tweets) -> "Corpus":
+        tweets = tweets if isinstance(tweets, (list, tuple)) else list(tweets)
+        user_code: dict[str, int] = {}
+        tz_code: dict = {}
+
+        def column(values, dtype):
+            return np.fromiter(values, dtype=dtype, count=len(tweets))
+
+        user = column((user_code.setdefault(t.user_id, len(user_code)) for t in tweets), np.int64)
+        tz = column((tz_code.setdefault(t.timestamp.tzinfo, len(tz_code)) for t in tweets), np.int64)
+        return cls(
+            column((t.id for t in tweets), object),
+            user_code,
+            user,
+            column((t.location.lat for t in tweets), np.float64),
+            column((t.location.lon for t in tweets), np.float64),
+            column((_timestamp_us(t.timestamp) for t in tweets), np.int64),
+            tz_code,
+            tz,
+            column((t.text for t in tweets), object),
+            column((t.source for t in tweets), object),
+        )
+
+    def take(self, rows) -> "Corpus":
+        """The given rows (an index array), in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Corpus(
+            self.ids[rows], self.users, self.user[rows], self.lat[rows], self.lon[rows],
+            self.stamp_us[rows], self.tzinfos, self.tz[rows], self.texts[rows], self.sources[rows],
+        )
+
+    def user_count(self) -> int:
+        """Number of distinct users with at least one row."""
+        return int(np.count_nonzero(np.bincount(self.user, minlength=len(self.users))))
+
+    def _tweet(self, tid, code, lat, lon, us, tz, text, source) -> Tweet:
+        zone = self.tzinfos[tz]
+        if zone is None:
+            stamp = _NAIVE_EPOCH + timedelta(microseconds=us)
+        else:
+            stamp = (_EPOCH + timedelta(microseconds=us)).astimezone(zone)
+        return Tweet(tid, self.users[code], stamp, GeoPoint(lat, lon), text, source)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i) -> Tweet:
+        return next(iter(self.take([operator.index(i)])))
+
+    def __iter__(self):
+        columns = (self.ids, self.user, self.lat, self.lon, self.stamp_us, self.tz, self.texts, self.sources)
+        for row in zip(*(c.tolist() for c in columns)):
+            yield self._tweet(*row)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Corpus, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+def _as_corpus(tweets) -> Corpus:
+    return tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
+
+
+def _kept(corpus: Corpus, keep) -> Corpus:
+    """The rows where ``keep`` is True; the corpus itself when that is all."""
+    return corpus if keep.all() else corpus.take(np.flatnonzero(keep))
 
 
 @dataclass(frozen=True)
@@ -142,18 +287,7 @@ class PipelineResult:
     matrix: FlowMatrix
     report: PipelineReport
     homes: tuple[UserHome, ...]
-    museum_tweets: tuple[Tweet, ...]
-
-
-def _users(corpus) -> int:
-    return len({t.user_id for t in corpus})
-
-
-def _by_user(corpus) -> dict:
-    groups: dict[str, list[Tweet]] = {}
-    for t in corpus:
-        groups.setdefault(t.user_id, []).append(t)
-    return groups
+    museum_tweets: Corpus
 
 
 def corpus_frame(corpus) -> GeoPoint:
@@ -162,14 +296,58 @@ def corpus_frame(corpus) -> GeoPoint:
     Order-independent, so every permutation of the corpus grids identically.
     Prefer the zone-derived reference when a zone system is loaded.
     """
-    if not corpus:
+    corpus = _as_corpus(corpus)
+    if not len(corpus):
         raise EmptyInputError("cannot derive a frame from an empty corpus")
-    return GeoPoint(min(t.location.lat for t in corpus), min(t.location.lon for t in corpus))
+    return GeoPoint(float(corpus.lat.min()), float(corpus.lon.min()))
 
 
 def tokenize(text: str) -> list[str]:
     """Split on whitespace and sentence punctuation; drop tokens of <=2 chars."""
     return [tok for tok in _TOKEN_SPLIT.split(text) if len(tok) > 2]
+
+
+def _contains_any(strings, needles) -> np.ndarray:
+    """Whether each string, case-folded, holds any needle as a substring."""
+    search = re.compile("|".join(map(re.escape, needles))).search
+    return np.fromiter(map(bool, map(search, map(str.casefold, strings))), dtype=bool, count=len(strings))
+
+
+def _grid_cells(corpus: Corpus, rows, ref: GeoPoint, resolution: float):
+    """(ix, iy) of the given rows (None: all), bit for bit :func:`project` + :func:`snap_to_grid`.
+
+    An out-of-frame row raises through :func:`project`: the first such row
+    of the user who appears first, as a loop over users meets it.
+    """
+    every = np.arange(len(corpus))
+    rows = every if rows is None else rows
+    lat, lon = (corpus.lat, corpus.lon) if rows is every else (corpus.lat[rows], corpus.lon[rows])
+    far = rows[(np.abs(lat - ref.lat) > MAX_FRAME_DEGREES) | (np.abs(lon - ref.lon) > MAX_FRAME_DEGREES)]
+    if far.size:
+        first = np.full(len(corpus.users), len(corpus))
+        np.minimum.at(first, corpus.user, every)
+        project(corpus[far[np.argmin(first[corpus.user[far]])]].location, ref)
+    x, y = project_arrays(lat, lon, ref)
+    return np.floor(x / resolution, out=x).astype(np.int64), np.floor(y / resolution, out=y).astype(np.int64)
+
+
+def _cell_runs(user, ix, iy):
+    """Runs of equal (user, cell) in sorted order, grouped by user.
+
+    Returns (order, starts, counts, group, group_user, top): the sorting
+    permutation, each run's start in it and its length, each run's group
+    (one per user, in user code order), each group's user code and its
+    longest run length.
+    """
+    order = np.lexsort((iy, ix, user))
+    user, ix, iy = user[order], ix[order], iy[order]
+    change = (user[1:] != user[:-1]) | (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    counts = np.diff(np.append(starts, len(user)))
+    run_user = user[starts]
+    first_runs = np.flatnonzero(np.concatenate(([True], run_user[1:] != run_user[:-1])))
+    group = np.repeat(np.arange(len(first_runs)), np.diff(np.append(first_runs, len(starts))))
+    return order, starts, counts, group, run_user[first_runs], np.maximum.reduceat(counts, first_runs)
 
 
 def remove_automated_accounts(
@@ -181,57 +359,71 @@ def remove_automated_accounts(
     """Drop users that post heavily from a single 100 m cell.
 
     A user goes when they have more than activity_threshold tweets AND at
-    least static_fraction of them fall into one cell.
+    least static_fraction of them fall into one cell. Only those heavy
+    users' tweets are projected.
     """
     if activity_threshold < 1:
         raise InvalidParameterError(f"activity threshold {activity_threshold} must be >= 1")
     if not 0.0 < static_fraction <= 1.0:
         raise InvalidParameterError(f"static fraction {static_fraction} outside (0, 1]")
-    dropped = set()
-    for user_id, tweets in _by_user(corpus).items():
-        if len(tweets) <= activity_threshold:
-            continue
-        cells: dict[GridCell, int] = {}
-        for t in tweets:
-            cell = snap_to_grid(project(t.location, ref), GRID_RESOLUTION_M)
-            cells[cell] = cells.get(cell, 0) + 1
-        if max(cells.values()) >= static_fraction * len(tweets):
-            dropped.add(user_id)
-    out = [t for t in corpus if t.user_id not in dropped]
-    return out, StageCount("bot-removal", len(corpus), len(out), _users(out))
+    corpus = _as_corpus(corpus)
+    tweets_per_user = np.bincount(corpus.user, minlength=len(corpus.users))
+    heavy = np.flatnonzero((tweets_per_user > activity_threshold)[corpus.user])
+    dropped = np.zeros(len(corpus.users), dtype=bool)
+    if heavy.size:
+        ix, iy = _grid_cells(corpus, heavy, ref, GRID_RESOLUTION_M)
+        _, _, _, _, users, top = _cell_runs(corpus.user[heavy], ix, iy)
+        dropped[users[top >= static_fraction * tweets_per_user[users]]] = True
+    out = _kept(corpus, ~dropped[corpus.user])
+    return out, StageCount("bot-removal", len(corpus), len(out), out.user_count())
 
 
 def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     """Keep tweets with a token starting with any keyword, case-folded.
 
     Prefix matching keeps plurals ("museums") without letting substrings
-    like "amusement" through.
+    like "amusement" through. Only texts that contain a keyword once
+    case-folded are tokenized: str.casefold folds code point by code
+    point, so a token's folded prefix is a substring of the folded text.
     """
     keywords = tuple(k.casefold() for k in keywords)
     if not keywords:
         raise InvalidParameterError("semantic filter needs at least one keyword")
-    out = [
-        t
-        for t in corpus
-        if any(tok.casefold().startswith(keywords) for tok in tokenize(t.text))
-    ]
-    return out, StageCount("semantic", len(corpus), len(out), _users(out))
+    corpus = _as_corpus(corpus)
+    texts = corpus.texts
+    keep = _contains_any(texts.tolist(), keywords)
+    for i in np.flatnonzero(keep).tolist():
+        keep[i] = any(tok.casefold().startswith(keywords) for tok in tokenize(texts[i]))
+    out = _kept(corpus, keep)
+    return out, StageCount("semantic", len(corpus), len(out), out.user_count())
 
 
 def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_BUFFER_M):
     """Keep tweets within buffer_m of any footprint polygon.
 
     Footprint polygons must be planar in the frame anchored at ref.
+    Containment is exact; a distance within a hair of buffer_m is
+    re-decided by :func:`distance_to_polygon_m`.
     """
     if buffer_m < 0:
         raise InvalidParameterError(f"buffer {buffer_m} must be >= 0")
     polys = [poly for _, poly in footprints]
-    out = []
-    for t in corpus:
-        p = project(t.location, ref)
-        if any(distance_to_polygon_m(p, poly) <= buffer_m for poly in polys):
-            out.append(t)
-    return out, StageCount("spatial", len(corpus), len(out), _users(out))
+    corpus = _as_corpus(corpus)
+    x, y = project_arrays(corpus.lat, corpus.lon, ref)
+    keep = np.zeros(len(corpus), dtype=bool)
+    close_call = np.zeros(len(corpus), dtype=bool)
+    band = _TIE_BAND * max(buffer_m, 1.0)
+    for poly in polys:
+        edge = edge_distance_m_arrays(x, y, poly)
+        inside = point_in_polygon_arrays(x, y, poly)
+        close = ~inside & (np.abs(edge - buffer_m) <= band)
+        keep |= inside | ((edge <= buffer_m) & ~close)
+        close_call |= close
+    for i in np.flatnonzero(close_call & ~keep).tolist():
+        p = project(corpus[i].location, ref)
+        keep[i] = any(distance_to_polygon_m(p, poly) <= buffer_m for poly in polys)
+    out = _kept(corpus, keep)
+    return out, StageCount("spatial", len(corpus), len(out), out.user_count())
 
 
 def _normalized_text(text: str) -> str:
@@ -243,31 +435,39 @@ def dedup(corpus):
 
     Normalization strips URL-shaped substrings and collapses whitespace, so
     reposts that differ only in an embedded link collapse to one tweet.
+    Earliest is by (timestamp, id): one sort over (user, microsecond, id).
     """
-    keep: set[str] = set()
-    for _, tweets in _by_user(corpus).items():
-        seen: set[str] = set()
-        for t in sorted(tweets, key=lambda t: (t.timestamp, t.id)):
-            normalized = _normalized_text(t.text)
-            if normalized not in seen:
-                seen.add(normalized)
-                keep.add(t.id)
-    out = [t for t in corpus if t.id in keep]
-    return out, StageCount("dedup", len(corpus), len(out), _users(out))
+    corpus = _as_corpus(corpus)
+    n = len(corpus)
+    text_code: dict[str, int] = {}
+    texts = np.fromiter(
+        (text_code.setdefault(_normalized_text(t), len(text_code)) for t in corpus.texts.tolist()),
+        dtype=np.int64,
+        count=n,
+    )
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[np.argsort(corpus.ids, kind="stable")] = np.arange(n)
+    order = np.lexsort((id_rank, corpus.stamp_us, corpus.user))
+    _, first = np.unique(corpus.user[order] * max(len(text_code), 1) + texts[order], return_index=True)
+    keep = np.zeros(n, dtype=bool)
+    keep[order[first]] = True
+    out = _kept(corpus, keep)
+    return out, StageCount("dedup", n, len(out), out.user_count())
 
 
 def remove_checkins(corpus, patterns=DEFAULT_CHECKIN_PATTERNS):
-    """Drop check-in relay tweets matched by substring in text or source."""
+    """Drop check-in relay tweets matched by substring in text or source.
+
+    Text and source are tested apart, so no pattern matches across them.
+    """
     patterns = tuple(p.casefold() for p in patterns)
     if not patterns:
         raise InvalidParameterError("check-in removal needs at least one pattern")
-
-    def hit(t: Tweet) -> bool:
-        hay = t.text.casefold() + " " + (t.source or "").casefold()
-        return any(p in hay for p in patterns)
-
-    out = [t for t in corpus if not hit(t)]
-    return out, StageCount("checkin-removal", len(corpus), len(out), _users(out))
+    corpus = _as_corpus(corpus)
+    sources = [s or "" for s in corpus.sources.tolist()]
+    hit = _contains_any(corpus.texts.tolist(), patterns) | _contains_any(sources, patterns)
+    out = _kept(corpus, ~hit)
+    return out, StageCount("checkin-removal", len(corpus), len(out), out.user_count())
 
 
 def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUTION_M):
@@ -280,55 +480,31 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     :func:`project` and :func:`snap_to_grid` in the same order, so each is
     bit for bit the cell the scalar functions give.
     """
-    if not corpus:
+    corpus = _as_corpus(corpus)
+    if not len(corpus):
         return []
     if not (math.isfinite(resolution) and resolution > 0):
         raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
-    n = len(corpus)
-    user_codes: dict[str, int] = {}
-    codes = np.fromiter(
-        (user_codes.setdefault(t.user_id, len(user_codes)) for t in corpus), np.int64, n
-    )
-    dlat = np.fromiter((t.location.lat for t in corpus), np.float64, n) - ref.lat
-    dlon = np.fromiter((t.location.lon for t in corpus), np.float64, n) - ref.lon
-    far = np.flatnonzero((np.abs(dlat) > MAX_FRAME_DEGREES) | (np.abs(dlon) > MAX_FRAME_DEGREES))
-    if far.size:
-        # raise for the first such tweet in user order, as a per-user loop meets it
-        project(corpus[far[np.argmin(codes[far])]].location, ref)
-    ix = np.floor(
-        (EARTH_RADIUS_M * math.cos(math.radians(ref.lat))) * np.radians(dlon) / resolution
-    ).astype(np.int64)
-    iy = np.floor(EARTH_RADIUS_M * np.radians(dlat) / resolution).astype(np.int64)
-    del dlat, dlon
-
-    # one run of equal (user, ix, iy) per cell a user tweeted from
-    order = np.lexsort((iy, ix, codes))
-    codes, ix, iy = codes[order], ix[order], iy[order]
-    change = (codes[1:] != codes[:-1]) | (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], change)))
-    counts = np.diff(np.append(starts, n))
-    run_user = codes[starts]
-    user_first_run = np.flatnonzero(np.concatenate(([True], run_user[1:] != run_user[:-1])))
-    top = np.maximum.reduceat(counts, user_first_run)
-    top_runs = np.flatnonzero(counts == top[run_user])
-    # each user's top runs are top_runs[first_top[user]: first_top[user + 1]]
-    first_top = np.searchsorted(run_user[top_runs], np.arange(len(user_codes) + 1))
+    ix, iy = _grid_cells(corpus, None, ref, resolution)
+    order, starts, counts, group, users, top = _cell_runs(corpus.user, ix, iy)
+    top_runs = np.flatnonzero(counts == top[group])
+    # each user group's top runs are top_runs[first_top[g]: first_top[g + 1]]
+    first_top = np.searchsorted(group[top_runs], np.arange(len(top) + 1))
     best_run = top_runs[first_top[:-1]]
+    stamp_us, ids = corpus.stamp_us, corpus.ids
 
     def earliest(run):
         # a cell's earliest (timestamp, id); an exact tie goes to the cell seen first
         members = order[starts[run]: starts[run] + counts[run]].tolist()
-        return min((corpus[i].timestamp, corpus[i].id) for i in members), min(members)
+        return min((stamp_us[i], ids[i]) for i in members), min(members)
 
-    for user in np.flatnonzero(np.diff(first_top) > 1).tolist():
-        best_run[user] = min(top_runs[first_top[user]: first_top[user + 1]].tolist(), key=earliest)
+    for g in np.flatnonzero(np.diff(first_top) > 1).tolist():
+        best_run[g] = min(top_runs[first_top[g]: first_top[g + 1]].tolist(), key=earliest)
 
-    names = list(user_codes)
+    best = order[starts[best_run]]
     homes = [
-        UserHome(names[user], GridCell(cx, cy, resolution), count)
-        for user, (cx, cy, count) in enumerate(
-            zip(ix[starts[best_run]].tolist(), iy[starts[best_run]].tolist(), top.tolist())
-        )
+        UserHome(corpus.users[code], GridCell(cx, cy, resolution), count)
+        for code, cx, cy, count in zip(users.tolist(), ix[best].tolist(), iy[best].tolist(), top.tolist())
     ]
     homes.sort(key=lambda h: h.user_id)
     return homes
@@ -353,10 +529,14 @@ def assign_home_zone(homes, zones):
     out = []
     for home in homes:
         cell = home.cell
-        if cell not in zone_of_cell:
-            zone_of_cell[cell] = _zone_containing(cell.center(), boxed, home.user_id)
-        out.append(UserHome(home.user_id, cell, home.tweet_count_at_cell, zone_of_cell[cell]))
+        zone_id = zone_of_cell.get(cell, _UNRESOLVED)
+        if zone_id is _UNRESOLVED:
+            zone_id = zone_of_cell[cell] = _zone_containing(cell.center(), boxed, home.user_id)
+        out.append(UserHome(home.user_id, cell, home.tweet_count_at_cell, zone_id))
     return out
+
+
+_UNRESOLVED = object()
 
 
 def _zone_containing(center: PlanarPoint, boxed, user_id: str) -> str | None:
@@ -382,29 +562,58 @@ def assign_nearest_museum(t: Tweet, museums) -> str:
     return min(museums, key=lambda m: (haversine_km(t.location, m.location), m.id)).id
 
 
+def _nearest_museums(corpus: Corpus, rows, museums) -> np.ndarray:
+    """Index into museums of :func:`assign_nearest_museum` for the given rows.
+
+    A vectorised haversine argmin; rows whose two nearest museums lie
+    within a hair of each other are re-decided by the scalar rule.
+    """
+    lat, lon = corpus.lat[rows], corpus.lon[rows]
+    best = np.full(len(rows), math.inf)
+    runner_up = np.full(len(rows), math.inf)
+    nearest = np.zeros(len(rows), dtype=np.int64)
+    for j, m in enumerate(museums):
+        d = haversine_km_arrays(lat, lon, m.location)
+        closer = d < best
+        runner_up = np.where(closer, best, np.minimum(runner_up, d))
+        best = np.where(closer, d, best)
+        nearest[closer] = j
+    position = {m.id: j for j, m in reversed(list(enumerate(museums)))}
+    close = np.isfinite(runner_up) & (runner_up - best <= _TIE_BAND * runner_up)
+    for k in np.flatnonzero(close).tolist():
+        nearest[k] = position[assign_nearest_museum(corpus[rows[k]], museums)]
+    return nearest
+
+
 def build_observed_matrix(museum_tweets, homes, zones, museums):
     """Count (home zone, nearest museum) pairs into a matrix over all labels.
 
     Tweets of users with no zoned home contribute nothing to the matrix;
     the returned stage entry records how many tweets made it in.
     """
+    corpus = _as_corpus(museum_tweets)
     zone_ids = [z.id for z in zones]
     museum_ids = [m.id for m in museums]
-    zone_of = {h.user_id: h.zone_id for h in homes}
-    counts = {}
-    contributing = 0
-    contributors = set()
-    for t in museum_tweets:
-        zone_id = zone_of.get(t.user_id)
-        if zone_id is None:
-            continue
-        museum_id = assign_nearest_museum(t, museums)
-        counts[(zone_id, museum_id)] = counts.get((zone_id, museum_id), 0) + 1
-        contributing += 1
-        contributors.add(t.user_id)
-    values = [[float(counts.get((z, m), 0)) for m in museum_ids] for z in zone_ids]
+    # a repeated label takes the counts of its first occurrence; zone ids
+    # outside the zone list count as contributing but land in no row
+    zone_row = {z: i for i, z in reversed(list(enumerate(zone_ids)))}
+    museum_col = {m: j for j, m in reversed(list(enumerate(museum_ids)))}
+    code_of = {name: code for code, name in enumerate(corpus.users)}
+    home_row = np.full(len(corpus.users) + 1, -1, dtype=np.int64)
+    for h in homes:
+        row = -1 if h.zone_id is None else zone_row.get(h.zone_id, len(zone_ids))
+        home_row[code_of.get(h.user_id, len(corpus.users))] = row
+    tweet_row = home_row[corpus.user]
+    rows = np.flatnonzero(tweet_row >= 0)
+    if rows.size and not museums:
+        assign_nearest_museum(corpus[rows[0]], museums)  # raises EmptyInputError
+    cells = tweet_row[rows] * max(len(museums), 1) + _nearest_museums(corpus, rows, museums)
+    counts = np.bincount(cells, minlength=(len(zone_ids) + 1) * len(museums))
+    counts = counts.reshape(len(zone_ids) + 1, len(museums)).astype(float)
+    values = counts[[zone_row[z] for z in zone_ids]][:, [museum_col[m] for m in museum_ids]]
     matrix = FlowMatrix(zone_ids, museum_ids, values)
-    entry = StageCount("aggregate", len(museum_tweets), contributing, len(contributors))
+    contributors = int(np.count_nonzero(np.bincount(corpus.user[rows], minlength=1)))
+    entry = StageCount("aggregate", len(corpus), len(rows), contributors)
     return matrix, entry
 
 
@@ -530,7 +739,7 @@ def run_pipeline(
     """
     report = PipelineReport()
 
-    corpus, entry = remove_automated_accounts(tweets, ref, activity_threshold, static_fraction)
+    corpus, entry = remove_automated_accounts(_as_corpus(tweets), ref, activity_threshold, static_fraction)
     report = report.extended(entry)
 
     homes = infer_home_locations(corpus, ref)
@@ -552,9 +761,4 @@ def run_pipeline(
     matrix, entry = build_observed_matrix(corpus, homes, zones, museums)
     report = report.extended(entry)
 
-    return PipelineResult(
-        matrix=matrix,
-        report=report,
-        homes=tuple(homes),
-        museum_tweets=tuple(corpus),
-    )
+    return PipelineResult(matrix=matrix, report=report, homes=tuple(homes), museum_tweets=corpus)

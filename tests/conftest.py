@@ -37,17 +37,25 @@ def make_museum(mid, lat, lon, floor_area_m2=1000.0, media_mentions=5.0):
     )
 
 
-def ipf_oracle(O, D, f, n_sweeps=20000):
-    """Oracle: scale the kernel matrix itself, no balancing factors."""
+def ipf_oracle(O, D, f, tol=1e-11, max_sweeps=50_000):
+    """Oracle: scale the kernel matrix itself, no balancing factors.
+
+    Each sweep scales the rows to O, then the columns to D. It returns
+    right after a row scaling, once every column with D_j > 0 is within
+    ``tol`` of D_j relative and every column with D_j = 0 is empty, and
+    raises if ``max_sweeps`` pass first.
+    """
+    O = np.asarray(O, dtype=float)
+    D = np.asarray(D, dtype=float)
     M = np.array(f, dtype=float)
-    for _ in range(n_sweeps):
-        before = M.copy()
+    live = D > 0
+    residual = math.inf
+    for _ in range(max_sweeps):
         rows = M.sum(axis=1)
         M = M * np.divide(O, rows, out=np.zeros_like(rows), where=rows > 0)[:, None]
         cols = M.sum(axis=0)
+        residual = np.max(np.abs(cols[live] - D[live]) / D[live], initial=0.0)
+        if residual <= tol and not cols[~live].any():
+            return M
         M = M * np.divide(D, cols, out=np.zeros_like(cols), where=cols > 0)[None, :]
-        if np.max(np.abs(M - before)) < 1e-13:
-            break
-    # finish on a row scaling to share the row-exact convention
-    rows = M.sum(axis=1)
-    return M * np.divide(O, rows, out=np.zeros_like(rows), where=rows > 0)[:, None]
+    raise AssertionError(f"IPF oracle: margin residual {residual:.3g} after {max_sweeps} sweeps")

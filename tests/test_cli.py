@@ -1,6 +1,7 @@
 """Command-line verbs: dispatch, outputs, idempotence, diagnostics."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -468,3 +469,24 @@ def test_report_verb(tmp_path, capsys):
     assert main(["report", "--report", str(path)]) == 0
     text = capsys.readouterr().out
     assert "bot-removal" in text and "1222" in text
+
+
+DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "data", "demo")
+# sha256 of the demo outputs as written before the corpus became columnar;
+# a change to any of them is a change of results, not of speed
+DEMO_DIGESTS = {
+    "observed.csv": "c618dfffa97f116f0d77a6f4300ac19da6f72fe50acbd747e7c3d3218bc6d52e",
+    "report.json": "5431f6b9b9fd018b27fa7075d2f54b442b41cc364a81f0a40a0565e4ee19725e",
+    "flows.geojson": "c6017b1d6e35a6b68b979cba622b5f5ba6b20dc1462d676947066f5f76a93f7a",
+    "homes.csv": "6be57a171df4b8fe10031d3b5a66c1e24a8814f7e760f329682b214cfef995fb",
+}
+
+
+def test_demo_flows_and_homes_outputs_match_recorded_digests(tmp_path):
+    tweets, zones = os.path.join(DEMO, "corpus.ndjson"), os.path.join(DEMO, "zones.geojson")
+    museums = os.path.join(DEMO, "museums.geojson")
+    flows = ["flows", "--tweets", tweets, "--zones", zones, "--museums", museums]
+    assert main(flows + ["--out", str(tmp_path)]) == 0
+    assert main(["homes", "--tweets", tweets, "--zones", zones, "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DEMO_DIGESTS}
+    assert digests == DEMO_DIGESTS

@@ -32,7 +32,7 @@ from museumflows.fileio import (
     write_zones,
 )
 from museumflows.geometry import GeoPoint, GridCell
-from museumflows.pipeline import PipelineReport, StageCount, UserHome, run_pipeline
+from museumflows.pipeline import Corpus, PipelineReport, StageCount, UserHome, run_pipeline
 from museumflows.sim import Deterrence, FlowMatrix, ModelSpec, unconstrained_flows
 from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
@@ -57,17 +57,6 @@ def zone_feature(zid, lon0, lat0, side_deg=0.02, population=1000.0, **extra):
 # --- tweets ---
 
 
-def test_tweets_round_trip(tmp_path):
-    tweets = [
-        make_tweet("a", "u1", "2013-06-01T12:00:00Z", 53.8, -1.55, "at the museum"),
-        make_tweet("b", "u2", "2013-06-01T12:05:00+01:00", 53.81, -1.56, "home", source="web"),
-    ]
-    path = tmp_path / "tweets.ndjson"
-    write_tweets(tweets, path)
-    back = read_tweets(path)
-    assert back == tweets
-
-
 def make_tweet(tid, user, stamp, lat, lon, text, source=None):
     from museumflows.pipeline import Tweet
 
@@ -79,6 +68,27 @@ def make_tweet(tid, user, stamp, lat, lon, text, source=None):
         text=text,
         source=source,
     )
+
+
+def test_tweets_round_trip(tmp_path):
+    tweets = [
+        make_tweet("a", "u1", "2013-06-01T12:00:00Z", 53.8, -1.55, "at the museum"),
+        make_tweet("b", "u2", "2013-06-01T14:00:00+02:00", 53.81, -1.56, "same instant", source="web"),
+        make_tweet("e", "u2", "2013-06-01T12:05:00+01:00", 53.81, -1.56, "home", source="web"),
+        make_tweet("c", "u1", "2013-06-01T06:30:00.000001-05:30", 53.82, -1.57, "a microsecond on"),
+        make_tweet("d", "u3", "2013-06-01T17:45:00+05:45", 53.83, -1.58, "Straße ﬁ İ"),
+    ]
+    path = tmp_path / "tweets.ndjson"
+    write_tweets(tweets, path)
+    back = read_tweets(path)
+    assert isinstance(back, Corpus)
+    assert back == tweets
+    assert [t.timestamp.isoformat() for t in back] == [t.timestamp.isoformat() for t in tweets]
+    a, b, e, c, _ = back.stamp_us.tolist()
+    assert (b, e, c) == (a, a - 3_300_000_000, a + 1)  # b the same instant, e 55 min before, c 1 us after
+    again = tmp_path / "again.ndjson"
+    write_tweets(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_tweets_z_suffix_and_naive_timestamps(tmp_path):
@@ -115,6 +125,36 @@ def test_tweet_errors_name_file_and_line(tmp_path):
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad_stamp) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=r"bad\.ndjson:2.*timestamp"):
         read_tweets(path)
+
+
+def test_first_bad_line_wins_whatever_the_check(tmp_path):
+    # coordinate ranges are checked for all rows at once, after the loop;
+    # the report must still name the first bad line, and a line's bad
+    # coordinate comes before its own later faults
+    path = tmp_path / "bad.ndjson"
+    good = {"id": "1", "user_id": "u", "timestamp": "2013-06-01T12:00:00Z", "lat": 53.8, "lon": -1.5, "text": "hi"}
+
+    def write(*objs):
+        path.write_text("\n".join(o if isinstance(o, str) else json.dumps(o) for o in objs) + "\n", encoding="utf-8")
+
+    cases = [
+        ((good, dict(good, id="2", lat=91.0), "{not json"), r"bad\.ndjson:2: latitude 91\.0 outside"),
+        ((good, dict(good, id="2", lon=-180.5, text="x" * 300)), r"bad\.ndjson:2: longitude -180\.5 outside"),
+        ((good, dict(good, id="1", lat=math.inf)), r"bad\.ndjson:2: non-finite coordinate"),
+        ((good, dict(good, id="2", text="x" * 300), dict(good, id="3", lat=-91.0)), r"bad\.ndjson:2: tweet 2: text has 300"),
+        ((good, dict(good, id="2", user_id=""), dict(good, id="3", lat=-91.0)), r"bad\.ndjson:2: tweet id and user_id"),
+        ((good, good, dict(good, id="3", lat=-91.0)), r"bad\.ndjson:2: duplicate tweet id '1'"),
+        ((good, dict(good, id="2", lat="north")), r"bad\.ndjson:2: could not convert"),
+        ((good, "", dict(good, id="2", lat=99.0)), r"bad\.ndjson:3: latitude 99\.0"),
+        ((good, dict(good, id="2", timestamp=5)), r"^[^:]*bad\.ndjson:2: timestamp must be"),
+        ((good, json.dumps(dict(good, id="2")) + " {}"), r"bad\.ndjson:2: invalid JSON: Extra data"),
+        ((good, "\ufeff" + json.dumps(dict(good, id="2"))), r"bad\.ndjson:2: invalid JSON: Unexpected UTF-8 BOM"),
+        ((good, " [1, 2] "), r"bad\.ndjson:2: expected a JSON object"),
+    ]
+    for lines, message in cases:
+        write(*lines)
+        with pytest.raises(DataFormatError, match=message):
+            read_tweets(path)
 
 
 # --- zones ---

@@ -24,11 +24,15 @@ from museumflows.geometry import (
     PolygonM,
     containment_box,
     distance_to_polygon_m,
+    edge_distance_m_arrays,
     haversine_km,
+    haversine_km_arrays,
     point_in_polygon,
+    point_in_polygon_arrays,
     point_on_boundary,
     polygon_centroid_area,
     project,
+    project_arrays,
     snap_to_grid,
     unproject,
 )
@@ -307,6 +311,48 @@ def test_containment_box_holds_every_point_in_polygon_accepts():
                     assert _in_box(p, box)
                     outside_vertices += not _in_box(p, vertex_box)
     assert outside_vertices > 0  # the tolerance region was reached
+
+
+def test_array_geometry_matches_the_scalar_functions():
+    # polygons with holes, repeated vertices and very short edges; points on
+    # vertices, inside the edge tolerance and anywhere around
+    rng = np.random.default_rng(41)
+    on_edges = 0
+    for _ in range(150):
+        ring = list(random_convex_ring(rng, n_vertices=int(rng.integers(3, 8))))
+        k = int(rng.integers(len(ring)))
+        if rng.random() < 0.3:
+            ring.insert(k, ring[k])
+        elif rng.random() < 0.3:
+            ring.insert(k + 1, PlanarPoint(ring[k].x + 1e-7, ring[k].y - 3e-8))
+        holes = (square(-5.0, -5.0, 10.0).exterior,) if rng.random() < 0.3 else ()
+        poly = PolygonM(exterior=tuple(ring), holes=holes)
+        points = [PlanarPoint(*rng.uniform(-160.0, 160.0, size=2)) for _ in range(30)]
+        points += [v for r in poly.rings() for v in r]
+        for i in range(len(ring)):
+            a, b = ring[i], ring[(i + 1) % len(ring)]
+            t, across = rng.uniform(0.0, 1.0), rng.uniform(-2e-12, 2e-12)
+            points.append(PlanarPoint(a.x + t * (b.x - a.x) + across, a.y + t * (b.y - a.y) - across))
+        x = np.array([p.x for p in points])
+        y = np.array([p.y for p in points])
+        inside = [point_in_polygon(p, poly) for p in points]
+        assert point_in_polygon_arrays(x, y, poly).tolist() == inside
+        on_edges += sum(point_on_boundary(p, poly) for p in points)
+        edge = edge_distance_m_arrays(x, y, poly)
+        for p, got, contained in zip(points, edge.tolist(), inside):
+            if not contained:  # the scalar distance of a contained point is 0
+                assert got == pytest.approx(distance_to_polygon_m(p, poly), rel=1e-15, abs=0.0)
+    assert on_edges > 150
+
+    ref = GeoPoint(53.5, -2.5)
+    geo = [GeoPoint(ref.lat + dy, ref.lon + dx) for dy, dx in rng.uniform(-4.99, 4.99, size=(500, 2))]
+    lat, lon = np.array([g.lat for g in geo]), np.array([g.lon for g in geo])
+    x, y = project_arrays(lat, lon, ref)
+    assert [(a, b) for a, b in zip(x.tolist(), y.tolist())] == [(q.x, q.y) for q in (project(g, ref) for g in geo)]
+    km = haversine_km_arrays(lat, lon, LEEDS)
+    np.testing.assert_allclose(km, [haversine_km(g, LEEDS) for g in geo], rtol=1e-14, atol=0)
+    with pytest.raises(InvalidCoordinateError, match="more than 5.0 degrees"):
+        project_arrays(np.array([ref.lat, ref.lat + 5.5]), np.array([ref.lon, ref.lon]), ref)
 
 
 def test_point_in_polygon_matches_oracles_on_random_convex():

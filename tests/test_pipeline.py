@@ -215,6 +215,15 @@ def test_remove_checkins():
         remove_checkins([clean], patterns=())
 
 
+def test_remove_checkins_tests_text_and_source_apart():
+    # joined as "text source", the pattern "day web" would match across the seam
+    split = tw("u1", 53.8, -1.5, "museum day", source="web")
+    inside = tw("u2", 53.8, -1.5, "a fine day web page")
+    out, entry = remove_checkins([split, inside], patterns=("day web",))
+    assert [t.id for t in out] == [split.id]
+    assert (entry.tweets_in, entry.tweets_out) == (2, 1)
+
+
 def test_filters_commute():
     corpus = [
         tw("u1", 53.8, -1.5, "museum day http://4sq.com/x"),

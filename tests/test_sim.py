@@ -339,9 +339,11 @@ def sparse_doubly_instances(draw):
     counts = counts.reshape(n, m)
     counts[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - 1))), :] = 0.0
     counts[:, sorted(draw(st.sets(st.integers(0, m - 1), max_size=m - 1)))] = 0.0
-    # kernel cross-ratios stay below e^10 for beta <= 2, which IPF resolves
-    # within its sweep budget; the closed-form test below goes far beyond
-    dmat = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=n * m, max_size=n * m)))
+    # kernel cross-ratios stay below e^18 for beta <= 2: the IPF oracle
+    # reaches its margin residual within its sweep budget on every 2 x 2
+    # block of this range (at 0.5-6 km it does not); the closed-form test
+    # below goes far beyond
+    dmat = np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=n * m, max_size=n * m)))
     kind = draw(st.sampled_from(DETERRENCE_KINDS))
     beta = draw(st.floats(0.0, 2.0))
     return counts.sum(axis=1), counts.sum(axis=0), dmat.reshape(n, m), Deterrence(kind, beta)
@@ -350,10 +352,25 @@ def sparse_doubly_instances(draw):
 @settings(max_examples=40, deadline=None)
 @given(sparse_doubly_instances())
 def test_doubly_constrained_matches_ipf_on_sparse_instances(instance):
+    # solved to a 1e-12 margin residual: at the default 1e-8 an entry far
+    # below its margins (1e-3 of them at 0.5-4 km) is only known to ~1e-6
     O, D, dmat, det = instance
-    fm = doubly_constrained_flows(O, D, dmat, det)
+    fm = doubly_constrained_flows(O, D, dmat, det, tol=1e-12)
     f = np.exp(-det.beta * dmat) if det.kind == "exponential" else dmat ** (-det.beta)
     np.testing.assert_allclose(fm.values, ipf_oracle(O, D, f), rtol=1e-6, atol=0)
+
+
+def test_ipf_oracle_stops_on_the_margins_and_raises_when_out_of_sweeps():
+    # cross-ratio e^18: a stop on a small change per sweep returned the two
+    # off-diagonal entries 1.23407e-4 and 1.23382e-4, 2.5e-8 off the margins
+    f = np.exp(-2.0 * np.array([[1.0, 2.0], [9.0, 1.0]]))
+    rho = f[0, 1] * f[1, 0] / (f[0, 0] * f[1, 1])
+    x = math.sqrt(rho) / (1.0 + math.sqrt(rho))  # unit margins: rho (1 - x)^2 = x^2
+    M = ipf_oracle((1.0, 1.0), (1.0, 1.0), f)
+    # margins within 1e-11 pin these 1.2e-4 entries to ~1e-7 relative
+    np.testing.assert_allclose(M, [[1.0 - x, x], [x, 1.0 - x]], rtol=1e-7, atol=0)
+    with pytest.raises(AssertionError, match="margin residual"):
+        ipf_oracle((1.0, 1.0), (1.0, 1.0), f, max_sweeps=10)
 
 
 def test_doubly_constrained_extreme_kernel_ratios_closed_form():

@@ -1,0 +1,437 @@
+"""Corpus stages against the per-message loops they replaced.
+
+Each ``oracle_*`` below is a scalar stage as it stood before the columnar
+corpus, a loop over :class:`Tweet` objects calling the scalar geometry
+(check-in removal tests text and source apart, as the stage now does).
+Hypothesis draws small corpora built to sit on the decisions: points
+exactly ``buffer_m`` from a footprint edge and on its vertices, museums
+tied bit for bit or one ulp apart, texts whose case folding changes their
+length, tokens of two characters or fewer, link variants, equal instants
+under different UTC offsets, one-tweet users and repeated users, and a
+tweet from abroad. Every stage gets the tweets both as a list and as a
+:class:`Corpus`.
+"""
+
+import math
+import re
+from datetime import datetime, timedelta, timezone
+
+import numpy as np
+import pytest
+from conftest import make_museum, make_zone
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from museumflows.errors import InvalidCoordinateError
+from museumflows.geometry import (
+    GeoPoint,
+    GridCell,
+    PlanarPoint,
+    PolygonM,
+    distance_to_polygon_m,
+    edge_distance_m_arrays,
+    haversine_km,
+    project,
+    snap_to_grid,
+    unproject,
+)
+from museumflows.pipeline import (
+    DEFAULT_CHECKIN_PATTERNS,
+    DEFAULT_KEYWORDS,
+    Corpus,
+    StageCount,
+    Tweet,
+    UserHome,
+    build_observed_matrix,
+    dedup,
+    infer_home_locations,
+    remove_automated_accounts,
+    remove_checkins,
+    run_pipeline,
+    semantic_filter,
+    spatial_filter,
+    tokenize,
+)
+from museumflows.synth import SynthConfig, demo_region, generate_corpus
+from museumflows.sim import Deterrence, ModelSpec
+
+REF = GeoPoint(53.5, -2.0)
+LAT0, LON0 = 53.5045, -2.0
+OFF = 0.001953125  # dyadic: LON0 -/+ OFF are exact, so the two distances tie bit for bit
+UP = math.nextafter(LON0 + OFF, math.inf)  # one ulp further east
+BASE = datetime(2013, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
+ZONES_OF_DAY = (
+    timezone.utc,
+    timezone(timedelta(hours=2)),
+    timezone(-timedelta(hours=5, minutes=30)),
+)
+URL = re.compile(r"\S+://\S+|\bt\.co/\S+", re.IGNORECASE)
+
+
+def planar(x, y):
+    return unproject(PlanarPoint(x, y), REF)
+
+
+POINTS = (
+    GeoPoint(LAT0, LON0),
+    GeoPoint(LAT0, LON0 - OFF),
+    GeoPoint(LAT0, LON0 + OFF),
+    GeoPoint(LAT0, UP),
+    planar(150.0, 150.0),
+    planar(100.0, 100.0),  # on a cell corner, give or take the round trip
+    planar(199.99999999, 250.0),
+    planar(523.0, 517.5),
+)
+ABROAD = (GeoPoint(LAT0 + 6.0, LON0), GeoPoint(LAT0, LON0 - 7.5))  # outside the 5 degree frame
+TEXTS = (
+    "Lovely museum day",
+    "Lovely museum day http://t.co/abc",
+    "Lovely   museum day https://x.org/p?q=1",
+    "lovely museum day T.CO/xyz",
+    "MUSEUMS!",
+    "amusement park",
+    "Straße gallery.",
+    "İstanbul exhibit",
+    "ﬁne ﬁ art",
+    "ex mu ga",
+    "museum day 4sq.com/x",
+    "at the FourSquare museum",
+    "nothing to see",
+    "",
+)
+SOURCES = (None, "", "web", "Foursquare for iPhone", "day web")
+KEYWORD_SETS = (DEFAULT_KEYWORDS, ("strasse", "fi", "i̇st"), ("MUSE", "ex"), ("ﬁne",))
+PATTERN_SETS = (DEFAULT_CHECKIN_PATTERNS, ("day web", "4SQ"), ("museum day",))
+
+
+@st.composite
+def corpora(draw, abroad=False):
+    """1-12 tweets with unique ids in a drawn order; one-tweet or repeated users."""
+    n = draw(st.integers(1, 12))
+    repeated = draw(st.booleans())
+    ids = draw(st.permutations([f"t{k:02d}" for k in range(n)]))
+    points = POINTS + (ABROAD if abroad else ())
+    tweets = []
+    for k in range(n):
+        instant = BASE + timedelta(minutes=draw(st.integers(0, 2)), microseconds=draw(st.sampled_from((0, 1))))
+        tweets.append(
+            Tweet(
+                id=ids[k],
+                user_id=draw(st.sampled_from(("u0", "u1", "u2"))) if repeated else f"solo{k}",
+                timestamp=instant.astimezone(draw(st.sampled_from(ZONES_OF_DAY))),
+                location=draw(st.sampled_from(points)),
+                text=draw(st.sampled_from(TEXTS)),
+                source=draw(st.sampled_from(SOURCES)),
+            )
+        )
+    return tweets
+
+
+# --- the scalar loops ---
+
+
+def users_of(tweets):
+    return len({t.user_id for t in tweets})
+
+
+def by_user(tweets):
+    groups = {}
+    for t in tweets:
+        groups.setdefault(t.user_id, []).append(t)
+    return groups
+
+
+def oracle_remove_automated_accounts(corpus, ref, activity_threshold, static_fraction):
+    dropped = set()
+    for user_id, tweets in by_user(corpus).items():
+        if len(tweets) <= activity_threshold:
+            continue
+        cells = {}
+        for t in tweets:
+            cell = snap_to_grid(project(t.location, ref), 100.0)
+            cells[cell] = cells.get(cell, 0) + 1
+        if max(cells.values()) >= static_fraction * len(tweets):
+            dropped.add(user_id)
+    return [t for t in corpus if t.user_id not in dropped]
+
+
+def oracle_semantic_filter(corpus, keywords):
+    keywords = tuple(k.casefold() for k in keywords)
+    return [t for t in corpus if any(tok.casefold().startswith(keywords) for tok in tokenize(t.text))]
+
+
+def oracle_spatial_filter(corpus, footprints, ref, buffer_m):
+    polys = [poly for _, poly in footprints]
+    out = []
+    for t in corpus:
+        p = project(t.location, ref)
+        if any(distance_to_polygon_m(p, poly) <= buffer_m for poly in polys):
+            out.append(t)
+    return out
+
+
+def oracle_dedup(corpus):
+    keep = set()
+    for tweets in by_user(corpus).values():
+        seen = set()
+        for t in sorted(tweets, key=lambda t: (t.timestamp, t.id)):
+            normalized = " ".join(URL.sub(" ", t.text).split())
+            if normalized not in seen:
+                seen.add(normalized)
+                keep.add(t.id)
+    return [t for t in corpus if t.id in keep]
+
+
+def oracle_remove_checkins(corpus, patterns):
+    patterns = tuple(p.casefold() for p in patterns)
+
+    def hit(t):
+        return any(p in t.text.casefold() or p in (t.source or "").casefold() for p in patterns)
+
+    return [t for t in corpus if not hit(t)]
+
+
+def oracle_observed_matrix(museum_tweets, homes, zones, museums):
+    zone_of = {h.user_id: h.zone_id for h in homes}
+    counts = {}
+    contributors = set()
+    for t in museum_tweets:
+        zone_id = zone_of.get(t.user_id)
+        if zone_id is None:
+            continue
+        museum_id = min(museums, key=lambda m: (haversine_km(t.location, m.location), m.id)).id
+        counts[(zone_id, museum_id)] = counts.get((zone_id, museum_id), 0) + 1
+        contributors.add(t.user_id)
+    values = [[float(counts.get((z.id, m.id), 0)) for m in museums] for z in zones]
+    return values, sum(counts.values()), len(contributors)
+
+
+def rows(tweets):
+    """Everything a row carries, the timestamp's UTC offset included."""
+    return [(t.id, t.user_id, t.timestamp.isoformat(), t.location, t.text, t.source) for t in tweets]
+
+
+def check_stage(stage, oracle, corpus, name):
+    """Run the stage on a list and on a Corpus and compare with the oracle."""
+    try:
+        expected = oracle(corpus)
+    except InvalidCoordinateError as exc:
+        for given_as in (corpus, Corpus.from_tweets(corpus)):
+            with pytest.raises(InvalidCoordinateError) as got:
+                stage(given_as)
+            assert str(got.value) == str(exc)
+        return
+    for given_as in (corpus, Corpus.from_tweets(corpus)):
+        out, entry = stage(given_as)
+        assert isinstance(out, Corpus)
+        assert rows(out) == rows(expected)
+        assert out == expected
+        assert entry == StageCount(name, len(corpus), len(expected), users_of(expected))
+
+
+# --- differential tests ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(abroad=True), st.integers(1, 4), st.sampled_from((0.3, 0.5, 2 / 3, 1.0)))
+@example(  # every tweet of the heavy user in one cell: exactly the static fraction 1.0
+    [Tweet(f"b{k}", "bot", BASE + timedelta(minutes=k), POINTS[4], "museum") for k in range(3)]
+    + [Tweet("h", "human", BASE, POINTS[4], "museum")],
+    2,
+    1.0,
+)
+def test_bot_removal_matches_scalar_loop(corpus, threshold, fraction):
+    check_stage(
+        lambda c: remove_automated_accounts(c, REF, threshold, fraction),
+        lambda c: oracle_remove_automated_accounts(c, REF, threshold, fraction),
+        corpus,
+        "bot-removal",
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(), st.sampled_from(KEYWORD_SETS))
+def test_semantic_filter_matches_scalar_loop(corpus, keywords):
+    check_stage(
+        lambda c: semantic_filter(c, keywords),
+        lambda c: oracle_semantic_filter(c, keywords),
+        corpus,
+        "semantic",
+    )
+
+
+def test_out_of_frame_error_names_the_tweet_a_per_user_loop_meets_first():
+    # u1 appears first but posts from abroad after u2 does: a loop over
+    # users in order of appearance meets u1's far tweet first
+    def at(tid, user, where):
+        return Tweet(tid, user, BASE, where, "museum")
+
+    corpus = [at("a", "u1", POINTS[0]), at("b", "u2", ABROAD[1]), at("c", "u2", POINTS[0]), at("d", "u1", ABROAD[0])]
+    with pytest.raises(InvalidCoordinateError) as expected:
+        oracle_remove_automated_accounts(corpus, REF, 1, 0.5)
+    assert f"({ABROAD[0].lat}," in str(expected.value)
+    for given_as in (corpus, Corpus.from_tweets(corpus)):
+        with pytest.raises(InvalidCoordinateError) as got:
+            remove_automated_accounts(given_as, REF, 1, 0.5)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(InvalidCoordinateError) as got:
+            infer_home_locations(given_as, REF)
+        assert str(got.value) == str(expected.value)
+    # the spatial filter meets tweets in corpus order
+    with pytest.raises(InvalidCoordinateError, match=rf"\({ABROAD[1].lat}, {ABROAD[1].lon}\)"):
+        spatial_filter(corpus, [], REF)
+
+
+def square(x0, y0, x1, y1):
+    return PolygonM(exterior=(PlanarPoint(x0, y0), PlanarPoint(x1, y0), PlanarPoint(x1, y1), PlanarPoint(x0, y1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(abroad=True), st.integers(0, 4), st.floats(0.5, 40.0))
+def test_spatial_filter_matches_scalar_loop(corpus, buffer_choice, gap):
+    # footprint A has a vertex on the first tweet; footprint B's west edge
+    # lies `gap` metres east of the last tweet, whose scalar distance d is
+    # then the buffer itself or one ulp either side of it
+    first, last = corpus[0].location, corpus[-1].location
+    if first in ABROAD or last in ABROAD:
+        first = last = POINTS[0]
+    p, q = project(first, REF), project(last, REF)
+    museum = make_museum("m0", LAT0, LON0)
+    a = square(p.x, p.y, p.x + 30.0, p.y + 30.0)
+    b = square(q.x + gap, q.y - 10.0, q.x + gap + 25.0, q.y + 10.0)
+    d = distance_to_polygon_m(q, b)
+    buffer_m = (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf), 0.0, 10.0)[buffer_choice]
+    footprints = [(museum, a), (museum, b)]
+    check_stage(
+        lambda c: spatial_filter(c, footprints, REF, buffer_m),
+        lambda c: oracle_spatial_filter(c, footprints, REF, buffer_m),
+        corpus,
+        "spatial",
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora())
+def test_dedup_matches_scalar_loop(corpus):
+    check_stage(dedup, oracle_dedup, corpus, "dedup")
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(), st.sampled_from(PATTERN_SETS))
+def test_checkin_removal_matches_scalar_loop(corpus, patterns):
+    check_stage(
+        lambda c: remove_checkins(c, patterns),
+        lambda c: oracle_remove_checkins(c, patterns),
+        corpus,
+        "checkin-removal",
+    )
+
+
+def test_spatial_filter_decides_hypot_rounding_like_the_scalar_distance():
+    # a footprint corner north-east of the tweet, placed where np.hypot and
+    # math.hypot round the corner distance apart
+    tweet = Tweet("t", "u", BASE, POINTS[4], "museum")
+    p = project(tweet.location, REF)
+    museum = make_museum("m0", LAT0, LON0)
+    rng = np.random.default_rng(11)
+    for _ in range(20_000):
+        gx, gy = rng.uniform(1.0, 20.0, size=2)
+        poly = square(p.x + gx, p.y + gy, p.x + gx + 30.0, p.y + gy + 30.0)
+        d = distance_to_polygon_m(p, poly)
+        e = float(edge_distance_m_arrays(np.array([p.x]), np.array([p.y]), poly)[0])
+        if e != d:
+            break
+    else:
+        pytest.fail("no rounding difference found")
+    for buffer_m in (d, e, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+        out, _ = spatial_filter([tweet], [(museum, poly)], REF, buffer_m)
+        assert len(out) == (d <= buffer_m)
+
+
+MUSEUM_SETS = (
+    # LON0 -/+ OFF tie bit for bit at (LAT0, LON0); the smaller id must win
+    (make_museum("mB", LAT0, LON0 - OFF), make_museum("mA", LAT0, LON0 + OFF)),
+    # one ulp apart, and a third museum due north
+    (make_museum("m1", LAT0, LON0 - OFF), make_museum("m0", LAT0, UP), make_museum("m2", LAT0 + OFF, LON0)),
+    # two museums on one spot
+    (make_museum("x", LAT0, LON0 + OFF), make_museum("w", LAT0, LON0 + OFF)),
+    (make_museum("solo", LAT0 + OFF, LON0),),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(abroad=True), st.sampled_from(MUSEUM_SETS), st.data())
+def test_aggregate_matches_scalar_loop(corpus, museums, data):
+    zones = [make_zone("z0", LAT0, LON0), make_zone("z1", LAT0, LON0)]
+    homes = [
+        UserHome(user, GridCell(0, 0), 1, data.draw(st.sampled_from(("z0", "z1", None))))
+        for user in sorted({t.user_id for t in corpus}) + ["nobody"]
+    ]
+    values, contributing, contributors = oracle_observed_matrix(corpus, homes, zones, museums)
+    for given_as in (corpus, Corpus.from_tweets(corpus)):
+        matrix, entry = build_observed_matrix(given_as, homes, zones, museums)
+        assert matrix.values.tolist() == values
+        assert matrix.origin_ids == ("z0", "z1")
+        assert matrix.destination_ids == tuple(m.id for m in museums)
+        assert entry == StageCount("aggregate", len(corpus), contributing, contributors)
+
+
+def test_aggregate_tie_goes_to_smaller_id_whatever_the_order():
+    zones = [make_zone("z0", LAT0, LON0)]
+    homes = [UserHome("u", GridCell(0, 0), 1, "z0")]
+    tweet = Tweet("t", "u", BASE, GeoPoint(LAT0, LON0), "museum")
+    for museums in (MUSEUM_SETS[0], MUSEUM_SETS[0][::-1]):
+        matrix, _ = build_observed_matrix([tweet], homes, zones, museums)
+        assert matrix.values[0, [m.id for m in museums].index("mA")] == 1.0
+
+
+# --- the whole chain ---
+
+
+def permutation_fixture():
+    """A small synthetic corpus plus duplicates, check-ins and equal instants."""
+    region = demo_region(4, 3, seed=3)
+    cfg = SynthConfig(true_spec=ModelSpec(deterrence=Deterrence("exponential", 0.9)), n_trips=40, noise=0.3, seed=5)
+    corpus, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    extra = []
+    for k, t in enumerate(corpus[:60]):
+        if k % 3 == 0:  # a link variant at the same instant in another UTC offset
+            extra.append(Tweet(f"{t.id}-link", t.user_id, t.timestamp.astimezone(ZONES_OF_DAY[1]), t.location, t.text + " http://t.co/x"))
+        elif k % 3 == 1:  # a check-in relay
+            extra.append(Tweet(f"{t.id}-4sq", t.user_id, t.timestamp, t.location, t.text + " (@ x)", source="foursquare"))
+        else:  # a keyword tweet far from every footprint
+            extra.append(Tweet(f"{t.id}-off", t.user_id, t.timestamp, region.zones[0].centroid, "museum talk"))
+    return region, corpus + extra
+
+
+PERM_REGION, PERM_CORPUS = permutation_fixture()
+
+
+def run_perm(corpus):
+    region = PERM_REGION
+    return run_pipeline(corpus, region.zones, region.museums, region.ref, footprints=region.footprints, buffer_m=25.0)
+
+
+PERM_RESULT = run_perm(PERM_CORPUS)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations(range(len(PERM_CORPUS))))
+def test_run_pipeline_is_invariant_to_corpus_order(order):
+    result = run_perm([PERM_CORPUS[i] for i in order])
+    assert result.matrix.origin_ids == PERM_RESULT.matrix.origin_ids
+    assert result.matrix.destination_ids == PERM_RESULT.matrix.destination_ids
+    assert np.array_equal(result.matrix.values, PERM_RESULT.matrix.values)
+    assert result.report == PERM_RESULT.report
+    assert result.homes == PERM_RESULT.homes
+    assert sorted(t.id for t in result.museum_tweets) == sorted(t.id for t in PERM_RESULT.museum_tweets)
+
+
+def test_permutation_fixture_exercises_every_stage():
+    stages = {s.stage: s for s in PERM_RESULT.report.stages}
+    for name in ("semantic", "spatial", "dedup", "checkin-removal", "aggregate"):
+        assert stages[name].tweets_in > 0
+    assert stages["spatial"].tweets_out < stages["spatial"].tweets_in
+    assert stages["dedup"].tweets_out < stages["dedup"].tweets_in
+    assert stages["checkin-removal"].tweets_out < stages["checkin-removal"].tweets_in
+    assert PERM_RESULT.matrix.total() > 0
