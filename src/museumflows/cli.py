@@ -192,6 +192,8 @@ def _cmd_filter(args) -> int:
     explicit = args.stages is not None
     if explicit and "spatial" in args.stages and not (args.footprints and args.museums):
         raise _UsageError("the spatial stage needs --footprints and --museums")
+    if args.footprints and not args.museums:
+        raise _UsageError("--footprints needs --museums to resolve ids")
 
     tweets = fileio.read_tweets(args.tweets)
     if args.zones:
@@ -200,8 +202,6 @@ def _cmd_filter(args) -> int:
         ref = corpus_frame(tweets)
     footprints = None
     if args.footprints:
-        if not args.museums:
-            raise _UsageError("--footprints needs --museums to resolve ids")
         museums = fileio.read_museums(args.museums)
         footprints = fileio.read_footprints(args.footprints, museums, ref)
 
@@ -253,21 +253,20 @@ def _read_region(args):
     return zones, museums, ref
 
 
-def _cmd_flows(args) -> int:
+def _pipeline_from_tweets(args, zones, museums, ref):
+    """run_pipeline over --tweets, with --footprints, --keywords and --buffer-m."""
     tweets = fileio.read_tweets(args.tweets)
-    zones, museums, ref = _read_region(args)
     footprints = (
         fileio.read_footprints(args.footprints, museums, ref) if args.footprints else None
     )
-    result = run_pipeline(
-        tweets,
-        zones,
-        museums,
-        ref,
-        footprints=footprints,
-        keywords=args.keywords,
-        buffer_m=args.buffer_m,
+    return run_pipeline(
+        tweets, zones, museums, ref, footprints=footprints, keywords=args.keywords, buffer_m=args.buffer_m
     )
+
+
+def _cmd_flows(args) -> int:
+    zones, museums, ref = _read_region(args)
+    result = _pipeline_from_tweets(args, zones, museums, ref)
     out = _outdir(args)
     fileio.write_matrix_csv(result.matrix, os.path.join(out, "observed.csv"))
     fileio.write_flow_lines(result.matrix, zones, museums, os.path.join(out, "flows.geojson"))
@@ -296,19 +295,7 @@ def _cmd_calibrate(args) -> int:
     if args.observed:
         observed = fileio.read_matrix_csv(args.observed)
     else:
-        tweets = fileio.read_tweets(args.tweets)
-        footprints = (
-            fileio.read_footprints(args.footprints, museums, ref) if args.footprints else None
-        )
-        observed = run_pipeline(
-            tweets,
-            zones,
-            museums,
-            ref,
-            footprints=footprints,
-            keywords=args.keywords,
-            buffer_m=args.buffer_m,
-        ).matrix
+        observed = _pipeline_from_tweets(args, zones, museums, ref).matrix
     grid = BetaGrid(args.beta_start, args.beta_step, args.beta_count)
     spec = _build_spec(args, args.beta_start)
     sweep = sweep_beta(zones, museums, observed, spec, grid)

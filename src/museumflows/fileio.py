@@ -7,12 +7,14 @@ Floats are written with repr so a write/read cycle is lossless. All
 writers emit deterministic bytes: sorted keys, fixed field order, no
 timestamps of their own.
 
-:func:`read_tweets` streams the NDJSON file line by line straight into
-the columns of a :class:`~museumflows.pipeline.Corpus` (user codes,
-float64 coordinates, UTC microsecond timestamps with each stamp's own
-UTC offset kept, ids, texts, sources); no Tweet object is built.
-:func:`write_tweets` takes a Corpus or any sequence of Tweet, and writes
-each timestamp in its own offset, so a read/write cycle keeps the bytes.
+:func:`read_tweets` streams the NDJSON file line by line into the
+columns of a :class:`~museumflows.pipeline.Corpus`, through the same row
+encoder that :meth:`~museumflows.pipeline.Corpus.from_tweets` and the
+synthetic generator use; no Tweet object is built. :func:`write_tweets`
+writes from those columns (a sequence of Tweet is encoded first), each
+timestamp in its own UTC offset, so a read/write cycle keeps the bytes.
+Every reader reports input that is not UTF-8 as a :class:`DataFormatError`
+naming the file (and, for NDJSON, the line).
 """
 
 from __future__ import annotations
@@ -22,30 +24,12 @@ import json
 import json.decoder
 import json.scanner
 import math
-from array import array
 from dataclasses import asdict
 from datetime import datetime, timezone
 
-import numpy as np
-
-from .errors import (
-    DataFormatError,
-    FlowModelError,
-    InvalidAttributeError,
-    InvalidCoordinateError,
-    InvalidGeometryError,
-)
+from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import (
-    _EPOCH,
-    _MICROSECOND,
-    MAX_TEXT_CODEPOINTS,
-    Corpus,
-    PipelineReport,
-    StageCount,
-    TaggedFeature,
-    _check_tweet_fields,
-)
+from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _CorpusBuilder
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
@@ -91,91 +75,69 @@ def _json_line(line: str):
     return obj
 
 
-def _check_coordinates(lat, lon, line_nos, path) -> None:
-    """Raise for the first row whose coordinates :class:`GeoPoint` rejects."""
-    lat_a, lon_a = np.frombuffer(lat, dtype=np.float64), np.frombuffer(lon, dtype=np.float64)
-    bad = ~((lat_a >= -90.0) & (lat_a <= 90.0) & (lon_a >= -180.0) & (lon_a <= 180.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        try:
-            GeoPoint(lat[k], lon[k])
-        except InvalidCoordinateError as exc:
-            raise DataFormatError(f"{path}:{line_nos[k]}: {exc}") from exc
+def _not_utf8(where, exc: UnicodeDecodeError) -> DataFormatError:
+    return DataFormatError(f"{where}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x}, {exc.reason}")
 
 
 def read_tweets(path) -> Corpus:
     """Stream an NDJSON file, line by line, into a :class:`Corpus`.
 
-    Each line gets the checks a :class:`Tweet` makes, and the first bad
-    line in the file is reported as ``path:line``. Coordinate ranges are
-    checked for all rows at once, and a bad coordinate is still reported
-    ahead of any later line's error and of its own line's later checks.
+    Lines end at ``\\n``. Each line is decoded, parsed and appended on its
+    own, with the checks a :class:`Tweet` makes, so the first bad line in
+    the file is the one reported, as ``path:line``.
     """
-    ids, texts, sources = [], [], []
-    users: dict[str, int] = {}
-    tzinfos: dict = {}
-    user, stamp_us, tz, line_nos = array("q"), array("q"), array("q"), array("q")
-    lat, lon = array("d"), array("d")
+    rows = _CorpusBuilder()
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = _json_line(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-                if not isinstance(obj, dict):
-                    raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
-                if not obj.keys() >= _TWEET_KEYS:
-                    missing = [k for k in _TWEET_FIELDS if k not in obj]
-                    raise DataFormatError(f"{path}:{line_no}: missing fields {', '.join(missing)}")
-                tid, user_id, text = str(obj["id"]), str(obj["user_id"]), str(obj["text"])
-                stamp = _parse_timestamp(obj["timestamp"], path, line_no)
-                try:
-                    point = float(obj["lat"]), float(obj["lon"])
-                except (TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
-                lat.append(point[0])
-                lon.append(point[1])
-                line_nos.append(line_no)
-                if not tid or not user_id or len(text) > MAX_TEXT_CODEPOINTS:
-                    try:
-                        _check_tweet_fields(tid, user_id, text)
-                    except InvalidAttributeError as exc:
-                        raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
-                if tid in seen:
-                    raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
-                seen.add(tid)
-                source = obj.get("source")
-                ids.append(tid)
-                user.append(users.setdefault(user_id, len(users)))
-                stamp_us.append((stamp - _EPOCH) // _MICROSECOND)  # _timestamp_us of an aware stamp
-                tz.append(tzinfos.setdefault(stamp.tzinfo, len(tzinfos)))
-                texts.append(text)
-                sources.append(None if source is None else str(source))
-        except DataFormatError:
-            _check_coordinates(lat, lon, line_nos, path)
-            raise
-    _check_coordinates(lat, lon, line_nos, path)
-    return Corpus(ids, users, user, lat, lon, stamp_us, tzinfos, tz, texts, sources)
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(f"{path}:{line_no}", exc) from exc
+            if not line.strip():
+                continue
+            try:
+                obj = _json_line(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
+            if not obj.keys() >= _TWEET_KEYS:
+                missing = [k for k in _TWEET_FIELDS if k not in obj]
+                raise DataFormatError(f"{path}:{line_no}: missing fields {', '.join(missing)}")
+            tid, source = str(obj["id"]), obj.get("source")
+            stamp = _parse_timestamp(obj["timestamp"], path, line_no)
+            try:
+                lat, lon = float(obj["lat"]), float(obj["lon"])
+                rows.add(tid, str(obj["user_id"]), stamp, lat, lon, str(obj["text"]),
+                         None if source is None else str(source))
+            except (TypeError, ValueError) as exc:
+                raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
+            if tid in seen:
+                raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
+            seen.add(tid)
+    return rows.corpus()
+
+
+_encode_tweet = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # json.dumps with these flags
 
 
 def write_tweets(tweets, path) -> None:
+    """Write a Corpus, or any sequence of Tweet, as NDJSON, from the columns."""
+    corpus = tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
     with open(path, "w", encoding="utf-8") as fh:
-        for t in tweets:
+        for tid, user_id, stamp, lat, lon, text, source in corpus.rows():
             obj = {
-                "id": t.id,
-                "user_id": t.user_id,
-                "timestamp": t.timestamp.isoformat().replace("+00:00", "Z"),
-                "lat": t.location.lat,
-                "lon": t.location.lon,
-                "text": t.text,
+                "id": tid,
+                "user_id": user_id,
+                "timestamp": stamp.isoformat().replace("+00:00", "Z"),
+                "lat": lat,
+                "lon": lon,
+                "text": text,
             }
-            if t.source is not None:
-                obj["source"] = t.source
-            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
+            if source is not None:
+                obj["source"] = source
+            fh.write(_encode_tweet(obj) + "\n")
 
 
 # --- GeoJSON plumbing ---
@@ -187,6 +149,8 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def _feature_list(doc, path):
@@ -423,7 +387,10 @@ def write_matrix_csv(matrix: FlowMatrix, path) -> None:
 
 def read_matrix_csv(path) -> FlowMatrix:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
     if not rows or not rows[0] or rows[0][0] != "zone_id":
         raise DataFormatError(f"{path}:1: expected a header row starting with 'zone_id'")
     destinations = tuple(rows[0][1:])

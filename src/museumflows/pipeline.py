@@ -7,13 +7,15 @@ count (home zone, nearest museum) pairs.
 
 The corpus is a :class:`Corpus`, a struct of arrays with one row per
 message: user codes, coordinates, UTC microsecond timestamps, ids, texts
-and sources. Every stage takes a Corpus or any sequence of :class:`Tweet`,
-works on the columns with numpy, and returns the surviving rows as a
-Corpus in their input order. Text stages test strings in Python, but only
-the rows a case-folded substring test leaves them. Where numpy's
-arithmetic may round differently from the scalar geometry (``hypot``,
-``arcsin``), rows within a hair of a decision are re-decided by the
-scalar functions, so every result is the one a per-message loop gives.
+and sources. Rows are encoded in one place, a row appender that the NDJSON
+reader, the synthetic generator and :meth:`Corpus.from_tweets` all feed.
+Every stage takes a Corpus or any sequence of :class:`Tweet`, works on the
+columns with numpy, and returns the surviving rows as a Corpus in their
+input order. Text stages test strings in Python, but only the rows a
+case-folded substring test leaves them. Where numpy's arithmetic may
+round differently from the scalar geometry (``hypot``, ``arcsin``), rows
+within a hair of a decision are re-decided by the scalar functions, so
+every result is the one a per-message loop gives.
 
 Every planar step shares one local frame; its reference coordinate is a
 required argument wherever grid cells or footprint distances are involved,
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -106,14 +109,11 @@ class Tweet:
         _check_tweet_fields(self.id, self.user_id, self.text)
 
 
-def _timestamp_us(stamp: datetime) -> int:
-    """Microseconds since 1970-01-01 UTC; a naive stamp counts as UTC.
-
-    Aware stamps order by instant whatever their UTC offset, as datetime
-    comparison does.
-    """
-    epoch = _NAIVE_EPOCH if stamp.utcoffset() is None else _EPOCH
-    return (stamp - epoch) // _MICROSECOND
+def _datetime(us: int, zone) -> datetime:
+    """The stamp a (microseconds, time zone) pair encodes; a None zone is naive."""
+    if zone is None:
+        return _NAIVE_EPOCH + timedelta(microseconds=us)
+    return (_EPOCH + timedelta(microseconds=us)).astimezone(zone)
 
 
 def _objects(values) -> np.ndarray:
@@ -129,14 +129,16 @@ class Corpus:
     ``lon`` (float64 degrees), ``stamp_us`` (int64 microseconds since the
     epoch, UTC, for ordering), ``tz`` (int codes into ``tzinfos``, the
     stamps' own time zones), and object arrays ``ids``, ``texts`` and
-    ``sources``. Rows are validated where they are made (the reader, or
-    :class:`Tweet`), so the columns hold valid messages only.
+    ``sources``. Every producer (the reader, the generator,
+    :meth:`from_tweets`) appends its rows through one encoder that makes
+    the checks of :class:`Tweet`, so the columns hold valid messages only.
 
-    ``len()``, indexing and iteration give :class:`Tweet` rows, rebuilt
-    with each timestamp in its own zone, so they equal the tweets the
-    corpus was read or built from. A Corpus equals any sequence of equal
-    rows. :meth:`take` selects rows; the names table is shared, so a user
-    code means the same user in every corpus taken from one source.
+    :meth:`rows` gives plain row tuples; ``len()``, indexing and iteration
+    give :class:`Tweet` rows. Both rebuild each timestamp in its own zone,
+    so rows equal the tweets the corpus was read or built from. A Corpus
+    equals any sequence of equal rows. :meth:`take` selects rows; the names
+    table is shared, so a user code means the same user in every corpus
+    taken from one source.
     """
 
     __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
@@ -155,27 +157,10 @@ class Corpus:
 
     @classmethod
     def from_tweets(cls, tweets) -> "Corpus":
-        tweets = tweets if isinstance(tweets, (list, tuple)) else list(tweets)
-        user_code: dict[str, int] = {}
-        tz_code: dict = {}
-
-        def column(values, dtype):
-            return np.fromiter(values, dtype=dtype, count=len(tweets))
-
-        user = column((user_code.setdefault(t.user_id, len(user_code)) for t in tweets), np.int64)
-        tz = column((tz_code.setdefault(t.timestamp.tzinfo, len(tz_code)) for t in tweets), np.int64)
-        return cls(
-            column((t.id for t in tweets), object),
-            user_code,
-            user,
-            column((t.location.lat for t in tweets), np.float64),
-            column((t.location.lon for t in tweets), np.float64),
-            column((_timestamp_us(t.timestamp) for t in tweets), np.int64),
-            tz_code,
-            tz,
-            column((t.text for t in tweets), object),
-            column((t.source for t in tweets), object),
-        )
+        rows = _CorpusBuilder()
+        for t in tweets:
+            rows.add(t.id, t.user_id, t.timestamp, t.location.lat, t.location.lon, t.text, t.source)
+        return rows.corpus()
 
     def take(self, rows) -> "Corpus":
         """The given rows (an index array), in that order."""
@@ -189,13 +174,12 @@ class Corpus:
         """Number of distinct users with at least one row."""
         return int(np.count_nonzero(np.bincount(self.user, minlength=len(self.users))))
 
-    def _tweet(self, tid, code, lat, lon, us, tz, text, source) -> Tweet:
-        zone = self.tzinfos[tz]
-        if zone is None:
-            stamp = _NAIVE_EPOCH + timedelta(microseconds=us)
-        else:
-            stamp = (_EPOCH + timedelta(microseconds=us)).astimezone(zone)
-        return Tweet(tid, self.users[code], stamp, GeoPoint(lat, lon), text, source)
+    def rows(self):
+        """(id, user_id, timestamp, lat, lon, text, source) per row, in order."""
+        users, zones = self.users, self.tzinfos
+        columns = (self.ids, self.user, self.stamp_us, self.tz, self.lat, self.lon, self.texts, self.sources)
+        for tid, code, us, tz, lat, lon, text, source in zip(*(c.tolist() for c in columns)):
+            yield tid, users[code], _datetime(us, zones[tz]), lat, lon, text, source
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -204,9 +188,8 @@ class Corpus:
         return next(iter(self.take([operator.index(i)])))
 
     def __iter__(self):
-        columns = (self.ids, self.user, self.lat, self.lon, self.stamp_us, self.tz, self.texts, self.sources)
-        for row in zip(*(c.tolist() for c in columns)):
-            yield self._tweet(*row)
+        for tid, user_id, stamp, lat, lon, text, source in self.rows():
+            yield Tweet(tid, user_id, stamp, GeoPoint(lat, lon), text, source)
 
     def __eq__(self, other):
         if not isinstance(other, (Corpus, list, tuple)):
@@ -214,6 +197,51 @@ class Corpus:
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     __hash__ = None
+
+
+class _CorpusBuilder:
+    """Appends messages, one row at a time, to the columns of a :class:`Corpus`.
+
+    The one place a message becomes a row: :meth:`add` checks it as
+    :class:`Tweet` does (the coordinate ranges first, raising through
+    :class:`GeoPoint`, then the fields), assigns its user and time-zone
+    codes and turns its stamp into microseconds since 1970-01-01 UTC. A
+    naive stamp counts as UTC; aware stamps order by instant whatever
+    their UTC offset, as datetime comparison does.
+    """
+
+    __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
+
+    def __init__(self):
+        self.ids, self.texts, self.sources = [], [], []
+        self.users: dict[str, int] = {}
+        self.tzinfos: dict = {}
+        self.user, self.stamp_us, self.tz = array("q"), array("q"), array("q")
+        self.lat, self.lon = array("d"), array("d")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def add(self, tid: str, user_id: str, stamp: datetime, lat: float, lon: float, text: str, source=None):
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            GeoPoint(lat, lon)  # raises: out of range or not finite
+        if not tid or not user_id or len(text) > MAX_TEXT_CODEPOINTS:
+            _check_tweet_fields(tid, user_id, text)
+        self.ids.append(tid)
+        self.user.append(self.users.setdefault(user_id, len(self.users)))
+        zone = stamp.tzinfo
+        self.stamp_us.append((stamp - (_NAIVE_EPOCH if zone is None else _EPOCH)) // _MICROSECOND)
+        self.tz.append(self.tzinfos.setdefault(zone, len(self.tzinfos)))
+        self.lat.append(lat)
+        self.lon.append(lon)
+        self.texts.append(text)
+        self.sources.append(source)
+
+    def corpus(self) -> Corpus:
+        return Corpus(
+            self.ids, self.users, self.user, self.lat, self.lon,
+            self.stamp_us, self.tzinfos, self.tz, self.texts, self.sources,
+        )
 
 
 def _as_corpus(tweets) -> Corpus:

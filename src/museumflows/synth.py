@@ -3,7 +3,9 @@
 Trips are drawn multinomially from the model's flow matrix. Every trip gets
 its own user: a burst of keyword-free tweets pinned to the origin zone (so
 home inference must land there) plus one keyword tweet at the museum point.
-Decoy users add keyword-free chatter at random locations.
+Decoy users add keyword-free chatter at random locations. Messages go
+straight into the columns of a :class:`~museumflows.pipeline.Corpus`,
+through the same row encoder as the NDJSON reader; no Tweet is built.
 
 All randomness comes from numpy's default_rng (PCG64) seeded from the
 config, which keeps corpora byte-identical across platforms and runs.
@@ -28,7 +30,7 @@ from .geometry import (
     snap_to_grid,
     unproject,
 )
-from .pipeline import GRID_RESOLUTION_M, Tweet, run_pipeline
+from .pipeline import GRID_RESOLUTION_M, Corpus, _CorpusBuilder, run_pipeline
 from .sim import FlowMatrix, ModelSpec, Museum, Zone, unconstrained_flows
 
 EPOCH = datetime(2013, 6, 1, 8, 0, 0, tzinfo=timezone.utc)
@@ -82,14 +84,15 @@ class SynthConfig:
 class RecoveryReport:
     """Did the sweep find the beta the corpus was generated with?
 
-    Carries the corpus it generated and its exact trip-count matrix.
+    Carries the corpus it generated, the very Corpus the pipeline ran on,
+    and its exact trip-count matrix.
     """
 
     best_beta: float
     true_beta: float
     abs_error: float
     sweep: SweepResult
-    corpus: tuple[Tweet, ...]
+    corpus: Corpus
     truth: FlowMatrix
 
 
@@ -118,7 +121,7 @@ def _home_point(zone: Zone, ref: GeoPoint) -> GeoPoint:
 
 
 def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
-    """Sample a corpus and return it with the exact trip-count matrix."""
+    """Sample a corpus and return it, as a shuffled Corpus, with the exact trip-count matrix."""
     truth_model = unconstrained_flows(zones, museums, cfg.true_spec)
     total = truth_model.total()
     if total <= 0.0:
@@ -129,21 +132,10 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
     truth = FlowMatrix(truth_model.origin_ids, truth_model.destination_ids, counts.astype(float))
 
     lo, hi = cfg.home_tweets_per_user
-    tweets: list[Tweet] = []
-    seq = 0
+    rows = _CorpusBuilder()
 
-    def emit(user, when, location, text):
-        nonlocal seq
-        seq += 1
-        tweets.append(
-            Tweet(
-                id=f"syn{seq:07d}",
-                user_id=user,
-                timestamp=when,
-                location=location,
-                text=text,
-            )
-        )
+    def emit(user, when, lat, lon, text):
+        rows.add(f"syn{len(rows) + 1:07d}", user, when, lat, lon, text)
 
     trip = 0
     for i, zone in enumerate(zones):
@@ -154,13 +146,10 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
                 start = EPOCH + timedelta(hours=trip)
                 n_home = int(rng.integers(lo, hi + 1))
                 for k in range(n_home):
-                    emit(user, start + timedelta(minutes=k), home, HOME_TEXTS[int(rng.integers(len(HOME_TEXTS)))])
-                emit(
-                    user,
-                    start + timedelta(minutes=n_home),
-                    museum.location,
-                    MUSEUM_TEXTS[int(rng.integers(len(MUSEUM_TEXTS)))],
-                )
+                    text = HOME_TEXTS[int(rng.integers(len(HOME_TEXTS)))]
+                    emit(user, start + timedelta(minutes=k), home.lat, home.lon, text)
+                text = MUSEUM_TEXTS[int(rng.integers(len(MUSEUM_TEXTS)))]
+                emit(user, start + timedelta(minutes=n_home), museum.location.lat, museum.location.lon, text)
                 trip += 1
 
     if cfg.noise > 0.0:
@@ -168,19 +157,12 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
         lats = [z.centroid.lat for z in zones]
         lons = [z.centroid.lon for z in zones]
         for d in range(n_decoys):
-            where = GeoPoint(
-                float(rng.uniform(min(lats), max(lats))),
-                float(rng.uniform(min(lons), max(lons))),
-            )
-            emit(
-                f"d{d:05d}",
-                EPOCH + timedelta(hours=trip, minutes=d),
-                where,
-                DECOY_TEXTS[int(rng.integers(len(DECOY_TEXTS)))],
-            )
+            lat = float(rng.uniform(min(lats), max(lats)))
+            lon = float(rng.uniform(min(lons), max(lons)))
+            text = DECOY_TEXTS[int(rng.integers(len(DECOY_TEXTS)))]
+            emit(f"d{d:05d}", EPOCH + timedelta(hours=trip, minutes=d), lat, lon, text)
 
-    order = rng.permutation(len(tweets))
-    return [tweets[k] for k in order], truth
+    return rows.corpus().take(rng.permutation(len(rows))), truth
 
 
 def recovery_report(zones, museums, cfg: SynthConfig, ref: GeoPoint, grid=None) -> RecoveryReport:
@@ -194,7 +176,7 @@ def recovery_report(zones, museums, cfg: SynthConfig, ref: GeoPoint, grid=None) 
         true_beta=true_beta,
         abs_error=abs(sweep.best_beta - true_beta),
         sweep=sweep,
-        corpus=tuple(corpus),
+        corpus=corpus,
         truth=truth,
     )
 

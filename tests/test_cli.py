@@ -219,6 +219,24 @@ def test_filter_spatial_without_footprints_is_a_usage_error(tmp_path, small_regi
     assert not out.exists()  # rejected before anything was written
 
 
+def test_filter_footprints_without_museums_is_a_usage_error_before_io(tmp_path, capsys):
+    argv = ["filter", "--tweets", str(tmp_path / "missing.ndjson"), "--footprints", str(tmp_path / "f.geojson")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--footprints needs --museums" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_tweets_are_a_reported_error(tmp_path, small_region, capsys):
+    bad = tmp_path / "bad.ndjson"
+    line = ndjson_line("t1", "u", 0, 53.79, -1.59, "caf@")
+    bad.write_bytes((ndjson_line("t0", "u", 0, 53.79, -1.59, "hi") + "\n" + line + "\n").encode().replace(b"@", b"\xe9"))
+    flows = ["flows", "--tweets", str(bad), "--zones", small_region["zones"], "--museums", small_region["museums"]]
+    assert main(flows + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.ndjson:2: not valid UTF-8" in err
+
+
 def test_unknown_stage_rejected_before_io(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["filter", "--tweets", "nonexistent.ndjson", "--stages", "sematic", "--out", "o"])
@@ -490,3 +508,15 @@ def test_demo_flows_and_homes_outputs_match_recorded_digests(tmp_path):
     assert main(["homes", "--tweets", tweets, "--zones", zones, "--out", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DEMO_DIGESTS}
     assert digests == DEMO_DIGESTS
+
+
+def test_simulate_reproduces_the_demo_fixture(tmp_path):
+    # the README's command for data/demo; pins the generator and the writers
+    argv = [
+        "simulate", "--n-zones", "12", "--n-museums", "4", "--n-trips", "800", "--noise", "0.1",
+        "--beta", "0.95", "--seed", "20130601", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    for name in ("corpus.ndjson", "truth.csv", "sweep.csv", "recovery.json", "zones.geojson", "museums.geojson"):
+        with open(os.path.join(DEMO, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

@@ -32,7 +32,7 @@ from museumflows.fileio import (
     write_zones,
 )
 from museumflows.geometry import GeoPoint, GridCell
-from museumflows.pipeline import Corpus, PipelineReport, StageCount, UserHome, run_pipeline
+from museumflows.pipeline import Corpus, PipelineReport, StageCount, Tweet, UserHome, run_pipeline
 from museumflows.sim import Deterrence, FlowMatrix, ModelSpec, unconstrained_flows
 from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
@@ -97,7 +97,7 @@ def test_tweets_z_suffix_and_naive_timestamps(tmp_path):
         {"id": "1", "user_id": "u", "timestamp": "2013-06-01T12:00:00Z", "lat": 53.8, "lon": -1.5, "text": "hi"},
         {"id": "2", "user_id": "u", "timestamp": "2013-06-01T13:00:00", "lat": 53.8, "lon": -1.5, "text": "hi"},
     ]
-    path.write_text("\n".join(json.dumps(x) for x in lines) + "\n\n", encoding="utf-8")
+    path.write_text("\r\n".join(json.dumps(x) for x in lines) + "\r\n\r\n", encoding="utf-8")  # CRLF endings
     a, b = read_tweets(path)
     assert a.timestamp == datetime(2013, 6, 1, 12, 0, tzinfo=timezone.utc)
     assert b.timestamp == datetime(2013, 6, 1, 13, 0, tzinfo=timezone.utc)
@@ -128,9 +128,8 @@ def test_tweet_errors_name_file_and_line(tmp_path):
 
 
 def test_first_bad_line_wins_whatever_the_check(tmp_path):
-    # coordinate ranges are checked for all rows at once, after the loop;
-    # the report must still name the first bad line, and a line's bad
-    # coordinate comes before its own later faults
+    # each line is checked as it is read: the report names the first bad
+    # line, and a line's bad coordinate comes before its own later faults
     path = tmp_path / "bad.ndjson"
     good = {"id": "1", "user_id": "u", "timestamp": "2013-06-01T12:00:00Z", "lat": 53.8, "lon": -1.5, "text": "hi"}
 
@@ -155,6 +154,49 @@ def test_first_bad_line_wins_whatever_the_check(tmp_path):
         write(*lines)
         with pytest.raises(DataFormatError, match=message):
             read_tweets(path)
+
+
+def test_write_tweets_writes_a_tweet_list_and_its_corpus_alike(tmp_path):
+    naive = Tweet("n", "u3", datetime(2013, 6, 1, 9, 15), GeoPoint(53.84, -1.59), "naive stamp")
+    rows = [
+        make_tweet("a", "u1", "2013-06-01T12:00:00Z", 53.8, -1.55, "at the museum"),
+        make_tweet("b", "u2", "2013-06-01T14:00:00+02:00", 53.81, -1.56, "via web", source="web"),
+        make_tweet("c", "u1", "2013-06-01T06:30:00.000001-05:30", 53.82, -1.57, "a microsecond on"),
+        make_tweet("d", "u2", "2013-06-01T17:45:00+05:45", 53.83, -1.58, "Straße ﬁ İ ☕", source="app ☕"),
+        naive,
+    ]
+    from_rows, from_corpus = tmp_path / "rows.ndjson", tmp_path / "corpus.ndjson"
+    write_tweets(rows, from_rows)
+    write_tweets(Corpus.from_tweets(rows), from_corpus)
+    assert from_corpus.read_bytes() == from_rows.read_bytes()
+    written = [json.loads(line) for line in from_rows.read_text(encoding="utf-8").splitlines()]
+    # each stamp as the Tweet itself formats it, Z for a zero offset
+    assert [w["timestamp"] for w in written] == [t.timestamp.isoformat().replace("+00:00", "Z") for t in rows]
+    assert [w.get("source") for w in written] == [t.source for t in rows]
+    assert "Straße ﬁ İ ☕" in from_rows.read_text(encoding="utf-8")  # written as is, not escaped
+
+
+def test_non_utf8_input_names_file_and_line(tmp_path):
+    good = json.dumps({"id": "1", "user_id": "u", "timestamp": "2013-06-01T12:00:00Z", "lat": 53.8, "lon": -1.5, "text": "hi"})
+    bad_text = json.dumps({"id": "2", "user_id": "u", "timestamp": "2013-06-01T12:00:00Z", "lat": 53.8, "lon": -1.5, "text": "caf@"})
+    path = tmp_path / "bad.ndjson"
+    path.write_bytes((good + "\n" + bad_text + "\n").encode("utf-8").replace(b"@", b"\xe9"))
+    with pytest.raises(DataFormatError, match=r"bad\.ndjson:2: not valid UTF-8: byte 0xe9"):
+        read_tweets(path)
+    path.write_bytes(b"{not json\n" + (bad_text + "\n").encode("utf-8").replace(b"@", b"\xe9"))
+    with pytest.raises(DataFormatError, match=r"bad\.ndjson:1: invalid JSON"):  # the first bad line wins
+        read_tweets(path)
+
+    zones = tmp_path / "zones.geojson"
+    doc = {"type": "FeatureCollection", "features": [zone_feature("z@", -1.60, 53.78)]}
+    zones.write_bytes(json.dumps(doc).encode("utf-8").replace(b"@", b"\xe9"))
+    with pytest.raises(DataFormatError, match=r"zones\.geojson: not valid UTF-8: byte 0xe9"):
+        read_zones(zones)
+
+    matrix = tmp_path / "m.csv"
+    matrix.write_bytes(b"zone_id,m\xe9\nz1,1.0\n")
+    with pytest.raises(DataFormatError, match=r"m\.csv: not valid UTF-8: byte 0xe9"):
+        read_matrix_csv(matrix)
 
 
 # --- zones ---

@@ -392,7 +392,7 @@ def permutation_fixture():
     """A small synthetic corpus plus duplicates, check-ins and equal instants."""
     region = demo_region(4, 3, seed=3)
     cfg = SynthConfig(true_spec=ModelSpec(deterrence=Deterrence("exponential", 0.9)), n_trips=40, noise=0.3, seed=5)
-    corpus, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    corpus = list(generate_corpus(region.zones, region.museums, cfg, region.ref)[0])
     extra = []
     for k, t in enumerate(corpus[:60]):
         if k % 3 == 0:  # a link variant at the same instant in another UTC offset

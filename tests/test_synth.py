@@ -7,7 +7,7 @@ from scipy import stats
 from museumflows.calibration import BetaGrid
 from museumflows.errors import DegenerateModelError, InvalidParameterError
 from museumflows.geometry import GeoPoint, project, snap_to_grid, point_in_polygon
-from museumflows.pipeline import DEFAULT_KEYWORDS, run_pipeline, tokenize
+from museumflows.pipeline import DEFAULT_KEYWORDS, Corpus, run_pipeline, tokenize
 from museumflows.sim import Deterrence, ModelSpec, Zone, unconstrained_flows
 from museumflows.synth import (
     DECOY_TEXTS,
@@ -48,6 +48,16 @@ def test_same_seed_same_corpus():
     b_corpus, b_truth = generate_corpus(region.zones, region.museums, cfg, region.ref)
     assert [tweet_key(t) for t in a_corpus] == [tweet_key(t) for t in b_corpus]
     assert np.array_equal(a_truth.values, b_truth.values)
+
+
+def test_generated_corpus_is_the_corpus_recovery_reports():
+    region = demo_region(6, 3, seed=1)
+    cfg = SynthConfig(true_spec=SPEC, n_trips=150, noise=0.2, seed=8)
+    corpus, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    assert isinstance(corpus, Corpus)
+    report = recovery_report(region.zones, region.museums, cfg, region.ref, BetaGrid(0.5, 0.05, 20))
+    assert isinstance(report.corpus, Corpus)
+    assert report.corpus == corpus
 
 
 def test_different_seed_different_corpus():
