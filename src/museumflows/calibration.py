@@ -22,14 +22,6 @@ from .sim import FlowMatrix, ModelSpec, model_inputs, model_values
 
 
 @dataclass(frozen=True)
-class FitMetrics:
-    """Correlation and error between two flattened matrices."""
-
-    pearson_r: float
-    rms: float
-
-
-@dataclass(frozen=True)
 class BetaGrid:
     """Ascending evenly spaced beta values for the sweep."""
 
@@ -105,12 +97,6 @@ def rms_error(x, y) -> float:
         raise ShapeError("rms needs at least 1 value")
     d = x - y
     return math.sqrt(float(d @ d) / d.size)
-
-
-def fit_at_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, beta: float) -> FitMetrics:
-    """Fit of the model at one beta against the observed matrix: a one-point sweep."""
-    sweep = sweep_beta(zones, museums, observed, spec, [beta])
-    return FitMetrics(pearson_r=sweep.best_r, rms=sweep.best_rms)
 
 
 def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None) -> SweepResult:

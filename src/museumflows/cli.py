@@ -234,12 +234,11 @@ def _cmd_homes(args) -> int:
     tweets = fileio.read_tweets(args.tweets)
     zones, ref = fileio.read_zones(args.zones)
     survivors, _ = remove_automated_accounts(tweets, ref)
-    homes = infer_home_locations(survivors, ref)
-    homes = assign_home_zone(homes, zones)
+    homes = assign_home_zone(infer_home_locations(survivors, ref), zones)
     out = _outdir(args)
     fileio.write_homes_csv(homes, os.path.join(out, "homes.csv"))
-    placed = sum(1 for h in homes if h.zone_id is not None)
-    cells = len({h.cell for h in homes})
+    placed = int((homes.zone >= 0).sum())
+    cells = len(set(zip(homes.ix.tolist(), homes.iy.tolist())))
     print(
         f"located {len(homes)} users ({placed} inside a zone) "
         f"in {cells} distinct home cells; wrote {out}/homes.csv"

@@ -7,29 +7,34 @@ Floats are written with repr so a write/read cycle is lossless. All
 writers emit deterministic bytes: sorted keys, fixed field order, no
 timestamps of their own.
 
-:func:`read_tweets` streams the NDJSON file line by line into the
-columns of a :class:`~museumflows.pipeline.Corpus`, through the same row
-encoder that :meth:`~museumflows.pipeline.Corpus.from_tweets` and the
-synthetic generator use; no Tweet object is built. :func:`write_tweets`
-writes from those columns (a sequence of Tweet is encoded first), each
-timestamp in its own UTC offset, so a read/write cycle keeps the bytes.
-Every reader reports input that is not UTF-8 as a :class:`DataFormatError`
-naming the file (and, for NDJSON, the line).
+:func:`read_tweets` reads the NDJSON file in chunks of about 64 KB of
+lines into the columns of a :class:`~museumflows.pipeline.Corpus`,
+through the same row encoder that
+:meth:`~museumflows.pipeline.Corpus.from_tweets` and the synthetic
+generator use; no Tweet object is built. Each chunk is parsed with one
+``json.loads`` (a line holding ``[`` or ``]`` is parsed on its own, since
+it could merge with its neighbours) and checked column by column; a chunk
+that fails any step goes through the per-line reader, so the first bad
+line is reported as ``path:line`` with the message it always had.
+:func:`write_tweets` writes from those columns (a sequence of Tweet is
+encoded first), each timestamp in its own UTC offset, so a read/write
+cycle keeps the bytes. Every reader reports input that is not UTF-8 as a
+:class:`DataFormatError` naming the file (and, for NDJSON, the line).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import json.decoder
-import json.scanner
 import math
 from dataclasses import asdict
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+
+import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _CorpusBuilder
+from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _CorpusBuilder, _utc_us
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
@@ -56,66 +61,144 @@ def _parse_timestamp(raw, path, line_no) -> datetime:
     return stamp
 
 
-_scan_json = json.scanner.make_scanner(json.JSONDecoder())
-_json_space = json.decoder.WHITESPACE.match
-
-
-def _json_line(line: str):
-    """``json.loads(line)``, minus its Python layers on the way to the scanner.
-
-    Anything but one clean JSON value goes through json.loads itself, so
-    errors carry its exact messages.
-    """
-    try:
-        obj, end = _scan_json(line, _json_space(line, 0).end())
-    except StopIteration:
-        return json.loads(line)
-    if _json_space(line, end).end() != len(line):
-        return json.loads(line)
-    return obj
-
-
 def _not_utf8(where, exc: UnicodeDecodeError) -> DataFormatError:
     return DataFormatError(f"{where}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x}, {exc.reason}")
 
 
-def read_tweets(path) -> Corpus:
-    """Stream an NDJSON file, line by line, into a :class:`Corpus`.
+# Bytes of lines read, parsed and checked together. A chunk's parsed
+# objects take about ten times its bytes; kept this small they stay in
+# cache, and peak memory stays near the per-line reader's.
+_CHUNK_BYTES = 1 << 16
 
-    Lines end at ``\\n``. Each line is decoded, parsed and appended on its
-    own, with the checks a :class:`Tweet` makes, so the first bad line in
-    the file is the one reported, as ``path:line``.
+# The stamps numpy's datetime64 parses as datetime.fromisoformat does, once
+# the UTC suffix is cut off: digits zeroed, each has one of these shapes.
+# numpy raises on a month, day, hour, minute or second out of range, as
+# datetime does; it takes year 0000, which datetime does not.
+_UTC_SHAPES = frozenset(
+    "0000-00-00T00:00:00" + fraction + suffix for fraction in ("", ".000000") for suffix in ("Z", "+00:00")
+)
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
+_YEAR_ONE_US = (datetime(1, 1, 1) - datetime(1970, 1, 1)) // timedelta(microseconds=1)
+
+
+def _json_values(text: str):
+    """The JSON value of each non-blank line of ``text``.
+
+    Lines without a bracket are parsed in one ``json.loads``, each wrapped
+    in an array of its own. A string cannot hold the raw newline of the
+    separator, and without brackets no line can open an array to take the
+    separator in, so each wrapper holds exactly its own line: nothing for a
+    blank line, one element for a line that is one JSON value. Lines with a
+    bracket could merge with their neighbours and are parsed one by one.
+    Raises ValueError where a line is not one JSON value.
+    """
+    lines = text.split("\n")
+    alone = {}
+    if "[" in text or "]" in text:
+        alone = {k: line for k, line in enumerate(lines) if "[" in line or "]" in line}
+        for k in alone:
+            lines[k] = ""
+    wrapped = json.loads("[[" + "]\n,[".join(lines) + "]]")
+    for k, line in alone.items():
+        wrapped[k] = [json.loads(line)]
+    return [value for (value,) in filter(None, wrapped)]  # ValueError: a line of several values
+
+
+def _stamp_columns(stamps):
+    """Each stamp's µs since 1970 UTC and its time zone, as the per-line reader has them.
+
+    When every stamp is in a strict UTC form, one numpy conversion reads
+    them all; otherwise each goes through :func:`_parse_timestamp`. Raises
+    TypeError, ValueError or DataFormatError on a stamp either rejects.
+    """
+    joined = "\n".join(stamps) + "\n"
+    shapes = joined.translate(_ZERO_DIGITS).split("\n")[:-1]
+    utc = joined.count("Z\n") + joined.count("+00:00\n")  # the shapes also take other offsets
+    if len(shapes) == utc == len(stamps) and _UTC_SHAPES.issuperset(shapes):
+        naive = joined.replace("Z\n", "\n").replace("+00:00\n", "\n").split("\n")[:-1]
+        stamp_us = np.array(naive, dtype="datetime64[us]").astype(np.int64)
+        if stamp_us.min() >= _YEAR_ONE_US:
+            return stamp_us, [timezone.utc] * len(stamps)
+    parsed = [_parse_timestamp(raw, None, None) for raw in stamps]
+    return [_utc_us(stamp) for stamp in parsed], [stamp.tzinfo for stamp in parsed]
+
+
+def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk) -> bool:
+    """Append a chunk of raw lines, converted and checked column by column.
+
+    Each value is converted as the per-line reader converts it (``str`` or
+    ``float``). Returns False, having appended nothing, when any line fails
+    a step: then only the per-line reader can tell which line to report.
+    """
+    try:
+        objs = _json_values(b"".join(chunk).decode("utf-8"))
+        if not objs or set(map(type, objs)) != {dict}:
+            return False
+        ids, user_ids, stamps, lat, lon, texts = ([obj[key] for obj in objs] for key in _TWEET_FIELDS)
+        ids, user_ids, texts = list(map(str, ids)), list(map(str, user_ids)), list(map(str, texts))
+        lat, lon = list(map(float, lat)), list(map(float, lon))
+        sources = [None if source is None else str(source) for source in (obj.get("source") for obj in objs)]
+        fresh = set(ids)
+        if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
+            return False
+        stamp_us, zones = _stamp_columns(stamps)
+        rows.extend(ids, user_ids, stamp_us, zones, lat, lon, texts, sources)
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return False  # UnicodeDecodeError, JSONDecodeError and the checks' own errors are ValueErrors
+    seen |= fresh
+    return True
+
+
+def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk, path, lines_before: int) -> None:
+    """Append a chunk of raw lines one at a time, the first bad line raising as ``path:line``."""
+    for line_no, raw in enumerate(chunk, start=lines_before + 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(f"{path}:{line_no}", exc) from exc
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
+        if not obj.keys() >= _TWEET_KEYS:
+            missing = [k for k in _TWEET_FIELDS if k not in obj]
+            raise DataFormatError(f"{path}:{line_no}: missing fields {', '.join(missing)}")
+        tid, source = str(obj["id"]), obj.get("source")
+        stamp = _parse_timestamp(obj["timestamp"], path, line_no)
+        try:
+            lat, lon = float(obj["lat"]), float(obj["lon"])
+            rows.add(tid, str(obj["user_id"]), stamp, lat, lon, str(obj["text"]),
+                     None if source is None else str(source))
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
+        if tid in seen:
+            raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
+        seen.add(tid)
+
+
+def read_tweets(path) -> Corpus:
+    """Read an NDJSON file into a :class:`Corpus`, about 64 KB of lines at a time.
+
+    Lines end at ``\\n``. Each chunk is decoded and parsed at once (lines
+    holding a bracket are parsed on their own, see :func:`_json_values`),
+    then converted and checked column by column, with the checks a
+    :class:`Tweet` makes and unique ids. A chunk that fails any of this
+    goes through the per-line reader instead, which appends its lines one
+    at a time: so the first bad line in the file is the one reported, as
+    ``path:line``, whatever chunk it falls in.
     """
     rows = _CorpusBuilder()
     seen: set[str] = set()
+    line_no = 0
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(f"{path}:{line_no}", exc) from exc
-            if not line.strip():
-                continue
-            try:
-                obj = _json_line(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
-            if not obj.keys() >= _TWEET_KEYS:
-                missing = [k for k in _TWEET_FIELDS if k not in obj]
-                raise DataFormatError(f"{path}:{line_no}: missing fields {', '.join(missing)}")
-            tid, source = str(obj["id"]), obj.get("source")
-            stamp = _parse_timestamp(obj["timestamp"], path, line_no)
-            try:
-                lat, lon = float(obj["lat"]), float(obj["lon"])
-                rows.add(tid, str(obj["user_id"]), stamp, lat, lon, str(obj["text"]),
-                         None if source is None else str(source))
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
-            if tid in seen:
-                raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
-            seen.add(tid)
+        while chunk := fh.readlines(_CHUNK_BYTES):
+            if not _extend_from_chunk(rows, seen, chunk):
+                _extend_by_line(rows, seen, chunk, path, line_no)
+            line_no += len(chunk)
     return rows.corpus()
 
 
@@ -532,13 +615,16 @@ def write_flow_lines(matrix: FlowMatrix, zones, museums, path) -> None:
 
 
 def write_homes_csv(homes, path) -> None:
+    """Write a Homes, or any sequence of UserHome, from the columns; no zone is an empty cell."""
+    homes = _as_homes(homes)
+    users, zone_ids = homes.users, [z or "" for z in homes.zone_ids] + [""]
+    columns = (homes.user, homes.ix, homes.iy, homes.count, homes.zone)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "cell_ix", "cell_iy", "tweet_count_at_cell", "zone_id"])
-        for h in homes:
-            writer.writerow(
-                [h.user_id, h.cell.ix, h.cell.iy, h.tweet_count_at_cell, h.zone_id or ""]
-            )
+        writer.writerows(
+            [users[code], ix, iy, count, zone_ids[zone]] for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns))
+        )
 
 
 def _dump_json(payload, path) -> None:

@@ -15,7 +15,9 @@ input order. Text stages test strings in Python, but only the rows a
 case-folded substring test leaves them. Where numpy's arithmetic may
 round differently from the scalar geometry (``hypot``, ``arcsin``), rows
 within a hair of a decision are re-decided by the scalar functions, so
-every result is the one a per-message loop gives.
+every result is the one a per-message loop gives. Homes are a
+:class:`Homes`, a struct of arrays with one row per user, whose zones are
+resolved once per distinct cell.
 
 Every planar step shares one local frame; its reference coordinate is a
 required argument wherever grid cells or footprint distances are involved,
@@ -25,7 +27,6 @@ so results cannot silently depend on corpus order.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from array import array
 from dataclasses import dataclass
@@ -133,12 +134,13 @@ class Corpus:
     :meth:`from_tweets`) appends its rows through one encoder that makes
     the checks of :class:`Tweet`, so the columns hold valid messages only.
 
-    :meth:`rows` gives plain row tuples; ``len()``, indexing and iteration
-    give :class:`Tweet` rows. Both rebuild each timestamp in its own zone,
-    so rows equal the tweets the corpus was read or built from. A Corpus
-    equals any sequence of equal rows. :meth:`take` selects rows; the names
-    table is shared, so a user code means the same user in every corpus
-    taken from one source.
+    :meth:`rows` gives plain row tuples and iteration gives :class:`Tweet`
+    rows. Both rebuild each timestamp in its own zone, so rows equal the
+    tweets the corpus was read or built from. A Corpus equals any sequence
+    of equal rows. There is no indexing: one row's point for a scalar
+    decision is ``GeoPoint(corpus.lat[i], corpus.lon[i])``. :meth:`take`
+    selects rows; the names table is shared, so a user code means the same
+    user in every corpus taken from one source.
     """
 
     __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
@@ -184,9 +186,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i) -> Tweet:
-        return next(iter(self.take([operator.index(i)])))
-
     def __iter__(self):
         for tid, user_id, stamp, lat, lon, text, source in self.rows():
             yield Tweet(tid, user_id, stamp, GeoPoint(lat, lon), text, source)
@@ -199,15 +198,33 @@ class Corpus:
     __hash__ = None
 
 
+def _check_row(tid: str, user_id: str, lat: float, lon: float, text: str) -> None:
+    """The checks of :class:`Tweet`: coordinate ranges first, raising through :class:`GeoPoint`, then the fields."""
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        GeoPoint(lat, lon)  # raises: out of range or not finite
+    if not tid or not user_id or len(text) > MAX_TEXT_CODEPOINTS:
+        _check_tweet_fields(tid, user_id, text)
+
+
+def _utc_us(stamp: datetime) -> int:
+    """Microseconds since 1970-01-01 UTC; a naive stamp counts as UTC."""
+    return (stamp - (_NAIVE_EPOCH if stamp.tzinfo is None else _EPOCH)) // _MICROSECOND
+
+
+def _codes(table: dict, keys) -> list:
+    """Each key's code in ``table``; a key not yet there gets the next code, in first-seen order."""
+    return [table.setdefault(key, len(table)) for key in keys]
+
+
 class _CorpusBuilder:
-    """Appends messages, one row at a time, to the columns of a :class:`Corpus`.
+    """Appends messages to the columns of a :class:`Corpus`.
 
     The one place a message becomes a row: :meth:`add` checks it as
-    :class:`Tweet` does (the coordinate ranges first, raising through
-    :class:`GeoPoint`, then the fields), assigns its user and time-zone
-    codes and turns its stamp into microseconds since 1970-01-01 UTC. A
-    naive stamp counts as UTC; aware stamps order by instant whatever
-    their UTC offset, as datetime comparison does.
+    :class:`Tweet` does, assigns its user and time-zone codes and turns its
+    stamp into microseconds since 1970-01-01 UTC. A naive stamp counts as
+    UTC; aware stamps order by instant whatever their UTC offset, as
+    datetime comparison does. :meth:`extend` appends whole columns whose
+    stamps are already microseconds, with the same checks and codes.
     """
 
     __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
@@ -223,19 +240,37 @@ class _CorpusBuilder:
         return len(self.ids)
 
     def add(self, tid: str, user_id: str, stamp: datetime, lat: float, lon: float, text: str, source=None):
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            GeoPoint(lat, lon)  # raises: out of range or not finite
-        if not tid or not user_id or len(text) > MAX_TEXT_CODEPOINTS:
-            _check_tweet_fields(tid, user_id, text)
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0 and tid and user_id and len(text) <= MAX_TEXT_CODEPOINTS):
+            _check_row(tid, user_id, lat, lon, text)  # raises
         self.ids.append(tid)
         self.user.append(self.users.setdefault(user_id, len(self.users)))
-        zone = stamp.tzinfo
-        self.stamp_us.append((stamp - (_NAIVE_EPOCH if zone is None else _EPOCH)) // _MICROSECOND)
-        self.tz.append(self.tzinfos.setdefault(zone, len(self.tzinfos)))
+        self.stamp_us.append(_utc_us(stamp))
+        self.tz.append(self.tzinfos.setdefault(stamp.tzinfo, len(self.tzinfos)))
         self.lat.append(lat)
         self.lon.append(lon)
         self.texts.append(text)
         self.sources.append(source)
+
+    def extend(self, ids, user_ids, stamp_us, zones, lat, lon, texts, sources):
+        """Append rows given as columns, as :meth:`add` appends each row.
+
+        ``stamp_us`` holds each stamp as :func:`_utc_us` gives it and
+        ``zones`` its own time zone. Should any row fail a check, the first
+        such row raises as :meth:`add` would, and nothing is appended.
+        """
+        lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+        in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+        if not (in_range.all() and all(ids) and all(user_ids) and max(map(len, texts), default=0) <= MAX_TEXT_CODEPOINTS):
+            for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts):
+                _check_row(*row)
+        self.ids += ids
+        self.user.extend(_codes(self.users, user_ids))
+        self.stamp_us.frombytes(np.asarray(stamp_us, dtype=np.int64).tobytes())
+        self.tz.extend(_codes(self.tzinfos, zones))
+        self.lat.frombytes(lat.tobytes())
+        self.lon.frombytes(lon.tobytes())
+        self.texts += texts
+        self.sources += sources
 
     def corpus(self) -> Corpus:
         return Corpus(
@@ -265,6 +300,63 @@ class UserHome:
     def __post_init__(self):
         if self.tweet_count_at_cell < 1:
             raise InvalidAttributeError("home cell must contain at least one tweet")
+
+
+class Homes:
+    """Users' homes as a struct of arrays, one row per home.
+
+    Columns: ``user`` (int64 codes into the ``users`` names, the table of
+    the corpus the homes came from), ``ix`` and ``iy`` (int64 cell indices
+    on a grid of ``resolution`` metres), ``count`` (the user's tweets in
+    that cell) and ``zone`` (int64 index into ``zone_ids``, -1 for none).
+    :func:`infer_home_locations` gives rows sorted by user id.
+
+    Iteration gives :class:`UserHome` rows, and a Homes equals any
+    sequence of equal rows, as a :class:`Corpus` does.
+    """
+
+    __slots__ = ("users", "user", "ix", "iy", "count", "resolution", "zone_ids", "zone")
+
+    def __init__(self, users, user, ix, iy, count, resolution, zone_ids=(), zone=None):
+        self.users = tuple(users)
+        self.user = np.asarray(user, dtype=np.int64)
+        self.ix = np.asarray(ix, dtype=np.int64)
+        self.iy = np.asarray(iy, dtype=np.int64)
+        self.count = np.asarray(count, dtype=np.int64)
+        self.resolution = resolution
+        self.zone_ids = tuple(zone_ids)
+        self.zone = np.full(len(self.user), -1, dtype=np.int64) if zone is None else np.asarray(zone, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __iter__(self):
+        users, zone_ids, resolution = self.users, self.zone_ids + (None,), self.resolution
+        columns = (self.user, self.ix, self.iy, self.count, self.zone)
+        for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns)):
+            yield UserHome(users[code], GridCell(ix, iy, resolution), count, zone_ids[zone])
+
+    def __eq__(self, other):
+        if not isinstance(other, (Homes, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+def _as_homes(homes) -> Homes:
+    """A Homes as is; a sequence of :class:`UserHome` as a Homes of the same rows in the same order."""
+    if isinstance(homes, Homes):
+        return homes
+    homes = list(homes)
+    resolutions = {h.cell.resolution for h in homes} or {GRID_RESOLUTION_M}
+    if len(resolutions) > 1:
+        raise InvalidParameterError(f"homes mix grid resolutions {sorted(resolutions)}")
+    users, zone_ids = {}, {}
+    user = _codes(users, [h.user_id for h in homes])
+    zone = [-1 if h.zone_id is None else zone_ids.setdefault(h.zone_id, len(zone_ids)) for h in homes]
+    ix, iy, count = [h.cell.ix for h in homes], [h.cell.iy for h in homes], [h.tweet_count_at_cell for h in homes]
+    return Homes(users, user, ix, iy, count, resolutions.pop(), zone_ids, zone)
 
 
 @dataclass(frozen=True)
@@ -314,7 +406,7 @@ class PipelineResult:
 
     matrix: FlowMatrix
     report: PipelineReport
-    homes: tuple[UserHome, ...]
+    homes: Homes
     museum_tweets: Corpus
 
 
@@ -354,9 +446,26 @@ def _grid_cells(corpus: Corpus, rows, ref: GeoPoint, resolution: float):
     if far.size:
         first = np.full(len(corpus.users), len(corpus))
         np.minimum.at(first, corpus.user, every)
-        project(corpus[far[np.argmin(first[corpus.user[far]])]].location, ref)
+        row = far[np.argmin(first[corpus.user[far]])]
+        project(GeoPoint(corpus.lat[row], corpus.lon[row]), ref)
     x, y = project_arrays(lat, lon, ref)
     return np.floor(x / resolution, out=x).astype(np.int64), np.floor(y / resolution, out=y).astype(np.int64)
+
+
+def _cell_order(user, ix, iy):
+    """The stable permutation sorting rows by (user, ix, iy).
+
+    One argsort over a combined int64 key when users x columns x rows
+    fits in int64, as it does on any grid near the 100 m one; a lexsort
+    otherwise.
+    """
+    if not len(user):
+        return np.arange(0)
+    x, y = ix - ix.min(), iy - iy.min()
+    nx, ny = int(x.max()) + 1, int(y.max()) + 1
+    if (int(user.max()) + 1) * nx * ny >= 2**63:
+        return np.lexsort((iy, ix, user))
+    return np.argsort((user * nx + x) * ny + y, kind="stable")
 
 
 def _cell_runs(user, ix, iy):
@@ -367,7 +476,7 @@ def _cell_runs(user, ix, iy):
     (one per user, in user code order), each group's user code and its
     longest run length.
     """
-    order = np.lexsort((iy, ix, user))
+    order = _cell_order(user, ix, iy)
     user, ix, iy = user[order], ix[order], iy[order]
     change = (user[1:] != user[:-1]) | (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
     starts = np.flatnonzero(np.concatenate(([True], change)))
@@ -448,7 +557,7 @@ def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_
         keep |= inside | ((edge <= buffer_m) & ~close)
         close_call |= close
     for i in np.flatnonzero(close_call & ~keep).tolist():
-        p = project(corpus[i].location, ref)
+        p = project(GeoPoint(corpus.lat[i], corpus.lon[i]), ref)
         keep[i] = any(distance_to_polygon_m(p, poly) <= buffer_m for poly in polys)
     out = _kept(corpus, keep)
     return out, StageCount("spatial", len(corpus), len(out), out.user_count())
@@ -502,7 +611,8 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     """Each user's modal grid cell over their full activity.
 
     Tied cells resolve to the one holding the user's earliest tweet among
-    the tied cells; result is sorted by user id.
+    the tied cells. The result is a :class:`Homes` sorted by user id, with
+    no zones yet.
 
     Cells are computed for the whole corpus at once, with the operations of
     :func:`project` and :func:`snap_to_grid` in the same order, so each is
@@ -510,7 +620,7 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     """
     corpus = _as_corpus(corpus)
     if not len(corpus):
-        return []
+        return Homes(corpus.users, [], [], [], [], resolution)
     if not (math.isfinite(resolution) and resolution > 0):
         raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
     ix, iy = _grid_cells(corpus, None, ref, resolution)
@@ -530,64 +640,79 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
         best_run[g] = min(top_runs[first_top[g]: first_top[g + 1]].tolist(), key=earliest)
 
     best = order[starts[best_run]]
-    homes = [
-        UserHome(corpus.users[code], GridCell(cx, cy, resolution), count)
-        for code, cx, cy, count in zip(users.tolist(), ix[best].tolist(), iy[best].tolist(), top.tolist())
-    ]
-    homes.sort(key=lambda h: h.user_id)
-    return homes
+    name_rank = np.empty(len(corpus.users), dtype=np.int64)
+    name_rank[sorted(range(len(corpus.users)), key=corpus.users.__getitem__)] = np.arange(len(corpus.users))
+    by_name = np.argsort(name_rank[users])
+    best = best[by_name]
+    return Homes(corpus.users, users[by_name], ix[best], iy[best], top[by_name], resolution)
+
+
+def _distinct_cells(ix, iy):
+    """(first, inverse): each distinct (ix, iy) cell's first row, and each row's distinct cell."""
+    _, x = np.unique(ix, return_inverse=True)
+    ys, y = np.unique(iy, return_inverse=True)
+    _, first, inverse = np.unique(x * len(ys) + y, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def assign_home_zone(homes, zones):
     """Resolve each home cell center to the zone polygon containing it.
 
-    Homes outside every zone keep zone_id None. A center claimed by several
-    zones goes to the first zone in input order when it sits on a shared
+    Homes outside every zone get no zone. A center claimed by several zones
+    goes to the first zone in input order when it sits on a shared
     boundary; strict interior overlap is an error in the zone system itself.
+    Takes a :class:`Homes` or a sequence of :class:`UserHome` and returns a
+    Homes of the same rows whose zone column indexes ``zones``.
 
     Resolution is per distinct cell: each cell is resolved once, for the
     first home in it, and only against the zones whose containment box holds
-    its center; every later home in that cell reuses the result.
+    its center; cells go in the order of their first home, so an ambiguous
+    cell names the first user living in one.
     """
+    homes = _as_homes(homes)
     for z in zones:
         if z.boundary is None:
             raise InvalidGeometryError(f"zone {z.id} has no boundary polygon")
-    boxed = [(z, containment_box(z.boundary)) for z in zones]
-    zone_of_cell: dict[GridCell, str | None] = {}
-    out = []
-    for home in homes:
-        cell = home.cell
-        zone_id = zone_of_cell.get(cell, _UNRESOLVED)
-        if zone_id is _UNRESOLVED:
-            zone_id = zone_of_cell[cell] = _zone_containing(cell.center(), boxed, home.user_id)
-        out.append(UserHome(home.user_id, cell, home.tweet_count_at_cell, zone_id))
-    return out
+    first, inverse = _distinct_cells(homes.ix, homes.iy)
+    seen_at = np.argsort(first)  # cells in the order of their first home
+    rows = first[seen_at]
+    x = (homes.ix[rows, None] + 0.5) * homes.resolution  # GridCell.center, bit for bit
+    y = (homes.iy[rows, None] + 0.5) * homes.resolution
+    xmin, ymin, xmax, ymax = np.array([containment_box(z.boundary) for z in zones]).reshape(-1, 4).T
+    candidates: dict[int, list] = {}  # per cell, in cell order, its zones in zone order
+    for c, k in zip(*(a.tolist() for a in np.nonzero((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)))):
+        candidates.setdefault(c, []).append((k, zones[k]))
+    x, y = x.ravel().tolist(), y.ravel().tolist()
+    zone_of_cell = np.full(len(first), -1, dtype=np.int64)
+    for c, in_box in candidates.items():
+        user_id = homes.users[homes.user[rows[c]]]
+        zone_of_cell[seen_at[c]] = _zone_containing(PlanarPoint(x[c], y[c]), in_box, user_id)
+    return Homes(
+        homes.users, homes.user, homes.ix, homes.iy, homes.count, homes.resolution,
+        [z.id for z in zones], zone_of_cell[inverse],
+    )
 
 
-_UNRESOLVED = object()
-
-
-def _zone_containing(center: PlanarPoint, boxed, user_id: str) -> str | None:
-    containing = [
-        z
-        for z, (xmin, ymin, xmax, ymax) in boxed
-        if xmin <= center.x <= xmax
-        and ymin <= center.y <= ymax
-        and point_in_polygon(center, z.boundary)
-    ]
+def _zone_containing(center: PlanarPoint, candidates, user_id: str) -> int:
+    """Index of the zone holding ``center`` among the (index, zone) candidates, in zone order; -1 for none."""
+    containing = [(k, z) for k, z in candidates if point_in_polygon(center, z.boundary)]
     if not containing:
-        return None
-    if len(containing) == 1 or any(point_on_boundary(center, z.boundary) for z in containing):
-        return containing[0].id
-    ids = [z.id for z in containing]
+        return -1
+    if len(containing) == 1 or any(point_on_boundary(center, z.boundary) for _, z in containing):
+        return containing[0][0]
+    ids = [z.id for _, z in containing]
     raise AmbiguousZoneError(f"home of {user_id} strictly inside zones {ids}")
 
 
 def assign_nearest_museum(t: Tweet, museums) -> str:
     """Id of the closest museum; ties go to the smaller id."""
+    return _nearest_museum(t.location, museums)
+
+
+def _nearest_museum(point: GeoPoint, museums) -> str:
     if not museums:
         raise EmptyInputError("no museums to assign")
-    return min(museums, key=lambda m: (haversine_km(t.location, m.location), m.id)).id
+    return min(museums, key=lambda m: (haversine_km(point, m.location), m.id)).id
 
 
 def _nearest_museums(corpus: Corpus, rows, museums) -> np.ndarray:
@@ -609,32 +734,39 @@ def _nearest_museums(corpus: Corpus, rows, museums) -> np.ndarray:
     position = {m.id: j for j, m in reversed(list(enumerate(museums)))}
     close = np.isfinite(runner_up) & (runner_up - best <= _TIE_BAND * runner_up)
     for k in np.flatnonzero(close).tolist():
-        nearest[k] = position[assign_nearest_museum(corpus[rows[k]], museums)]
+        nearest[k] = position[_nearest_museum(GeoPoint(lat[k], lon[k]), museums)]
     return nearest
 
 
 def build_observed_matrix(museum_tweets, homes, zones, museums):
     """Count (home zone, nearest museum) pairs into a matrix over all labels.
 
-    Tweets of users with no zoned home contribute nothing to the matrix;
-    the returned stage entry records how many tweets made it in.
+    ``homes`` is a :class:`Homes` or a sequence of :class:`UserHome`; a
+    user with several homes takes the last. Tweets of users with no zoned
+    home contribute nothing to the matrix; the returned stage entry records
+    how many tweets made it in.
     """
     corpus = _as_corpus(museum_tweets)
+    homes = _as_homes(homes)
     zone_ids = [z.id for z in zones]
     museum_ids = [m.id for m in museums]
     # a repeated label takes the counts of its first occurrence; zone ids
     # outside the zone list count as contributing but land in no row
     zone_row = {z: i for i, z in reversed(list(enumerate(zone_ids)))}
     museum_col = {m: j for j, m in reversed(list(enumerate(museum_ids)))}
-    code_of = {name: code for code, name in enumerate(corpus.users)}
+    row_of_zone = np.array([zone_row.get(z, len(zone_ids)) for z in homes.zone_ids] + [-1], dtype=np.int64)
+    if homes.users is corpus.users:
+        user = homes.user
+    else:  # a user the corpus does not know lands on the spare last code
+        code_of = {name: code for code, name in enumerate(corpus.users)}
+        user = np.array([code_of.get(name, len(corpus.users)) for name in homes.users], dtype=np.int64)[homes.user]
+    last = len(user) - 1 - np.unique(user[::-1], return_index=True)[1]
     home_row = np.full(len(corpus.users) + 1, -1, dtype=np.int64)
-    for h in homes:
-        row = -1 if h.zone_id is None else zone_row.get(h.zone_id, len(zone_ids))
-        home_row[code_of.get(h.user_id, len(corpus.users))] = row
+    home_row[user[last]] = row_of_zone[homes.zone[last]]
     tweet_row = home_row[corpus.user]
     rows = np.flatnonzero(tweet_row >= 0)
     if rows.size and not museums:
-        assign_nearest_museum(corpus[rows[0]], museums)  # raises EmptyInputError
+        _nearest_museum(GeoPoint(corpus.lat[rows[0]], corpus.lon[rows[0]]), museums)  # raises EmptyInputError
     cells = tweet_row[rows] * max(len(museums), 1) + _nearest_museums(corpus, rows, museums)
     counts = np.bincount(cells, minlength=(len(zone_ids) + 1) * len(museums))
     counts = counts.reshape(len(zone_ids) + 1, len(museums)).astype(float)
@@ -770,8 +902,7 @@ def run_pipeline(
     corpus, entry = remove_automated_accounts(_as_corpus(tweets), ref, activity_threshold, static_fraction)
     report = report.extended(entry)
 
-    homes = infer_home_locations(corpus, ref)
-    homes = assign_home_zone(homes, zones)
+    homes = assign_home_zone(infer_home_locations(corpus, ref), zones)
 
     corpus, entry = semantic_filter(corpus, keywords)
     report = report.extended(entry)
@@ -789,4 +920,4 @@ def run_pipeline(
     matrix, entry = build_observed_matrix(corpus, homes, zones, museums)
     report = report.extended(entry)
 
-    return PipelineResult(matrix=matrix, report=report, homes=tuple(homes), museum_tweets=corpus)
+    return PipelineResult(matrix=matrix, report=report, homes=homes, museum_tweets=corpus)

@@ -406,24 +406,6 @@ def unconstrained_flows(zones, museums, spec: ModelSpec) -> FlowMatrix:
     return model_matrix(zones, museums, spec)
 
 
-def origin_constrained_flows(O, museums, dmat, spec: ModelSpec, origin_ids=None) -> FlowMatrix:
-    """Rows allocated over destinations by W_j * f(d_ij), pinned to O_i."""
-    O = np.asarray(O, dtype=float)
-    dmat = np.asarray(dmat, dtype=float)
-    if O.ndim != 1 or dmat.shape != (O.size, len(museums)):
-        raise ShapeError(
-            f"origin totals ({O.size}) and distance matrix {dmat.shape} "
-            f"do not line up with {len(museums)} museums"
-        )
-    if np.any(O < 0) or not np.all(np.isfinite(O)):
-        raise InvalidAttributeError("origin totals must be finite and >= 0")
-    w = attractiveness_weights(museums, spec.attractiveness) if spec.use_attractiveness else np.ones(len(museums))
-    values = flow_values("origin", deterrence_matrix(dmat, spec.deterrence), O, w)
-    if origin_ids is None:
-        origin_ids = [f"o{i}" for i in range(O.size)]
-    return FlowMatrix(origin_ids, [m.id for m in museums], values)
-
-
 def doubly_constrained_flows(
     O,
     D,

@@ -1,9 +1,10 @@
 """Fit statistic and sweep tests.
 
 pearson_r is checked against a sum-by-sum covariance oracle written in plain
-Python; fit_at_beta against hand-flattened vectors; the sweep and
-fit_at_beta against model matrices built in the tests from numpy formulas,
-with the IPF oracle for the doubly constrained regime.
+Python; the fit at one beta (a one-point sweep) against hand-flattened
+vectors; the sweep and the one-point fit against model matrices built in the
+tests from numpy formulas, with the IPF oracle for the doubly constrained
+regime.
 """
 
 import math
@@ -16,7 +17,6 @@ from museumflows.calibration import (
     BetaGrid,
     SweepResult,
     compare_specifications,
-    fit_at_beta,
     pearson_r,
     rms_error,
     spec_name,
@@ -130,9 +130,9 @@ def test_rms_examples():
 def test_fit_at_beta_self_fit():
     zones, museums, spec = small_world(beta=0.7)
     observed = unconstrained_flows(zones, museums, spec)
-    fit = fit_at_beta(zones, museums, observed, spec, 0.7)
-    assert fit.pearson_r == pytest.approx(1.0, abs=1e-12)
-    assert fit.rms == pytest.approx(0.0, abs=1e-12)
+    fit = sweep_beta(zones, museums, observed, spec, [0.7])
+    assert fit.best_r == pytest.approx(1.0, abs=1e-12)
+    assert fit.best_rms == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_at_beta_manual_flattening_oracle():
@@ -140,35 +140,35 @@ def test_fit_at_beta_manual_flattening_oracle():
     model = unconstrained_flows(zones, museums, spec)
     obs_rows = [[4.0, 1.0], [2.0, 2.0], [9.0, 3.0]]
     observed = FlowMatrix(("z0", "z1", "z2"), ("m0", "m1"), obs_rows)
-    fit = fit_at_beta(zones, museums, observed, spec, 0.5)
+    fit = sweep_beta(zones, museums, observed, spec, [0.5])
     model_flat = [model.values[i, j] for i in range(3) for j in range(2)]
     obs_flat = [obs_rows[i][j] for i in range(3) for j in range(2)]
-    assert fit.pearson_r == pytest.approx(pearson_oracle(model_flat, obs_flat), abs=1e-12)
-    assert fit.rms == pytest.approx(rms_error(model_flat, obs_flat), abs=1e-12)
+    assert fit.best_r == pytest.approx(pearson_oracle(model_flat, obs_flat), abs=1e-12)
+    assert fit.best_rms == pytest.approx(rms_error(model_flat, obs_flat), abs=1e-12)
 
 
 def test_fit_at_beta_label_alignment():
     zones, museums, spec = small_world(beta=0.9)
     observed = FlowMatrix(("z0", "z1", "z2"), ("m0", "m1"), [[4.0, 1.0], [2.0, 2.0], [9.0, 3.0]])
-    base = fit_at_beta(zones, museums, observed, spec, 0.9)
+    base = sweep_beta(zones, museums, observed, spec, [0.9])
     # permute the zone list and the observed rows together
     perm_zones = [zones[2], zones[0], zones[1]]
     perm_obs = FlowMatrix(("z2", "z0", "z1"), ("m1", "m0"), [[3.0, 9.0], [1.0, 4.0], [2.0, 2.0]])
-    perm = fit_at_beta(perm_zones, museums, perm_obs, spec, 0.9)
-    assert perm.pearson_r == pytest.approx(base.pearson_r, abs=1e-12)
-    assert perm.rms == pytest.approx(base.rms, abs=1e-12)
+    perm = sweep_beta(perm_zones, museums, perm_obs, spec, [0.9])
+    assert perm.best_r == pytest.approx(base.best_r, abs=1e-12)
+    assert perm.best_rms == pytest.approx(base.best_rms, abs=1e-12)
 
 
 def test_fit_at_beta_population_scale_invariance():
     zones, museums, spec = small_world(beta=0.6)
     observed = FlowMatrix(("z0", "z1", "z2"), ("m0", "m1"), [[4.0, 1.0], [2.0, 2.0], [9.0, 3.0]])
-    base = fit_at_beta(zones, museums, observed, spec, 0.6)
+    base = sweep_beta(zones, museums, observed, spec, [0.6])
     scaled = [
         make_zone(z.id, z.centroid.lat, z.centroid.lon, z.population * 7.5, z.arts_share, z.earnings_proxy)
         for z in zones
     ]
-    assert fit_at_beta(scaled, museums, observed, spec, 0.6).pearson_r == pytest.approx(
-        base.pearson_r, abs=1e-12
+    assert sweep_beta(scaled, museums, observed, spec, [0.6]).best_r == pytest.approx(
+        base.best_r, abs=1e-12
     )
 
 
@@ -176,14 +176,14 @@ def test_fit_at_beta_errors():
     zones, museums, spec = small_world()
     wrong_labels = FlowMatrix(("z0", "z1", "zX"), ("m0", "m1"), np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        fit_at_beta(zones, museums, wrong_labels, spec, 0.5)
+        sweep_beta(zones, museums, wrong_labels, spec, [0.5])
     # equal populations and a flat kernel make the model constant
     flat_zones = [make_zone(f"z{i}", 53.8 - 0.02 * i, -1.5, 1000.0) for i in range(3)]
     observed = FlowMatrix(
         tuple(z.id for z in flat_zones), ("m0", "m1"), [[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]
     )
     with pytest.raises(DegenerateVarianceError):
-        fit_at_beta(flat_zones, museums, observed, spec, 0.0)
+        sweep_beta(flat_zones, museums, observed, spec, [0.0])
 
 
 def test_beta_grid():
@@ -277,8 +277,8 @@ def test_sweep_and_fit_at_beta_match_numpy_models_per_constraint():
         spec = ModelSpec(constraint=constraint, use_attractiveness=True, use_demand=True)
         result = sweep_beta(zones, museums, observed, spec, grid)
         fits = [(k, result.r_values[k], result.rms_values[k]) for k in range(grid.count)]
-        fit = fit_at_beta(zones, museums, observed, spec, 0.42)
-        fits.append((None, fit.pearson_r, fit.rms))
+        fit = sweep_beta(zones, museums, observed, spec, [0.42])
+        fits.append((None, fit.best_r, fit.best_rms))
         # closed forms agree to rounding; the doubly solve to its 1e-8 margin tolerance
         tol = 1e-7 if constraint == "doubly" else 1e-12
         for k, r, rms in fits:

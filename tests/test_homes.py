@@ -8,10 +8,11 @@ tested against every zone with no box and no cache.
 
 import math
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import make_zone
+from conftest import make_museum, make_zone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,15 @@ from museumflows.geometry import (
     project,
     snap_to_grid,
 )
-from museumflows.pipeline import Tweet, UserHome, assign_home_zone, infer_home_locations
+from museumflows.pipeline import (
+    Corpus,
+    Homes,
+    Tweet,
+    UserHome,
+    assign_home_zone,
+    build_observed_matrix,
+    infer_home_locations,
+)
 
 REF = GeoPoint(53.5, -2.5)
 EPOCH = datetime(2013, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -156,13 +165,22 @@ def test_infer_home_cells_match_scalar_cells_next_to_edges():
 
 def test_infer_home_timestamp_tie_goes_to_smaller_id():
     # two cells tie at one tweet each, posted in the same minute
-    corpus = [
+    corpus = Corpus.from_tweets([
         Tweet("id-2", "u", EPOCH, GeoPoint(REF.lat + 0.005, REF.lon + 0.005), "x"),
         Tweet("id-1", "u", EPOCH, GeoPoint(REF.lat + 0.010, REF.lon + 0.010), "x"),
-    ]
+    ])
     (home,) = infer_home_locations(corpus, REF)
     assert home == oracle_homes(corpus, REF)[0]
-    assert home.cell == snap_to_grid(project(corpus[1].location, REF))
+    assert home.cell == snap_to_grid(project(GeoPoint(corpus.lat[1], corpus.lon[1]), REF))
+
+
+def test_infer_home_on_a_grid_too_fine_for_one_sort_key():
+    # cells of a micrometre: (users x columns x rows) passes 2**63, so the
+    # (user, cell) order comes from a lexsort instead of one int64 key
+    corpus = random_corpus(np.random.default_rng(47))
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert infer_home_locations(corpus, REF, 1e-6) == oracle_homes(corpus, REF, 1e-6)
+    assert lexsort.called
 
 
 def test_infer_home_rejects_out_of_frame_tweet():
@@ -243,6 +261,10 @@ def test_assign_home_zone_ambiguity_names_first_offending_user():
     assert str(got.value) == str(expected.value)
     assert "second" in str(got.value)
     assert assign_home_zone([homes[0], homes[3]], zones) == oracle_zones([homes[0], homes[3]], zones)
+    # the first user in an ambiguous cell is named, whatever the cells' order
+    later_cell = [UserHome("early", GridCell(3, 2), 1)] + homes  # after (3, 1) in (ix, iy) order
+    with pytest.raises(AmbiguousZoneError, match="home of early strictly"):
+        assign_home_zone(later_cell, zones)
 
 
 PERMUTED_CORPUS = random_corpus(np.random.default_rng(43), n_users=12, n_tweets=120)
@@ -255,3 +277,58 @@ PERMUTED_HOMES = assign_home_zone(infer_home_locations(PERMUTED_CORPUS, REF), PE
 def test_homes_are_invariant_to_corpus_order(corpus):
     homes = assign_home_zone(infer_home_locations(corpus, REF), PERMUTED_ZONES)
     assert homes == PERMUTED_HOMES
+
+
+def cell_center(ix, iy):
+    """A point that projects to the centre of cell (ix, iy) of the 100 m grid."""
+    return GeoPoint(REF.lat + (iy + 0.5) * 100.0 / METERS_PER_DEG_LAT, REF.lon + (ix + 0.5) * 100.0 / METERS_PER_DEG_LON)
+
+
+# (user, cell, minutes after EPOCH). Users first appear out of name order,
+# non-ASCII names sorting after "z"; "b" ties two cells at the same minute
+# (the smaller id wins) and "ö" at different minutes (the earlier wins, in
+# the cell of the "short" zone); (2, 1) and (4, 2) sit on shared zone
+# edges, (30, 4) outside every zone.
+HOME_PLAN = [
+    ("zoë", (1, 1), 0), ("b", (2, 1), 0), ("Ärzte", (30, 4), 0), ("a", (4, 2), 3), ("b", (1, 3), 0),
+    ("zoë", (1, 1), 1), ("a", (2, 1), 5), ("ö", (6, 1), 9), ("ö", (14, 1), 2), ("a", (4, 2), 4),
+]
+HOME_CORPUS = Corpus.from_tweets([
+    Tweet(f"t{k}", user, EPOCH + timedelta(minutes=minute), cell_center(*cell), "museum")
+    for k, (user, cell, minute) in enumerate(HOME_PLAN)
+])
+
+
+def test_homes_rows_are_the_scalar_oracles_rows():
+    zones = zone_system()
+    homes = assign_home_zone(infer_home_locations(HOME_CORPUS, REF), zones)
+    assert isinstance(homes, Homes) and homes.users is HOME_CORPUS.users
+    assert list(HOME_CORPUS.users) != sorted(HOME_CORPUS.users)  # codes out of name order
+    expected = oracle_zones(oracle_homes(HOME_CORPUS, REF), zones)
+    assert list(homes) == expected and homes == expected
+    assert [h.user_id for h in homes] == ["a", "b", "zoë", "Ärzte", "ö"]
+    zone_of = {h.user_id: h.zone_id for h in homes}
+    assert zone_of == {"a": "b10", "b": "b00", "zoë": "b00", "Ärzte": None, "ö": "short"}
+    zone_ids = [z.id for z in zones]
+    assert homes.zone.tolist() == [zone_ids.index(zone_of[h.user_id]) if zone_of[h.user_id] else -1 for h in homes]
+    # a list of the rows goes back to the same Homes
+    assert assign_home_zone(list(homes), zones) == homes
+
+
+def test_observed_matrix_is_the_same_for_homes_and_their_rows():
+    zones = zone_system()
+    museums = [make_museum("m0", REF.lat + 0.001, REF.lon + 0.002), make_museum("m1", REF.lat + 0.003, REF.lon + 0.02)]
+    homes = assign_home_zone(infer_home_locations(HOME_CORPUS, REF), zones)
+    museum_tweets = HOME_CORPUS.take([0, 1, 2, 3, 6, 7])
+    matrix, entry = build_observed_matrix(museum_tweets, homes, zones, museums)
+    assert matrix.total() == 5  # Ärzte has no zone
+    for given in (list(homes), tuple(homes), list(homes)[::-1]):
+        again, again_entry = build_observed_matrix(museum_tweets, given, zones, museums)
+        assert np.array_equal(again.values, matrix.values) and again_entry == entry
+    # a user listed twice takes the last home; a user the corpus lacks adds nothing
+    rows = list(homes) + [UserHome("b", GridCell(30, 4), 1), UserHome("nobody", GridCell(1, 1), 1, "b00")]
+    without_b = [h for h in homes if h.user_id != "b"]
+    assert np.array_equal(
+        build_observed_matrix(museum_tweets, rows, zones, museums)[0].values,
+        build_observed_matrix(museum_tweets, without_b, zones, museums)[0].values,
+    )

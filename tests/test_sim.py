@@ -42,7 +42,6 @@ from museumflows.sim import (
     distance_matrix,
     doubly_constrained_flows,
     model_matrix,
-    origin_constrained_flows,
     unconstrained_flows,
 )
 
@@ -444,19 +443,26 @@ def test_doubly_constrained_unreachable_origin():
         doubly_constrained_flows((10.0, 10.0), (0.0, 20.0), dmat, Deterrence("exponential", 1.0))
 
 
+def origin_model(O, museums, zone_points, spec):
+    """The origin regime of model_matrix: one zone per point, sending O_i."""
+    zones = [make_zone(f"z{i}", p.lat, p.lon) for i, p in enumerate(zone_points)]
+    rows = [[float(o)] + [0.0] * (len(museums) - 1) for o in O]
+    observed = FlowMatrix([z.id for z in zones], [m.id for m in museums], rows)
+    return model_matrix(zones, museums, spec, observed=observed)
+
+
 def test_origin_constrained_single_museum_forced():
     museums = [make_museum("m0", 53.79, -1.53)]
-    fm = origin_constrained_flows(
-        (7.0, 3.0), museums, np.array([[2.0], [4.0]]), ModelSpec(constraint="origin")
+    fm = origin_model(
+        (7.0, 3.0), museums, [GeoPoint(53.80, -1.55), GeoPoint(53.75, -1.60)], ModelSpec(constraint="origin")
     )
     assert fm.values[:, 0].tolist() == [7.0, 3.0]
 
 
 def test_origin_constrained_symmetric_split():
-    museums = [make_museum("m0", 53.79, -1.53), make_museum("m1", 53.82, -1.50)]
-    fm = origin_constrained_flows(
-        (8.0,), museums, np.array([[3.0, 3.0]]), ModelSpec(constraint="origin")
-    )
+    # the zone sits halfway between the museums, on their parallel
+    museums = [make_museum("m0", 53.8, -1.52), make_museum("m1", 53.8, -1.48)]
+    fm = origin_model((8.0,), museums, [GeoPoint(53.8, -1.5)], ModelSpec(constraint="origin"))
     assert fm.values[0].tolist() == pytest.approx([4.0, 4.0])
 
 
@@ -465,31 +471,29 @@ def test_origin_constrained_rows_exact():
     museums = [make_museum(f"m{j}", 53.8, -1.5 + 0.02 * j, 500.0 + 100.0 * j, 3.0 + j) for j in range(3)]
     for _ in range(20):
         O = rng.uniform(0.0, 30.0, size=2)
-        dmat = rng.uniform(0.5, 12.0, size=(2, 3))
-        fm = origin_constrained_flows(
-            O, museums, dmat, ModelSpec(constraint="origin", use_attractiveness=True)
-        )
+        points = [GeoPoint(53.8 + dlat, -1.48 + dlon) for dlat, dlon in rng.uniform(-0.1, 0.1, size=(2, 2))]
+        fm = origin_model(O, museums, points, ModelSpec(constraint="origin", use_attractiveness=True))
         np.testing.assert_allclose(fm.row_sums(), O, rtol=1e-12, atol=1e-12)
 
 
 def test_origin_constrained_weight_share():
-    museums = [make_museum("a", 53.8, -1.5, 1600.0, 10.0), make_museum("b", 53.8, -1.4, 400.0, 10.0)]
+    museums = [make_museum("a", 53.8, -1.52, 1600.0, 10.0), make_museum("b", 53.8, -1.48, 400.0, 10.0)]
     w = attractiveness_weights(museums)
-    fm = origin_constrained_flows(
+    fm = origin_model(
         (10.0,),
         museums,
-        np.array([[5.0, 5.0]]),  # equal distances, so shares follow W alone
+        [GeoPoint(53.8, -1.5)],  # equal distances, so shares follow W alone
         ModelSpec(constraint="origin", use_attractiveness=True),
     )
     assert fm.values[0] == pytest.approx(10.0 * w / w.sum(), rel=1e-12)
 
 
 def test_origin_constrained_unreachable():
+    # about 2000 km away, where exp(-d) underflows to exactly 0
     museums = [make_museum("m0", 53.79, -1.53)]
+    spec = ModelSpec(constraint="origin", deterrence=Deterrence("exponential", 1.0))
     with pytest.raises(UnreachableOriginError):
-        origin_constrained_flows(
-            (5.0,), museums, np.array([[2000.0]]), ModelSpec(constraint="origin", deterrence=Deterrence("exponential", 1.0))
-        )
+        origin_model((5.0,), museums, [GeoPoint(53.79 - deg_for_km(2000.0), -1.53)], spec)
 
 
 def test_model_matrix_dispatch():
