@@ -12,10 +12,11 @@ lines into the columns of a :class:`~museumflows.pipeline.Corpus`,
 through the same row encoder that
 :meth:`~museumflows.pipeline.Corpus.from_tweets` and the synthetic
 generator use; no Tweet object is built. Each chunk is parsed with one
-``json.loads`` (a line holding ``[`` or ``]`` is parsed on its own, since
-it could merge with its neighbours) and checked column by column; a chunk
-that fails any step goes through the per-line reader, so the first bad
-line is reported as ``path:line`` with the message it always had.
+``json.loads`` and checked column by column. A chunk that holds ``[`` or
+``]`` anywhere (a bracket could merge a line with its neighbours), a
+stamp that is not strict UTC, or a line that fails any step goes through
+the per-line reader, so the first bad line is reported as ``path:line``
+with the message it always had.
 :func:`write_tweets` writes from those columns (a sequence of Tweet is
 encoded first), each timestamp in its own UTC offset, so a read/write
 cycle keeps the bytes. Every reader reports input that is not UTF-8 as a
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _CorpusBuilder, _utc_us
+from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _CorpusBuilder
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
@@ -82,56 +83,45 @@ _YEAR_ONE_US = (datetime(1, 1, 1) - datetime(1970, 1, 1)) // timedelta(microseco
 
 
 def _json_values(text: str):
-    """The JSON value of each non-blank line of ``text``.
+    """The JSON value of each non-blank line of ``text``, which holds no bracket.
 
-    Lines without a bracket are parsed in one ``json.loads``, each wrapped
-    in an array of its own. A string cannot hold the raw newline of the
-    separator, and without brackets no line can open an array to take the
-    separator in, so each wrapper holds exactly its own line: nothing for a
-    blank line, one element for a line that is one JSON value. Lines with a
-    bracket could merge with their neighbours and are parsed one by one.
-    Raises ValueError where a line is not one JSON value.
+    The lines are parsed in one ``json.loads``, each wrapped in an array of
+    its own. A string cannot hold the raw newline of the separator, and
+    without brackets no line can open an array to take the separator in,
+    so each wrapper holds exactly its own line: nothing for a blank line,
+    one element for a line that is one JSON value. Raises ValueError where
+    a line is not one JSON value.
     """
-    lines = text.split("\n")
-    alone = {}
-    if "[" in text or "]" in text:
-        alone = {k: line for k, line in enumerate(lines) if "[" in line or "]" in line}
-        for k in alone:
-            lines[k] = ""
-    wrapped = json.loads("[[" + "]\n,[".join(lines) + "]]")
-    for k, line in alone.items():
-        wrapped[k] = [json.loads(line)]
+    wrapped = json.loads("[[" + "]\n,[".join(text.split("\n")) + "]]")
     return [value for (value,) in filter(None, wrapped)]  # ValueError: a line of several values
 
 
-def _stamp_columns(stamps):
-    """Each stamp's µs since 1970 UTC and its time zone, as the per-line reader has them.
-
-    When every stamp is in a strict UTC form, one numpy conversion reads
-    them all; otherwise each goes through :func:`_parse_timestamp`. Raises
-    TypeError, ValueError or DataFormatError on a stamp either rejects.
-    """
+def _utc_stamp_us(stamps):
+    """Each stamp's µs since 1970 UTC, read by one numpy conversion; None unless every stamp is strict UTC."""
     joined = "\n".join(stamps) + "\n"
     shapes = joined.translate(_ZERO_DIGITS).split("\n")[:-1]
     utc = joined.count("Z\n") + joined.count("+00:00\n")  # the shapes also take other offsets
-    if len(shapes) == utc == len(stamps) and _UTC_SHAPES.issuperset(shapes):
-        naive = joined.replace("Z\n", "\n").replace("+00:00\n", "\n").split("\n")[:-1]
-        stamp_us = np.array(naive, dtype="datetime64[us]").astype(np.int64)
-        if stamp_us.min() >= _YEAR_ONE_US:
-            return stamp_us, [timezone.utc] * len(stamps)
-    parsed = [_parse_timestamp(raw, None, None) for raw in stamps]
-    return [_utc_us(stamp) for stamp in parsed], [stamp.tzinfo for stamp in parsed]
+    if len(shapes) != utc or utc != len(stamps) or not _UTC_SHAPES.issuperset(shapes):
+        return None
+    naive = joined.replace("Z\n", "\n").replace("+00:00\n", "\n").split("\n")[:-1]
+    stamp_us = np.array(naive, dtype="datetime64[us]").astype(np.int64)  # ValueError: a field out of range
+    return stamp_us if stamp_us.min() >= _YEAR_ONE_US else None
 
 
 def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk) -> bool:
     """Append a chunk of raw lines, converted and checked column by column.
 
     Each value is converted as the per-line reader converts it (``str`` or
-    ``float``). Returns False, having appended nothing, when any line fails
-    a step: then only the per-line reader can tell which line to report.
+    ``float``). Returns False, having appended nothing, when the chunk
+    holds a bracket, a stamp that is not strict UTC, or a line that fails
+    any step: then the per-line reader reads it, and tells which line to
+    report.
     """
     try:
-        objs = _json_values(b"".join(chunk).decode("utf-8"))
+        text = b"".join(chunk).decode("utf-8")
+        if "[" in text or "]" in text:
+            return False  # a bracket could merge a line with its neighbours in one parse
+        objs = _json_values(text)
         if not objs or set(map(type, objs)) != {dict}:
             return False
         ids, user_ids, stamps, lat, lon, texts = ([obj[key] for obj in objs] for key in _TWEET_FIELDS)
@@ -141,8 +131,10 @@ def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk) -> bool:
         fresh = set(ids)
         if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
             return False
-        stamp_us, zones = _stamp_columns(stamps)
-        rows.extend(ids, user_ids, stamp_us, zones, lat, lon, texts, sources)
+        stamp_us = _utc_stamp_us(stamps)
+        if stamp_us is None:
+            return False
+        rows.extend(ids, user_ids, stamp_us, [timezone.utc] * len(ids), lat, lon, texts, sources)
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return False  # UnicodeDecodeError, JSONDecodeError and the checks' own errors are ValueErrors
     seen |= fresh
@@ -183,13 +175,15 @@ def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk, path, lines_before: 
 def read_tweets(path) -> Corpus:
     """Read an NDJSON file into a :class:`Corpus`, about 64 KB of lines at a time.
 
-    Lines end at ``\\n``. Each chunk is decoded and parsed at once (lines
-    holding a bracket are parsed on their own, see :func:`_json_values`),
-    then converted and checked column by column, with the checks a
-    :class:`Tweet` makes and unique ids. A chunk that fails any of this
-    goes through the per-line reader instead, which appends its lines one
-    at a time: so the first bad line in the file is the one reported, as
-    ``path:line``, whatever chunk it falls in.
+    Lines end at ``\\n``. Each chunk is decoded and parsed at once, then
+    converted and checked column by column, with the checks a
+    :class:`Tweet` makes and unique ids; its stamps are read by one numpy
+    conversion when all are strict UTC (``YYYY-MM-DDTHH:MM:SS[.ffffff]``
+    and ``Z`` or ``+00:00``). A chunk that holds ``[`` or ``]``, another
+    stamp form, or a line that fails any of this goes through the per-line
+    reader instead, which appends its lines one at a time: so the first bad
+    line in the file is the one reported, as ``path:line``, whatever chunk
+    it falls in.
     """
     rows = _CorpusBuilder()
     seen: set[str] = set()

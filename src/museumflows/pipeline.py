@@ -306,9 +306,10 @@ class Homes:
     """Users' homes as a struct of arrays, one row per home.
 
     Columns: ``user`` (int64 codes into the ``users`` names, the table of
-    the corpus the homes came from), ``ix`` and ``iy`` (int64 cell indices
-    on a grid of ``resolution`` metres), ``count`` (the user's tweets in
-    that cell) and ``zone`` (int64 index into ``zone_ids``, -1 for none).
+    the corpus the homes came from), ``ix`` and ``iy`` (int64 cell indices),
+    ``resolution`` (float64, the cell's grid size in metres; a scalar is
+    taken for every row), ``count`` (the user's tweets in that cell) and
+    ``zone`` (int64 index into ``zone_ids``, -1 for none).
     :func:`infer_home_locations` gives rows sorted by user id.
 
     Iteration gives :class:`UserHome` rows, and a Homes equals any
@@ -323,7 +324,7 @@ class Homes:
         self.ix = np.asarray(ix, dtype=np.int64)
         self.iy = np.asarray(iy, dtype=np.int64)
         self.count = np.asarray(count, dtype=np.int64)
-        self.resolution = resolution
+        self.resolution = np.broadcast_to(np.asarray(resolution, dtype=np.float64), self.user.shape)
         self.zone_ids = tuple(zone_ids)
         self.zone = np.full(len(self.user), -1, dtype=np.int64) if zone is None else np.asarray(zone, dtype=np.int64)
 
@@ -331,9 +332,9 @@ class Homes:
         return len(self.user)
 
     def __iter__(self):
-        users, zone_ids, resolution = self.users, self.zone_ids + (None,), self.resolution
-        columns = (self.user, self.ix, self.iy, self.count, self.zone)
-        for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns)):
+        users, zone_ids = self.users, self.zone_ids + (None,)
+        columns = (self.user, self.ix, self.iy, self.resolution, self.count, self.zone)
+        for code, ix, iy, resolution, count, zone in zip(*(c.tolist() for c in columns)):
             yield UserHome(users[code], GridCell(ix, iy, resolution), count, zone_ids[zone])
 
     def __eq__(self, other):
@@ -349,14 +350,12 @@ def _as_homes(homes) -> Homes:
     if isinstance(homes, Homes):
         return homes
     homes = list(homes)
-    resolutions = {h.cell.resolution for h in homes} or {GRID_RESOLUTION_M}
-    if len(resolutions) > 1:
-        raise InvalidParameterError(f"homes mix grid resolutions {sorted(resolutions)}")
     users, zone_ids = {}, {}
     user = _codes(users, [h.user_id for h in homes])
     zone = [-1 if h.zone_id is None else zone_ids.setdefault(h.zone_id, len(zone_ids)) for h in homes]
     ix, iy, count = [h.cell.ix for h in homes], [h.cell.iy for h in homes], [h.tweet_count_at_cell for h in homes]
-    return Homes(users, user, ix, iy, count, resolutions.pop(), zone_ids, zone)
+    resolution = [h.cell.resolution for h in homes]
+    return Homes(users, user, ix, iy, count, resolution, zone_ids, zone)
 
 
 @dataclass(frozen=True)
@@ -452,22 +451,6 @@ def _grid_cells(corpus: Corpus, rows, ref: GeoPoint, resolution: float):
     return np.floor(x / resolution, out=x).astype(np.int64), np.floor(y / resolution, out=y).astype(np.int64)
 
 
-def _cell_order(user, ix, iy):
-    """The stable permutation sorting rows by (user, ix, iy).
-
-    One argsort over a combined int64 key when users x columns x rows
-    fits in int64, as it does on any grid near the 100 m one; a lexsort
-    otherwise.
-    """
-    if not len(user):
-        return np.arange(0)
-    x, y = ix - ix.min(), iy - iy.min()
-    nx, ny = int(x.max()) + 1, int(y.max()) + 1
-    if (int(user.max()) + 1) * nx * ny >= 2**63:
-        return np.lexsort((iy, ix, user))
-    return np.argsort((user * nx + x) * ny + y, kind="stable")
-
-
 def _cell_runs(user, ix, iy):
     """Runs of equal (user, cell) in sorted order, grouped by user.
 
@@ -476,7 +459,7 @@ def _cell_runs(user, ix, iy):
     (one per user, in user code order), each group's user code and its
     longest run length.
     """
-    order = _cell_order(user, ix, iy)
+    order = np.lexsort((iy, ix, user))
     user, ix, iy = user[order], ix[order], iy[order]
     change = (user[1:] != user[:-1]) | (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
     starts = np.flatnonzero(np.concatenate(([True], change)))
@@ -647,11 +630,13 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     return Homes(corpus.users, users[by_name], ix[best], iy[best], top[by_name], resolution)
 
 
-def _distinct_cells(ix, iy):
-    """(first, inverse): each distinct (ix, iy) cell's first row, and each row's distinct cell."""
-    _, x = np.unique(ix, return_inverse=True)
-    ys, y = np.unique(iy, return_inverse=True)
-    _, first, inverse = np.unique(x * len(ys) + y, return_index=True, return_inverse=True)
+def _distinct_cells(homes: Homes):
+    """(first, inverse): each distinct (ix, iy, resolution) cell's first row, and each row's distinct cell."""
+    _, x = np.unique(homes.ix, return_inverse=True)
+    ys, y = np.unique(homes.iy, return_inverse=True)
+    sizes, size = np.unique(homes.resolution, return_inverse=True)
+    key = (x.ravel() * len(ys) + y.ravel()) * len(sizes) + size.ravel()  # < homes**2 x grid sizes
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse.ravel()
 
 
@@ -673,11 +658,11 @@ def assign_home_zone(homes, zones):
     for z in zones:
         if z.boundary is None:
             raise InvalidGeometryError(f"zone {z.id} has no boundary polygon")
-    first, inverse = _distinct_cells(homes.ix, homes.iy)
+    first, inverse = _distinct_cells(homes)
     seen_at = np.argsort(first)  # cells in the order of their first home
     rows = first[seen_at]
-    x = (homes.ix[rows, None] + 0.5) * homes.resolution  # GridCell.center, bit for bit
-    y = (homes.iy[rows, None] + 0.5) * homes.resolution
+    x = (homes.ix[rows, None] + 0.5) * homes.resolution[rows, None]  # GridCell.center, bit for bit
+    y = (homes.iy[rows, None] + 0.5) * homes.resolution[rows, None]
     xmin, ymin, xmax, ymax = np.array([containment_box(z.boundary) for z in zones]).reshape(-1, 4).T
     candidates: dict[int, list] = {}  # per cell, in cell order, its zones in zone order
     for c, k in zip(*(a.tolist() for a in np.nonzero((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)))):

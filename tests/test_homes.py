@@ -8,7 +8,6 @@ tested against every zone with no box and no cache.
 
 import math
 from datetime import datetime, timedelta, timezone
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ from museumflows.pipeline import (
     build_observed_matrix,
     infer_home_locations,
 )
+from museumflows.fileio import write_homes_csv
 
 REF = GeoPoint(53.5, -2.5)
 EPOCH = datetime(2013, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -172,15 +172,6 @@ def test_infer_home_timestamp_tie_goes_to_smaller_id():
     (home,) = infer_home_locations(corpus, REF)
     assert home == oracle_homes(corpus, REF)[0]
     assert home.cell == snap_to_grid(project(GeoPoint(corpus.lat[1], corpus.lon[1]), REF))
-
-
-def test_infer_home_on_a_grid_too_fine_for_one_sort_key():
-    # cells of a micrometre: (users x columns x rows) passes 2**63, so the
-    # (user, cell) order comes from a lexsort instead of one int64 key
-    corpus = random_corpus(np.random.default_rng(47))
-    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-        assert infer_home_locations(corpus, REF, 1e-6) == oracle_homes(corpus, REF, 1e-6)
-    assert lexsort.called
 
 
 def test_infer_home_rejects_out_of_frame_tweet():
@@ -332,3 +323,26 @@ def test_observed_matrix_is_the_same_for_homes_and_their_rows():
         build_observed_matrix(museum_tweets, rows, zones, museums)[0].values,
         build_observed_matrix(museum_tweets, without_b, zones, museums)[0].values,
     )
+
+
+def test_homes_of_several_grid_sizes_keep_their_cells(tmp_path):
+    # the same (ix, iy) on two grids is two cells, each with its own centre
+    zones = zone_system()
+    rows = [UserHome("a", GridCell(1, 0), 2), UserHome("b", GridCell(1, 0, 250.0), 1), UserHome("c", GridCell(5, 0), 3)]
+    homes = assign_home_zone(rows, zones)
+    expected = oracle_zones(rows, zones)
+    assert list(homes) == expected and homes.resolution.tolist() == [100.0, 250.0, 100.0]
+    assert expected[0].zone_id != expected[1].zone_id
+    museums = [make_museum("m0", REF.lat + 0.001, REF.lon + 0.002)]
+    tweets = Corpus.from_tweets(
+        [Tweet(f"t{k}", user, EPOCH, GeoPoint(REF.lat + 0.001, REF.lon + 0.002), "museum") for k, user in enumerate("abc")]
+    )
+    matrix, _ = build_observed_matrix(tweets, homes, zones, museums)
+    again, _ = build_observed_matrix(tweets, expected, zones, museums)
+    assert np.array_equal(matrix.values, again.values)
+    assert matrix.total() == sum(h.zone_id is not None for h in expected)
+    path = tmp_path / "homes.csv"
+    write_homes_csv(expected, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+        f"{h.user_id},{h.cell.ix},{h.cell.iy},{h.tweet_count_at_cell},{h.zone_id or ''}" for h in expected
+    ]

@@ -11,6 +11,7 @@ chunk boundaries fall between (and around) them.
 
 import json
 import os
+import re
 import tempfile
 from datetime import datetime, timezone
 from unittest import mock
@@ -289,16 +290,30 @@ def bulk_only():
     return mock.patch.object(fileio, "_extend_by_line", side_effect=AssertionError("chunk fell back"))
 
 
-def test_every_stamp_a_line_takes_is_read_in_bulk(tmp_path):
+def by_line_watched():
+    """Watch the per-line reader: its mock records each chunk sent to it."""
+    return mock.patch.object(fileio, "_extend_by_line", wraps=fileio._extend_by_line)
+
+
+# The stamps a chunk may hold and stay in bulk: digits in the strict UTC
+# form, from year 0001 on (fields out of range fall back on their own).
+STRICT_UTC = {
+    s for s in STAMPS
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{6})?(Z|\+00:00)", s)
+    and not s.startswith("0000")
+}
+
+
+def test_strict_utc_stamps_are_read_in_bulk_and_the_rest_by_line(tmp_path):
+    assert {"2013-06-01T12:00:00.123456+00:00", "0001-01-01T00:00:00Z", "2013-06-01T24:00:00Z"} <= STRICT_UTC
+    assert not {"2013-06-01T12:00:00z", "2013-06-01T12:00:00.5Z", "2013-06-01T14:00:00+02:00"} & STRICT_UTC
     path = tmp_path / "t.ndjson"
     for stamp in STAMPS:
         path.write_text(record(stamp=stamp) + "\n" + record("2") + "\n", encoding="utf-8")
         expected = outcome(line_reader, path)
-        if expected[0] == "ok":
-            with bulk_only():  # strict UTC stamps through numpy, the rest one by one
-                assert outcome(read_tweets, path) == expected, stamp
-        else:
+        with by_line_watched() as by_line:
             assert outcome(read_tweets, path) == expected, stamp
+        assert by_line.called == (stamp not in STRICT_UTC or expected[0] == "error"), stamp
     rejected = {s for s in STAMPS if outcome(line_reader, _with_stamp(tmp_path, s))[0] == "error"}
     assert {"0000-06-01T12:00:00Z", "2013-02-30T12:00:00Z", "2013-06-01T23:59:60Z"} <= rejected
     assert "2013-06-01T12:00:00.123456+00:00" not in rejected
@@ -310,9 +325,9 @@ def _with_stamp(tmp_path, stamp):
     return path
 
 
-def test_brackets_conversions_blank_lines_and_crlf_stay_in_bulk(tmp_path):
+def test_conversions_blank_lines_and_crlf_stay_in_bulk(tmp_path):
     lines = [
-        record("1", text="museum [day] out"), "", record("2", source="4sq [app]"), "  ", record("3"),
+        record("1", text="museum day out"), "", record("2", source="4sq app"), "  ", record("3"),
         record(4, 5, lat="53.8", lon=-1, text=6, source=7), record("6", lat=True, lon=False, source=None),
     ]
     path = tmp_path / "t.ndjson"
@@ -321,6 +336,17 @@ def test_brackets_conversions_blank_lines_and_crlf_stay_in_bulk(tmp_path):
     assert expected[0] == "ok"
     with bulk_only():
         assert outcome(read_tweets, path) == expected
+
+
+def test_only_a_chunk_holding_a_bracket_is_read_by_line(tmp_path):
+    lines = [record("1"), record("2", text="museum [day] out"), record("3"), record("4", source="4sq]")]
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = outcome(line_reader, path)
+    assert expected[0] == "ok"
+    with mock.patch.object(fileio, "_CHUNK_BYTES", 1), by_line_watched() as by_line:  # a line per chunk
+        assert outcome(read_tweets, path) == expected
+    assert [call.args[2] for call in by_line.call_args_list] == [[lines[1].encode() + b"\n"], [lines[3].encode() + b"\n"]]
 
 
 def test_bulk_columns_equal_the_line_reader_on_a_large_clean_file(tmp_path):
