@@ -46,7 +46,7 @@ class SweepResult:
     """One calibration curve: fit at every grid point plus its optimum.
 
     r is NaN at grid points where the model matrix had no variance; those
-    points never win the argmax.
+    points never win the argmax. A constant observed matrix has no curve.
     """
 
     betas: tuple[float, ...]
@@ -69,6 +69,12 @@ def spec_name(spec: ModelSpec) -> str:
     return "baseline"
 
 
+def _centred(v: np.ndarray):
+    """The deviations of ``v`` from its mean, and their Euclidean norm."""
+    d = v - v.mean()
+    return d, math.sqrt(float(d @ d))
+
+
 def pearson_r(x, y) -> float:
     """Sample correlation of two equal-length vectors."""
     x = np.asarray(x, dtype=float).ravel()
@@ -77,10 +83,8 @@ def pearson_r(x, y) -> float:
         raise ShapeError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ShapeError(f"correlation needs at least 2 values, got {x.size}")
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = math.sqrt(float(xd @ xd))
-    sy = math.sqrt(float(yd @ yd))
+    xd, sx = _centred(x)
+    yd, sy = _centred(y)
     if sx == 0.0 or sy == 0.0:
         raise DegenerateVarianceError("correlation undefined for a constant vector")
     # clamp floating drift so the result stays in [-1, 1]
@@ -114,6 +118,8 @@ def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None)
         raise InvalidParameterError("beta grid must be a non-empty 1-D sequence")
     inputs = model_inputs(zones, museums, spec, observed)
     obs_flat = observed.reindex(inputs.origin_ids, inputs.destination_ids).flat()
+    if obs_flat.size >= 2 and _centred(obs_flat)[1] == 0.0:
+        raise DegenerateVarianceError(f"observed matrix constant ({obs_flat[0]:g} in every cell): correlation undefined")
     r_values = np.empty(betas.size)
     rms_values = np.empty(betas.size)
     for k, beta in enumerate(betas):

@@ -8,15 +8,14 @@ writers emit deterministic bytes: sorted keys, fixed field order, no
 timestamps of their own.
 
 :func:`read_tweets` reads the NDJSON file in chunks of about 64 KB of
-lines into the columns of a :class:`~museumflows.pipeline.Corpus`,
-through the same row encoder that
-:meth:`~museumflows.pipeline.Corpus.from_tweets` and the synthetic
-generator use; no Tweet object is built. Each chunk is parsed with one
-``json.loads`` and checked column by column. A chunk that holds ``[`` or
-``]`` anywhere (a bracket could merge a line with its neighbours), a
-stamp that is not strict UTC, or a line that fails any step goes through
-the per-line reader, so the first bad line is reported as ``path:line``
-with the message it always had.
+lines into the columns of a :class:`~museumflows.pipeline.Corpus`, one
+call per chunk of the column appender that ``Corpus.from_tweets`` and the
+synthetic generator use; no Tweet object is built. Each chunk is parsed
+with one ``json.loads`` and checked column by column. A chunk that holds
+``[`` or ``]`` anywhere (a bracket could merge a line with its
+neighbours), a stamp that is not strict UTC, or a line that fails any
+step goes through the per-line reader, which checks each line alone, so
+the first bad line is reported as ``path:line`` with its usual message.
 :func:`write_tweets` writes from those columns (a sequence of Tweet is
 encoded first), each timestamp in its own UTC offset, so a read/write
 cycle keeps the bytes. Every reader reports input that is not UTF-8 as a
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _CorpusBuilder
+from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _check_row, _CorpusBuilder, _utc_us
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
@@ -142,7 +141,8 @@ def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk) -> bool:
 
 
 def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk, path, lines_before: int) -> None:
-    """Append a chunk of raw lines one at a time, the first bad line raising as ``path:line``."""
+    """Append a chunk of raw lines, each checked on its own, the first bad line raising as ``path:line``."""
+    found = []
     for line_no, raw in enumerate(chunk, start=lines_before + 1):
         try:
             line = raw.decode("utf-8")
@@ -163,13 +163,15 @@ def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk, path, lines_before: 
         stamp = _parse_timestamp(obj["timestamp"], path, line_no)
         try:
             lat, lon = float(obj["lat"]), float(obj["lon"])
-            rows.add(tid, str(obj["user_id"]), stamp, lat, lon, str(obj["text"]),
-                     None if source is None else str(source))
+            user_id, text, source = str(obj["user_id"]), str(obj["text"]), None if source is None else str(source)
+            _check_row(tid, user_id, lat, lon, text)
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
         if tid in seen:
             raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
         seen.add(tid)
+        found.append((tid, user_id, _utc_us(stamp), stamp.tzinfo, lat, lon, text, source))
+    rows.extend(*(tuple(zip(*found)) or ((),) * 8))
 
 
 def read_tweets(path) -> Corpus:

@@ -7,8 +7,8 @@ count (home zone, nearest museum) pairs.
 
 The corpus is a :class:`Corpus`, a struct of arrays with one row per
 message: user codes, coordinates, UTC microsecond timestamps, ids, texts
-and sources. Rows are encoded in one place, a row appender that the NDJSON
-reader, the synthetic generator and :meth:`Corpus.from_tweets` all feed.
+and sources. Rows are encoded in one place, a column appender that the
+NDJSON reader, the synthetic generator and :meth:`Corpus.from_tweets` feed.
 Every stage takes a Corpus or any sequence of :class:`Tweet`, works on the
 columns with numpy, and returns the surviving rows as a Corpus in their
 input order. Text stages test strings in Python, but only the rows a
@@ -85,8 +85,10 @@ _NAIVE_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _check_tweet_fields(tid: str, user_id: str, text: str) -> None:
-    """The field rules of :class:`Tweet`, for readers that build no Tweet."""
+def _check_row(tid: str, user_id: str, lat: float, lon: float, text: str) -> None:
+    """The rules of one message: coordinate ranges first, raising through :class:`GeoPoint`, then the fields."""
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        GeoPoint(lat, lon)  # raises: out of range or not finite
     if not tid or not user_id:
         raise InvalidAttributeError("tweet id and user_id must be non-empty")
     if len(text) > MAX_TEXT_CODEPOINTS:
@@ -107,7 +109,7 @@ class Tweet:
     source: str | None = None
 
     def __post_init__(self):
-        _check_tweet_fields(self.id, self.user_id, self.text)
+        _check_row(self.id, self.user_id, self.location.lat, self.location.lon, self.text)
 
 
 def _datetime(us: int, zone) -> datetime:
@@ -131,8 +133,8 @@ class Corpus:
     epoch, UTC, for ordering), ``tz`` (int codes into ``tzinfos``, the
     stamps' own time zones), and object arrays ``ids``, ``texts`` and
     ``sources``. Every producer (the reader, the generator,
-    :meth:`from_tweets`) appends its rows through one encoder that makes
-    the checks of :class:`Tweet`, so the columns hold valid messages only.
+    :meth:`from_tweets`) appends its columns through one appender that
+    makes the checks of :class:`Tweet`, so they hold valid messages only.
 
     :meth:`rows` gives plain row tuples and iteration gives :class:`Tweet`
     rows. Both rebuild each timestamp in its own zone, so rows equal the
@@ -159,9 +161,12 @@ class Corpus:
 
     @classmethod
     def from_tweets(cls, tweets) -> "Corpus":
+        found = [
+            (t.id, t.user_id, _utc_us(t.timestamp), t.timestamp.tzinfo, t.location.lat, t.location.lon, t.text, t.source)
+            for t in tweets
+        ]
         rows = _CorpusBuilder()
-        for t in tweets:
-            rows.add(t.id, t.user_id, t.timestamp, t.location.lat, t.location.lon, t.text, t.source)
+        rows.extend(*(tuple(zip(*found)) or ((),) * 8))
         return rows.corpus()
 
     def take(self, rows) -> "Corpus":
@@ -198,14 +203,6 @@ class Corpus:
     __hash__ = None
 
 
-def _check_row(tid: str, user_id: str, lat: float, lon: float, text: str) -> None:
-    """The checks of :class:`Tweet`: coordinate ranges first, raising through :class:`GeoPoint`, then the fields."""
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        GeoPoint(lat, lon)  # raises: out of range or not finite
-    if not tid or not user_id or len(text) > MAX_TEXT_CODEPOINTS:
-        _check_tweet_fields(tid, user_id, text)
-
-
 def _utc_us(stamp: datetime) -> int:
     """Microseconds since 1970-01-01 UTC; a naive stamp counts as UTC."""
     return (stamp - (_NAIVE_EPOCH if stamp.tzinfo is None else _EPOCH)) // _MICROSECOND
@@ -219,12 +216,10 @@ def _codes(table: dict, keys) -> list:
 class _CorpusBuilder:
     """Appends messages to the columns of a :class:`Corpus`.
 
-    The one place a message becomes a row: :meth:`add` checks it as
-    :class:`Tweet` does, assigns its user and time-zone codes and turns its
-    stamp into microseconds since 1970-01-01 UTC. A naive stamp counts as
-    UTC; aware stamps order by instant whatever their UTC offset, as
-    datetime comparison does. :meth:`extend` appends whole columns whose
-    stamps are already microseconds, with the same checks and codes.
+    The one place messages become rows: :meth:`extend` takes them as
+    columns, checks them as :class:`Tweet` does, and assigns their user
+    and time-zone codes. Every producer feeds it: the NDJSON reader, once
+    per chunk, :meth:`Corpus.from_tweets` and the synthetic generator.
     """
 
     __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
@@ -236,27 +231,13 @@ class _CorpusBuilder:
         self.user, self.stamp_us, self.tz = array("q"), array("q"), array("q")
         self.lat, self.lon = array("d"), array("d")
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def add(self, tid: str, user_id: str, stamp: datetime, lat: float, lon: float, text: str, source=None):
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0 and tid and user_id and len(text) <= MAX_TEXT_CODEPOINTS):
-            _check_row(tid, user_id, lat, lon, text)  # raises
-        self.ids.append(tid)
-        self.user.append(self.users.setdefault(user_id, len(self.users)))
-        self.stamp_us.append(_utc_us(stamp))
-        self.tz.append(self.tzinfos.setdefault(stamp.tzinfo, len(self.tzinfos)))
-        self.lat.append(lat)
-        self.lon.append(lon)
-        self.texts.append(text)
-        self.sources.append(source)
-
     def extend(self, ids, user_ids, stamp_us, zones, lat, lon, texts, sources):
-        """Append rows given as columns, as :meth:`add` appends each row.
+        """Append rows given as columns, one sequence per field.
 
-        ``stamp_us`` holds each stamp as :func:`_utc_us` gives it and
-        ``zones`` its own time zone. Should any row fail a check, the first
-        such row raises as :meth:`add` would, and nothing is appended.
+        ``stamp_us`` holds each stamp as :func:`_utc_us` gives it (naive
+        counts as UTC) and ``zones`` its own time zone. Should any row fail
+        a check, the first such row raises as :func:`_check_row` does, and
+        nothing is appended.
         """
         lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
         in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
@@ -735,10 +716,8 @@ def build_observed_matrix(museum_tweets, homes, zones, museums):
     homes = _as_homes(homes)
     zone_ids = [z.id for z in zones]
     museum_ids = [m.id for m in museums]
-    # a repeated label takes the counts of its first occurrence; zone ids
-    # outside the zone list count as contributing but land in no row
-    zone_row = {z: i for i, z in reversed(list(enumerate(zone_ids)))}
-    museum_col = {m: j for j, m in reversed(list(enumerate(museum_ids)))}
+    # zone ids outside the zone list count as contributing but land in a spare row
+    zone_row = {z: i for i, z in enumerate(zone_ids)}
     row_of_zone = np.array([zone_row.get(z, len(zone_ids)) for z in homes.zone_ids] + [-1], dtype=np.int64)
     if homes.users is corpus.users:
         user = homes.user
@@ -755,8 +734,7 @@ def build_observed_matrix(museum_tweets, homes, zones, museums):
     cells = tweet_row[rows] * max(len(museums), 1) + _nearest_museums(corpus, rows, museums)
     counts = np.bincount(cells, minlength=(len(zone_ids) + 1) * len(museums))
     counts = counts.reshape(len(zone_ids) + 1, len(museums)).astype(float)
-    values = counts[[zone_row[z] for z in zone_ids]][:, [museum_col[m] for m in museum_ids]]
-    matrix = FlowMatrix(zone_ids, museum_ids, values)
+    matrix = FlowMatrix(zone_ids, museum_ids, counts[:-1])  # ShapeError: a repeated zone or museum id
     contributors = int(np.count_nonzero(np.bincount(corpus.user[rows], minlength=1)))
     entry = StageCount("aggregate", len(corpus), len(rows), contributors)
     return matrix, entry

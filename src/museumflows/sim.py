@@ -134,7 +134,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FlowMatrix:
-    """Labeled non-negative origin-destination matrix."""
+    """Labeled non-negative origin-destination matrix; no origin or destination id repeats."""
 
     origin_ids: tuple[str, ...]
     destination_ids: tuple[str, ...]
@@ -143,6 +143,9 @@ class FlowMatrix:
     def __post_init__(self):
         object.__setattr__(self, "origin_ids", tuple(self.origin_ids))
         object.__setattr__(self, "destination_ids", tuple(self.destination_ids))
+        for kind, ids in (("origin", self.origin_ids), ("destination", self.destination_ids)):
+            if len(set(ids)) < len(ids):
+                raise ShapeError(f"repeated {kind} ids: {', '.join(sorted({i for i in ids if ids.count(i) > 1}))}")
         arr = np.array(self.values, dtype=float)
         if arr.shape != (len(self.origin_ids), len(self.destination_ids)):
             raise ShapeError(

@@ -3,9 +3,9 @@
 Trips are drawn multinomially from the model's flow matrix. Every trip gets
 its own user: a burst of keyword-free tweets pinned to the origin zone (so
 home inference must land there) plus one keyword tweet at the museum point.
-Decoy users add keyword-free chatter at random locations. Messages go
-straight into the columns of a :class:`~museumflows.pipeline.Corpus`,
-through the same row encoder as the NDJSON reader; no Tweet is built.
+Decoy users add keyword-free chatter at random locations. Messages are
+collected as columns (stamps as integer microseconds) and go into a Corpus
+in one call of the column appender the NDJSON reader uses.
 
 All randomness comes from numpy's default_rng (PCG64) seeded from the
 config, which keeps corpora byte-identical across platforms and runs.
@@ -14,8 +14,9 @@ config, which keeps corpora byte-identical across platforms and runs.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .geometry import (
     snap_to_grid,
     unproject,
 )
-from .pipeline import GRID_RESOLUTION_M, Corpus, _CorpusBuilder, run_pipeline
+from .pipeline import GRID_RESOLUTION_M, Corpus, _CorpusBuilder, _utc_us, run_pipeline
 from .sim import FlowMatrix, ModelSpec, Museum, Zone, unconstrained_flows
 
 EPOCH = datetime(2013, 6, 1, 8, 0, 0, tzinfo=timezone.utc)
@@ -132,10 +133,16 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
     truth = FlowMatrix(truth_model.origin_ids, truth_model.destination_ids, counts.astype(float))
 
     lo, hi = cfg.home_tweets_per_user
-    rows = _CorpusBuilder()
+    epoch_us = _utc_us(EPOCH)
+    users, texts = [], []
+    stamp_us, lat_col, lon_col = array("q"), array("d"), array("d")
 
-    def emit(user, when, lat, lon, text):
-        rows.add(f"syn{len(rows) + 1:07d}", user, when, lat, lon, text)
+    def emit(user, hours, minutes, lat, lon, text):
+        users.append(user)
+        stamp_us.append(epoch_us + hours * 3_600_000_000 + minutes * 60_000_000)
+        lat_col.append(lat)
+        lon_col.append(lon)
+        texts.append(text)
 
     trip = 0
     for i, zone in enumerate(zones):
@@ -143,13 +150,12 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
         for j, museum in enumerate(museums):
             for _ in range(int(counts[i, j])):
                 user = f"t{trip:05d}"
-                start = EPOCH + timedelta(hours=trip)
                 n_home = int(rng.integers(lo, hi + 1))
                 for k in range(n_home):
                     text = HOME_TEXTS[int(rng.integers(len(HOME_TEXTS)))]
-                    emit(user, start + timedelta(minutes=k), home.lat, home.lon, text)
+                    emit(user, trip, k, home.lat, home.lon, text)
                 text = MUSEUM_TEXTS[int(rng.integers(len(MUSEUM_TEXTS)))]
-                emit(user, start + timedelta(minutes=n_home), museum.location.lat, museum.location.lon, text)
+                emit(user, trip, n_home, museum.location.lat, museum.location.lon, text)
                 trip += 1
 
     if cfg.noise > 0.0:
@@ -160,9 +166,13 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
             lat = float(rng.uniform(min(lats), max(lats)))
             lon = float(rng.uniform(min(lons), max(lons)))
             text = DECOY_TEXTS[int(rng.integers(len(DECOY_TEXTS)))]
-            emit(f"d{d:05d}", EPOCH + timedelta(hours=trip, minutes=d), lat, lon, text)
+            emit(f"d{d:05d}", trip, d, lat, lon, text)
 
-    return rows.corpus().take(rng.permutation(len(rows))), truth
+    n = len(users)
+    rows = _CorpusBuilder()
+    rows.extend([f"syn{k:07d}" for k in range(1, n + 1)], users, stamp_us, [EPOCH.tzinfo] * n, lat_col, lon_col, texts, [None] * n)
+    del users, texts, stamp_us, lat_col, lon_col  # copied into rows; not kept through the shuffled copy
+    return rows.corpus().take(rng.permutation(n)), truth
 
 
 def recovery_report(zones, museums, cfg: SynthConfig, ref: GeoPoint, grid=None) -> RecoveryReport:

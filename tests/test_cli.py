@@ -393,6 +393,22 @@ def test_calibrate_from_tweets(tmp_path, small_region):
     assert len(doc["points"]) == 5
 
 
+def test_calibrate_on_a_constant_observed_matrix_names_it(tmp_path, small_region, capsys):
+    obs_path = tmp_path / "observed.csv"
+    obs_path.write_text("zone_id,m1,m2\nzA,0,0\nzB,0,0\nzC,0,0\n", encoding="utf-8")
+    code = main(
+        [
+            "calibrate",
+            "--zones", small_region["zones"],
+            "--museums", small_region["museums"],
+            "--observed", str(obs_path),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    assert "observed matrix constant (0 in every cell)" in capsys.readouterr().err
+
+
 def test_calibrate_needs_exactly_one_source(tmp_path, small_region, capsys):
     base = [
         "calibrate",
@@ -520,3 +536,18 @@ def test_simulate_reproduces_the_demo_fixture(tmp_path):
     for name in ("corpus.ndjson", "truth.csv", "sweep.csv", "recovery.json", "zones.geojson", "museums.geojson"):
         with open(os.path.join(DEMO, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+def test_flows_with_a_repeated_zone_id_is_a_reported_error(tmp_path, capsys):
+    # as a zone whose multipolygon is split over several features would give
+    with open(os.path.join(DEMO, "zones.geojson"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["features"][1]["properties"]["id"] = doc["features"][0]["properties"]["id"]
+    zones = tmp_path / "zones.geojson"
+    zones.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [
+        "flows", "--tweets", os.path.join(DEMO, "corpus.ndjson"), "--zones", str(zones),
+        "--museums", os.path.join(DEMO, "museums.geojson"), "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 1
+    assert "repeated origin ids: z000" in capsys.readouterr().err

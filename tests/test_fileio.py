@@ -366,6 +366,9 @@ def test_matrix_csv_errors_name_line(tmp_path):
     path.write_text("not,a,matrix\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=r"m\.csv:1"):
         read_matrix_csv(path)
+    path.write_text("zone_id,m1\nz1,1.0\nz2,2.0\nz1,3.0\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"m\.csv: repeated origin ids: z1$"):
+        read_matrix_csv(path)
 
 
 # --- sweeps ---

@@ -1,8 +1,9 @@
 """The chunked NDJSON reader against the per-line reader it replaced.
 
 ``line_reader`` below is that reader as it stood: each line decoded,
-parsed with ``json.loads``, converted and appended on its own, so the first
-bad line raises. The chunked reader must give the same columns, or raise
+parsed with ``json.loads`` and converted into a :class:`Tweet` on its own,
+so the first bad line raises, and the Tweets encoded by
+``Corpus.from_tweets``. The chunked reader must give the same columns, or raise
 the same message, on any input. Hypothesis builds files from valid
 records, records with every value the per-line reader converts or rejects,
 and raw lines that are not records; the chunk size is patched down so that
@@ -13,7 +14,7 @@ import json
 import os
 import re
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from museumflows import fileio
 from museumflows.errors import DataFormatError, FlowModelError
 from museumflows.fileio import read_tweets
-from museumflows.pipeline import _CorpusBuilder, _utc_us
+from museumflows.geometry import GeoPoint
+from museumflows.pipeline import Corpus, Tweet, _CorpusBuilder, _utc_us
 
 FIELDS = ("id", "user_id", "timestamp", "lat", "lon", "text")
 
@@ -45,7 +47,7 @@ def parse_timestamp(raw, path, line_no):
 
 
 def line_reader(path):
-    rows = _CorpusBuilder()
+    rows = []
     seen = set()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -71,14 +73,14 @@ def line_reader(path):
             stamp = parse_timestamp(obj["timestamp"], path, line_no)
             try:
                 lat, lon = float(obj["lat"]), float(obj["lon"])
-                rows.add(tid, str(obj["user_id"]), stamp, lat, lon, str(obj["text"]),
-                         None if source is None else str(source))
+                rows.append(Tweet(tid, str(obj["user_id"]), stamp, GeoPoint(lat, lon), str(obj["text"]),
+                                  None if source is None else str(source)))
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
             if tid in seen:
                 raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
             seen.add(tid)
-    return rows.corpus()
+    return Corpus.from_tweets(rows)
 
 
 def columns(corpus):
@@ -362,7 +364,7 @@ def test_bulk_columns_equal_the_line_reader_on_a_large_clean_file(tmp_path):
     assert kind == "ok" and len(got[0]) == 3000
 
 
-def test_extend_checks_as_add_does_and_appends_nothing_on_a_fault():
+def test_extend_checks_as_a_tweet_does_and_appends_nothing_on_a_fault():
     stamp = datetime(2013, 6, 1, 12, tzinfo=timezone.utc)
     good = ("a", "u", stamp, 53.8, -1.5, "hi", None)
     later = ("c", "w", stamp, -91.0, -1.5, "hi", "web")  # bad as well, but after
@@ -373,25 +375,31 @@ def test_extend_checks_as_add_does_and_appends_nothing_on_a_fault():
         ("b", "v", stamp, 53.8, -1.5, "x" * 281, None),
     ):
         with pytest.raises(FlowModelError) as expected:
-            _CorpusBuilder().add(*bad)
+            tweet(*bad)
         rows = _CorpusBuilder()
-        rows.add(*good)
-        tids, users, stamps, lat, lon, texts, sources = zip(good, bad, later)
+        extend(rows, good)
+        before = columns(rows.corpus())
         with pytest.raises(type(expected.value)) as got:
-            rows.extend(tids, users, [_utc_us(s) for s in stamps], [s.tzinfo for s in stamps], lat, lon, texts, sources)
+            extend(rows, good, bad, later)
         assert str(got.value) == str(expected.value)
-        assert columns(rows.corpus()) == columns(_one(good))
+        assert columns(rows.corpus()) == before
 
-    added = _CorpusBuilder()
-    for row in (good, later[:3] + (53.0,) + later[4:]):
-        added.add(*row)
-    extended = _CorpusBuilder()
-    tids, users, stamps, lat, lon, texts, sources = zip(good, later[:3] + (53.0,) + later[4:])
-    extended.extend(tids, users, [_utc_us(s) for s in stamps], [s.tzinfo for s in stamps], lat, lon, texts, sources)
-    assert columns(extended.corpus()) == columns(added.corpus())
-
-
-def _one(row):
+    plus_two = timezone(timedelta(hours=2))
     rows = _CorpusBuilder()
-    rows.add(*row)
-    return rows.corpus()
+    extend(rows, good, ("c", "w", stamp.replace(tzinfo=plus_two), 53.0, -1.5, "hé", "web"))
+    extend(rows, ("d", "u", stamp.replace(tzinfo=None), -90.0, 180.0, "x" * 280, None))
+    noon_us = 1370088000 * 10**6  # 2013-06-01T12:00:00Z
+    assert columns(rows.corpus()) == (
+        ["a", "c", "d"], ("u", "w"), [0, 1, 0], np.array([53.8, 53.0, -90.0]).tobytes(),
+        np.array([-1.5, -1.5, 180.0]).tobytes(), [noon_us, noon_us - 7200 * 10**6, noon_us],
+        (timezone.utc, plus_two, None), [0, 1, 2], ["hi", "hé", "x" * 280], [None, "web", None],
+    )
+
+
+def tweet(tid, user, stamp, lat, lon, text, source):
+    return Tweet(tid, user, stamp, GeoPoint(lat, lon), text, source)
+
+
+def extend(rows, *tweet_rows):
+    tids, users, stamps, lat, lon, texts, sources = zip(*tweet_rows)
+    rows.extend(tids, users, [_utc_us(s) for s in stamps], [s.tzinfo for s in stamps], lat, lon, texts, sources)

@@ -72,6 +72,10 @@ def test_flow_matrix_validation_and_access():
         FlowMatrix(("a",), ("x",), [[-1.0]])
     with pytest.raises(ShapeError):
         FlowMatrix(("a",), ("x",), [[float("nan")]])
+    with pytest.raises(ShapeError, match="repeated origin ids: a$"):
+        FlowMatrix(("a", "b", "a"), ("x",), [[1.0], [2.0], [3.0]])
+    with pytest.raises(ShapeError, match="repeated destination ids: x, y$"):
+        FlowMatrix(("a",), ("y", "x", "z", "y", "x"), [[1.0, 2.0, 3.0, 4.0, 5.0]])
 
 
 def test_flow_matrix_values_read_only():

@@ -50,6 +50,26 @@ def test_same_seed_same_corpus():
     assert np.array_equal(a_truth.values, b_truth.values)
 
 
+def row_columns(corpus):
+    """A Corpus's columns with codes resolved to names and zones, floats by their bits."""
+    return (
+        [corpus.users[c] for c in corpus.user.tolist()], corpus.stamp_us.tolist(),
+        [corpus.tzinfos[c] for c in corpus.tz.tolist()], corpus.lat.tobytes(), corpus.lon.tobytes(),
+        corpus.ids.tolist(), corpus.texts.tolist(), corpus.sources.tolist(),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_zones, n_museums, region_seed, n_trips, noise, seed",
+    [(6, 3, 1, 300, 0.4, 77), (12, 4, 20130601, 800, 0.1, 20130601)],  # noisy; data/demo
+)
+def test_generated_corpus_equals_the_corpus_of_its_tweets(n_zones, n_museums, region_seed, n_trips, noise, seed):
+    region = demo_region(n_zones, n_museums, seed=region_seed)
+    cfg = SynthConfig(true_spec=SPEC, n_trips=n_trips, noise=noise, seed=seed)
+    corpus, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    assert row_columns(corpus) == row_columns(Corpus.from_tweets(list(corpus)))
+
+
 def test_generated_corpus_is_the_corpus_recovery_reports():
     region = demo_region(6, 3, seed=1)
     cfg = SynthConfig(true_spec=SPEC, n_trips=150, noise=0.2, seed=8)
