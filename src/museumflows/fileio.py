@@ -9,17 +9,18 @@ timestamps of their own.
 
 :func:`read_tweets` reads the NDJSON file in chunks of about 64 KB of
 lines into the columns of a :class:`~museumflows.pipeline.Corpus`, one
-call per chunk of the column appender that ``Corpus.from_tweets`` and the
-synthetic generator use; no Tweet object is built. Each chunk is parsed
-with one ``json.loads`` and checked column by column. A chunk that holds
-``[`` or ``]`` anywhere (a bracket could merge a line with its
-neighbours), a stamp that is not strict UTC, or a line that fails any
-step goes through the per-line reader, which checks each line alone, so
-the first bad line is reported as ``path:line`` with its usual message.
-:func:`write_tweets` writes from those columns (a sequence of Tweet is
-encoded first), each timestamp in its own UTC offset, so a read/write
-cycle keeps the bytes. Every reader reports input that is not UTF-8 as a
-:class:`DataFormatError` naming the file (and, for NDJSON, the line).
+call of the column appender per chunk; no Tweet object is built. Each
+chunk is parsed with one ``json.loads`` and checked column by column. A
+chunk that holds ``[`` or ``]`` anywhere (a bracket could merge a line
+with its neighbours), a stamp that is not strict UTC, or a line that
+fails any step goes through the per-line reader, which checks each line
+alone, so the first bad line is reported as ``path:line`` with its usual
+message. :func:`write_tweets` writes from those columns in slices of
+4,096 rows, one f-string per row; stamps in a zero-offset ``timezone``
+come from numpy, the rest from ``isoformat``, each in its own UTC
+offset, so a read/write cycle keeps the bytes. Every reader reports
+input that is not UTF-8 as a :class:`DataFormatError` naming the file
+(and, for NDJSON, the line).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _check_row, _CorpusBuilder, _utc_us
+from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _check_row, _CorpusBuilder, _datetime, _utc_us
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
@@ -198,25 +199,41 @@ def read_tweets(path) -> Corpus:
     return rows.corpus()
 
 
-_encode_tweet = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # json.dumps with these flags
+_WRITE_ROWS = 4096  # rows formatted and written together, so a slice's strings stay small beside the corpus
+_json_str = json.encoder.encode_basestring  # as json.dumps(..., ensure_ascii=False) writes a str
+
+
+def _iso_stamps(stamp_us, tz, zones, zulu) -> list:
+    """Each stamp as isoformat writes it in its own zone, ``+00:00`` as ``Z``; by numpy where ``zulu[tz]``."""
+    stamps = np.empty(len(stamp_us), dtype=object)
+    fast, whole = zulu[tz], stamp_us % 1_000_000 == 0
+    for unit, rows in (("s", fast & whole), ("us", fast & ~whole)):  # isoformat drops a zero fraction
+        stamps[rows] = [s + "Z" for s in np.datetime_as_string(stamp_us[rows].astype("M8[us]"), unit=unit).tolist()]
+    for i in np.flatnonzero(~fast).tolist():  # naive stamps and other zones
+        stamps[i] = _datetime(int(stamp_us[i]), zones[tz[i]]).isoformat().replace("+00:00", "Z")
+    return stamps.tolist()
 
 
 def write_tweets(tweets, path) -> None:
-    """Write a Corpus, or any sequence of Tweet, as NDJSON, from the columns."""
+    """Write a Corpus, or any sequence of Tweet, as NDJSON from the columns, :data:`_WRITE_ROWS` rows at a time.
+
+    Stamps in a zero-offset ``timezone`` come from numpy, the rest from ``isoformat``. Each line is one
+    f-string holding what ``json.dumps(row, sort_keys=True, ensure_ascii=False)`` gives.
+    """
     corpus = tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
+    users = [_json_str(user) for user in corpus.users]
+    zulu = np.array([isinstance(z, timezone) and z.utcoffset(None) == timedelta(0) for z in corpus.tzinfos], dtype=bool)
     with open(path, "w", encoding="utf-8") as fh:
-        for tid, user_id, stamp, lat, lon, text, source in corpus.rows():
-            obj = {
-                "id": tid,
-                "user_id": user_id,
-                "timestamp": stamp.isoformat().replace("+00:00", "Z"),
-                "lat": lat,
-                "lon": lon,
-                "text": text,
-            }
-            if source is not None:
-                obj["source"] = source
-            fh.write(_encode_tweet(obj) + "\n")
+        for start in range(0, len(corpus), _WRITE_ROWS):
+            part = slice(start, start + _WRITE_ROWS)
+            stamps = _iso_stamps(corpus.stamp_us[part], corpus.tz[part], corpus.tzinfos, zulu)
+            sources = ["" if s is None else f'"source": {_json_str(s)}, ' for s in corpus.sources[part].tolist()]
+            columns = (corpus.ids[part], corpus.user[part], corpus.lat[part], corpus.lon[part], corpus.texts[part])
+            fh.writelines(
+                f'{{"id": {_json_str(tid)}, "lat": {lat!r}, "lon": {lon!r}, {source}"text": {_json_str(text)}, '
+                f'"timestamp": "{stamp}", "user_id": {users[code]}}}\n'
+                for tid, code, lat, lon, text, stamp, source in zip(*(c.tolist() for c in columns), stamps, sources)
+            )
 
 
 # --- GeoJSON plumbing ---
@@ -327,6 +344,8 @@ def read_zones(path):
             )
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: {label}: {exc}") from exc
+    if len(ids := [zid for zid, *_ in parsed]) > len(set(ids)):
+        raise DataFormatError(f"{path}: repeated zone ids: {', '.join(sorted({z for z in ids if ids.count(z) > 1}))}")
     ref = GeoPoint(
         min(p.lat for *_, rings in parsed for ring in rings for p in ring),
         min(p.lon for *_, rings in parsed for ring in rings for p in ring),

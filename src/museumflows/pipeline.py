@@ -85,10 +85,12 @@ _NAIVE_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _check_row(tid: str, user_id: str, lat: float, lon: float, text: str) -> None:
+def _check_row(tid: str, user_id: str, lat: float, lon: float, text: str, source: str | None = None) -> None:
     """The rules of one message: coordinate ranges first, raising through :class:`GeoPoint`, then the fields."""
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         GeoPoint(lat, lon)  # raises: out of range or not finite
+    if not all(isinstance(field, str) for field in (tid, user_id, text, "" if source is None else source)):
+        raise InvalidAttributeError(f"tweet {tid!r}: id, user_id, text and source must be str (source may be None)")
     if not tid or not user_id:
         raise InvalidAttributeError("tweet id and user_id must be non-empty")
     if len(text) > MAX_TEXT_CODEPOINTS:
@@ -109,7 +111,7 @@ class Tweet:
     source: str | None = None
 
     def __post_init__(self):
-        _check_row(self.id, self.user_id, self.location.lat, self.location.lon, self.text)
+        _check_row(self.id, self.user_id, self.location.lat, self.location.lon, self.text, self.source)
 
 
 def _datetime(us: int, zone) -> datetime:
@@ -136,13 +138,13 @@ class Corpus:
     :meth:`from_tweets`) appends its columns through one appender that
     makes the checks of :class:`Tweet`, so they hold valid messages only.
 
-    :meth:`rows` gives plain row tuples and iteration gives :class:`Tweet`
-    rows. Both rebuild each timestamp in its own zone, so rows equal the
-    tweets the corpus was read or built from. A Corpus equals any sequence
-    of equal rows. There is no indexing: one row's point for a scalar
-    decision is ``GeoPoint(corpus.lat[i], corpus.lon[i])``. :meth:`take`
-    selects rows; the names table is shared, so a user code means the same
-    user in every corpus taken from one source.
+    Iteration gives :class:`Tweet` rows, each timestamp rebuilt in its own
+    zone, so they equal the tweets the corpus was read or built from. A
+    Corpus equals any sequence of equal rows. There is no indexing: one
+    row's point for a scalar decision is ``GeoPoint(corpus.lat[i],
+    corpus.lon[i])``. :meth:`take` selects rows; the names table is
+    shared, so a user code means the same user in every corpus taken from
+    one source.
     """
 
     __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
@@ -181,19 +183,13 @@ class Corpus:
         """Number of distinct users with at least one row."""
         return int(np.count_nonzero(np.bincount(self.user, minlength=len(self.users))))
 
-    def rows(self):
-        """(id, user_id, timestamp, lat, lon, text, source) per row, in order."""
-        users, zones = self.users, self.tzinfos
-        columns = (self.ids, self.user, self.stamp_us, self.tz, self.lat, self.lon, self.texts, self.sources)
-        for tid, code, us, tz, lat, lon, text, source in zip(*(c.tolist() for c in columns)):
-            yield tid, users[code], _datetime(us, zones[tz]), lat, lon, text, source
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def __iter__(self):
-        for tid, user_id, stamp, lat, lon, text, source in self.rows():
-            yield Tweet(tid, user_id, stamp, GeoPoint(lat, lon), text, source)
+        columns = (self.ids, self.user, self.stamp_us, self.tz, self.lat, self.lon, self.texts, self.sources)
+        for tid, code, us, tz, lat, lon, text, source in zip(*(c.tolist() for c in columns)):
+            yield Tweet(tid, self.users[code], _datetime(us, self.tzinfos[tz]), GeoPoint(lat, lon), text, source)
 
     def __eq__(self, other):
         if not isinstance(other, (Corpus, list, tuple)):
@@ -242,7 +238,7 @@ class _CorpusBuilder:
         lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
         in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
         if not (in_range.all() and all(ids) and all(user_ids) and max(map(len, texts), default=0) <= MAX_TEXT_CODEPOINTS):
-            for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts):
+            for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts, sources):
                 _check_row(*row)
         self.ids += ids
         self.user.extend(_codes(self.users, user_ids))

@@ -538,16 +538,31 @@ def test_simulate_reproduces_the_demo_fixture(tmp_path):
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
-def test_flows_with_a_repeated_zone_id_is_a_reported_error(tmp_path, capsys):
-    # as a zone whose multipolygon is split over several features would give
+def repeated_zone_file(tmp_path):
+    """data/demo's zones with the second feature given the first one's id."""
     with open(os.path.join(DEMO, "zones.geojson"), encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["features"][1]["properties"]["id"] = doc["features"][0]["properties"]["id"]
     zones = tmp_path / "zones.geojson"
     zones.write_text(json.dumps(doc), encoding="utf-8")
+    return zones
+
+
+def test_flows_with_a_repeated_zone_id_is_a_reported_error(tmp_path, capsys):
+    # as a zone whose multipolygon is split over several features would give
+    zones = repeated_zone_file(tmp_path)
     argv = [
         "flows", "--tweets", os.path.join(DEMO, "corpus.ndjson"), "--zones", str(zones),
         "--museums", os.path.join(DEMO, "museums.geojson"), "--out", str(tmp_path / "out"),
     ]
     assert main(argv) == 1
-    assert "repeated origin ids: z000" in capsys.readouterr().err
+    assert f"error: {zones}: repeated zone ids: z000\n" == capsys.readouterr().err
+
+
+def test_homes_with_a_repeated_zone_id_is_the_same_reported_error(tmp_path, capsys):
+    # homes used to label both features' users z000 and exit 0
+    zones = repeated_zone_file(tmp_path)
+    argv = ["homes", "--tweets", os.path.join(DEMO, "corpus.ndjson"), "--zones", str(zones), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: {zones}: repeated zone ids: z000\n" == capsys.readouterr().err
+    assert not (tmp_path / "out" / "homes.csv").exists()

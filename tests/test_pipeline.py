@@ -126,6 +126,16 @@ def test_tweet_validation():
         UserHome("u", GridCell(0, 0), 0)
 
 
+def test_message_fields_that_are_not_strings_are_rejected():
+    # an int id or source used to be written as a JSON number, and read back as a string
+    for user, text, tid, source in [
+        ("u1", "hi", 5, None), (7, "hi", "t1", None), ("u1", b"hi", "t1", None), ("u1", "hi", "t1", 7), ("u1", "hi", "t1", b"web"),
+    ]:
+        with pytest.raises(InvalidAttributeError, match="must be str"):
+            tw(user, 53.8, -1.5, text, tid=tid, source=source)
+    assert tw("u1", 53.8, -1.5, "hi", source="").source == ""
+
+
 def test_remove_automated_accounts():
     static = [at_planar("bot", 500.0, 500.0, f"update {i}") for i in range(12)]
     roaming = [at_planar("roamer", 500.0 * i, 0.0, f"hello {i} museum") for i in range(12)]
