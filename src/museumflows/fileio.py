@@ -35,7 +35,20 @@ import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _check_row, _CorpusBuilder, _datetime, _utc_us
+from .pipeline import (
+    _FIRST_US,
+    _LAST_US,
+    _STAMP_RANGE,
+    Corpus,
+    PipelineReport,
+    StageCount,
+    TaggedFeature,
+    _as_homes,
+    _check_row,
+    _CorpusBuilder,
+    _datetime,
+    _utc_us,
+)
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
@@ -59,6 +72,8 @@ def _parse_timestamp(raw, path, line_no) -> datetime:
         raise DataFormatError(f"{path}:{line_no}: bad timestamp {raw!r}") from exc
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
+    if not _FIRST_US <= _utc_us(stamp) <= _LAST_US:  # such as 9999-12-31T23:00:00-05:30
+        raise DataFormatError(f"{path}:{line_no}: timestamp {raw!r} {_STAMP_RANGE}")
     return stamp
 
 
@@ -74,12 +89,12 @@ _CHUNK_BYTES = 1 << 16
 # The stamps numpy's datetime64 parses as datetime.fromisoformat does, once
 # the UTC suffix is cut off: digits zeroed, each has one of these shapes.
 # numpy raises on a month, day, hour, minute or second out of range, as
-# datetime does; it takes year 0000, which datetime does not.
+# datetime does; it takes year 0000, which datetime does not, and which the
+# column appender then rejects.
 _UTC_SHAPES = frozenset(
     "0000-00-00T00:00:00" + fraction + suffix for fraction in ("", ".000000") for suffix in ("Z", "+00:00")
 )
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
-_YEAR_ONE_US = (datetime(1, 1, 1) - datetime(1970, 1, 1)) // timedelta(microseconds=1)
 
 
 def _json_values(text: str):
@@ -104,8 +119,7 @@ def _utc_stamp_us(stamps):
     if len(shapes) != utc or utc != len(stamps) or not _UTC_SHAPES.issuperset(shapes):
         return None
     naive = joined.replace("Z\n", "\n").replace("+00:00\n", "\n").split("\n")[:-1]
-    stamp_us = np.array(naive, dtype="datetime64[us]").astype(np.int64)  # ValueError: a field out of range
-    return stamp_us if stamp_us.min() >= _YEAR_ONE_US else None
+    return np.array(naive, dtype="datetime64[us]").astype(np.int64)  # ValueError: a field out of range
 
 
 def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk) -> bool:

@@ -12,7 +12,7 @@ NDJSON reader, the synthetic generator and :meth:`Corpus.from_tweets` feed.
 Every stage takes a Corpus or any sequence of :class:`Tweet`, works on the
 columns with numpy, and returns the surviving rows as a Corpus in their
 input order. Text stages test strings in Python, but only the rows a
-case-folded substring test leaves them. Where numpy's arithmetic may
+case-folded substring test leaves them, most by one regex search. Where numpy's arithmetic may
 round differently from the scalar geometry (``hypot``, ``arcsin``), rows
 within a hair of a decision are re-decided by the scalar functions, so
 every result is the one a per-message loop gives. Homes are a
@@ -77,16 +77,24 @@ GRID_RESOLUTION_M = 100.0
 # hypot, sin and arcsin, far narrower than any real difference.
 _TIE_BAND = 1e-9
 
-_TOKEN_SPLIT = re.compile(r"[\s.,!?:;]+")
+_SEPARATORS = r"\s.,!?:;"  # what splits tokens, as a character class body
+_TOKEN_SPLIT = re.compile(f"[{_SEPARATORS}]+")
 _URL = re.compile(r"\S+://\S+|\bt\.co/\S+", re.IGNORECASE)
+_URL_HINT = re.compile(r"://|t\.co/", re.IGNORECASE)  # every _URL match holds one of these
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _check_row(tid: str, user_id: str, lat: float, lon: float, text: str, source: str | None = None) -> None:
-    """The rules of one message: coordinate ranges first, raising through :class:`GeoPoint`, then the fields."""
+def _check_row(
+    tid: str, user_id: str, lat: float, lon: float, text: str, source: str | None = None, stamp_us: int = 0
+) -> None:
+    """The rules of one message: coordinate ranges first, raising through :class:`GeoPoint`, then the fields.
+
+    ``stamp_us`` is the stamp as :func:`_utc_us` gives it; its UTC instant
+    must be one a ``datetime`` holds, or the row could not be rebuilt.
+    """
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         GeoPoint(lat, lon)  # raises: out of range or not finite
     if not all(isinstance(field, str) for field in (tid, user_id, text, "" if source is None else source)):
@@ -97,6 +105,8 @@ def _check_row(tid: str, user_id: str, lat: float, lon: float, text: str, source
         raise InvalidAttributeError(
             f"tweet {tid}: text has {len(text)} code points, limit is {MAX_TEXT_CODEPOINTS}"
         )
+    if not _FIRST_US <= stamp_us <= _LAST_US:
+        raise InvalidAttributeError(f"tweet {tid}: timestamp {_STAMP_RANGE}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,8 @@ class Tweet:
     source: str | None = None
 
     def __post_init__(self):
-        _check_row(self.id, self.user_id, self.location.lat, self.location.lon, self.text, self.source)
+        loc = self.location
+        _check_row(self.id, self.user_id, loc.lat, loc.lon, self.text, self.source, _utc_us(self.timestamp))
 
 
 def _datetime(us: int, zone) -> datetime:
@@ -204,6 +215,12 @@ def _utc_us(stamp: datetime) -> int:
     return (stamp - (_NAIVE_EPOCH if stamp.tzinfo is None else _EPOCH)) // _MICROSECOND
 
 
+# The UTC instants a datetime can hold, as _utc_us gives them.
+_FIRST_US = _utc_us(datetime.min)
+_LAST_US = _utc_us(datetime.max)
+_STAMP_RANGE = "is outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z"
+
+
 def _codes(table: dict, keys) -> list:
     """Each key's code in ``table``; a key not yet there gets the next code, in first-seen order."""
     return [table.setdefault(key, len(table)) for key in keys]
@@ -236,13 +253,15 @@ class _CorpusBuilder:
         nothing is appended.
         """
         lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+        stamp_us = np.asarray(stamp_us, dtype=np.int64)
         in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+        in_range &= (_FIRST_US <= stamp_us) & (stamp_us <= _LAST_US)
         if not (in_range.all() and all(ids) and all(user_ids) and max(map(len, texts), default=0) <= MAX_TEXT_CODEPOINTS):
-            for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts, sources):
+            for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts, sources, stamp_us.tolist()):
                 _check_row(*row)
         self.ids += ids
         self.user.extend(_codes(self.users, user_ids))
-        self.stamp_us.frombytes(np.asarray(stamp_us, dtype=np.int64).tobytes())
+        self.stamp_us.frombytes(stamp_us.tobytes())
         self.tz.extend(_codes(self.tzinfos, zones))
         self.lat.frombytes(lat.tobytes())
         self.lon.frombytes(lon.tobytes())
@@ -475,13 +494,34 @@ def remove_automated_accounts(
     return out, StageCount("bot-removal", len(corpus), len(out), out.user_count())
 
 
+def _token_start_search(keywords):
+    """The search, over a case-folded text, for a token of more than two code points that starts with a keyword.
+
+    Keywords holding a separator are left out, since no token holds one;
+    with none left, None: no token can match.
+    """
+    usable = [k for k in keywords if not _TOKEN_SPLIT.search(k)]
+    if not usable:
+        return None
+    keyword = "|".join(map(re.escape, usable))
+    return re.compile(f"(?:^|(?<=[{_SEPARATORS}]))(?=[^{_SEPARATORS}]{{3}})(?:{keyword})").search
+
+
 def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     """Keep tweets with a token starting with any keyword, case-folded.
 
     Prefix matching keeps plurals ("museums") without letting substrings
     like "amusement" through. Only texts that contain a keyword once
-    case-folded are tokenized: str.casefold folds code point by code
+    case-folded are candidates: str.casefold folds code point by code
     point, so a token's folded prefix is a substring of the folded text.
+    A candidate whose fold is as long as the text is decided by one search
+    of the folded text for a token start followed by a keyword
+    (:func:`_token_start_search`): no code point folds to nothing, so then
+    every code point folds to one, tokens keep their positions and lengths,
+    and no fold of one code point crosses the separator class (the premise
+    test in ``tests/test_stages.py`` checks every code point). Other
+    candidates, such as "Straße" or "ﬁ", are tokenized and each token
+    folded.
     """
     keywords = tuple(k.casefold() for k in keywords)
     if not keywords:
@@ -489,8 +529,16 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     corpus = _as_corpus(corpus)
     texts = corpus.texts
     keep = _contains_any(texts.tolist(), keywords)
-    for i in np.flatnonzero(keep).tolist():
-        keep[i] = any(tok.casefold().startswith(keywords) for tok in tokenize(texts[i]))
+    search = _token_start_search(keywords)
+
+    def has_keyword_token(text: str) -> bool:
+        folded = text.casefold()  # again, not kept for the whole column: that costs memory
+        if len(folded) == len(text):
+            return search is not None and search(folded) is not None
+        return any(tok.casefold().startswith(keywords) for tok in tokenize(text))
+
+    candidates = np.flatnonzero(keep)
+    keep[candidates] = list(map(has_keyword_token, texts[candidates].tolist()))
     out = _kept(corpus, keep)
     return out, StageCount("semantic", len(corpus), len(out), out.user_count())
 
@@ -524,7 +572,9 @@ def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_
 
 
 def _normalized_text(text: str) -> str:
-    return " ".join(_URL.sub(" ", text).split())
+    if _URL_HINT.search(text):
+        text = _URL.sub(" ", text)
+    return " ".join(text.split())
 
 
 def dedup(corpus):
@@ -532,7 +582,11 @@ def dedup(corpus):
 
     Normalization strips URL-shaped substrings and collapses whitespace, so
     reposts that differ only in an embedded link collapse to one tweet.
-    Earliest is by (timestamp, id): one sort over (user, microsecond, id).
+    The URL pattern runs only on texts holding ``://`` or ``t.co/`` (any
+    case), where each of its matches lies. Earliest is by (timestamp, id):
+    rows are sorted by (user, microsecond), stably, and only the runs of
+    equal (user, microsecond) are then put in id order, by a stable sort of
+    their ids, so equal ids keep their row order.
     """
     corpus = _as_corpus(corpus)
     n = len(corpus)
@@ -542,10 +596,16 @@ def dedup(corpus):
         dtype=np.int64,
         count=n,
     )
-    id_rank = np.empty(n, dtype=np.int64)
-    id_rank[np.argsort(corpus.ids, kind="stable")] = np.arange(n)
-    order = np.lexsort((id_rank, corpus.stamp_us, corpus.user))
-    _, first = np.unique(corpus.user[order] * max(len(text_code), 1) + texts[order], return_index=True)
+    order = np.lexsort((corpus.stamp_us, corpus.user))
+    user, stamp_us = corpus.user[order], corpus.stamp_us[order]
+    tied = (user[1:] == user[:-1]) & (stamp_us[1:] == stamp_us[:-1])  # position k + 1 ties with k
+    in_run = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+    run = np.cumsum(np.insert(~tied, 0, True))[in_run]
+    members = order[in_run]
+    id_rank = np.empty(len(members), dtype=np.int64)
+    id_rank[np.argsort(corpus.ids[members], kind="stable")] = np.arange(len(members))
+    order[in_run] = members[np.lexsort((id_rank, run))]  # users stay where they were
+    _, first = np.unique(user * max(len(text_code), 1) + texts[order], return_index=True)
     keep = np.zeros(n, dtype=bool)
     keep[order[first]] = True
     out = _kept(corpus, keep)

@@ -237,6 +237,19 @@ def test_non_utf8_tweets_are_a_reported_error(tmp_path, small_region, capsys):
     assert err.startswith("error:") and "bad.ndjson:2: not valid UTF-8" in err
 
 
+def test_a_stamp_outside_datetime_in_utc_is_a_reported_error(tmp_path, capsys):
+    # each is a valid local time whose UTC instant datetime cannot hold; the row used to
+    # be read, and rebuilding it died with an OverflowError traceback
+    for stamp in ("9999-12-31T23:00:00-05:30", "0001-01-01T00:30:00+01:00"):
+        path = tmp_path / "late.ndjson"
+        line = json.dumps({"id": "t0", "user_id": "u", "timestamp": stamp, "lat": 53.79, "lon": -1.59, "text": "museum visit"})
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["filter", "--tweets", str(path), "--out", str(tmp_path / "out")]) == 1
+        expected = f"error: {path}:1: timestamp {stamp!r} is outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
+
+
 def test_unknown_stage_rejected_before_io(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["filter", "--tweets", "nonexistent.ndjson", "--stages", "sematic", "--out", "o"])

@@ -43,6 +43,12 @@ def parse_timestamp(raw, path, line_no):
         raise DataFormatError(f"{path}:{line_no}: bad timestamp {raw!r}") from exc
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
+    try:
+        stamp.astimezone(timezone.utc)  # the row could not be rebuilt
+    except OverflowError as exc:
+        raise DataFormatError(
+            f"{path}:{line_no}: timestamp {raw!r} is outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z"
+        ) from exc
     return stamp
 
 
@@ -142,6 +148,9 @@ STAMPS = (
     "0000-06-01T12:00:00Z",
     "0001-01-01T00:00:00Z",
     "9999-12-31T23:59:59.999999Z",
+    "9999-12-31T23:00:00-05:30",
+    "0001-01-01T00:30:00+01:00",
+    "0001-01-01T00:00:00-00:01",
     "1969-12-31T23:59:59.999999Z",
     "2012-02-29T12:00:00Z",
     "2013-02-29T12:00:00Z",
@@ -318,6 +327,8 @@ def test_strict_utc_stamps_are_read_in_bulk_and_the_rest_by_line(tmp_path):
         assert by_line.called == (stamp not in STRICT_UTC or expected[0] == "error"), stamp
     rejected = {s for s in STAMPS if outcome(line_reader, _with_stamp(tmp_path, s))[0] == "error"}
     assert {"0000-06-01T12:00:00Z", "2013-02-30T12:00:00Z", "2013-06-01T23:59:60Z"} <= rejected
+    assert {"9999-12-31T23:00:00-05:30", "0001-01-01T00:30:00+01:00"} <= rejected  # outside datetime in UTC
+    assert "0001-01-01T00:00:00-00:01" not in rejected
     assert "2013-06-01T12:00:00.123456+00:00" not in rejected
 
 
@@ -373,16 +384,19 @@ def test_extend_checks_as_a_tweet_does_and_appends_nothing_on_a_fault():
         ("b", "", stamp, 53.8, -1.5, "hi", None),
         ("b", "v", stamp, 53.8, float("nan"), "hi", None),
         ("b", "v", stamp, 53.8, -1.5, "x" * 281, None),
+        ("b", "v", datetime(9999, 12, 31, 23, tzinfo=timezone(-timedelta(hours=5, minutes=30))), 53.8, -1.5, "hi", None),
+        ("b", "v", datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))), 53.8, -1.5, "hi", None),
     ):
         with pytest.raises(FlowModelError) as expected:
             tweet(*bad)
         rows = _CorpusBuilder()
         extend(rows, good)
         before = columns(rows.corpus())
-        with pytest.raises(type(expected.value)) as got:
-            extend(rows, good, bad, later)
-        assert str(got.value) == str(expected.value)
-        assert columns(rows.corpus()) == before
+        for after in ((later,), ()):
+            with pytest.raises(type(expected.value)) as got:
+                extend(rows, good, bad, *after)
+            assert str(got.value) == str(expected.value)
+            assert columns(rows.corpus()) == before
 
     plus_two = timezone(timedelta(hours=2))
     rows = _CorpusBuilder()

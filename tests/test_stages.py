@@ -6,15 +6,18 @@ corpus, a loop over :class:`Tweet` objects calling the scalar geometry
 Hypothesis draws small corpora built to sit on the decisions: points
 exactly ``buffer_m`` from a footprint edge and on its vertices, museums
 tied bit for bit or one ulp apart, texts whose case folding changes their
-length, tokens of two characters or fewer, link variants, equal instants
-under different UTC offsets, one-tweet users and repeated users, and a
-tweet from abroad. Every stage gets the tweets both as a list and as a
+length or keeps it, tokens of two characters or fewer, keywords holding a
+separator, the empty keyword, link variants, equal instants under
+different UTC offsets, one-tweet users and repeated users, and a tweet
+from abroad. Every stage gets the tweets both as a list and as a
 :class:`Corpus`.
 """
 
 import math
 import re
+import sys
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from museumflows.geometry import (
     snap_to_grid,
     unproject,
 )
+from museumflows import pipeline
 from museumflows.pipeline import (
     DEFAULT_CHECKIN_PATTERNS,
     DEFAULT_KEYWORDS,
@@ -98,9 +102,24 @@ TEXTS = (
     "at the FourSquare museum",
     "nothing to see",
     "",
+    "STRASSE next to Straße",
+    "musée ☕ museum",
+    "ﬁx it",  # tokenize drops "ﬁx", whose fold "fix" has three code points
+    "the art gallery, museum. now",
+    "a://b museum",
+    "see T.Co/x museum",
 )
 SOURCES = (None, "", "web", "Foursquare for iPhone", "day web")
-KEYWORD_SETS = (DEFAULT_KEYWORDS, ("strasse", "fi", "i̇st"), ("MUSE", "ex"), ("ﬁne",))
+KEYWORD_SETS = (
+    DEFAULT_KEYWORDS,
+    ("strasse", "fi", "i̇st"),
+    ("MUSE", "ex"),
+    ("ﬁne",),
+    ("art gallery", "museum."),  # each holds a separator, so no token starts with one
+    ("art gallery", "musé"),
+    ("",),
+    ("mu",),
+)
 PATTERN_SETS = (DEFAULT_CHECKIN_PATTERNS, ("day web", "4SQ"), ("museum day",))
 
 
@@ -260,6 +279,41 @@ def test_semantic_filter_matches_scalar_loop(corpus, keywords):
     )
 
 
+@pytest.mark.parametrize("keywords", KEYWORD_SETS)
+def test_semantic_filter_matches_scalar_loop_on_every_text(keywords):
+    corpus = [Tweet(f"t{k:02d}", "u", BASE, POINTS[0], text) for k, text in enumerate(TEXTS)]
+    check_stage(
+        lambda c: semantic_filter(c, keywords),
+        lambda c: oracle_semantic_filter(c, keywords),
+        corpus,
+        "semantic",
+    )
+
+
+def test_semantic_filter_searches_texts_whose_fold_keeps_their_length_without_tokenizing():
+    corpus = [Tweet("a", "u", BASE, POINTS[0], "musée ☕ museum"), Tweet("b", "u", BASE, POINTS[0], "amusement")]
+    with mock.patch.object(pipeline, "tokenize", side_effect=AssertionError("tokenized")):
+        out, _ = semantic_filter(corpus)
+    assert [t.id for t in out] == ["a"]
+    with mock.patch.object(pipeline, "tokenize", wraps=tokenize) as tokenized:
+        out, _ = semantic_filter([Tweet("c", "u", BASE, POINTS[0], "Straße museum")])
+    assert [t.id for t in out] == ["c"] and tokenized.call_count == 1
+
+
+def test_casefold_keeps_each_code_point_on_its_side_of_the_separators():
+    # The semantic filter's search rests on this, for the Unicode database
+    # of the Python running it: no code point folds to nothing, and one that
+    # folds to one code point is a token separator exactly when its fold is.
+    separator = pipeline._TOKEN_SPLIT.match
+    crossing = []
+    for c in map(chr, range(sys.maxunicode + 1)):
+        folded = c.casefold()
+        assert folded, f"U+{ord(c):04X} folds to nothing"
+        if len(folded) == 1 and (separator(c) is None) != (separator(folded) is None):
+            crossing.append(f"U+{ord(c):04X}")
+    assert crossing == []
+
+
 def test_out_of_frame_error_names_the_tweet_a_per_user_loop_meets_first():
     # u1 appears first but posts from abroad after u2 does: a loop over
     # users in order of appearance meets u1's far tweet first
@@ -312,6 +366,16 @@ def test_spatial_filter_matches_scalar_loop(corpus, buffer_choice, gap):
 
 @settings(max_examples=60, deadline=None)
 @given(corpora())
+@example(  # two rows of one user at one microsecond, their ids in the opposite order to the rows
+    [
+        Tweet("t2", "u0", BASE, POINTS[0], "Lovely museum day http://t.co/abc"),
+        Tweet("t1", "u1", BASE, POINTS[0], "Lovely museum day"),
+        Tweet("t0", "u0", BASE.astimezone(ZONES_OF_DAY[2]), POINTS[1], "Lovely museum day"),
+        Tweet("t3", "u0", BASE - timedelta(microseconds=1), POINTS[0], "a://b museum"),
+        Tweet("t4", "u0", BASE, POINTS[0], "see T.Co/x museum"),
+        Tweet("t5", "u0", BASE + timedelta(minutes=1), POINTS[0], "see  museum"),
+    ]
+)
 def test_dedup_matches_scalar_loop(corpus):
     check_stage(dedup, oracle_dedup, corpus, "dedup")
 
