@@ -35,20 +35,8 @@ import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import (
-    _FIRST_US,
-    _LAST_US,
-    _STAMP_RANGE,
-    Corpus,
-    PipelineReport,
-    StageCount,
-    TaggedFeature,
-    _as_homes,
-    _check_row,
-    _CorpusBuilder,
-    _datetime,
-    _utc_us,
-)
+from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _check_row, _CorpusBuilder, _datetime, _utc_us
+from .pipeline import _FIRST_US, _LAST_US, _STAMP_RANGE
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport

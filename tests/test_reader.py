@@ -3,7 +3,8 @@
 ``line_reader`` below is that reader as it stood: each line decoded,
 parsed with ``json.loads`` and converted into a :class:`Tweet` on its own,
 so the first bad line raises, and the Tweets encoded by
-``Corpus.from_tweets``. The chunked reader must give the same columns, or raise
+``Corpus.from_tweets``. Its stamp parser has since learnt one rule: a stamp
+whose UTC instant a ``datetime`` cannot hold is a bad line. The chunked reader must give the same columns, or raise
 the same message, on any input. Hypothesis builds files from valid
 records, records with every value the per-line reader converts or rejects,
 and raw lines that are not records; the chunk size is patched down so that

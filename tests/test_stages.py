@@ -25,6 +25,7 @@ from conftest import make_museum, make_zone
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from museumflows import pipeline
 from museumflows.errors import InvalidCoordinateError
 from museumflows.geometry import (
     GeoPoint,
@@ -38,7 +39,6 @@ from museumflows.geometry import (
     snap_to_grid,
     unproject,
 )
-from museumflows import pipeline
 from museumflows.pipeline import (
     DEFAULT_CHECKIN_PATTERNS,
     DEFAULT_KEYWORDS,
