@@ -4,6 +4,9 @@ Eight verbs: museums, filter, homes, flows, model, calibrate, simulate,
 report. Each reads the referenced files, runs the matching library calls,
 and writes fixed-name outputs into --out. All outputs are deterministic,
 so re-running a verb over unchanged inputs reproduces identical bytes.
+The filter and homes verbs run the pipeline's own stage runners, the ones
+run_pipeline uses for flows and calibrate --tweets, so the chain and its
+stage order are written once, in the pipeline module.
 """
 
 from __future__ import annotations
@@ -19,19 +22,15 @@ from .pipeline import (
     DEFAULT_BUFFER_M,
     DEFAULT_KEYWORDS,
     DEFAULT_MERGE_RADIUS_M,
+    FILTER_STAGES,
     PipelineReport,
-    assign_home_zone,
+    _located_homes,
+    _run_filters,
     corpus_frame,
-    dedup,
     extract_museums,
-    infer_home_locations,
-    remove_automated_accounts,
-    remove_checkins,
     run_pipeline,
-    semantic_filter,
-    spatial_filter,
 )
-from .sim import Deterrence, ModelSpec, model_matrix
+from .sim import CONSTRAINTS, DETERRENCE_KINDS, Deterrence, ModelSpec, model_matrix
 from .synth import SynthConfig, demo_region, recovery_report
 
 _SPEC_FLAGS = {
@@ -39,7 +38,6 @@ _SPEC_FLAGS = {
     "attract": (True, False),
     "attract-demand": (True, True),
 }
-_FILTER_STAGES = ("semantic", "spatial", "dedup", "checkin")
 
 
 class _UsageError(Exception):
@@ -55,10 +53,10 @@ def _keyword_list(text: str):
 
 def _stage_list(text: str):
     stages = tuple(s.strip() for s in text.split(",") if s.strip())
-    unknown = [s for s in stages if s not in _FILTER_STAGES]
+    unknown = [s for s in stages if s not in FILTER_STAGES]
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown stages: {', '.join(unknown)} (choose from {', '.join(_FILTER_STAGES)})"
+            f"unknown stages: {', '.join(unknown)} (choose from {', '.join(FILTER_STAGES)})"
         )
     if not stages:
         raise argparse.ArgumentTypeError("empty stage list")
@@ -66,18 +64,16 @@ def _stage_list(text: str):
 
 
 def _add_grid_flags(sub):
-    sub.add_argument("--beta-start", type=float, default=0.01)
-    sub.add_argument("--beta-step", type=float, default=0.01)
-    sub.add_argument("--beta-count", type=int, default=200)
+    sub.add_argument("--beta-start", type=float, default=BetaGrid.start)
+    sub.add_argument("--beta-step", type=float, default=BetaGrid.step)
+    sub.add_argument("--beta-count", type=int, default=BetaGrid.count)
 
 
 def _add_spec_flags(sub, with_constraint=True):
     sub.add_argument("--spec", choices=sorted(_SPEC_FLAGS), default="baseline")
-    sub.add_argument("--deterrence", choices=("exponential", "power"), default="exponential")
+    sub.add_argument("--deterrence", choices=DETERRENCE_KINDS, default=Deterrence.kind)
     if with_constraint:
-        sub.add_argument(
-            "--constraint", choices=("unconstrained", "origin", "doubly"), default="unconstrained"
-        )
+        sub.add_argument("--constraint", choices=CONSTRAINTS, default=ModelSpec.constraint)
 
 
 def _add_pipeline_flags(sub):
@@ -104,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zones")
     p.add_argument("--museums")
     p.add_argument("--stages", type=_stage_list, default=None,
-                   help="comma list from: " + ", ".join(_FILTER_STAGES))
+                   help="comma list from: " + ", ".join(FILTER_STAGES))
     _add_pipeline_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_filter)
@@ -175,7 +171,7 @@ def _build_spec(args, beta: float, constraint: str | None = None) -> ModelSpec:
         deterrence=Deterrence(args.deterrence, beta),
         use_attractiveness=attract,
         use_demand=demand,
-        constraint=constraint or getattr(args, "constraint", "unconstrained"),
+        constraint=constraint or getattr(args, "constraint", ModelSpec.constraint),
     )
 
 
@@ -189,8 +185,7 @@ def _cmd_museums(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    explicit = args.stages is not None
-    if explicit and "spatial" in args.stages and not (args.footprints and args.museums):
+    if args.stages is not None and "spatial" in args.stages and not (args.footprints and args.museums):
         raise _UsageError("the spatial stage needs --footprints and --museums")
     if args.footprints and not args.museums:
         raise _UsageError("--footprints needs --museums to resolve ids")
@@ -205,27 +200,11 @@ def _cmd_filter(args) -> int:
         museums = fileio.read_museums(args.museums)
         footprints = fileio.read_footprints(args.footprints, museums, ref)
 
-    stages = args.stages or tuple(
-        s for s in _FILTER_STAGES if s != "spatial" or footprints is not None
-    )
-    corpus = tweets
-    report = PipelineReport()
-    for stage in _FILTER_STAGES:  # canonical order, whatever the flag order
-        if stage not in stages:
-            continue
-        if stage == "semantic":
-            corpus, entry = semantic_filter(corpus, keywords=args.keywords)
-        elif stage == "spatial":
-            corpus, entry = spatial_filter(corpus, footprints, ref, buffer_m=args.buffer_m)
-        elif stage == "dedup":
-            corpus, entry = dedup(corpus)
-        else:
-            corpus, entry = remove_checkins(corpus)
-        report = report.extended(entry)
+    corpus, entries = _run_filters(tweets, ref, args.stages, footprints, args.keywords, args.buffer_m)
 
     out = _outdir(args)
     fileio.write_tweets(corpus, os.path.join(out, "filtered.ndjson"))
-    fileio.write_report_json(report, os.path.join(out, "report.json"))
+    fileio.write_report_json(PipelineReport(tuple(entries)), os.path.join(out, "report.json"))
     print(f"kept {len(corpus)} of {len(tweets)} tweets; wrote {out}/filtered.ndjson")
     return 0
 
@@ -233,8 +212,7 @@ def _cmd_filter(args) -> int:
 def _cmd_homes(args) -> int:
     tweets = fileio.read_tweets(args.tweets)
     zones, ref = fileio.read_zones(args.zones)
-    survivors, _ = remove_automated_accounts(tweets, ref)
-    homes = assign_home_zone(infer_home_locations(survivors, ref), zones)
+    _, _, homes = _located_homes(tweets, zones, ref)
     out = _outdir(args)
     fileio.write_homes_csv(homes, os.path.join(out, "homes.csv"))
     placed = int((homes.zone >= 0).sum())

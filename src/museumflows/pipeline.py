@@ -3,7 +3,11 @@
 The chain: drop automated accounts, infer each user's home cell from their
 full activity, filter the corpus down to museum-visit evidence (keywords,
 optionally building footprints), deduplicate, drop check-in relays, then
-count (home zone, nearest museum) pairs.
+count (home zone, nearest museum) pairs. It is written once:
+:func:`run_pipeline` and the CLI's filter and homes verbs share one home
+step (:func:`_located_homes`) and one filter runner (:func:`_run_filters`,
+stages in :data:`FILTER_STAGES` order). Both stay private, so a tracer that
+wraps the public stage functions sees each stage and no extra layer.
 
 The corpus is a :class:`Corpus`, a struct of arrays with one row per
 message: user codes, coordinates, UTC microsecond timestamps, ids, texts
@@ -71,6 +75,7 @@ DEFAULT_STATIC_FRACTION = 0.95
 DEFAULT_MERGE_RADIUS_M = 100.0
 DEFAULT_FLOOR_AREA_M2 = 1.0
 GRID_RESOLUTION_M = 100.0
+FILTER_STAGES = ("semantic", "spatial", "dedup", "checkin")  # the order the filter stages run in
 
 # Relative width of the band around a decision inside which the scalar
 # geometry re-decides: far wider than the last-place rounding of numpy's
@@ -279,9 +284,10 @@ def _as_corpus(tweets) -> Corpus:
     return tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
 
 
-def _kept(corpus: Corpus, keep) -> Corpus:
-    """The rows where ``keep`` is True; the corpus itself when that is all."""
-    return corpus if keep.all() else corpus.take(np.flatnonzero(keep))
+def _kept(stage: str, corpus: Corpus, keep):
+    """The rows where ``keep`` is True (the corpus itself when that is all), and the stage's count."""
+    out = corpus if keep.all() else corpus.take(np.flatnonzero(keep))
+    return out, StageCount(stage, len(corpus), len(out), out.user_count())
 
 
 @dataclass(frozen=True)
@@ -373,9 +379,6 @@ class StageCount:
 @dataclass(frozen=True)
 class PipelineReport:
     stages: tuple[StageCount, ...] = ()
-
-    def extended(self, entry: StageCount) -> "PipelineReport":
-        return PipelineReport(self.stages + (entry,))
 
 
 @dataclass(frozen=True)
@@ -478,7 +481,7 @@ def remove_automated_accounts(
     least static_fraction of them fall into one cell. Only those heavy
     users' tweets are projected.
     """
-    if activity_threshold < 1:
+    if not activity_threshold >= 1:
         raise InvalidParameterError(f"activity threshold {activity_threshold} must be >= 1")
     if not 0.0 < static_fraction <= 1.0:
         raise InvalidParameterError(f"static fraction {static_fraction} outside (0, 1]")
@@ -490,8 +493,7 @@ def remove_automated_accounts(
         ix, iy = _grid_cells(corpus, heavy, ref, GRID_RESOLUTION_M)
         _, _, _, _, users, top = _cell_runs(corpus.user[heavy], ix, iy)
         dropped[users[top >= static_fraction * tweets_per_user[users]]] = True
-    out = _kept(corpus, ~dropped[corpus.user])
-    return out, StageCount("bot-removal", len(corpus), len(out), out.user_count())
+    return _kept("bot-removal", corpus, ~dropped[corpus.user])
 
 
 def _token_start_search(keywords):
@@ -539,8 +541,7 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
 
     candidates = np.flatnonzero(keep)
     keep[candidates] = list(map(has_keyword_token, texts[candidates].tolist()))
-    out = _kept(corpus, keep)
-    return out, StageCount("semantic", len(corpus), len(out), out.user_count())
+    return _kept("semantic", corpus, keep)
 
 
 def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_BUFFER_M):
@@ -550,7 +551,7 @@ def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_
     Containment is exact; a distance within a hair of buffer_m is
     re-decided by :func:`distance_to_polygon_m`.
     """
-    if buffer_m < 0:
+    if not buffer_m >= 0:
         raise InvalidParameterError(f"buffer {buffer_m} must be >= 0")
     polys = [poly for _, poly in footprints]
     corpus = _as_corpus(corpus)
@@ -567,8 +568,7 @@ def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_
     for i in np.flatnonzero(close_call & ~keep).tolist():
         p = project(GeoPoint(corpus.lat[i], corpus.lon[i]), ref)
         keep[i] = any(distance_to_polygon_m(p, poly) <= buffer_m for poly in polys)
-    out = _kept(corpus, keep)
-    return out, StageCount("spatial", len(corpus), len(out), out.user_count())
+    return _kept("spatial", corpus, keep)
 
 
 def _normalized_text(text: str) -> str:
@@ -608,8 +608,7 @@ def dedup(corpus):
     _, first = np.unique(user * max(len(text_code), 1) + texts[order], return_index=True)
     keep = np.zeros(n, dtype=bool)
     keep[order[first]] = True
-    out = _kept(corpus, keep)
-    return out, StageCount("dedup", n, len(out), out.user_count())
+    return _kept("dedup", corpus, keep)
 
 
 def remove_checkins(corpus, patterns=DEFAULT_CHECKIN_PATTERNS):
@@ -623,8 +622,7 @@ def remove_checkins(corpus, patterns=DEFAULT_CHECKIN_PATTERNS):
     corpus = _as_corpus(corpus)
     sources = [s or "" for s in corpus.sources.tolist()]
     hit = _contains_any(corpus.texts.tolist(), patterns) | _contains_any(sources, patterns)
-    out = _kept(corpus, ~hit)
-    return out, StageCount("checkin-removal", len(corpus), len(out), out.user_count())
+    return _kept("checkin-removal", corpus, ~hit)
 
 
 def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUTION_M):
@@ -638,11 +636,11 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     :func:`project` and :func:`snap_to_grid` in the same order, so each is
     bit for bit the cell the scalar functions give.
     """
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
     corpus = _as_corpus(corpus)
     if not len(corpus):
         return Homes(corpus.users, [], [], [], [], resolution)
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
     ix, iy = _grid_cells(corpus, None, ref, resolution)
     order, starts, counts, group, users, top = _cell_runs(corpus.user, ix, iy)
     top_runs = np.flatnonzero(counts == top[group])
@@ -796,6 +794,15 @@ def build_observed_matrix(museum_tweets, homes, zones, museums):
     return matrix, entry
 
 
+def _tag_number(museum_id: str, tags: dict, key: str, default=None) -> float:
+    """A numeric tag's value (``default`` when absent); a value that is not a number raises."""
+    value = tags.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidAttributeError(f"museum {museum_id}: {key} {value!r} is not a number") from None
+
+
 def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
     """Distill raw map features into one Museum per site.
 
@@ -803,7 +810,7 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
     duplicating a same-name polygon; merges same-name features within
     merge_radius_m; polygons contribute their computed area to floor area.
     """
-    if merge_radius_m < 0:
+    if not merge_radius_m >= 0:
         raise InvalidParameterError(f"merge radius {merge_radius_m} must be >= 0")
 
     def wanted(tags) -> bool:
@@ -881,10 +888,11 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
             locs = [loc for _, _, loc, _, _, _ in members]
             lat = sum(p.lat for p in locs) / len(locs)
             lon = sum(p.lon for p in locs) / len(locs)
-            tagged = [m[0].tags.get("floor_area_m2") for m in members]
-            tagged = [float(v) for v in tagged if v is not None]
+            tagged = [
+                _tag_number(mid, m[0].tags, "floor_area_m2") for m in members if m[0].tags.get("floor_area_m2") is not None
+            ]
             floor_area = tagged[0] if tagged else DEFAULT_FLOOR_AREA_M2
-        mentions = max((float(m[0].tags.get("media_mentions", 0.0)) for m in members), default=0.0)
+        mentions = max(_tag_number(mid, m[0].tags, "media_mentions", 0.0) for m in members)
         museums.append(
             Museum(
                 id=mid,
@@ -897,6 +905,36 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
     return museums
 
 
+def _run_filters(corpus, ref: GeoPoint, stages, footprints, keywords, buffer_m: float):
+    """Run the chosen filter stages in :data:`FILTER_STAGES` order; return the survivors and each stage's count.
+
+    ``stages`` None runs every stage, the spatial one only when footprints
+    are given. Each stage function is looked up by its module-level name as
+    it runs, so a name rebound after import (a tracer's wrapper) is the one
+    called.
+    """
+    if stages is None:
+        stages = [s for s in FILTER_STAGES if s != "spatial" or footprints is not None]
+    run = {
+        "semantic": lambda c: semantic_filter(c, keywords),
+        "spatial": lambda c: spatial_filter(c, footprints, ref, buffer_m),
+        "dedup": lambda c: dedup(c),
+        "checkin": lambda c: remove_checkins(c),
+    }
+    entries = []
+    for stage in FILTER_STAGES:
+        if stage in stages:
+            corpus, entry = run[stage](corpus)
+            entries.append(entry)
+    return corpus, entries
+
+
+def _located_homes(tweets, zones, ref: GeoPoint, activity_threshold: int = DEFAULT_ACTIVITY_THRESHOLD):
+    """Bot removal, then each survivor's home cell and zone: (survivors, the bot-removal count, :class:`Homes`)."""
+    corpus, bots = remove_automated_accounts(tweets, ref, activity_threshold)
+    return corpus, bots, assign_home_zone(infer_home_locations(corpus, ref), zones)
+
+
 def run_pipeline(
     tweets,
     zones,
@@ -906,37 +944,18 @@ def run_pipeline(
     keywords=DEFAULT_KEYWORDS,
     buffer_m: float = DEFAULT_BUFFER_M,
     activity_threshold: int = DEFAULT_ACTIVITY_THRESHOLD,
-    static_fraction: float = DEFAULT_STATIC_FRACTION,
-    checkin_patterns=DEFAULT_CHECKIN_PATTERNS,
 ) -> PipelineResult:
     """Run the full chain and aggregate the observed matrix.
 
     Homes are inferred from the complete post-cleaning corpus before any
-    content filtering; the spatial filter runs only when footprints are
+    content filtering (:func:`_located_homes`, shared with the ``homes``
+    verb); the filter stages then run through :func:`_run_filters`, shared
+    with the ``filter`` verb, the spatial one only when footprints are
     given. Zone boundaries and footprints must be planar in the frame
     anchored at ref.
     """
-    report = PipelineReport()
-
-    corpus, entry = remove_automated_accounts(_as_corpus(tweets), ref, activity_threshold, static_fraction)
-    report = report.extended(entry)
-
-    homes = assign_home_zone(infer_home_locations(corpus, ref), zones)
-
-    corpus, entry = semantic_filter(corpus, keywords)
-    report = report.extended(entry)
-
-    if footprints is not None:
-        corpus, entry = spatial_filter(corpus, footprints, ref, buffer_m)
-        report = report.extended(entry)
-
-    corpus, entry = dedup(corpus)
-    report = report.extended(entry)
-
-    corpus, entry = remove_checkins(corpus, checkin_patterns)
-    report = report.extended(entry)
-
-    matrix, entry = build_observed_matrix(corpus, homes, zones, museums)
-    report = report.extended(entry)
-
+    corpus, bots, homes = _located_homes(tweets, zones, ref, activity_threshold)
+    corpus, entries = _run_filters(corpus, ref, None, footprints, keywords, buffer_m)
+    matrix, aggregate = build_observed_matrix(corpus, homes, zones, museums)
+    report = PipelineReport((bots, *entries, aggregate))
     return PipelineResult(matrix=matrix, report=report, homes=homes, museum_tweets=corpus)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -11,17 +12,20 @@ import numpy as np
 import pytest
 
 import museumflows
+from museumflows import pipeline
 from museumflows.cli import main
 from museumflows.fileio import (
+    read_footprints,
     read_matrix_csv,
     read_museums,
+    read_tweets,
     read_zones,
     write_matrix_csv,
     write_museums,
     write_report_json,
     write_zones,
 )
-from museumflows.pipeline import PipelineReport, StageCount
+from museumflows.pipeline import FILTER_STAGES, PipelineReport, StageCount
 from museumflows.sim import Deterrence, ModelSpec, unconstrained_flows
 from museumflows.synth import demo_region
 
@@ -187,6 +191,19 @@ def test_museums_verb(tmp_path):
     assert [m.id for m in museums] == ["n1"]
 
 
+@pytest.mark.parametrize("tag, value", [("media_mentions", "lots"), ("floor_area_m2", "big")])
+def test_museums_verb_reports_a_tag_that_is_not_a_number(tmp_path, capsys, tag, value):
+    # float() of the tag used to escape main as a bare ValueError
+    props = {"id": "n1", "tourism": "museum", "name": "City Museum", tag: value}
+    doc = {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": props, "geometry": {"type": "Point", "coordinates": [-1.55, 53.80]}},
+    ]}
+    features_path = tmp_path / "raw.geojson"
+    features_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["museums", "--features", str(features_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: museum n1: {tag} {value!r} is not a number\n"
+
+
 def test_filter_verb_default_stages(tmp_path, small_region):
     out = tmp_path / "out"
     code = main(["filter", "--tweets", small_region["tweets"], "--out", str(out)])
@@ -256,6 +273,81 @@ def test_unknown_stage_rejected_before_io(tmp_path):
     assert exc.value.code == 2
 
 
+def footprints_file(tmp_path):
+    """Squares of about 70 m by 110 m around small_region's two museums."""
+    features = []
+    d = 0.0005
+    for mid, lon, lat in (("m1", -1.595, 53.795), ("m2", -1.565, 53.795)):
+        ring = [[lon - d, lat - d], [lon + d, lat - d], [lon + d, lat + d], [lon - d, lat + d], [lon - d, lat - d]]
+        features.append({
+            "type": "Feature",
+            "properties": {"museum_id": mid},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        })
+    path = tmp_path / "footprints.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}), encoding="utf-8")
+    return str(path)
+
+
+REPORTED_AS = {"semantic": "semantic", "spatial": "spatial", "dedup": "dedup", "checkin": "checkin-removal"}
+
+
+def test_filter_reports_every_stage_subset_in_pipeline_order(tmp_path, small_region):
+    argv = [
+        "filter", "--tweets", small_region["tweets"], "--zones", small_region["zones"],
+        "--museums", small_region["museums"], "--footprints", footprints_file(tmp_path),
+    ]
+    subsets = [s for k in range(1, 5) for s in itertools.combinations(FILTER_STAGES, k)]
+    assert len(subsets) == 15
+    for subset in subsets:
+        out = tmp_path / "-".join(subset)
+        assert main(argv + ["--stages", ",".join(reversed(subset)), "--out", str(out)]) == 0
+        stages = json.loads((out / "report.json").read_text(encoding="utf-8"))["stages"]
+        assert [s["stage"] for s in stages] == [REPORTED_AS[s] for s in subset], subset
+        assert stages[0]["tweets_in"] == 8
+        assert all(a["tweets_out"] == b["tweets_in"] for a, b in zip(stages, stages[1:]))
+
+
+STAGE_FUNCTIONS = (
+    "remove_automated_accounts", "infer_home_locations", "assign_home_zone", "semantic_filter",
+    "spatial_filter", "dedup", "remove_checkins", "build_observed_matrix",
+)
+
+
+def test_run_pipeline_filter_and_homes_call_the_stages_by_their_pipeline_names(tmp_path, small_region, monkeypatch):
+    # a tracer times a stage by rebinding its name in the pipeline module
+    calls = dict.fromkeys(STAGE_FUNCTIONS, 0)
+    for name in STAGE_FUNCTIONS:
+        def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+
+    def calls_of(run, *args, **kwargs):
+        calls.update(dict.fromkeys(calls, 0))
+        result = run(*args, **kwargs)
+        return result, {name: n for name, n in calls.items() if n}
+
+    zones, ref = read_zones(small_region["zones"])
+    museums = read_museums(small_region["museums"])
+    footprints_path = footprints_file(tmp_path)
+    footprints = read_footprints(footprints_path, museums, ref)
+    tweets = read_tweets(small_region["tweets"])
+    result, counts = calls_of(pipeline.run_pipeline, tweets, zones, museums, ref, footprints=footprints)
+    assert counts == dict.fromkeys(STAGE_FUNCTIONS, 1)
+    assert result.matrix.total() == 3.0
+
+    filter_argv = [
+        "filter", "--tweets", small_region["tweets"], "--zones", small_region["zones"],
+        "--museums", small_region["museums"], "--footprints", footprints_path, "--out", str(tmp_path / "f"),
+    ]
+    filters = ("semantic_filter", "spatial_filter", "dedup", "remove_checkins")
+    assert calls_of(main, filter_argv) == (0, dict.fromkeys(filters, 1))
+    homes_argv = ["homes", "--tweets", small_region["tweets"], "--zones", small_region["zones"], "--out", str(tmp_path / "h")]
+    homes = ("remove_automated_accounts", "infer_home_locations", "assign_home_zone")
+    assert calls_of(main, homes_argv) == (0, dict.fromkeys(homes, 1))
+
+
 def test_homes_verb(tmp_path, small_region, capsys):
     # u3 shares u1's home cell, so three users resolve through two cells
     with open(small_region["tweets"], encoding="utf-8") as fh:
@@ -303,6 +395,17 @@ def test_flows_verb_counts_and_lines(tmp_path, small_region):
     assert by_origin["zB"]["destination"] == "m2" and by_origin["zB"]["count"] == 1
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["stages"][0]["stage"] == "bot-removal"
+
+
+def test_flows_rejects_a_nan_buffer(tmp_path, small_region, capsys):
+    # a NaN buffer used to keep only the tweets inside a footprint
+    argv = [
+        "flows", "--tweets", small_region["tweets"], "--zones", small_region["zones"],
+        "--museums", small_region["museums"], "--footprints", footprints_file(tmp_path),
+        "--buffer-m", "nan", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: buffer nan must be >= 0\n"
 
 
 def test_model_verb_beta_zero_baseline_rows_are_population_shares(tmp_path, small_region):

@@ -405,6 +405,38 @@ def test_extract_museums_merges_same_name_cluster():
     assert len(extract_museums(parts + [far])) == 2
 
 
+def test_extract_museums_rejects_a_tag_that_is_not_a_number():
+    for tags in ({"media_mentions": "lots"}, {"floor_area_m2": "big"}, {"media_mentions": None}):
+        feature = TaggedFeature(tags={"name": "City Museum", "id": "cm", **tags}, point=GeoPoint(53.8, -1.5))
+        (key, value), = tags.items()
+        with pytest.raises(InvalidAttributeError, match=f"^museum cm: {key} {value!r} is not a number$"):
+            extract_museums([feature])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_nan_and_negative_parameters_are_rejected(bad):
+    museum = make_museum("m0", *_geo_of(1000.0, 1000.0))
+    corpus = [at_planar("u", 1000.0, 1000.0, "at the museum")]
+    with pytest.raises(InvalidParameterError, match="buffer"):
+        spatial_filter(corpus, [(museum, square_at(2000.0, 2000.0, 10.0))], REF, buffer_m=bad)
+    with pytest.raises(InvalidParameterError, match="merge radius"):
+        extract_museums([], merge_radius_m=bad)
+    with pytest.raises(InvalidParameterError, match="activity threshold"):
+        remove_automated_accounts(corpus, REF, activity_threshold=bad)
+    for corpus in (corpus, []):  # an empty corpus used to return before the check
+        with pytest.raises(InvalidParameterError, match="grid resolution"):
+            infer_home_locations(corpus, REF, resolution=bad)
+
+
+def test_infinite_buffer_and_merge_radius_keep_everything_and_merge_all_namesakes():
+    museum = make_museum("m0", *_geo_of(1000.0, 1000.0))
+    corpus = [at_planar("u", 1000.0 + 10.0**k, 1000.0, f"{k}") for k in range(6)]
+    out, _ = spatial_filter(corpus, [(museum, square_at(1000.0, 1000.0, 10.0))], REF, buffer_m=math.inf)
+    assert out == corpus
+    far = [TaggedFeature(tags={"name": "Far Museum"}, point=GeoPoint(53.0 + k, -1.5)) for k in range(3)]
+    assert len(extract_museums(far, merge_radius_m=math.inf)) == 1
+
+
 def test_extract_museums_name_keyword_and_tag_fallbacks():
     named = TaggedFeature(
         tags={"name": "Abbey House Museum", "id": "ah", "floor_area_m2": "1072", "media_mentions": "2"},
