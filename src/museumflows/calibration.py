@@ -75,20 +75,32 @@ def _centred(v: np.ndarray):
     return d, math.sqrt(float(d @ d))
 
 
+def _correlation(xd, sx, yd, sy) -> float:
+    """Pearson r from two vectors' deviations and deviation norms (``_centred``)."""
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateVarianceError("correlation undefined for a constant vector")
+    # clamp floating drift so the result stays in [-1, 1]
+    return max(-1.0, min(1.0, float(xd @ yd) / (sx * sy)))
+
+
+def _correlation_size_check(n: int) -> None:
+    if n < 2:
+        raise ShapeError(f"correlation needs at least 2 values, got {n}")
+
+
+def _rms(d: np.ndarray) -> float:
+    """Root mean square of a difference vector."""
+    return math.sqrt(float(d @ d) / d.size)
+
+
 def pearson_r(x, y) -> float:
     """Sample correlation of two equal-length vectors."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ShapeError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise ShapeError(f"correlation needs at least 2 values, got {x.size}")
-    xd, sx = _centred(x)
-    yd, sy = _centred(y)
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateVarianceError("correlation undefined for a constant vector")
-    # clamp floating drift so the result stays in [-1, 1]
-    return max(-1.0, min(1.0, float(xd @ yd) / (sx * sy)))
+    _correlation_size_check(x.size)
+    return _correlation(*_centred(x), *_centred(y))
 
 
 def rms_error(x, y) -> float:
@@ -99,8 +111,7 @@ def rms_error(x, y) -> float:
         raise ShapeError(f"length mismatch: {x.size} vs {y.size}")
     if x.size == 0:
         raise ShapeError("rms needs at least 1 value")
-    d = x - y
-    return math.sqrt(float(d @ d) / d.size)
+    return _rms(x - y)
 
 
 def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None) -> SweepResult:
@@ -118,15 +129,19 @@ def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None)
         raise InvalidParameterError("beta grid must be a non-empty 1-D sequence")
     inputs = model_inputs(zones, museums, spec, observed)
     obs_flat = observed.reindex(inputs.origin_ids, inputs.destination_ids).flat()
-    if obs_flat.size >= 2 and _centred(obs_flat)[1] == 0.0:
+    _correlation_size_check(obs_flat.size)
+    obs_dev, obs_norm = _centred(obs_flat)
+    if obs_norm == 0.0:
         raise DegenerateVarianceError(f"observed matrix constant ({obs_flat[0]:g} in every cell): correlation undefined")
     r_values = np.empty(betas.size)
     rms_values = np.empty(betas.size)
+    # the same operations as rms_error and pearson_r, with the observed side
+    # centred once for the whole grid
     for k, beta in enumerate(betas):
         values = model_values(inputs, float(beta)).ravel()
-        rms_values[k] = rms_error(values, obs_flat)
+        rms_values[k] = _rms(values - obs_flat)
         try:
-            r_values[k] = pearson_r(values, obs_flat)
+            r_values[k] = _correlation(*_centred(values), obs_dev, obs_norm)
         except DegenerateVarianceError:
             r_values[k] = math.nan
     finite = np.isfinite(r_values)

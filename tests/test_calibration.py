@@ -4,7 +4,8 @@ pearson_r is checked against a sum-by-sum covariance oracle written in plain
 Python; the fit at one beta (a one-point sweep) against hand-flattened
 vectors; the sweep and the one-point fit against model matrices built in the
 tests from numpy formulas, with the IPF oracle for the doubly constrained
-regime.
+regime. The doubly sweep at paper scale is also run with the SVD
+least-squares Newton step that the gauge-fixed step replaced.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import ipf_oracle, make_museum, make_zone
 
+from museumflows import sim
 from museumflows.calibration import (
     BetaGrid,
     SweepResult,
@@ -34,7 +36,9 @@ from museumflows.sim import (
     ModelSpec,
     attractiveness_weights,
     demand_weights,
+    model_inputs,
     model_matrix,
+    model_values,
     unconstrained_flows,
 )
 from museumflows.synth import SynthConfig, demo_region, generate_corpus
@@ -288,13 +292,42 @@ def test_sweep_and_fit_at_beta_match_numpy_models_per_constraint():
             assert rms == pytest.approx(math.sqrt(np.mean((model - obs.ravel()) ** 2)), rel=tol)
 
 
-def test_doubly_sweep_at_paper_scale_holds_margins_at_every_beta():
-    # 179 zones x 15 museums and 5000 trips, as in the paper: the trip
-    # matrix has empty zone rows, and every beta must still converge
+def test_sweep_scores_every_point_as_pearson_r_and_rms_error_do():
+    # the sweep centres the observed side once; each point must still be
+    # bit-identical to scoring the model matrix with the public functions
+    zones, museums, _ = small_world()
+    observed = FlowMatrix(("z0", "z1", "z2"), ("m0", "m1"), [[6.0, 1.0], [2.0, 3.0], [8.0, 2.0]])
+    grid = BetaGrid(0.05, 0.25, 8)
+    for constraint in ("unconstrained", "origin", "doubly"):
+        spec = ModelSpec(constraint=constraint, use_attractiveness=True, use_demand=True)
+        result = sweep_beta(zones, museums, observed, spec, grid)
+        inputs = model_inputs(zones, museums, spec, observed)
+        for beta, r, rms in zip(result.betas, result.r_values, result.rms_values):
+            values = model_values(inputs, beta)
+            assert r == pearson_r(values, observed.values)
+            assert rms == rms_error(values, observed.values)
+
+
+def test_sweep_rejects_an_observed_matrix_of_one_cell():
+    zones, museums, spec = small_world()
+    observed = FlowMatrix(("z0",), ("m0",), [[4.0]])
+    with pytest.raises(ShapeError, match="at least 2 values"):
+        sweep_beta(zones[:1], museums[:1], observed, spec, [0.5])
+
+
+@pytest.fixture(scope="module")
+def paper_scale():
+    """179 zones x 15 museums and 5000 trips, as in the paper."""
     region = demo_region(179, 15, seed=11)
     truth_spec = ModelSpec(deterrence=Deterrence("exponential", 0.95))
     cfg = SynthConfig(true_spec=truth_spec, n_trips=5000, seed=11)
     _, truth = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    return region, truth
+
+
+def test_doubly_sweep_at_paper_scale_holds_margins_at_every_beta(paper_scale):
+    # the trip matrix has empty zone rows, and every beta must still converge
+    region, truth = paper_scale
     assert np.any(truth.row_sums() == 0)
     spec = ModelSpec(constraint="doubly")
     result = sweep_beta(region.zones, region.museums, truth, spec)
@@ -305,6 +338,30 @@ def test_doubly_sweep_at_paper_scale_holds_margins_at_every_beta():
         model = model_matrix(region.zones, region.museums, at_beta, truth)
         np.testing.assert_allclose(model.row_sums(), truth.row_sums(), rtol=1e-6, atol=0)
         np.testing.assert_allclose(model.col_sums(), truth.col_sums(), rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("use_attractiveness", [False, True])
+def test_doubly_sweep_at_paper_scale_matches_the_lstsq_step_oracle(paper_scale, use_attractiveness, monkeypatch):
+    # the gauge-fixed Newton step against the SVD least-squares step it
+    # replaced: the curve may move by rounding only, and at this scale the
+    # fast path must be the one that runs
+    region, truth = paper_scale
+    spec = ModelSpec(constraint="doubly", use_attractiveness=use_attractiveness)
+    lstsq = np.linalg.lstsq
+    fallbacks = []
+
+    def counted_lstsq(*args, **kwargs):
+        fallbacks.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    fast = sweep_beta(region.zones, region.museums, truth, spec)
+    assert not fallbacks
+    monkeypatch.setattr(sim, "_newton_step", lambda J, rhs: lstsq(J, rhs, rcond=None)[0])
+    oracle = sweep_beta(region.zones, region.museums, truth, spec)
+    np.testing.assert_allclose(fast.r_values, oracle.r_values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fast.rms_values, oracle.rms_values, rtol=1e-12, atol=0)
+    assert fast.best_beta == oracle.best_beta
 
 
 def test_sweep_recovers_beta_from_multinomial_sample():

@@ -3,12 +3,14 @@
 The doubly constrained solver is checked against a raw iterative
 proportional fitting oracle (``conftest.ipf_oracle``) that rescales the
 kernel matrix directly, a different algorithm from the Newton solve for
-destination weights inside the implementation. Attractiveness and demand
+destination weights inside the implementation. Its gauge-fixed Newton step
+is checked against ``np.linalg.lstsq``, the step it replaced. Attractiveness and demand
 weights are checked against element-by-element arithmetic written out in
 the tests.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from museumflows.errors import (
     UnreachableOriginError,
 )
 from museumflows.geometry import GeoPoint, haversine_km
+from museumflows import sim
 from museumflows.sim import (
     DETERRENCE_KINDS,
     AttractivenessSpec,
@@ -445,6 +448,90 @@ def test_doubly_constrained_unreachable_origin():
     dmat = np.array([[0.5, 1000.0], [0.5, 0.5]])
     with pytest.raises(UnreachableOriginError):
         doubly_constrained_flows((10.0, 10.0), (0.0, 20.0), dmat, Deterrence("exponential", 1.0))
+
+
+@pytest.mark.parametrize(
+    "O, D, dmat",
+    [
+        # the kernel underflows to exactly 0 at 1000 km with beta 1
+        ((10.0, 10.0), (10.0, 10.0), [[0.5, 1000.0], [0.5, 1000.0]]),
+        # the only origin that reaches destination 1 sends nothing
+        ((10.0, 0.0), (5.0, 5.0), [[0.5, 1000.0], [0.5, 0.5]]),
+    ],
+)
+def test_doubly_constrained_unreachable_destination_fails_fast(O, D, dmat):
+    # no destination weight can give flow to a column that no sending origin
+    # reaches: the solver says so before its first step, and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"destinations \[1\] have positive totals"):
+            doubly_constrained_flows(O, D, np.array(dmat), Deterrence("exponential", 1.0))
+
+
+def test_doubly_constrained_max_iter_must_be_a_count():
+    O, D, dmat = (30.0, 10.0), (20.0, 20.0), np.array([[1.0, 3.0], [2.0, 1.0]])
+    det = Deterrence("exponential", 0.8)
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(InvalidParameterError, match="max_iter"):
+            doubly_constrained_flows(O, D, dmat, det, max_iter=bad)
+    expected = doubly_constrained_flows(O, D, dmat, det).values
+    np.testing.assert_array_equal(doubly_constrained_flows(O, D, dmat, det, max_iter=np.int64(50)).values, expected)
+    # zero steps is a valid budget: the flat kernel's first guess is exact
+    flat = doubly_constrained_flows(O, D, dmat, Deterrence("exponential", 0.0), max_iter=0)
+    np.testing.assert_allclose(flat.values, np.outer(O, D) / sum(O), rtol=1e-12)
+
+
+def lstsq_step(J, rhs):
+    """Oracle: the minimum-norm Newton step of an SVD least-squares solve."""
+    return np.linalg.lstsq(J, rhs, rcond=None)[0]
+
+
+@st.composite
+def column_sum_jacobians(draw, blocks):
+    """(J, rhs) of the balancing Newton step, J = diag(C) - Pᵀ diag(O) P.
+
+    With ``blocks`` > 1 the columns split into that many groups and each row
+    reaches one group only, as where exp underflow cuts the support.
+    """
+    m = draw(st.integers(max(2, blocks), 15))
+    n = draw(st.integers(blocks, 40))
+    group = np.arange(m) % blocks
+    row_group = np.arange(n) % blocks
+    scores = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+    scores[row_group[:, None] != group[None, :]] = 0.0
+    O = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=n, max_size=n)))
+    P = scores / scores.sum(axis=1, keepdims=True)
+    C = (O[:, None] * P).sum(axis=0)
+    D = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=m, max_size=m)))
+    D *= C.sum() / D.sum()
+    return np.diag(C) - P.T @ (O[:, None] * P), D - C
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_sum_jacobians(blocks=1))
+def test_newton_step_matches_the_lstsq_oracle_on_connected_jacobians(system):
+    # The claim under test: for an rhs in the range of J (sum zero), the
+    # gauge-fixed step is lstsq's minimum-norm one. In the solver sum(D - C)
+    # is rounding, so rhs is centred here first. lstsq's result is compared
+    # without its mean: a constant shift of u is the gauge, and where the null
+    # singular value rounds just above lstsq's cutoff (seen with two columns)
+    # lstsq keeps an O(1) constant part. The error is relative to
+    # |rhs| / sigma, sigma the smallest non-zero singular value of J.
+    J, rhs = system
+    rhs = rhs - rhs.mean()
+    expected = lstsq_step(J, rhs)
+    expected -= expected.mean()
+    step = sim._newton_step(J, rhs)
+    scale = np.linalg.norm(rhs) / np.linalg.svd(J, compute_uv=False)[-2]
+    assert abs(step.mean()) <= 1e-15 * scale
+    assert np.linalg.norm(step - expected) <= 1e-12 * scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 4).flatmap(column_sum_jacobians))
+def test_newton_step_falls_back_to_lstsq_on_block_diagonal_jacobians(system):
+    J, rhs = system
+    np.testing.assert_array_equal(sim._newton_step(J, rhs), lstsq_step(J, rhs))
 
 
 def origin_model(O, museums, zone_points, spec):
