@@ -351,7 +351,8 @@ def _newton_step(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     J = diag(C) - Pᵀ diag(O) P is the Laplacian of the graph that joins two
     columns through every row reaching both, so each connected block of the
-    live support adds one constant null vector. When J has no zero entry the
+    live support adds one null vector, constant on the block and zero
+    elsewhere. When J has no zero entry the
     graph is connected: fixing x_0 = 0 leaves a regular system, and centring
     its solution gives the minimum-norm one that ``lstsq`` returns, at a
     fraction of the cost. A zero entry (exp underflow may have cut the
@@ -383,12 +384,15 @@ def _balanced_values(f, O, D, tol: float, max_iter: int) -> np.ndarray:
     are shifted by their row maximum, which rownorm cancels, so no weight
     under- or overflows. Columns with D_j = 0 get w_j = 0.
 
-    What does not depend on u is settled once, before the first step: only
-    rows with O_i > 0 and columns with D_j > 0 enter the iteration, an
-    origin that reaches no live column raises ``UnreachableOriginError``,
+    What does not depend on u is settled once, before the first step: a
+    ``max_iter`` that is not an int >= 0 raises ``InvalidParameterError``;
+    only rows with O_i > 0 and columns with D_j > 0 enter the iteration; an
+    origin that reaches no live column raises ``UnreachableOriginError``;
     and a live column that no such origin reaches raises
     ``ConvergenceError`` (no weight can give it flow).
     """
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise InvalidParameterError(f"max_iter {max_iter!r} must be an int >= 0")
     values = np.zeros_like(f)
     live = D > 0
     if not np.any(live):
@@ -486,8 +490,6 @@ def doubly_constrained_flows(
         raise InvalidAttributeError("marginal totals must be finite and >= 0")
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol {tol} must be > 0")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise InvalidParameterError(f"max_iter {max_iter!r} must be an int >= 0")
     total = O.sum()
     if abs(total - D.sum()) > 1e-9 * max(total, D.sum(), 1.0):
         raise MarginalMismatchError(f"origin total {total} != destination total {D.sum()}")

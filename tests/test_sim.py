@@ -474,6 +474,8 @@ def test_doubly_constrained_max_iter_must_be_a_count():
     for bad in (-1, 2.5, "3", None):
         with pytest.raises(InvalidParameterError, match="max_iter"):
             doubly_constrained_flows(O, D, dmat, det, max_iter=bad)
+        with pytest.raises(InvalidParameterError, match="max_iter"):
+            sim.flow_values("doubly", np.exp(-0.8 * dmat), np.array(O), None, np.array(D), max_iter=bad)
     expected = doubly_constrained_flows(O, D, dmat, det).values
     np.testing.assert_array_equal(doubly_constrained_flows(O, D, dmat, det, max_iter=np.int64(50)).values, expected)
     # zero steps is a valid budget: the flat kernel's first guess is exact
