@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
-from .pipeline import Corpus, PipelineReport, StageCount, TaggedFeature, _as_homes, _check_row, _CorpusBuilder, _datetime, _utc_us
+from .pipeline import Corpus, Homes, PipelineReport, StageCount, TaggedFeature, _check_row, _CorpusBuilder, _datetime, _utc_us
 from .pipeline import _FIRST_US, _LAST_US, _STAMP_RANGE
 from .sim import FlowMatrix, Museum, Zone
 from .calibration import SweepResult, spec_name
@@ -216,13 +216,12 @@ def _iso_stamps(stamp_us, tz, zones, zulu) -> list:
     return stamps.tolist()
 
 
-def write_tweets(tweets, path) -> None:
-    """Write a Corpus, or any sequence of Tweet, as NDJSON from the columns, :data:`_WRITE_ROWS` rows at a time.
+def write_tweets(corpus: Corpus, path) -> None:
+    """Write a Corpus as NDJSON from the columns, :data:`_WRITE_ROWS` rows at a time.
 
     Stamps in a zero-offset ``timezone`` come from numpy, the rest from ``isoformat``. Each line is one
     f-string holding what ``json.dumps(row, sort_keys=True, ensure_ascii=False)`` gives.
     """
-    corpus = tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
     users = [_json_str(user) for user in corpus.users]
     zulu = np.array([isinstance(z, timezone) and z.utcoffset(None) == timedelta(0) for z in corpus.tzinfos], dtype=bool)
     with open(path, "w", encoding="utf-8") as fh:
@@ -631,9 +630,8 @@ def write_flow_lines(matrix: FlowMatrix, zones, museums, path) -> None:
 # --- user homes ---
 
 
-def write_homes_csv(homes, path) -> None:
-    """Write a Homes, or any sequence of UserHome, from the columns; no zone is an empty cell."""
-    homes = _as_homes(homes)
+def write_homes_csv(homes: Homes, path) -> None:
+    """Write a Homes from the columns; no zone is an empty cell."""
     users, zone_ids = homes.users, [z or "" for z in homes.zone_ids] + [""]
     columns = (homes.user, homes.ix, homes.iy, homes.count, homes.zone)
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -13,15 +13,17 @@ The corpus is a :class:`Corpus`, a struct of arrays with one row per
 message: user codes, coordinates, UTC microsecond timestamps, ids, texts
 and sources. Rows are encoded in one place, a column appender that the
 NDJSON reader, the synthetic generator and :meth:`Corpus.from_tweets` feed.
-Every stage takes a Corpus or any sequence of :class:`Tweet`, works on the
-columns with numpy, and returns the surviving rows as a Corpus in their
-input order. Text stages test strings in Python, but only the rows a
-case-folded substring test leaves them, most by one regex search. Where numpy's arithmetic may
-round differently from the scalar geometry (``hypot``, ``arcsin``), rows
-within a hair of a decision are re-decided by the scalar functions, so
-every result is the one a per-message loop gives. Homes are a
-:class:`Homes`, a struct of arrays with one row per user, whose zones are
-resolved once per distinct cell.
+Every stage takes a Corpus, works on the columns with numpy, and returns
+the surviving rows as a Corpus in their input order; only
+:func:`run_pipeline` also takes a sequence of :class:`Tweet`, which it
+turns into a Corpus once. Text stages test strings in Python, but only
+the rows a case-folded substring test leaves them, most by one regex
+search. Where numpy's arithmetic may round differently from the scalar
+geometry (``hypot``, ``arcsin``), rows within a hair of a decision are
+re-decided by the scalar functions, so every result is the one a
+per-message loop gives. Homes are a :class:`Homes`, a struct of arrays
+with one row per user, whose zones are resolved once per distinct cell;
+a Homes holds one grid, so its ``resolution`` is one number.
 
 Every planar step shares one local frame; its reference coordinate is a
 required argument wherever grid cells or footprint distances are involved,
@@ -155,8 +157,8 @@ class Corpus:
     makes the checks of :class:`Tweet`, so they hold valid messages only.
 
     Iteration gives :class:`Tweet` rows, each timestamp rebuilt in its own
-    zone, so they equal the tweets the corpus was read or built from. A
-    Corpus equals any sequence of equal rows. There is no indexing: one
+    zone, so they equal the tweets the corpus was read or built from. Two
+    Corpus objects are equal when their rows are. There is no indexing: one
     row's point for a scalar decision is ``GeoPoint(corpus.lat[i],
     corpus.lon[i])``. :meth:`take` selects rows; the names table is
     shared, so a user code means the same user in every corpus taken from
@@ -208,7 +210,7 @@ class Corpus:
             yield Tweet(tid, self.users[code], _datetime(us, self.tzinfos[tz]), GeoPoint(lat, lon), text, source)
 
     def __eq__(self, other):
-        if not isinstance(other, (Corpus, list, tuple)):
+        if not isinstance(other, Corpus):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
@@ -280,10 +282,6 @@ class _CorpusBuilder:
         )
 
 
-def _as_corpus(tweets) -> Corpus:
-    return tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
-
-
 def _kept(stage: str, corpus: Corpus, keep):
     """The rows where ``keep`` is True (the corpus itself when that is all), and the stage's count."""
     out = corpus if keep.all() else corpus.take(np.flatnonzero(keep))
@@ -309,13 +307,13 @@ class Homes:
 
     Columns: ``user`` (int64 codes into the ``users`` names, the table of
     the corpus the homes came from), ``ix`` and ``iy`` (int64 cell indices),
-    ``resolution`` (float64, the cell's grid size in metres; a scalar is
-    taken for every row), ``count`` (the user's tweets in that cell) and
-    ``zone`` (int64 index into ``zone_ids``, -1 for none).
-    :func:`infer_home_locations` gives rows sorted by user id.
+    ``count`` (the user's tweets in that cell) and ``zone`` (int64 index
+    into ``zone_ids``, -1 for none). ``resolution`` is one float, the grid
+    size in metres that every cell shares. :func:`infer_home_locations`
+    gives rows sorted by user id.
 
-    Iteration gives :class:`UserHome` rows, and a Homes equals any
-    sequence of equal rows, as a :class:`Corpus` does.
+    Iteration gives :class:`UserHome` rows, and two Homes are equal when
+    their rows are, as for a :class:`Corpus`.
     """
 
     __slots__ = ("users", "user", "ix", "iy", "count", "resolution", "zone_ids", "zone")
@@ -326,7 +324,7 @@ class Homes:
         self.ix = np.asarray(ix, dtype=np.int64)
         self.iy = np.asarray(iy, dtype=np.int64)
         self.count = np.asarray(count, dtype=np.int64)
-        self.resolution = np.broadcast_to(np.asarray(resolution, dtype=np.float64), self.user.shape)
+        self.resolution = float(resolution)
         self.zone_ids = tuple(zone_ids)
         self.zone = np.full(len(self.user), -1, dtype=np.int64) if zone is None else np.asarray(zone, dtype=np.int64)
 
@@ -335,29 +333,16 @@ class Homes:
 
     def __iter__(self):
         users, zone_ids = self.users, self.zone_ids + (None,)
-        columns = (self.user, self.ix, self.iy, self.resolution, self.count, self.zone)
-        for code, ix, iy, resolution, count, zone in zip(*(c.tolist() for c in columns)):
-            yield UserHome(users[code], GridCell(ix, iy, resolution), count, zone_ids[zone])
+        columns = (self.user, self.ix, self.iy, self.count, self.zone)
+        for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns)):
+            yield UserHome(users[code], GridCell(ix, iy, self.resolution), count, zone_ids[zone])
 
     def __eq__(self, other):
-        if not isinstance(other, (Homes, list, tuple)):
+        if not isinstance(other, Homes):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     __hash__ = None
-
-
-def _as_homes(homes) -> Homes:
-    """A Homes as is; a sequence of :class:`UserHome` as a Homes of the same rows in the same order."""
-    if isinstance(homes, Homes):
-        return homes
-    homes = list(homes)
-    users, zone_ids = {}, {}
-    user = _codes(users, [h.user_id for h in homes])
-    zone = [-1 if h.zone_id is None else zone_ids.setdefault(h.zone_id, len(zone_ids)) for h in homes]
-    ix, iy, count = [h.cell.ix for h in homes], [h.cell.iy for h in homes], [h.tweet_count_at_cell for h in homes]
-    resolution = [h.cell.resolution for h in homes]
-    return Homes(users, user, ix, iy, count, resolution, zone_ids, zone)
 
 
 @dataclass(frozen=True)
@@ -414,7 +399,6 @@ def corpus_frame(corpus) -> GeoPoint:
     Order-independent, so every permutation of the corpus grids identically.
     Prefer the zone-derived reference when a zone system is loaded.
     """
-    corpus = _as_corpus(corpus)
     if not len(corpus):
         raise EmptyInputError("cannot derive a frame from an empty corpus")
     return GeoPoint(float(corpus.lat.min()), float(corpus.lon.min()))
@@ -485,7 +469,6 @@ def remove_automated_accounts(
         raise InvalidParameterError(f"activity threshold {activity_threshold} must be >= 1")
     if not 0.0 < static_fraction <= 1.0:
         raise InvalidParameterError(f"static fraction {static_fraction} outside (0, 1]")
-    corpus = _as_corpus(corpus)
     tweets_per_user = np.bincount(corpus.user, minlength=len(corpus.users))
     heavy = np.flatnonzero((tweets_per_user > activity_threshold)[corpus.user])
     dropped = np.zeros(len(corpus.users), dtype=bool)
@@ -528,7 +511,6 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     keywords = tuple(k.casefold() for k in keywords)
     if not keywords:
         raise InvalidParameterError("semantic filter needs at least one keyword")
-    corpus = _as_corpus(corpus)
     texts = corpus.texts
     keep = _contains_any(texts.tolist(), keywords)
     search = _token_start_search(keywords)
@@ -554,7 +536,6 @@ def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_
     if not buffer_m >= 0:
         raise InvalidParameterError(f"buffer {buffer_m} must be >= 0")
     polys = [poly for _, poly in footprints]
-    corpus = _as_corpus(corpus)
     x, y = project_arrays(corpus.lat, corpus.lon, ref)
     keep = np.zeros(len(corpus), dtype=bool)
     close_call = np.zeros(len(corpus), dtype=bool)
@@ -588,7 +569,6 @@ def dedup(corpus):
     equal (user, microsecond) are then put in id order, by a stable sort of
     their ids, so equal ids keep their row order.
     """
-    corpus = _as_corpus(corpus)
     n = len(corpus)
     text_code: dict[str, int] = {}
     texts = np.fromiter(
@@ -619,7 +599,6 @@ def remove_checkins(corpus, patterns=DEFAULT_CHECKIN_PATTERNS):
     patterns = tuple(p.casefold() for p in patterns)
     if not patterns:
         raise InvalidParameterError("check-in removal needs at least one pattern")
-    corpus = _as_corpus(corpus)
     sources = [s or "" for s in corpus.sources.tolist()]
     hit = _contains_any(corpus.texts.tolist(), patterns) | _contains_any(sources, patterns)
     return _kept("checkin-removal", corpus, ~hit)
@@ -638,7 +617,6 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
-    corpus = _as_corpus(corpus)
     if not len(corpus):
         return Homes(corpus.users, [], [], [], [], resolution)
     ix, iy = _grid_cells(corpus, None, ref, resolution)
@@ -666,11 +644,10 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
 
 
 def _distinct_cells(homes: Homes):
-    """(first, inverse): each distinct (ix, iy, resolution) cell's first row, and each row's distinct cell."""
+    """(first, inverse): each distinct (ix, iy) cell's first row, and each row's distinct cell."""
     _, x = np.unique(homes.ix, return_inverse=True)
     ys, y = np.unique(homes.iy, return_inverse=True)
-    sizes, size = np.unique(homes.resolution, return_inverse=True)
-    key = (x.ravel() * len(ys) + y.ravel()) * len(sizes) + size.ravel()  # < homes**2 x grid sizes
+    key = x.ravel() * len(ys) + y.ravel()  # < homes**2
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse.ravel()
 
@@ -681,23 +658,22 @@ def assign_home_zone(homes, zones):
     Homes outside every zone get no zone. A center claimed by several zones
     goes to the first zone in input order when it sits on a shared
     boundary; strict interior overlap is an error in the zone system itself.
-    Takes a :class:`Homes` or a sequence of :class:`UserHome` and returns a
-    Homes of the same rows whose zone column indexes ``zones``.
+    Takes a :class:`Homes` and returns a Homes of the same rows whose zone
+    column indexes ``zones``.
 
     Resolution is per distinct cell: each cell is resolved once, for the
     first home in it, and only against the zones whose containment box holds
     its center; cells go in the order of their first home, so an ambiguous
     cell names the first user living in one.
     """
-    homes = _as_homes(homes)
     for z in zones:
         if z.boundary is None:
             raise InvalidGeometryError(f"zone {z.id} has no boundary polygon")
     first, inverse = _distinct_cells(homes)
     seen_at = np.argsort(first)  # cells in the order of their first home
     rows = first[seen_at]
-    x = (homes.ix[rows, None] + 0.5) * homes.resolution[rows, None]  # GridCell.center, bit for bit
-    y = (homes.iy[rows, None] + 0.5) * homes.resolution[rows, None]
+    x = (homes.ix[rows, None] + 0.5) * homes.resolution  # GridCell.center, bit for bit
+    y = (homes.iy[rows, None] + 0.5) * homes.resolution
     xmin, ymin, xmax, ymax = np.array([containment_box(z.boundary) for z in zones]).reshape(-1, 4).T
     candidates: dict[int, list] = {}  # per cell, in cell order, its zones in zone order
     for c, k in zip(*(a.tolist() for a in np.nonzero((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)))):
@@ -724,19 +700,15 @@ def _zone_containing(center: PlanarPoint, candidates, user_id: str) -> int:
     raise AmbiguousZoneError(f"home of {user_id} strictly inside zones {ids}")
 
 
-def assign_nearest_museum(t: Tweet, museums) -> str:
-    """Id of the closest museum; ties go to the smaller id."""
-    return _nearest_museum(t.location, museums)
-
-
 def _nearest_museum(point: GeoPoint, museums) -> str:
+    """Id of the museum closest to ``point``; ties go to the smaller id."""
     if not museums:
         raise EmptyInputError("no museums to assign")
     return min(museums, key=lambda m: (haversine_km(point, m.location), m.id)).id
 
 
 def _nearest_museums(corpus: Corpus, rows, museums) -> np.ndarray:
-    """Index into museums of :func:`assign_nearest_museum` for the given rows.
+    """Index into museums of :func:`_nearest_museum` for the given rows.
 
     A vectorised haversine argmin; rows whose two nearest museums lie
     within a hair of each other are re-decided by the scalar rule.
@@ -758,29 +730,24 @@ def _nearest_museums(corpus: Corpus, rows, museums) -> np.ndarray:
     return nearest
 
 
-def build_observed_matrix(museum_tweets, homes, zones, museums):
+def build_observed_matrix(corpus, homes, zones, museums):
     """Count (home zone, nearest museum) pairs into a matrix over all labels.
 
-    ``homes`` is a :class:`Homes` or a sequence of :class:`UserHome`; a
-    user with several homes takes the last. Tweets of users with no zoned
-    home contribute nothing to the matrix; the returned stage entry records
-    how many tweets made it in.
+    ``corpus`` holds the museum tweets and ``homes`` is a :class:`Homes`
+    inferred from the same source, so both share one users table; homes
+    with another table raise. Tweets of users with no zoned home contribute
+    nothing to the matrix; the returned stage entry records how many tweets
+    made it in.
     """
-    corpus = _as_corpus(museum_tweets)
-    homes = _as_homes(homes)
+    if homes.users != corpus.users:
+        raise InvalidParameterError("homes and museum tweets must share one users table")
     zone_ids = [z.id for z in zones]
     museum_ids = [m.id for m in museums]
     # zone ids outside the zone list count as contributing but land in a spare row
     zone_row = {z: i for i, z in enumerate(zone_ids)}
     row_of_zone = np.array([zone_row.get(z, len(zone_ids)) for z in homes.zone_ids] + [-1], dtype=np.int64)
-    if homes.users is corpus.users:
-        user = homes.user
-    else:  # a user the corpus does not know lands on the spare last code
-        code_of = {name: code for code, name in enumerate(corpus.users)}
-        user = np.array([code_of.get(name, len(corpus.users)) for name in homes.users], dtype=np.int64)[homes.user]
-    last = len(user) - 1 - np.unique(user[::-1], return_index=True)[1]
-    home_row = np.full(len(corpus.users) + 1, -1, dtype=np.int64)
-    home_row[user[last]] = row_of_zone[homes.zone[last]]
+    home_row = np.full(len(corpus.users), -1, dtype=np.int64)
+    home_row[homes.user] = row_of_zone[homes.zone]
     tweet_row = home_row[corpus.user]
     rows = np.flatnonzero(tweet_row >= 0)
     if rows.size and not museums:
@@ -929,9 +896,9 @@ def _run_filters(corpus, ref: GeoPoint, stages, footprints, keywords, buffer_m: 
     return corpus, entries
 
 
-def _located_homes(tweets, zones, ref: GeoPoint, activity_threshold: int = DEFAULT_ACTIVITY_THRESHOLD):
+def _located_homes(corpus: Corpus, zones, ref: GeoPoint, activity_threshold: int = DEFAULT_ACTIVITY_THRESHOLD):
     """Bot removal, then each survivor's home cell and zone: (survivors, the bot-removal count, :class:`Homes`)."""
-    corpus, bots = remove_automated_accounts(tweets, ref, activity_threshold)
+    corpus, bots = remove_automated_accounts(corpus, ref, activity_threshold)
     return corpus, bots, assign_home_zone(infer_home_locations(corpus, ref), zones)
 
 
@@ -952,9 +919,11 @@ def run_pipeline(
     verb); the filter stages then run through :func:`_run_filters`, shared
     with the ``filter`` verb, the spatial one only when footprints are
     given. Zone boundaries and footprints must be planar in the frame
-    anchored at ref.
+    anchored at ref. ``tweets`` is a :class:`Corpus` or any sequence of
+    :class:`Tweet`; this is the one place a sequence becomes a Corpus.
     """
-    corpus, bots, homes = _located_homes(tweets, zones, ref, activity_threshold)
+    corpus = tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
+    corpus, bots, homes = _located_homes(corpus, zones, ref, activity_threshold)
     corpus, entries = _run_filters(corpus, ref, None, footprints, keywords, buffer_m)
     matrix, aggregate = build_observed_matrix(corpus, homes, zones, museums)
     report = PipelineReport((bots, *entries, aggregate))

@@ -357,7 +357,9 @@ def _newton_step(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     its solution gives the minimum-norm one that ``lstsq`` returns, at a
     fraction of the cost. A zero entry (exp underflow may have cut the
     support into blocks) or a reduced system that is singular in floating
-    point falls back to ``lstsq``.
+    point falls back to ``lstsq``, centred on each block (component of
+    ``J != 0``): a null singular value just above its cutoff leaves a
+    constant part there, which would count toward ``_MAX_LOG_STEP``.
     """
     if J.all():
         try:
@@ -367,7 +369,9 @@ def _newton_step(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         else:
             step = np.concatenate(([0.0], x))
             return step - step.mean()
-    return np.linalg.lstsq(J, rhs, rcond=None)[0]
+    step = np.linalg.lstsq(J, rhs, rcond=None)[0]
+    block = np.linalg.matrix_power((J != 0) | np.eye(len(J), dtype=bool), len(J))  # [i, j]: a path joins i, j
+    return step - block @ step / block.sum(axis=1)
 
 
 def _balanced_values(f, O, D, tol: float, max_iter: int) -> np.ndarray:

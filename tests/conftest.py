@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from museumflows.geometry import GeoPoint
+from museumflows.pipeline import Homes
 from museumflows.sim import Museum, Zone
 
 ANCHOR = GeoPoint(53.7919, -1.5323)
@@ -34,6 +35,28 @@ def make_museum(mid, lat, lon, floor_area_m2=1000.0, media_mentions=5.0):
         location=GeoPoint(lat, lon),
         floor_area_m2=floor_area_m2,
         media_mentions=media_mentions,
+    )
+
+
+def make_homes(rows, users=None):
+    """A Homes holding the given UserHome rows in their order, all on one grid.
+
+    User codes index ``users`` (a corpus's table, holding every row's user)
+    or, without it, the rows' users in first-seen order. Zone codes index
+    the rows' zone ids in first-seen order.
+    """
+    users = list(dict.fromkeys(h.user_id for h in rows)) if users is None else list(users)
+    zone_ids = list(dict.fromkeys(h.zone_id for h in rows if h.zone_id is not None))
+    (resolution,) = {h.cell.resolution for h in rows} or {100.0}
+    return Homes(
+        users,
+        [users.index(h.user_id) for h in rows],
+        [h.cell.ix for h in rows],
+        [h.cell.iy for h in rows],
+        [h.tweet_count_at_cell for h in rows],
+        resolution,
+        zone_ids,
+        [-1 if h.zone_id is None else zone_ids.index(h.zone_id) for h in rows],
     )
 
 

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import make_museum, make_zone
+from conftest import make_homes, make_museum, make_zone
 
 from museumflows.calibration import BetaGrid, sweep_beta
 from museumflows.errors import DataFormatError
@@ -32,7 +32,7 @@ from museumflows.fileio import (
     write_zones,
 )
 from museumflows.geometry import GeoPoint, GridCell
-from museumflows.pipeline import Corpus, PipelineReport, StageCount, Tweet, UserHome, run_pipeline
+from museumflows.pipeline import Corpus, PipelineReport, StageCount, UserHome, run_pipeline
 from museumflows.sim import Deterrence, FlowMatrix, ModelSpec, unconstrained_flows
 from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
@@ -79,10 +79,10 @@ def test_tweets_round_trip(tmp_path):
         make_tweet("d", "u3", "2013-06-01T17:45:00+05:45", 53.83, -1.58, "Straße ﬁ İ"),
     ]
     path = tmp_path / "tweets.ndjson"
-    write_tweets(tweets, path)
+    write_tweets(Corpus.from_tweets(tweets), path)
     back = read_tweets(path)
     assert isinstance(back, Corpus)
-    assert back == tweets
+    assert list(back) == tweets
     assert [t.timestamp.isoformat() for t in back] == [t.timestamp.isoformat() for t in tweets]
     a, b, e, c, _ = back.stamp_us.tolist()
     assert (b, e, c) == (a, a - 3_300_000_000, a + 1)  # b the same instant, e 55 min before, c 1 us after
@@ -154,26 +154,6 @@ def test_first_bad_line_wins_whatever_the_check(tmp_path):
         write(*lines)
         with pytest.raises(DataFormatError, match=message):
             read_tweets(path)
-
-
-def test_write_tweets_writes_a_tweet_list_and_its_corpus_alike(tmp_path):
-    naive = Tweet("n", "u3", datetime(2013, 6, 1, 9, 15), GeoPoint(53.84, -1.59), "naive stamp")
-    rows = [
-        make_tweet("a", "u1", "2013-06-01T12:00:00Z", 53.8, -1.55, "at the museum"),
-        make_tweet("b", "u2", "2013-06-01T14:00:00+02:00", 53.81, -1.56, "via web", source="web"),
-        make_tweet("c", "u1", "2013-06-01T06:30:00.000001-05:30", 53.82, -1.57, "a microsecond on"),
-        make_tweet("d", "u2", "2013-06-01T17:45:00+05:45", 53.83, -1.58, "Straße ﬁ İ ☕", source="app ☕"),
-        naive,
-    ]
-    from_rows, from_corpus = tmp_path / "rows.ndjson", tmp_path / "corpus.ndjson"
-    write_tweets(rows, from_rows)
-    write_tweets(Corpus.from_tweets(rows), from_corpus)
-    assert from_corpus.read_bytes() == from_rows.read_bytes()
-    written = [json.loads(line) for line in from_rows.read_text(encoding="utf-8").splitlines()]
-    # each stamp as the Tweet itself formats it, Z for a zero offset
-    assert [w["timestamp"] for w in written] == [t.timestamp.isoformat().replace("+00:00", "Z") for t in rows]
-    assert [w.get("source") for w in written] == [t.source for t in rows]
-    assert "Straße ﬁ İ ☕" in from_rows.read_text(encoding="utf-8")  # written as is, not escaped
 
 
 def test_non_utf8_input_names_file_and_line(tmp_path):
@@ -426,10 +406,10 @@ def test_report_round_trip_and_formatting(tmp_path):
 
 
 def test_homes_csv(tmp_path):
-    homes = [
+    homes = make_homes([
         UserHome("alice", GridCell(5, 7), 4, zone_id="zA"),
         UserHome("bob", GridCell(-1, 0), 2, zone_id=None),
-    ]
+    ])
     path = tmp_path / "homes.csv"
     write_homes_csv(homes, path)
     with open(path, newline="", encoding="utf-8") as fh:

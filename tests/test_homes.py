@@ -11,11 +11,11 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from conftest import make_museum, make_zone
+from conftest import make_homes, make_museum, make_zone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from museumflows.errors import AmbiguousZoneError, InvalidCoordinateError
+from museumflows.errors import AmbiguousZoneError, InvalidCoordinateError, InvalidParameterError
 from museumflows.geometry import (
     EARTH_RADIUS_M,
     GeoPoint,
@@ -36,7 +36,7 @@ from museumflows.pipeline import (
     build_observed_matrix,
     infer_home_locations,
 )
-from museumflows.fileio import write_homes_csv
+from museumflows.fileio import read_tweets, write_tweets
 
 REF = GeoPoint(53.5, -2.5)
 EPOCH = datetime(2013, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -108,7 +108,7 @@ def random_corpus(rng, n_users=25, n_tweets=400):
                 text="x",
             )
         )
-    return tweets
+    return Corpus.from_tweets(tweets)
 
 
 def tied_users(corpus):
@@ -129,12 +129,12 @@ def test_infer_home_matches_scalar_oracle_on_random_corpora():
     ties = 0
     for _ in range(40):
         corpus = random_corpus(rng)
-        assert infer_home_locations(corpus, REF) == oracle_homes(corpus, REF)
+        assert list(infer_home_locations(corpus, REF)) == oracle_homes(corpus, REF)
         ties += len(tied_users(corpus))
     assert ties > 100  # the tie rule ran
     for resolution in (1.0, 37.5, 250.0):
         corpus = random_corpus(rng)
-        assert infer_home_locations(corpus, REF, resolution) == oracle_homes(corpus, REF, resolution)
+        assert list(infer_home_locations(corpus, REF, resolution)) == oracle_homes(corpus, REF, resolution)
 
 
 def test_infer_home_cells_match_scalar_cells_next_to_edges():
@@ -158,8 +158,8 @@ def test_infer_home_cells_match_scalar_cells_next_to_edges():
                         )
                         lon = math.nextafter(lon, direction)
                         lat = math.nextafter(lat, -direction)
-            homes = infer_home_locations(corpus, ref, resolution)
-            assert homes == oracle_homes(corpus, ref, resolution)
+            homes = infer_home_locations(Corpus.from_tweets(corpus), ref, resolution)
+            assert list(homes) == oracle_homes(corpus, ref, resolution)
             assert {h.cell.ix for h in homes} >= set(range(-21, 21))
 
 
@@ -175,10 +175,10 @@ def test_infer_home_timestamp_tie_goes_to_smaller_id():
 
 
 def test_infer_home_rejects_out_of_frame_tweet():
-    corpus = [
+    corpus = Corpus.from_tweets([
         Tweet("a", "u", EPOCH, GeoPoint(REF.lat, REF.lon), "x"),
         Tweet("b", "v", EPOCH, GeoPoint(REF.lat + 6.0, REF.lon), "x"),
-    ]
+    ])
     with pytest.raises(InvalidCoordinateError):
         infer_home_locations(corpus, REF)
 
@@ -226,8 +226,8 @@ def test_assign_home_zone_matches_brute_force():
         for k in range(400)
     ]
     homes += [UserHome(f"c{k:03d}", cell, 1) for k, cell in enumerate(cells)]
-    got = assign_home_zone(homes, zones)
-    assert got == oracle_zones(homes, zones)
+    got = assign_home_zone(make_homes(homes), zones)
+    assert list(got) == oracle_zones(homes, zones)
     zone_of = {h.cell: h.zone_id for h in got}
     assert zone_of[GridCell(14, 1)] == "short"
     assert zone_of[GridCell(10, 1)] is None  # in the hole
@@ -248,14 +248,15 @@ def test_assign_home_zone_ambiguity_names_first_offending_user():
     with pytest.raises(AmbiguousZoneError) as expected:
         oracle_zones(homes, zones)
     with pytest.raises(AmbiguousZoneError) as got:
-        assign_home_zone(homes, zones)
+        assign_home_zone(make_homes(homes), zones)
     assert str(got.value) == str(expected.value)
     assert "second" in str(got.value)
-    assert assign_home_zone([homes[0], homes[3]], zones) == oracle_zones([homes[0], homes[3]], zones)
+    unambiguous = [homes[0], homes[3]]
+    assert list(assign_home_zone(make_homes(unambiguous), zones)) == oracle_zones(unambiguous, zones)
     # the first user in an ambiguous cell is named, whatever the cells' order
     later_cell = [UserHome("early", GridCell(3, 2), 1)] + homes  # after (3, 1) in (ix, iy) order
     with pytest.raises(AmbiguousZoneError, match="home of early strictly"):
-        assign_home_zone(later_cell, zones)
+        assign_home_zone(make_homes(later_cell), zones)
 
 
 PERMUTED_CORPUS = random_corpus(np.random.default_rng(43), n_users=12, n_tweets=120)
@@ -264,9 +265,10 @@ PERMUTED_HOMES = assign_home_zone(infer_home_locations(PERMUTED_CORPUS, REF), PE
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.permutations(PERMUTED_CORPUS))
-def test_homes_are_invariant_to_corpus_order(corpus):
-    homes = assign_home_zone(infer_home_locations(corpus, REF), PERMUTED_ZONES)
+@given(st.permutations(list(PERMUTED_CORPUS)))
+def test_homes_are_invariant_to_corpus_order(tweets):
+    # built anew, so user codes follow each order
+    homes = assign_home_zone(infer_home_locations(Corpus.from_tweets(tweets), REF), PERMUTED_ZONES)
     assert homes == PERMUTED_HOMES
 
 
@@ -293,56 +295,36 @@ HOME_CORPUS = Corpus.from_tweets([
 def test_homes_rows_are_the_scalar_oracles_rows():
     zones = zone_system()
     homes = assign_home_zone(infer_home_locations(HOME_CORPUS, REF), zones)
-    assert isinstance(homes, Homes) and homes.users is HOME_CORPUS.users
+    assert isinstance(homes, Homes) and homes.users is HOME_CORPUS.users and homes.resolution == 100.0
     assert list(HOME_CORPUS.users) != sorted(HOME_CORPUS.users)  # codes out of name order
     expected = oracle_zones(oracle_homes(HOME_CORPUS, REF), zones)
-    assert list(homes) == expected and homes == expected
+    assert list(homes) == expected
     assert [h.user_id for h in homes] == ["a", "b", "zoë", "Ärzte", "ö"]
     zone_of = {h.user_id: h.zone_id for h in homes}
     assert zone_of == {"a": "b10", "b": "b00", "zoë": "b00", "Ärzte": None, "ö": "short"}
     zone_ids = [z.id for z in zones]
     assert homes.zone.tolist() == [zone_ids.index(zone_of[h.user_id]) if zone_of[h.user_id] else -1 for h in homes]
-    # a list of the rows goes back to the same Homes
-    assert assign_home_zone(list(homes), zones) == homes
 
 
-def test_observed_matrix_is_the_same_for_homes_and_their_rows():
+def test_observed_matrix_needs_homes_over_the_corpus_users_table(tmp_path):
     zones = zone_system()
     museums = [make_museum("m0", REF.lat + 0.001, REF.lon + 0.002), make_museum("m1", REF.lat + 0.003, REF.lon + 0.02)]
     homes = assign_home_zone(infer_home_locations(HOME_CORPUS, REF), zones)
-    museum_tweets = HOME_CORPUS.take([0, 1, 2, 3, 6, 7])
-    matrix, entry = build_observed_matrix(museum_tweets, homes, zones, museums)
+    museum_rows = [0, 1, 2, 3, 6, 7]
+    matrix, entry = build_observed_matrix(HOME_CORPUS.take(museum_rows), homes, zones, museums)
     assert matrix.total() == 5  # Ärzte has no zone
-    for given in (list(homes), tuple(homes), list(homes)[::-1]):
-        again, again_entry = build_observed_matrix(museum_tweets, given, zones, museums)
-        assert np.array_equal(again.values, matrix.values) and again_entry == entry
-    # a user listed twice takes the last home; a user the corpus lacks adds nothing
-    rows = list(homes) + [UserHome("b", GridCell(30, 4), 1), UserHome("nobody", GridCell(1, 1), 1, "b00")]
-    without_b = [h for h in homes if h.user_id != "b"]
-    assert np.array_equal(
-        build_observed_matrix(museum_tweets, rows, zones, museums)[0].values,
-        build_observed_matrix(museum_tweets, without_b, zones, museums)[0].values,
+    # the same rows read twice: equal tables, so the codes mean the same users
+    path = tmp_path / "corpus.ndjson"
+    write_tweets(HOME_CORPUS, path)
+    first, second = read_tweets(path), read_tweets(path)
+    assert first.users is not second.users
+    again, again_entry = build_observed_matrix(
+        second.take(museum_rows), assign_home_zone(infer_home_locations(first, REF), zones), zones, museums
     )
-
-
-def test_homes_of_several_grid_sizes_keep_their_cells(tmp_path):
-    # the same (ix, iy) on two grids is two cells, each with its own centre
-    zones = zone_system()
-    rows = [UserHome("a", GridCell(1, 0), 2), UserHome("b", GridCell(1, 0, 250.0), 1), UserHome("c", GridCell(5, 0), 3)]
-    homes = assign_home_zone(rows, zones)
-    expected = oracle_zones(rows, zones)
-    assert list(homes) == expected and homes.resolution.tolist() == [100.0, 250.0, 100.0]
-    assert expected[0].zone_id != expected[1].zone_id
-    museums = [make_museum("m0", REF.lat + 0.001, REF.lon + 0.002)]
-    tweets = Corpus.from_tweets(
-        [Tweet(f"t{k}", user, EPOCH, GeoPoint(REF.lat + 0.001, REF.lon + 0.002), "museum") for k, user in enumerate("abc")]
-    )
-    matrix, _ = build_observed_matrix(tweets, homes, zones, museums)
-    again, _ = build_observed_matrix(tweets, expected, zones, museums)
-    assert np.array_equal(matrix.values, again.values)
-    assert matrix.total() == sum(h.zone_id is not None for h in expected)
-    path = tmp_path / "homes.csv"
-    write_homes_csv(expected, path)
-    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
-        f"{h.user_id},{h.cell.ix},{h.cell.iy},{h.tweet_count_at_cell},{h.zone_id or ''}" for h in expected
-    ]
+    assert np.array_equal(again.values, matrix.values) and again_entry == entry
+    # the same rows in another order: another table, where a code names another user
+    write_tweets(HOME_CORPUS.take(np.arange(len(HOME_CORPUS))[::-1]), path)
+    reordered = read_tweets(path)
+    assert reordered.users != HOME_CORPUS.users
+    with pytest.raises(InvalidParameterError, match="users table"):
+        build_observed_matrix(reordered, homes, zones, museums)

@@ -9,7 +9,7 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from conftest import make_museum, make_zone
+from conftest import make_homes, make_museum, make_zone
 
 from museumflows.errors import (
     AmbiguousZoneError,
@@ -27,13 +27,14 @@ from museumflows.geometry import (
     project,
     unproject,
 )
+from museumflows import pipeline
 from museumflows.pipeline import (
+    Corpus,
     StageCount,
     TaggedFeature,
     Tweet,
     UserHome,
     assign_home_zone,
-    assign_nearest_museum,
     build_observed_matrix,
     corpus_frame,
     dedup,
@@ -140,7 +141,7 @@ def test_remove_automated_accounts():
     static = [at_planar("bot", 500.0, 500.0, f"update {i}") for i in range(12)]
     roaming = [at_planar("roamer", 500.0 * i, 0.0, f"hello {i} museum") for i in range(12)]
     quiet = [at_planar("quiet", 500.0, 500.0, f"note {i}") for i in range(5)]
-    corpus = static + roaming + quiet
+    corpus = Corpus.from_tweets(static + roaming + quiet)
     out, entry = remove_automated_accounts(corpus, REF, activity_threshold=10, static_fraction=0.95)
     assert {t.user_id for t in out} == {"roamer", "quiet"}
     assert entry.stage == "bot-removal"
@@ -154,7 +155,7 @@ def test_remove_automated_accounts():
 def test_remove_automated_accounts_default_threshold():
     heavy = [at_planar("h", 100.0, 100.0, f"n {i}") for i in range(1001)]
     light = [at_planar("l", 100.0, 100.0, "only one")]
-    out, _ = remove_automated_accounts(heavy + light, REF)
+    out, _ = remove_automated_accounts(Corpus.from_tweets(heavy + light), REF)
     assert {t.user_id for t in out} == {"l"}
 
 
@@ -164,11 +165,11 @@ def test_semantic_filter():
     kept3 = tw("u2", 53.8, -1.5, "new exhibitions opening")
     dropped1 = tw("u2", 53.8, -1.5, "amusement park rides")
     dropped2 = tw("u3", 53.8, -1.5, "nothing relevant here")
-    out, entry = semantic_filter([kept1, dropped1, kept2, kept3, dropped2])
+    out, entry = semantic_filter(Corpus.from_tweets([kept1, dropped1, kept2, kept3, dropped2]))
     assert [t.id for t in out] == [kept1.id, kept2.id, kept3.id]
     assert (entry.tweets_in, entry.tweets_out, entry.users_remaining) == (5, 3, 2)
     with pytest.raises(InvalidParameterError):
-        semantic_filter([kept1], keywords=())
+        semantic_filter(Corpus.from_tweets([kept1]), keywords=())
 
 
 def test_spatial_filter():
@@ -177,11 +178,11 @@ def test_spatial_filter():
     inside = at_planar("u", 1000.0, 1000.0, "at the museum")
     near = at_planar("u", 1019.0, 1000.0, "9 m out")
     far = at_planar("u", 1021.0, 1000.0, "11 m out")
-    out, entry = spatial_filter([inside, near, far], [(museum, footprint)], REF, buffer_m=10.0)
+    out, entry = spatial_filter(Corpus.from_tweets([inside, near, far]), [(museum, footprint)], REF, buffer_m=10.0)
     assert [t.id for t in out] == [inside.id, near.id]
     assert entry.stage == "spatial"
     with pytest.raises(InvalidParameterError):
-        spatial_filter([], [(museum, footprint)], REF, buffer_m=-1.0)
+        spatial_filter(Corpus.from_tweets([]), [(museum, footprint)], REF, buffer_m=-1.0)
 
 
 def _geo_of(x, y):
@@ -194,7 +195,7 @@ def test_dedup_exact_and_url_variants():
     a2 = tw("u1", 53.8, -1.5, "Lovely museum day", minute=5)
     a3 = tw("u1", 53.8, -1.5, "Lovely museum day http://t.co/abc123", minute=3)
     b1 = tw("u2", 53.8, -1.5, "Lovely museum day", minute=1)
-    out, entry = dedup([a2, a3, a1, b1])
+    out, entry = dedup(Corpus.from_tweets([a2, a3, a1, b1]))
     # u1 collapses to the earliest (a1); u2 keeps its own copy
     assert {t.id for t in out} == {a1.id, b1.id}
     assert (entry.tweets_in, entry.tweets_out) == (4, 2)
@@ -207,7 +208,7 @@ def test_dedup_preserves_order_and_is_idempotent():
         tw("u1", 53.8, -1.5, "first museum https://t.co/x", minute=2),
         tw("u1", 53.8, -1.5, "third exhibit", minute=3),
     ]
-    once, _ = dedup(tweets)
+    once, _ = dedup(Corpus.from_tweets(tweets))
     assert [t.id for t in once] == [tweets[0].id, tweets[1].id, tweets[3].id]
     twice, entry = dedup(once)
     assert [t.id for t in twice] == [t.id for t in once]
@@ -218,29 +219,29 @@ def test_remove_checkins():
     hit_text = tw("u1", 53.8, -1.5, "Joust time! (@ Royal Armouries) http://4sq.com/abc")
     hit_source = tw("u2", 53.8, -1.5, "at the museum", source="FourSquare for iPhone")
     clean = tw("u3", 53.8, -1.5, "I love this museum")
-    out, entry = remove_checkins([hit_text, hit_source, clean])
+    out, entry = remove_checkins(Corpus.from_tweets([hit_text, hit_source, clean]))
     assert [t.id for t in out] == [clean.id]
     assert (entry.tweets_in, entry.tweets_out) == (3, 1)
     with pytest.raises(InvalidParameterError):
-        remove_checkins([clean], patterns=())
+        remove_checkins(Corpus.from_tweets([clean]), patterns=())
 
 
 def test_remove_checkins_tests_text_and_source_apart():
     # joined as "text source", the pattern "day web" would match across the seam
     split = tw("u1", 53.8, -1.5, "museum day", source="web")
     inside = tw("u2", 53.8, -1.5, "a fine day web page")
-    out, entry = remove_checkins([split, inside], patterns=("day web",))
+    out, entry = remove_checkins(Corpus.from_tweets([split, inside]), patterns=("day web",))
     assert [t.id for t in out] == [split.id]
     assert (entry.tweets_in, entry.tweets_out) == (2, 1)
 
 
 def test_filters_commute():
-    corpus = [
+    corpus = Corpus.from_tweets([
         tw("u1", 53.8, -1.5, "museum day http://4sq.com/x"),
         tw("u1", 53.8, -1.5, "museum day again"),
         tw("u2", 53.8, -1.5, "lunch break", source="foursquare"),
         tw("u2", 53.8, -1.5, "gallery opening"),
-    ]
+    ])
     a, _ = semantic_filter(corpus)
     a, _ = remove_checkins(a)
     b, _ = remove_checkins(corpus)
@@ -251,7 +252,7 @@ def test_filters_commute():
 def test_infer_home_strict_mode():
     tweets = [at_planar("u", 150.0, 150.0, f"home {i}") for i in range(5)]
     tweets += [at_planar("u", 950.0, 950.0, f"away {i}") for i in range(3)]
-    (home,) = infer_home_locations(tweets, REF)
+    (home,) = infer_home_locations(Corpus.from_tweets(tweets), REF)
     assert (home.cell.ix, home.cell.iy) == (1, 1)
     assert home.tweet_count_at_cell == 5
 
@@ -264,14 +265,14 @@ def test_infer_home_tie_earliest_among_tied():
     b1 = at_planar("u", 550.0, 550.0, "b first", minute=20)
     b2 = at_planar("u", 550.0, 550.0, "b second", minute=30)
     a2 = at_planar("u", 150.0, 150.0, "a second", minute=40)
-    (home,) = infer_home_locations([c, a1, b1, b2, a2], REF)
+    (home,) = infer_home_locations(Corpus.from_tweets([c, a1, b1, b2, a2]), REF)
     assert (home.cell.ix, home.cell.iy) == (1, 1)  # cell A holds minute-10
     assert home.tweet_count_at_cell == 2
 
 
 def test_infer_home_singleton_and_permutation_invariance():
     single = [at_planar("solo", 250.0, 350.0, "one museum tweet")]
-    (home,) = infer_home_locations(single, REF)
+    (home,) = infer_home_locations(Corpus.from_tweets(single), REF)
     assert (home.cell.ix, home.cell.iy) == (2, 3)
 
     tweets = [
@@ -280,26 +281,26 @@ def test_infer_home_singleton_and_permutation_invariance():
         at_planar("u2", 750.0, 150.0, "z", minute=2),
         at_planar("u1", 950.0, 950.0, "w", minute=3),
     ]
-    forward = infer_home_locations(tweets, REF)
-    backward = infer_home_locations(list(reversed(tweets)), REF)
+    forward = infer_home_locations(Corpus.from_tweets(tweets), REF)
+    backward = infer_home_locations(Corpus.from_tweets(tweets[::-1]), REF)
     assert forward == backward
 
 
 def test_assign_home_zone():
     z1 = planar_zone("z1", -100.0, 150.0, 0.0, 300.0)
     z2 = planar_zone("z2", 150.0, 400.0, 0.0, 300.0)
-    homes = [
+    homes = make_homes([
         UserHome("interior1", GridCell(0, 1), 1),   # center (50, 150) in z1
         UserHome("boundary", GridCell(1, 1), 1),    # center (150, 150) on the shared edge
         UserHome("interior2", GridCell(2, 1), 1),   # center (250, 150) in z2
         UserHome("outside", GridCell(9, 9), 1),     # center (950, 950) in neither
-    ]
+    ])
     out = assign_home_zone(homes, [z1, z2])
     assert [h.zone_id for h in out] == ["z1", "z1", "z2", None]
 
     overlapping = [planar_zone("a", 0.0, 200.0, 0.0, 300.0), planar_zone("b", 100.0, 300.0, 0.0, 300.0)]
     with pytest.raises(AmbiguousZoneError):
-        assign_home_zone([UserHome("deep", GridCell(1, 1), 1)], overlapping)
+        assign_home_zone(make_homes([UserHome("deep", GridCell(1, 1), 1)]), overlapping)
 
     bare = make_zone("nb", 53.8, -1.5)
     with pytest.raises(InvalidGeometryError):
@@ -309,42 +310,41 @@ def test_assign_home_zone():
 def test_assign_nearest_museum():
     m_far = make_museum("aa", 53.90, -1.90)
     m_near = make_museum("bb", 53.80, -1.50)
-    t = tw("u", 53.80, -1.50, "here")
-    assert assign_nearest_museum(t, [m_far, m_near]) == "bb"
+    here = GeoPoint(53.80, -1.50)
+    assert pipeline._nearest_museum(here, [m_far, m_near]) == "bb"
 
     # exactly symmetric longitude offsets tie; the smaller id wins
     left = make_museum("mB", 53.80, -1.75)
     right = make_museum("mA", 53.80, -1.25)
-    mid = tw("u", 53.80, -1.50, "between")
-    assert assign_nearest_museum(mid, [left, right]) == "mA"
+    assert pipeline._nearest_museum(here, [left, right]) == "mA"
 
     with pytest.raises(EmptyInputError):
-        assign_nearest_museum(t, [])
+        pipeline._nearest_museum(here, [])
 
 
 def test_assign_nearest_museum_against_scan_oracle():
     museums = [make_museum(f"m{j}", 53.7 + 0.03 * j, -1.6 + 0.05 * j) for j in range(3)]
-    probes = [tw("u", 53.7 + 0.01 * k, -1.6 + 0.02 * k, "probe") for k in range(12)]
-    for t in probes:
-        dists = [haversine_km(t.location, m.location) for m in museums]
+    probes = [GeoPoint(53.7 + 0.01 * k, -1.6 + 0.02 * k) for k in range(12)]
+    for p in probes:
+        dists = [haversine_km(p, m.location) for m in museums]
         expected = museums[dists.index(min(dists))].id
-        assert assign_nearest_museum(t, museums) == expected
+        assert pipeline._nearest_museum(p, museums) == expected
 
 
 def test_build_observed_matrix():
     zones = [planar_zone("z1", 0.0, 200.0, 0.0, 200.0), planar_zone("z2", 200.0, 400.0, 0.0, 200.0)]
     museums = [make_museum("m1", 53.80, -1.50), make_museum("m2", 53.85, -1.00)]
-    homes = [
-        UserHome("u1", GridCell(0, 0), 3, zone_id="z1"),
-        UserHome("u2", GridCell(2, 0), 2, zone_id="z2"),
-        UserHome("u3", GridCell(9, 9), 1, zone_id=None),
-    ]
-    tweets = [
+    tweets = Corpus.from_tweets([
         tw("u1", 53.80, -1.50, "museum a"),
         tw("u1", 53.80, -1.50, "museum b"),
         tw("u2", 53.85, -1.00, "museum c"),
         tw("u3", 53.80, -1.50, "museum d"),  # unzoned home: reported, not counted
-    ]
+    ])
+    homes = make_homes([
+        UserHome("u1", GridCell(0, 0), 3, zone_id="z1"),
+        UserHome("u2", GridCell(2, 0), 2, zone_id="z2"),
+        UserHome("u3", GridCell(9, 9), 1, zone_id=None),
+    ], tweets.users)
     matrix, entry = build_observed_matrix(tweets, homes, zones, museums)
     assert matrix.origin_ids == ("z1", "z2")
     assert matrix.destination_ids == ("m1", "m2")
@@ -352,7 +352,7 @@ def test_build_observed_matrix():
     assert matrix.total() == 3.0
     assert (entry.tweets_in, entry.tweets_out, entry.users_remaining) == (4, 3, 2)
 
-    empty, entry0 = build_observed_matrix([], homes, zones, museums)
+    empty, entry0 = build_observed_matrix(tweets.take([]), homes, zones, museums)
     assert empty.total() == 0.0
     assert entry0.tweets_out == 0
 
@@ -416,21 +416,21 @@ def test_extract_museums_rejects_a_tag_that_is_not_a_number():
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
 def test_nan_and_negative_parameters_are_rejected(bad):
     museum = make_museum("m0", *_geo_of(1000.0, 1000.0))
-    corpus = [at_planar("u", 1000.0, 1000.0, "at the museum")]
+    corpus = Corpus.from_tweets([at_planar("u", 1000.0, 1000.0, "at the museum")])
     with pytest.raises(InvalidParameterError, match="buffer"):
         spatial_filter(corpus, [(museum, square_at(2000.0, 2000.0, 10.0))], REF, buffer_m=bad)
     with pytest.raises(InvalidParameterError, match="merge radius"):
         extract_museums([], merge_radius_m=bad)
     with pytest.raises(InvalidParameterError, match="activity threshold"):
         remove_automated_accounts(corpus, REF, activity_threshold=bad)
-    for corpus in (corpus, []):  # an empty corpus used to return before the check
+    for corpus in (corpus, corpus.take([])):  # an empty corpus used to return before the check
         with pytest.raises(InvalidParameterError, match="grid resolution"):
             infer_home_locations(corpus, REF, resolution=bad)
 
 
 def test_infinite_buffer_and_merge_radius_keep_everything_and_merge_all_namesakes():
     museum = make_museum("m0", *_geo_of(1000.0, 1000.0))
-    corpus = [at_planar("u", 1000.0 + 10.0**k, 1000.0, f"{k}") for k in range(6)]
+    corpus = Corpus.from_tweets([at_planar("u", 1000.0 + 10.0**k, 1000.0, f"{k}") for k in range(6)])
     out, _ = spatial_filter(corpus, [(museum, square_at(1000.0, 1000.0, 10.0))], REF, buffer_m=math.inf)
     assert out == corpus
     far = [TaggedFeature(tags={"name": "Far Museum"}, point=GeoPoint(53.0 + k, -1.5)) for k in range(3)]
@@ -530,19 +530,19 @@ def test_corpus_frame_is_order_independent():
         tw("u", 53.7, -1.6, "b"),
         tw("u", 53.8, -1.8, "c"),
     ]
-    assert corpus_frame(tweets) == GeoPoint(53.7, -1.8)
-    assert corpus_frame(list(reversed(tweets))) == GeoPoint(53.7, -1.8)
+    assert corpus_frame(Corpus.from_tweets(tweets)) == GeoPoint(53.7, -1.8)
+    assert corpus_frame(Corpus.from_tweets(tweets[::-1])) == GeoPoint(53.7, -1.8)
     with pytest.raises(EmptyInputError):
-        corpus_frame([])
+        corpus_frame(Corpus.from_tweets([]))
 
 
 def test_stage_monotonicity():
-    corpus = [
+    corpus = Corpus.from_tweets([
         tw("u1", 53.8, -1.5, "museum and gallery"),
         tw("u1", 53.8, -1.5, "museum and gallery http://4sq.com/z"),
         tw("u2", 53.8, -1.5, "plain chatter"),
         tw("u2", 53.8, -1.5, "exhibit hall"),
-    ]
+    ])
     ids = {t.id for t in corpus}
     for fn in (
         lambda c: semantic_filter(c),

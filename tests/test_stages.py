@@ -9,8 +9,8 @@ tied bit for bit or one ulp apart, texts whose case folding changes their
 length or keeps it, tokens of two characters or fewer, keywords holding a
 separator, the empty keyword, link variants, equal instants under
 different UTC offsets, one-tweet users and repeated users, and a tweet
-from abroad. Every stage gets the tweets both as a list and as a
-:class:`Corpus`.
+from abroad. Every stage gets the tweets as a :class:`Corpus`; the oracles
+loop over them as a list.
 """
 
 import math
@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import make_museum, make_zone
+from conftest import make_homes, make_museum, make_zone
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -231,21 +231,19 @@ def rows(tweets):
 
 
 def check_stage(stage, oracle, corpus, name):
-    """Run the stage on a list and on a Corpus and compare with the oracle."""
+    """Run the stage on the tweets as a Corpus and compare with the oracle's loop over them."""
     try:
         expected = oracle(corpus)
     except InvalidCoordinateError as exc:
-        for given_as in (corpus, Corpus.from_tweets(corpus)):
-            with pytest.raises(InvalidCoordinateError) as got:
-                stage(given_as)
-            assert str(got.value) == str(exc)
+        with pytest.raises(InvalidCoordinateError) as got:
+            stage(Corpus.from_tweets(corpus))
+        assert str(got.value) == str(exc)
         return
-    for given_as in (corpus, Corpus.from_tweets(corpus)):
-        out, entry = stage(given_as)
-        assert isinstance(out, Corpus)
-        assert rows(out) == rows(expected)
-        assert out == expected
-        assert entry == StageCount(name, len(corpus), len(expected), users_of(expected))
+    out, entry = stage(Corpus.from_tweets(corpus))
+    assert isinstance(out, Corpus)
+    assert rows(out) == rows(expected)
+    assert list(out) == expected
+    assert entry == StageCount(name, len(corpus), len(expected), users_of(expected))
 
 
 # --- differential tests ---
@@ -291,12 +289,14 @@ def test_semantic_filter_matches_scalar_loop_on_every_text(keywords):
 
 
 def test_semantic_filter_searches_texts_whose_fold_keeps_their_length_without_tokenizing():
-    corpus = [Tweet("a", "u", BASE, POINTS[0], "musée ☕ museum"), Tweet("b", "u", BASE, POINTS[0], "amusement")]
+    corpus = Corpus.from_tweets(
+        [Tweet("a", "u", BASE, POINTS[0], "musée ☕ museum"), Tweet("b", "u", BASE, POINTS[0], "amusement")]
+    )
     with mock.patch.object(pipeline, "tokenize", side_effect=AssertionError("tokenized")):
         out, _ = semantic_filter(corpus)
     assert [t.id for t in out] == ["a"]
     with mock.patch.object(pipeline, "tokenize", wraps=tokenize) as tokenized:
-        out, _ = semantic_filter([Tweet("c", "u", BASE, POINTS[0], "Straße museum")])
+        out, _ = semantic_filter(Corpus.from_tweets([Tweet("c", "u", BASE, POINTS[0], "Straße museum")]))
     assert [t.id for t in out] == ["c"] and tokenized.call_count == 1
 
 
@@ -320,17 +320,17 @@ def test_out_of_frame_error_names_the_tweet_a_per_user_loop_meets_first():
     def at(tid, user, where):
         return Tweet(tid, user, BASE, where, "museum")
 
-    corpus = [at("a", "u1", POINTS[0]), at("b", "u2", ABROAD[1]), at("c", "u2", POINTS[0]), at("d", "u1", ABROAD[0])]
+    tweets = [at("a", "u1", POINTS[0]), at("b", "u2", ABROAD[1]), at("c", "u2", POINTS[0]), at("d", "u1", ABROAD[0])]
     with pytest.raises(InvalidCoordinateError) as expected:
-        oracle_remove_automated_accounts(corpus, REF, 1, 0.5)
+        oracle_remove_automated_accounts(tweets, REF, 1, 0.5)
     assert f"({ABROAD[0].lat}," in str(expected.value)
-    for given_as in (corpus, Corpus.from_tweets(corpus)):
-        with pytest.raises(InvalidCoordinateError) as got:
-            remove_automated_accounts(given_as, REF, 1, 0.5)
-        assert str(got.value) == str(expected.value)
-        with pytest.raises(InvalidCoordinateError) as got:
-            infer_home_locations(given_as, REF)
-        assert str(got.value) == str(expected.value)
+    corpus = Corpus.from_tweets(tweets)
+    with pytest.raises(InvalidCoordinateError) as got:
+        remove_automated_accounts(corpus, REF, 1, 0.5)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(InvalidCoordinateError) as got:
+        infer_home_locations(corpus, REF)
+    assert str(got.value) == str(expected.value)
     # the spatial filter meets tweets in corpus order
     with pytest.raises(InvalidCoordinateError, match=rf"\({ABROAD[1].lat}, {ABROAD[1].lon}\)"):
         spatial_filter(corpus, [], REF)
@@ -408,7 +408,7 @@ def test_spatial_filter_decides_hypot_rounding_like_the_scalar_distance():
     else:
         pytest.fail("no rounding difference found")
     for buffer_m in (d, e, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
-        out, _ = spatial_filter([tweet], [(museum, poly)], REF, buffer_m)
+        out, _ = spatial_filter(Corpus.from_tweets([tweet]), [(museum, poly)], REF, buffer_m)
         assert len(out) == (d <= buffer_m)
 
 
@@ -426,27 +426,30 @@ MUSEUM_SETS = (
 @settings(max_examples=60, deadline=None)
 @given(corpora(abroad=True), st.sampled_from(MUSEUM_SETS), st.data())
 def test_aggregate_matches_scalar_loop(corpus, museums, data):
+    # each user has a home in z0, in z1 or in no zone, or no home row at all
     zones = [make_zone("z0", LAT0, LON0), make_zone("z1", LAT0, LON0)]
-    homes = [
-        UserHome(user, GridCell(0, 0), 1, data.draw(st.sampled_from(("z0", "z1", None))))
-        for user in sorted({t.user_id for t in corpus}) + ["nobody"]
-    ]
+    given = Corpus.from_tweets(corpus)
+    homes = []
+    for user in sorted(given.users):
+        zone = data.draw(st.sampled_from(("z0", "z1", None, "no home")))
+        if zone != "no home":
+            homes.append(UserHome(user, GridCell(0, 0), 1, zone))
     values, contributing, contributors = oracle_observed_matrix(corpus, homes, zones, museums)
-    for given_as in (corpus, Corpus.from_tweets(corpus)):
-        matrix, entry = build_observed_matrix(given_as, homes, zones, museums)
-        assert matrix.values.tolist() == values
-        assert matrix.origin_ids == ("z0", "z1")
-        assert matrix.destination_ids == tuple(m.id for m in museums)
-        assert entry == StageCount("aggregate", len(corpus), contributing, contributors)
+    matrix, entry = build_observed_matrix(given, make_homes(homes, given.users), zones, museums)
+    assert matrix.values.tolist() == values
+    assert matrix.origin_ids == ("z0", "z1")
+    assert matrix.destination_ids == tuple(m.id for m in museums)
+    assert entry == StageCount("aggregate", len(corpus), contributing, contributors)
 
 
 def test_aggregate_tie_goes_to_smaller_id_whatever_the_order():
     zones = [make_zone("z0", LAT0, LON0)]
-    homes = [UserHome("u", GridCell(0, 0), 1, "z0")]
-    tweet = Tweet("t", "u", BASE, GeoPoint(LAT0, LON0), "museum")
+    corpus = Corpus.from_tweets([Tweet("t", "u", BASE, GeoPoint(LAT0, LON0), "museum")])
+    homes = make_homes([UserHome("u", GridCell(0, 0), 1, "z0")], corpus.users)
     for museums in (MUSEUM_SETS[0], MUSEUM_SETS[0][::-1]):
-        matrix, _ = build_observed_matrix([tweet], homes, zones, museums)
+        matrix, _ = build_observed_matrix(corpus, homes, zones, museums)
         assert matrix.values[0, [m.id for m in museums].index("mA")] == 1.0
+        assert pipeline._nearest_museum(GeoPoint(LAT0, LON0), museums) == "mA"
 
 
 # --- the whole chain ---

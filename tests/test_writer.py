@@ -106,14 +106,14 @@ def tweets(draw):
 )
 def test_column_writer_matches_the_row_writer(rows, slice_rows):
     with mock.patch.object(fileio, "_WRITE_ROWS", slice_rows):
-        got = written(write_tweets, rows)
+        got = written(write_tweets, Corpus.from_tweets(rows))
     assert got == written(row_writer, rows)
     # a naive stamp reads back as UTC and gains its Z; every other stamp keeps its bytes
     aware = [t if t.timestamp.tzinfo else Tweet(t.id, t.user_id, t.timestamp.replace(tzinfo=timezone.utc), t.location,
                                                   t.text, t.source) for t in rows]
     with tempfile.TemporaryDirectory() as tmp:
         first, again = os.path.join(tmp, "first.ndjson"), os.path.join(tmp, "again.ndjson")
-        write_tweets(aware, first)
+        write_tweets(Corpus.from_tweets(aware), first)
         write_tweets(read_tweets(first), again)
         with open(first, "rb") as a, open(again, "rb") as b:
             assert b.read() == a.read()
