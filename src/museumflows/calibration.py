@@ -20,6 +20,14 @@ from .errors import (
 )
 from .sim import FlowMatrix, ModelSpec, model_inputs, model_values
 
+# The paper's three specifications by name, in the order compare_specifications
+# sweeps them: name -> (use_attractiveness, use_demand).
+SPEC_FLAGS = {
+    "baseline": (False, False),
+    "attract": (True, False),
+    "attract-demand": (True, True),
+}
+
 
 @dataclass(frozen=True)
 class BetaGrid:
@@ -59,14 +67,9 @@ class SweepResult:
 
 
 def spec_name(spec: ModelSpec) -> str:
-    """Short label for the weighting combination of a model spec."""
-    if spec.use_attractiveness and spec.use_demand:
-        return "attract-demand"
-    if spec.use_attractiveness:
-        return "attract"
-    if spec.use_demand:
-        return "demand"
-    return "baseline"
+    """The ``SPEC_FLAGS`` name of a model spec's weighting; "demand" for demand weights alone."""
+    flags = (spec.use_attractiveness, spec.use_demand)
+    return next((name for name, f in SPEC_FLAGS.items() if f == flags), "demand")
 
 
 def _centred(v: np.ndarray):
@@ -164,14 +167,11 @@ def sweep_beta(zones, museums, observed: FlowMatrix, spec: ModelSpec, grid=None)
 def compare_specifications(zones, museums, observed: FlowMatrix, grid=None, base: ModelSpec | None = None):
     """Sweep the three weighting variants in fixed order.
 
-    Returns [plain, +attractiveness, +attractiveness+demand], all sharing
-    the deterrence kind and constraint of ``base``.
+    Returns the sweeps of ``SPEC_FLAGS`` in its order (plain,
+    +attractiveness, +attractiveness+demand), all sharing the deterrence
+    kind and constraint of ``base``.
     """
     if base is None:
         base = ModelSpec()
-    variants = (
-        replace(base, use_attractiveness=False, use_demand=False),
-        replace(base, use_attractiveness=True, use_demand=False),
-        replace(base, use_attractiveness=True, use_demand=True),
-    )
+    variants = [replace(base, use_attractiveness=a, use_demand=d) for a, d in SPEC_FLAGS.values()]
     return [sweep_beta(zones, museums, observed, v, grid) for v in variants]

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import fileio
-from .calibration import BetaGrid, sweep_beta
+from .calibration import SPEC_FLAGS, BetaGrid, sweep_beta
 from .errors import FlowModelError
 from .pipeline import (
     DEFAULT_BUFFER_M,
@@ -32,12 +32,6 @@ from .pipeline import (
 )
 from .sim import CONSTRAINTS, DETERRENCE_KINDS, Deterrence, ModelSpec, model_matrix
 from .synth import SynthConfig, demo_region, recovery_report
-
-_SPEC_FLAGS = {
-    "baseline": (False, False),
-    "attract": (True, False),
-    "attract-demand": (True, True),
-}
 
 
 class _UsageError(Exception):
@@ -70,7 +64,7 @@ def _add_grid_flags(sub):
 
 
 def _add_spec_flags(sub, with_constraint=True):
-    sub.add_argument("--spec", choices=sorted(_SPEC_FLAGS), default="baseline")
+    sub.add_argument("--spec", choices=sorted(SPEC_FLAGS), default="baseline")
     sub.add_argument("--deterrence", choices=DETERRENCE_KINDS, default=Deterrence.kind)
     if with_constraint:
         sub.add_argument("--constraint", choices=CONSTRAINTS, default=ModelSpec.constraint)
@@ -166,7 +160,7 @@ def _outdir(args) -> str:
 
 
 def _build_spec(args, beta: float, constraint: str | None = None) -> ModelSpec:
-    attract, demand = _SPEC_FLAGS[args.spec]
+    attract, demand = SPEC_FLAGS[args.spec]
     return ModelSpec(
         deterrence=Deterrence(args.deterrence, beta),
         use_attractiveness=attract,

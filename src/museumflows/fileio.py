@@ -308,6 +308,12 @@ def _require(props, keys, path, label):
         raise DataFormatError(f"{path}: {label}: missing properties {', '.join(missing)}")
 
 
+def _check_unique_ids(ids, path, kind) -> None:
+    """Raise for the ids that repeat in one file, naming the file."""
+    if len(ids) > len(set(ids)):
+        raise DataFormatError(f"{path}: repeated {kind} ids: {', '.join(sorted({i for i in ids if ids.count(i) > 1}))}")
+
+
 def _planar_polygon(rings, ref) -> PolygonM:
     projected = tuple(tuple(project(p, ref) for p in ring) for ring in rings)
     return PolygonM(exterior=projected[0], holes=projected[1:])
@@ -345,8 +351,7 @@ def read_zones(path):
             )
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: {label}: {exc}") from exc
-    if len(ids := [zid for zid, *_ in parsed]) > len(set(ids)):
-        raise DataFormatError(f"{path}: repeated zone ids: {', '.join(sorted({z for z in ids if ids.count(z) > 1}))}")
+    _check_unique_ids([zid for zid, *_ in parsed], path, "zone")
     ref = GeoPoint(
         min(p.lat for *_, rings in parsed for ring in rings for p in ring),
         min(p.lon for *_, rings in parsed for ring in rings for p in ring),
@@ -419,6 +424,7 @@ def read_museums(path) -> list[Museum]:
             )
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: {label}: {exc}") from exc
+    _check_unique_ids([m.id for m in museums], path, "museum")
     return museums
 
 

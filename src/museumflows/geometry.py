@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidCoordinateError,
-    InvalidGeometryError,
-    InvalidParameterError,
-)
+from .errors import InvalidCoordinateError, InvalidGeometryError
 
 # IUGG mean Earth radius; fixed so results are bit-reproducible.
 EARTH_RADIUS_KM = 6371.0088
@@ -26,6 +22,9 @@ EARTH_RADIUS_M = 6371008.8
 # Maximum separation (degrees) between a point and the frame reference for
 # the local projection to stay city-scale valid.
 MAX_FRAME_DEGREES = 5.0
+
+# Side of a generalization grid cell: homes are modal 100 m cells.
+GRID_RESOLUTION_M = 100.0
 
 # Absolute tolerance (m^2 on the cross product) for deciding a point sits
 # exactly on a polygon edge.
@@ -62,18 +61,13 @@ class PlanarPoint:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One square cell of the generalization grid."""
+    """One square cell, GRID_RESOLUTION_M on a side, of the generalization grid."""
 
     ix: int
     iy: int
-    resolution: float = 100.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
-            raise InvalidParameterError(f"grid resolution must be positive, got {self.resolution}")
 
     def center(self) -> PlanarPoint:
-        return PlanarPoint((self.ix + 0.5) * self.resolution, (self.iy + 0.5) * self.resolution)
+        return PlanarPoint((self.ix + 0.5) * GRID_RESOLUTION_M, (self.iy + 0.5) * GRID_RESOLUTION_M)
 
 
 @dataclass(frozen=True)
@@ -340,8 +334,6 @@ def polygon_centroid_area(poly: PolygonM) -> tuple[PlanarPoint, float]:
     return PlanarPoint(cx / area, cy / area), area
 
 
-def snap_to_grid(p: PlanarPoint, resolution: float = 100.0) -> GridCell:
+def snap_to_grid(p: PlanarPoint) -> GridCell:
     """Cell containing ``p``; floor-based so cells partition the plane."""
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
-    return GridCell(math.floor(p.x / resolution), math.floor(p.y / resolution), resolution)
+    return GridCell(math.floor(p.x / GRID_RESOLUTION_M), math.floor(p.y / GRID_RESOLUTION_M))

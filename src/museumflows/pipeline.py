@@ -23,7 +23,7 @@ geometry (``hypot``, ``arcsin``), rows within a hair of a decision are
 re-decided by the scalar functions, so every result is the one a
 per-message loop gives. Homes are a :class:`Homes`, a struct of arrays
 with one row per user, whose zones are resolved once per distinct cell;
-a Homes holds one grid, so its ``resolution`` is one number.
+every cell is a square ``GRID_RESOLUTION_M`` (100 m) on a side.
 
 Every planar step shares one local frame; its reference coordinate is a
 required argument wherever grid cells or footprint distances are involved,
@@ -48,6 +48,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .geometry import (
+    GRID_RESOLUTION_M,
     MAX_FRAME_DEGREES,
     GeoPoint,
     GridCell,
@@ -76,7 +77,6 @@ DEFAULT_ACTIVITY_THRESHOLD = 1000
 DEFAULT_STATIC_FRACTION = 0.95
 DEFAULT_MERGE_RADIUS_M = 100.0
 DEFAULT_FLOOR_AREA_M2 = 1.0
-GRID_RESOLUTION_M = 100.0
 FILTER_STAGES = ("semantic", "spatial", "dedup", "checkin")  # the order the filter stages run in
 
 # Relative width of the band around a decision inside which the scalar
@@ -308,23 +308,22 @@ class Homes:
     Columns: ``user`` (int64 codes into the ``users`` names, the table of
     the corpus the homes came from), ``ix`` and ``iy`` (int64 cell indices),
     ``count`` (the user's tweets in that cell) and ``zone`` (int64 index
-    into ``zone_ids``, -1 for none). ``resolution`` is one float, the grid
-    size in metres that every cell shares. :func:`infer_home_locations`
+    into ``zone_ids``, -1 for none). Every cell is a 100 m
+    :class:`~museumflows.geometry.GridCell`. :func:`infer_home_locations`
     gives rows sorted by user id.
 
     Iteration gives :class:`UserHome` rows, and two Homes are equal when
     their rows are, as for a :class:`Corpus`.
     """
 
-    __slots__ = ("users", "user", "ix", "iy", "count", "resolution", "zone_ids", "zone")
+    __slots__ = ("users", "user", "ix", "iy", "count", "zone_ids", "zone")
 
-    def __init__(self, users, user, ix, iy, count, resolution, zone_ids=(), zone=None):
+    def __init__(self, users, user, ix, iy, count, zone_ids=(), zone=None):
         self.users = tuple(users)
         self.user = np.asarray(user, dtype=np.int64)
         self.ix = np.asarray(ix, dtype=np.int64)
         self.iy = np.asarray(iy, dtype=np.int64)
         self.count = np.asarray(count, dtype=np.int64)
-        self.resolution = float(resolution)
         self.zone_ids = tuple(zone_ids)
         self.zone = np.full(len(self.user), -1, dtype=np.int64) if zone is None else np.asarray(zone, dtype=np.int64)
 
@@ -335,7 +334,7 @@ class Homes:
         users, zone_ids = self.users, self.zone_ids + (None,)
         columns = (self.user, self.ix, self.iy, self.count, self.zone)
         for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns)):
-            yield UserHome(users[code], GridCell(ix, iy, self.resolution), count, zone_ids[zone])
+            yield UserHome(users[code], GridCell(ix, iy), count, zone_ids[zone])
 
     def __eq__(self, other):
         if not isinstance(other, Homes):
@@ -415,7 +414,7 @@ def _contains_any(strings, needles) -> np.ndarray:
     return np.fromiter(map(bool, map(search, map(str.casefold, strings))), dtype=bool, count=len(strings))
 
 
-def _grid_cells(corpus: Corpus, rows, ref: GeoPoint, resolution: float):
+def _grid_cells(corpus: Corpus, rows, ref: GeoPoint):
     """(ix, iy) of the given rows (None: all), bit for bit :func:`project` + :func:`snap_to_grid`.
 
     An out-of-frame row raises through :func:`project`: the first such row
@@ -431,7 +430,7 @@ def _grid_cells(corpus: Corpus, rows, ref: GeoPoint, resolution: float):
         row = far[np.argmin(first[corpus.user[far]])]
         project(GeoPoint(corpus.lat[row], corpus.lon[row]), ref)
     x, y = project_arrays(lat, lon, ref)
-    return np.floor(x / resolution, out=x).astype(np.int64), np.floor(y / resolution, out=y).astype(np.int64)
+    return np.floor(x / GRID_RESOLUTION_M, out=x).astype(np.int64), np.floor(y / GRID_RESOLUTION_M, out=y).astype(np.int64)
 
 
 def _cell_runs(user, ix, iy):
@@ -473,7 +472,7 @@ def remove_automated_accounts(
     heavy = np.flatnonzero((tweets_per_user > activity_threshold)[corpus.user])
     dropped = np.zeros(len(corpus.users), dtype=bool)
     if heavy.size:
-        ix, iy = _grid_cells(corpus, heavy, ref, GRID_RESOLUTION_M)
+        ix, iy = _grid_cells(corpus, heavy, ref)
         _, _, _, _, users, top = _cell_runs(corpus.user[heavy], ix, iy)
         dropped[users[top >= static_fraction * tweets_per_user[users]]] = True
     return _kept("bot-removal", corpus, ~dropped[corpus.user])
@@ -604,8 +603,8 @@ def remove_checkins(corpus, patterns=DEFAULT_CHECKIN_PATTERNS):
     return _kept("checkin-removal", corpus, ~hit)
 
 
-def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUTION_M):
-    """Each user's modal grid cell over their full activity.
+def infer_home_locations(corpus, ref: GeoPoint):
+    """Each user's modal 100 m grid cell over their full activity.
 
     Tied cells resolve to the one holding the user's earliest tweet among
     the tied cells. The result is a :class:`Homes` sorted by user id, with
@@ -615,11 +614,9 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     :func:`project` and :func:`snap_to_grid` in the same order, so each is
     bit for bit the cell the scalar functions give.
     """
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise InvalidParameterError(f"grid resolution must be positive, got {resolution}")
     if not len(corpus):
-        return Homes(corpus.users, [], [], [], [], resolution)
-    ix, iy = _grid_cells(corpus, None, ref, resolution)
+        return Homes(corpus.users, [], [], [], [])
+    ix, iy = _grid_cells(corpus, None, ref)
     order, starts, counts, group, users, top = _cell_runs(corpus.user, ix, iy)
     top_runs = np.flatnonzero(counts == top[group])
     # each user group's top runs are top_runs[first_top[g]: first_top[g + 1]]
@@ -640,7 +637,7 @@ def infer_home_locations(corpus, ref: GeoPoint, resolution: float = GRID_RESOLUT
     name_rank[sorted(range(len(corpus.users)), key=corpus.users.__getitem__)] = np.arange(len(corpus.users))
     by_name = np.argsort(name_rank[users])
     best = best[by_name]
-    return Homes(corpus.users, users[by_name], ix[best], iy[best], top[by_name], resolution)
+    return Homes(corpus.users, users[by_name], ix[best], iy[best], top[by_name])
 
 
 def _distinct_cells(homes: Homes):
@@ -672,8 +669,8 @@ def assign_home_zone(homes, zones):
     first, inverse = _distinct_cells(homes)
     seen_at = np.argsort(first)  # cells in the order of their first home
     rows = first[seen_at]
-    x = (homes.ix[rows, None] + 0.5) * homes.resolution  # GridCell.center, bit for bit
-    y = (homes.iy[rows, None] + 0.5) * homes.resolution
+    x = (homes.ix[rows, None] + 0.5) * GRID_RESOLUTION_M  # GridCell.center, bit for bit
+    y = (homes.iy[rows, None] + 0.5) * GRID_RESOLUTION_M
     xmin, ymin, xmax, ymax = np.array([containment_box(z.boundary) for z in zones]).reshape(-1, 4).T
     candidates: dict[int, list] = {}  # per cell, in cell order, its zones in zone order
     for c, k in zip(*(a.tolist() for a in np.nonzero((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)))):
@@ -683,10 +680,7 @@ def assign_home_zone(homes, zones):
     for c, in_box in candidates.items():
         user_id = homes.users[homes.user[rows[c]]]
         zone_of_cell[seen_at[c]] = _zone_containing(PlanarPoint(x[c], y[c]), in_box, user_id)
-    return Homes(
-        homes.users, homes.user, homes.ix, homes.iy, homes.count, homes.resolution,
-        [z.id for z in zones], zone_of_cell[inverse],
-    )
+    return Homes(homes.users, homes.user, homes.ix, homes.iy, homes.count, [z.id for z in zones], zone_of_cell[inverse])
 
 
 def _zone_containing(center: PlanarPoint, candidates, user_id: str) -> int:
@@ -896,9 +890,9 @@ def _run_filters(corpus, ref: GeoPoint, stages, footprints, keywords, buffer_m: 
     return corpus, entries
 
 
-def _located_homes(corpus: Corpus, zones, ref: GeoPoint, activity_threshold: int = DEFAULT_ACTIVITY_THRESHOLD):
+def _located_homes(corpus: Corpus, zones, ref: GeoPoint):
     """Bot removal, then each survivor's home cell and zone: (survivors, the bot-removal count, :class:`Homes`)."""
-    corpus, bots = remove_automated_accounts(corpus, ref, activity_threshold)
+    corpus, bots = remove_automated_accounts(corpus, ref)
     return corpus, bots, assign_home_zone(infer_home_locations(corpus, ref), zones)
 
 
@@ -910,7 +904,6 @@ def run_pipeline(
     footprints=None,
     keywords=DEFAULT_KEYWORDS,
     buffer_m: float = DEFAULT_BUFFER_M,
-    activity_threshold: int = DEFAULT_ACTIVITY_THRESHOLD,
 ) -> PipelineResult:
     """Run the full chain and aggregate the observed matrix.
 
@@ -923,7 +916,7 @@ def run_pipeline(
     :class:`Tweet`; this is the one place a sequence becomes a Corpus.
     """
     corpus = tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
-    corpus, bots, homes = _located_homes(corpus, zones, ref, activity_threshold)
+    corpus, bots, homes = _located_homes(corpus, zones, ref)
     corpus, entries = _run_filters(corpus, ref, None, footprints, keywords, buffer_m)
     matrix, aggregate = build_observed_matrix(corpus, homes, zones, museums)
     report = PipelineReport((bots, *entries, aggregate))

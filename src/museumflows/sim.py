@@ -91,33 +91,6 @@ class Deterrence:
 
 
 @dataclass(frozen=True)
-class AttractivenessSpec:
-    """How museum attributes combine into destination weights W_j.
-
-    Each factor is (attribute-name, exponent, weight). Additive mode sums
-    weight * X^exponent over mean-normalized attribute vectors X;
-    multiplicative mode forms the product of X^exponent and ignores the
-    weights. The combined vector is divided by its own mean at the end.
-    """
-
-    factors: tuple[tuple[str, float, float], ...] = (
-        ("floor_area_m2", 0.5, 0.5),
-        ("media_mentions", 0.5, 0.3),
-    )
-    mode: str = "additive"
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
-        if not self.factors:
-            raise InvalidParameterError("attractiveness needs at least one factor")
-        for name, exponent, weight in self.factors:
-            if not (math.isfinite(exponent) and math.isfinite(weight)):
-                raise InvalidParameterError(f"factor {name!r}: non-finite exponent or weight")
-        if self.mode not in ("additive", "multiplicative"):
-            raise InvalidParameterError(f"attractiveness mode {self.mode!r} unknown")
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """A full model: kernel, optional weighting terms, constraint regime."""
 
@@ -125,7 +98,6 @@ class ModelSpec:
     use_attractiveness: bool = False
     use_demand: bool = False
     constraint: str = "unconstrained"
-    attractiveness: AttractivenessSpec = field(default_factory=AttractivenessSpec)
 
     def __post_init__(self):
         if self.constraint not in CONSTRAINTS:
@@ -220,41 +192,20 @@ def deterrence_matrix(dmat: np.ndarray, det: Deterrence) -> np.ndarray:
     return dmat ** (-det.beta)
 
 
-def _factor_vector(museums, name: str) -> np.ndarray:
-    try:
-        raw = np.array([float(getattr(m, name)) for m in museums])
-    except AttributeError:
-        raise InvalidParameterError(f"museums have no attribute {name!r}") from None
-    if np.any(raw < 0) or not np.all(np.isfinite(raw)):
-        raise InvalidAttributeError(f"factor {name!r} has negative or non-finite values")
-    return raw
+def attractiveness_weights(museums) -> np.ndarray:
+    """Destination weights W = 0.5 (A / mean A)^0.5 + 0.3 (M / mean M)^0.5, divided by their mean.
 
-
-def attractiveness_weights(museums, spec: AttractivenessSpec | None = None) -> np.ndarray:
-    """Destination weights W_j with mean 1.
-
-    Every raw attribute vector is divided by its mean before the exponent is
-    applied, and the combined vector is divided by its mean again.
+    A is the floor area and M the media mentions of each museum.
     """
     if not museums:
         raise EmptyInputError("attractiveness needs at least one museum")
-    if spec is None:
-        spec = AttractivenessSpec()
-    parts = []
-    for name, exponent, weight in spec.factors:
-        raw = _factor_vector(museums, name)
+    w = np.zeros(len(museums))
+    for name, weight in (("floor_area_m2", 0.5), ("media_mentions", 0.3)):
+        raw = np.array([float(getattr(m, name)) for m in museums])
         mean = raw.mean()
         if mean == 0.0:
             raise DegenerateFactorError(f"factor {name!r} is all zeros; cannot mean-normalize")
-        parts.append((raw / mean, exponent, weight))
-    if spec.mode == "additive":
-        w = np.zeros(len(museums))
-        for normed, exponent, weight in parts:
-            w += weight * normed**exponent
-    else:
-        w = np.ones(len(museums))
-        for normed, exponent, _ in parts:
-            w *= normed**exponent
+        w += weight * (raw / mean) ** 0.5
     if not np.all(np.isfinite(w)):
         raise DegenerateFactorError("attractiveness produced non-finite weights")
     mean = w.mean()
@@ -302,7 +253,7 @@ def model_inputs(zones, museums, spec: ModelSpec, observed: FlowMatrix | None = 
     else:
         obs = observed.reindex(zone_ids, museum_ids)
         rows, D = obs.row_sums(), obs.col_sums()
-    w = attractiveness_weights(museums, spec.attractiveness) if spec.use_attractiveness else np.ones(len(museums))
+    w = attractiveness_weights(museums) if spec.use_attractiveness else np.ones(len(museums))
     return ModelInputs(spec, zone_ids, museum_ids, dmat, rows, w, D)
 
 
@@ -312,19 +263,20 @@ def model_values(inputs: ModelInputs, beta: float) -> np.ndarray:
     return flow_values(inputs.spec.constraint, f, inputs.rows, inputs.w, inputs.D)
 
 
-def flow_values(constraint, f, rows, w, D=None, tol: float = 1e-8, max_iter: int = 1000) -> np.ndarray:
+def flow_values(constraint, f, rows, w, D=None) -> np.ndarray:
     """The one model formula of all three regimes, over precomputed arrays.
 
     - unconstrained: ``rows ⊗ w ⊙ f``, rows being the weighted populations;
     - origin: ``O · rownorm(w ⊙ f)``, rows being the origin totals O;
     - doubly: the origin formula with ``w`` replaced by destination weights
-      solved so that the column sums equal ``D`` (``w`` is ignored).
+      solved so that the column sums equal ``D`` to a relative ``_TOL``
+      (``w`` is ignored).
     """
     if constraint == "unconstrained":
         return rows[:, None] * w[None, :] * f
     if constraint == "origin":
         return rows[:, None] * _row_shares(w[None, :] * f, rows)
-    return _balanced_values(f, rows, D, tol, max_iter)
+    return _balanced_values(f, rows, D)
 
 
 def _check_reachable(dead: np.ndarray) -> None:
@@ -342,6 +294,8 @@ def _row_shares(scores: np.ndarray, O: np.ndarray) -> np.ndarray:
     return np.divide(scores, denom[:, None], out=np.zeros_like(scores), where=denom[:, None] > 0)
 
 
+_TOL = 1e-8  # the doubly regime's bound on max_j |C_j - D_j| / D_j
+_MAX_STEPS = 1000  # Newton steps before the balancing raises ConvergenceError
 _MAX_LOG_STEP = 10.0
 _BACKTRACKS = 30
 
@@ -374,7 +328,7 @@ def _newton_step(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step - block @ step / block.sum(axis=1)
 
 
-def _balanced_values(f, O, D, tol: float, max_iter: int) -> np.ndarray:
+def _balanced_values(f, O, D) -> np.ndarray:
     """Origin formula with destination weights w = exp(u) solved for column sums D.
 
     Newton's method on the column sums C(u) = O · rownorm(exp(u) ⊙ f), whose
@@ -384,19 +338,18 @@ def _balanced_values(f, O, D, tol: float, max_iter: int) -> np.ndarray:
     ``_newton_step``, which falls back to ``lstsq`` on a support cut into
     blocks. Each step is capped at ``_MAX_LOG_STEP`` in u and halved until
     the margin residual max_j |C_j - D_j| / D_j falls; when no length
-    helps, one fixed-point sweep u += log(D / C) is taken instead. Scores
-    are shifted by their row maximum, which rownorm cancels, so no weight
-    under- or overflows. Columns with D_j = 0 get w_j = 0.
+    helps, one fixed-point sweep u += log(D / C) is taken instead. The
+    iteration stops once the residual is at most ``_TOL`` and raises
+    ``ConvergenceError`` after ``_MAX_STEPS`` steps. Scores are shifted by
+    their row maximum, which rownorm cancels, so no weight under- or
+    overflows. Columns with D_j = 0 get w_j = 0.
 
-    What does not depend on u is settled once, before the first step: a
-    ``max_iter`` that is not an int >= 0 raises ``InvalidParameterError``;
+    What does not depend on u is settled once, before the first step:
     only rows with O_i > 0 and columns with D_j > 0 enter the iteration; an
     origin that reaches no live column raises ``UnreachableOriginError``;
     and a live column that no such origin reaches raises
     ``ConvergenceError`` (no weight can give it flow).
     """
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise InvalidParameterError(f"max_iter {max_iter!r} must be an int >= 0")
     values = np.zeros_like(f)
     live = D > 0
     if not np.any(live):
@@ -431,10 +384,10 @@ def _balanced_values(f, O, D, tol: float, max_iter: int) -> np.ndarray:
     # exact for a flat kernel
     u, P, T, C, residual = evaluate(np.log(D))
     steps = 0
-    while not residual <= tol:  # a NaN residual keeps iterating, then raises
-        if steps == max_iter:
+    while not residual <= _TOL:  # a NaN residual keeps iterating, then raises
+        if steps == _MAX_STEPS:
             raise ConvergenceError(
-                f"destination weights did not converge in {max_iter} Newton steps "
+                f"destination weights did not converge in {_MAX_STEPS} Newton steps "
                 f"(last residual {residual:.3e})",
                 residual=residual,
             )
@@ -467,23 +420,15 @@ def unconstrained_flows(zones, museums, spec: ModelSpec) -> FlowMatrix:
     return model_matrix(zones, museums, spec)
 
 
-def doubly_constrained_flows(
-    O,
-    D,
-    dmat,
-    det: Deterrence,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    origin_ids=None,
-    destination_ids=None,
-) -> FlowMatrix:
+def doubly_constrained_flows(O, D, dmat, det: Deterrence) -> FlowMatrix:
     """T_ij = O_i * w_j f(d_ij) / sum_k w_k f(d_ik), with w solved for column sums D.
 
     This is the origin-constrained formula with the destination weights
     solved rather than given; in balancing-factor terms A_i is the inverse
-    row sum and B_j D_j = w_j. Row sums are exact up to rounding. ``tol``
-    bounds the per-column relative margin residual max_j |C_j - D_j| / D_j
-    of the returned matrix, and ``max_iter`` the number of Newton steps.
+    row sum and B_j D_j = w_j. Row sums are exact up to rounding, and the
+    per-column relative margin residual max_j |C_j - D_j| / D_j of the
+    returned matrix is at most 1e-8 (``_TOL``). Rows are labelled ``o0``,
+    ``o1``, ... and columns ``d0``, ``d1``, ...
     """
     O = np.asarray(O, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -492,15 +437,9 @@ def doubly_constrained_flows(
         raise ShapeError(f"marginals ({O.size}, {D.size}) do not match matrix {dmat.shape}")
     if np.any(O < 0) or np.any(D < 0) or not (np.all(np.isfinite(O)) and np.all(np.isfinite(D))):
         raise InvalidAttributeError("marginal totals must be finite and >= 0")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"tol {tol} must be > 0")
     total = O.sum()
     if abs(total - D.sum()) > 1e-9 * max(total, D.sum(), 1.0):
         raise MarginalMismatchError(f"origin total {total} != destination total {D.sum()}")
 
-    values = flow_values("doubly", deterrence_matrix(dmat, det), O, None, D, tol, max_iter)
-    if origin_ids is None:
-        origin_ids = [f"o{i}" for i in range(O.size)]
-    if destination_ids is None:
-        destination_ids = [f"d{j}" for j in range(D.size)]
-    return FlowMatrix(origin_ids, destination_ids, values)
+    values = flow_values("doubly", deterrence_matrix(dmat, det), O, None, D)
+    return FlowMatrix([f"o{i}" for i in range(O.size)], [f"d{j}" for j in range(D.size)], values)

@@ -31,10 +31,14 @@ from .geometry import (
     snap_to_grid,
     unproject,
 )
-from .pipeline import GRID_RESOLUTION_M, Corpus, _CorpusBuilder, _utc_us, run_pipeline
+from .pipeline import Corpus, _CorpusBuilder, _utc_us, run_pipeline
 from .sim import FlowMatrix, ModelSpec, Museum, Zone, unconstrained_flows
 
 EPOCH = datetime(2013, 6, 1, 8, 0, 0, tzinfo=timezone.utc)
+
+# Each synthetic user posts this many home tweets (inclusive range). At least
+# two, so the home cell outvotes the user's single museum tweet.
+HOME_TWEETS_PER_USER = (2, 4)
 
 MUSEUM_TEXTS = (
     "Lovely day at the museum",
@@ -58,11 +62,15 @@ DECOY_TEXTS = (
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Ground truth and sampling parameters for one synthetic corpus."""
+    """Ground truth and sampling parameters for one synthetic corpus.
+
+    Each trip's user posts a number of home tweets drawn from
+    ``HOME_TWEETS_PER_USER`` and one museum tweet. ``noise`` is the share
+    of decoy users, each posting one keyword-free message, among all users.
+    """
 
     true_spec: ModelSpec
     n_trips: int
-    home_tweets_per_user: tuple[int, int] = (2, 4)
     noise: float = 0.0
     seed: int = 0
 
@@ -71,12 +79,6 @@ class SynthConfig:
             raise InvalidParameterError(f"n_trips {self.n_trips} must be >= 1")
         if not 0.0 <= self.noise < 1.0:
             raise InvalidParameterError(f"noise {self.noise} outside [0, 1)")
-        lo, hi = self.home_tweets_per_user
-        if lo < 2 or hi < lo:
-            raise InvalidParameterError(
-                f"home tweet range {self.home_tweets_per_user} needs 2 <= lo <= hi "
-                "(two home tweets guarantee the home cell outvotes the museum tweet)"
-            )
         if self.true_spec.constraint != "unconstrained":
             raise InvalidParameterError("synthetic trips sample from the unconstrained model")
 
@@ -114,7 +116,7 @@ def _home_point(zone: Zone, ref: GeoPoint) -> GeoPoint:
     zone polygon; fall back to the raw centroid when the zone is so thin
     that the snapped center escapes it.
     """
-    cell = snap_to_grid(project(zone.centroid, ref), GRID_RESOLUTION_M)
+    cell = snap_to_grid(project(zone.centroid, ref))
     center = cell.center()
     if zone.boundary is None or point_in_polygon(center, zone.boundary):
         return unproject(center, ref)
@@ -132,7 +134,7 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
     counts = counts.reshape(truth_model.shape)
     truth = FlowMatrix(truth_model.origin_ids, truth_model.destination_ids, counts.astype(float))
 
-    lo, hi = cfg.home_tweets_per_user
+    lo, hi = HOME_TWEETS_PER_USER
     epoch_us = _utc_us(EPOCH)
     users, texts = [], []
     stamp_us, lat_col, lon_col = array("q"), array("d"), array("d")

@@ -39,7 +39,7 @@ def make_museum(mid, lat, lon, floor_area_m2=1000.0, media_mentions=5.0):
 
 
 def make_homes(rows, users=None):
-    """A Homes holding the given UserHome rows in their order, all on one grid.
+    """A Homes holding the given UserHome rows in their order.
 
     User codes index ``users`` (a corpus's table, holding every row's user)
     or, without it, the rows' users in first-seen order. Zone codes index
@@ -47,14 +47,12 @@ def make_homes(rows, users=None):
     """
     users = list(dict.fromkeys(h.user_id for h in rows)) if users is None else list(users)
     zone_ids = list(dict.fromkeys(h.zone_id for h in rows if h.zone_id is not None))
-    (resolution,) = {h.cell.resolution for h in rows} or {100.0}
     return Homes(
         users,
         [users.index(h.user_id) for h in rows],
         [h.cell.ix for h in rows],
         [h.cell.iy for h in rows],
         [h.tweet_count_at_cell for h in rows],
-        resolution,
         zone_ids,
         [-1 if h.zone_id is None else zone_ids.index(h.zone_id) for h in rows],
     )

@@ -630,6 +630,14 @@ DEMO_DIGESTS = {
     "flows.geojson": "c6017b1d6e35a6b68b979cba622b5f5ba6b20dc1462d676947066f5f76a93f7a",
     "homes.csv": "6be57a171df4b8fe10031d3b5a66c1e24a8814f7e760f329682b214cfef995fb",
 }
+# sha256 of sweep.csv from calibrate --observed truth.csv --spec attract-demand,
+# the attractiveness and demand weights' only byte-level pin; the doubly and
+# power sweeps go through LAPACK and may differ in the last place across BLAS
+# builds, so they are not pinned
+ATTRACT_DEMAND_SWEEP_DIGESTS = {
+    "unconstrained": "d0e4623c915dc4bace49965bbd925a528f921dee1a3fac9f5e6ba776736f5018",
+    "origin": "c2269d6fd4508bc45ffc152c94165038fe071c0892ed65f42891452748cb663d",
+}
 
 
 def test_demo_flows_and_homes_outputs_match_recorded_digests(tmp_path):
@@ -640,6 +648,16 @@ def test_demo_flows_and_homes_outputs_match_recorded_digests(tmp_path):
     assert main(["homes", "--tweets", tweets, "--zones", zones, "--out", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DEMO_DIGESTS}
     assert digests == DEMO_DIGESTS
+
+
+def test_demo_attract_demand_sweeps_match_recorded_digests(tmp_path):
+    region = ["--zones", os.path.join(DEMO, "zones.geojson"), "--museums", os.path.join(DEMO, "museums.geojson")]
+    for constraint, digest in ATTRACT_DEMAND_SWEEP_DIGESTS.items():
+        out = tmp_path / constraint
+        argv = ["calibrate", *region, "--observed", os.path.join(DEMO, "truth.csv"), "--spec", "attract-demand",
+                "--constraint", constraint, "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest, constraint
 
 
 def test_simulate_reproduces_the_demo_fixture(tmp_path):
@@ -673,6 +691,37 @@ def test_flows_with_a_repeated_zone_id_is_a_reported_error(tmp_path, capsys):
     ]
     assert main(argv) == 1
     assert f"error: {zones}: repeated zone ids: z000\n" == capsys.readouterr().err
+
+
+def repeated_museum_file(tmp_path):
+    """data/demo's museums with the second feature given the first one's id."""
+    with open(os.path.join(DEMO, "museums.geojson"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["features"][1]["properties"]["id"] = doc["features"][0]["properties"]["id"]
+    museums = tmp_path / "museums.geojson"
+    museums.write_text(json.dumps(doc), encoding="utf-8")
+    return museums
+
+
+def test_flows_with_a_repeated_museum_id_names_the_file(tmp_path, capsys):
+    museums = repeated_museum_file(tmp_path)
+    argv = [
+        "flows", "--tweets", os.path.join(DEMO, "corpus.ndjson"), "--zones", os.path.join(DEMO, "zones.geojson"),
+        "--museums", str(museums), "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 1
+    assert f"error: {museums}: repeated museum ids: m00\n" == capsys.readouterr().err
+
+
+def test_calibrate_with_a_repeated_museum_id_names_the_file(tmp_path, capsys):
+    museums = repeated_museum_file(tmp_path)
+    argv = [
+        "calibrate", "--zones", os.path.join(DEMO, "zones.geojson"), "--museums", str(museums),
+        "--observed", os.path.join(DEMO, "truth.csv"), "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 1
+    assert f"error: {museums}: repeated museum ids: m00\n" == capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_homes_with_a_repeated_zone_id_is_the_same_reported_error(tmp_path, capsys):

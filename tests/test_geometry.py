@@ -11,11 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from museumflows.errors import (
-    InvalidCoordinateError,
-    InvalidGeometryError,
-    InvalidParameterError,
-)
+from museumflows.errors import InvalidCoordinateError, InvalidGeometryError
 from museumflows.geometry import (
     EARTH_RADIUS_KM,
     GeoPoint,
@@ -453,21 +449,14 @@ def test_centroid_area_zero_area_rejected():
 
 
 def test_snap_to_grid_examples():
-    assert snap_to_grid(PlanarPoint(0.0, 0.0), 100.0) == GridCell(0, 0, 100.0)
-    assert snap_to_grid(PlanarPoint(99.99, 100.01), 100.0) == GridCell(0, 1, 100.0)
-    assert snap_to_grid(PlanarPoint(-0.01, 0.0), 100.0) == GridCell(-1, 0, 100.0)
+    assert snap_to_grid(PlanarPoint(0.0, 0.0)) == GridCell(0, 0)
+    assert snap_to_grid(PlanarPoint(99.99, 100.01)) == GridCell(0, 1)
+    assert snap_to_grid(PlanarPoint(-0.01, 0.0)) == GridCell(-1, 0)
 
 
 def test_snap_to_grid_idempotent_on_centers():
     rng = np.random.default_rng(31)
     for _ in range(200):
         p = PlanarPoint(rng.uniform(-5000, 5000), rng.uniform(-5000, 5000))
-        cell = snap_to_grid(p, 100.0)
-        assert snap_to_grid(cell.center(), 100.0) == cell
-
-
-def test_snap_to_grid_rejects_bad_resolution():
-    with pytest.raises(InvalidParameterError):
-        snap_to_grid(PlanarPoint(0, 0), 0.0)
-    with pytest.raises(InvalidParameterError):
-        GridCell(0, 0, -5.0)
+        cell = snap_to_grid(p)
+        assert snap_to_grid(cell.center()) == cell

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from museumflows.errors import AmbiguousZoneError, InvalidCoordinateError, InvalidParameterError
 from museumflows.geometry import (
     EARTH_RADIUS_M,
+    GRID_RESOLUTION_M,
     GeoPoint,
     GridCell,
     PlanarPoint,
@@ -44,7 +45,7 @@ METERS_PER_DEG_LON = EARTH_RADIUS_M * math.cos(math.radians(REF.lat)) * math.pi 
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
 
-def oracle_homes(corpus, ref, resolution=100.0):
+def oracle_homes(corpus, ref):
     """Scalar modal cell per user; ties to the earliest (timestamp, id)."""
     by_user = {}
     for t in corpus:
@@ -53,7 +54,7 @@ def oracle_homes(corpus, ref, resolution=100.0):
     for user_id, tweets in by_user.items():
         cells = {}
         for t in tweets:
-            cells.setdefault(snap_to_grid(project(t.location, ref), resolution), []).append(t)
+            cells.setdefault(snap_to_grid(project(t.location, ref)), []).append(t)
         top = max(len(ts) for ts in cells.values())
         tied = [cell for cell, ts in cells.items() if len(ts) == top]
         best = min(tied, key=lambda cell: min((t.timestamp, t.id) for t in cells[cell]))
@@ -132,9 +133,6 @@ def test_infer_home_matches_scalar_oracle_on_random_corpora():
         assert list(infer_home_locations(corpus, REF)) == oracle_homes(corpus, REF)
         ties += len(tied_users(corpus))
     assert ties > 100  # the tie rule ran
-    for resolution in (1.0, 37.5, 250.0):
-        corpus = random_corpus(rng)
-        assert list(infer_home_locations(corpus, REF, resolution)) == oracle_homes(corpus, REF, resolution)
 
 
 def test_infer_home_cells_match_scalar_cells_next_to_edges():
@@ -146,21 +144,20 @@ def test_infer_home_cells_match_scalar_cells_next_to_edges():
     for ref in (GeoPoint(53.5, 0.0), GeoPoint(-33.9, 0.0), GeoPoint(0.0, 0.0)):
         m_per_deg_lon = EARTH_RADIUS_M * math.cos(math.radians(ref.lat)) * math.pi / 180.0
         m_per_deg_lat = EARTH_RADIUS_M * math.pi / 180.0
-        for resolution in (100.0, 37.5):
-            corpus = []
-            for k in range(-20, 21):
-                for direction in (math.inf, -math.inf):
-                    lon = ref.lon + resolution * k / m_per_deg_lon
-                    lat = ref.lat - resolution * k / m_per_deg_lat
-                    for _ in range(40):
-                        corpus.append(
-                            Tweet(f"t{len(corpus)}", f"u{len(corpus)}", EPOCH, GeoPoint(lat, lon), "x")
-                        )
-                        lon = math.nextafter(lon, direction)
-                        lat = math.nextafter(lat, -direction)
-            homes = infer_home_locations(Corpus.from_tweets(corpus), ref, resolution)
-            assert list(homes) == oracle_homes(corpus, ref, resolution)
-            assert {h.cell.ix for h in homes} >= set(range(-21, 21))
+        corpus = []
+        for k in range(-20, 21):
+            for direction in (math.inf, -math.inf):
+                lon = ref.lon + GRID_RESOLUTION_M * k / m_per_deg_lon
+                lat = ref.lat - GRID_RESOLUTION_M * k / m_per_deg_lat
+                for _ in range(40):
+                    corpus.append(
+                        Tweet(f"t{len(corpus)}", f"u{len(corpus)}", EPOCH, GeoPoint(lat, lon), "x")
+                    )
+                    lon = math.nextafter(lon, direction)
+                    lat = math.nextafter(lat, -direction)
+        homes = infer_home_locations(Corpus.from_tweets(corpus), ref)
+        assert list(homes) == oracle_homes(corpus, ref)
+        assert {h.cell.ix for h in homes} >= set(range(-21, 21))
 
 
 def test_infer_home_timestamp_tie_goes_to_smaller_id():
@@ -295,7 +292,7 @@ HOME_CORPUS = Corpus.from_tweets([
 def test_homes_rows_are_the_scalar_oracles_rows():
     zones = zone_system()
     homes = assign_home_zone(infer_home_locations(HOME_CORPUS, REF), zones)
-    assert isinstance(homes, Homes) and homes.users is HOME_CORPUS.users and homes.resolution == 100.0
+    assert isinstance(homes, Homes) and homes.users is HOME_CORPUS.users
     assert list(HOME_CORPUS.users) != sorted(HOME_CORPUS.users)  # codes out of name order
     expected = oracle_zones(oracle_homes(HOME_CORPUS, REF), zones)
     assert list(homes) == expected

@@ -167,7 +167,7 @@ def oracle_remove_automated_accounts(corpus, ref, activity_threshold, static_fra
             continue
         cells = {}
         for t in tweets:
-            cell = snap_to_grid(project(t.location, ref), 100.0)
+            cell = snap_to_grid(project(t.location, ref))
             cells[cell] = cells.get(cell, 0) + 1
         if max(cells.values()) >= static_fraction * len(tweets):
             dropped.add(user_id)

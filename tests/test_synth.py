@@ -32,10 +32,6 @@ def test_config_validation():
         SynthConfig(true_spec=SPEC, n_trips=10, noise=1.0)
     with pytest.raises(InvalidParameterError):
         SynthConfig(true_spec=SPEC, n_trips=10, noise=-0.1)
-    with pytest.raises(InvalidParameterError):
-        SynthConfig(true_spec=SPEC, n_trips=10, home_tweets_per_user=(1, 4))
-    with pytest.raises(InvalidParameterError):
-        SynthConfig(true_spec=SPEC, n_trips=10, home_tweets_per_user=(4, 2))
     constrained = ModelSpec(deterrence=Deterrence("exponential", 0.95), constraint="doubly")
     with pytest.raises(InvalidParameterError):
         SynthConfig(true_spec=constrained, n_trips=10)
