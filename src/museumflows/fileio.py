@@ -34,10 +34,10 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
-from .geometry import GeoPoint, PolygonM, polygon_centroid_area, project, unproject
+from .geometry import GeoPoint, planar_polygon, polygon_centroid_area, unproject
 from .pipeline import Corpus, Homes, PipelineReport, StageCount, TaggedFeature, _check_row, _CorpusBuilder, _datetime, _utc_us
 from .pipeline import _FIRST_US, _LAST_US, _STAMP_RANGE
-from .sim import FlowMatrix, Museum, Zone
+from .sim import FlowMatrix, Museum, Zone, repeated_ids
 from .calibration import SweepResult, spec_name
 from .synth import RecoveryReport
 
@@ -310,13 +310,8 @@ def _require(props, keys, path, label):
 
 def _check_unique_ids(ids, path, kind) -> None:
     """Raise for the ids that repeat in one file, naming the file."""
-    if len(ids) > len(set(ids)):
-        raise DataFormatError(f"{path}: repeated {kind} ids: {', '.join(sorted({i for i in ids if ids.count(i) > 1}))}")
-
-
-def _planar_polygon(rings, ref) -> PolygonM:
-    projected = tuple(tuple(project(p, ref) for p in ring) for ring in rings)
-    return PolygonM(exterior=projected[0], holes=projected[1:])
+    if repeated := repeated_ids(ids):
+        raise DataFormatError(f"{path}: repeated {kind} ids: {repeated}")
 
 
 # --- zones ---
@@ -358,7 +353,7 @@ def read_zones(path):
     )
     zones = []
     for zid, name, population, arts, earnings, rings in parsed:
-        boundary = _planar_polygon(rings, ref)
+        boundary = planar_polygon(rings, ref)
         centroid, _ = polygon_centroid_area(boundary)
         try:
             zones.append(
@@ -458,7 +453,7 @@ def read_footprints(path, museums, ref):
         if mid not in by_id:
             raise DataFormatError(f"{path}: {label}: unknown museum id {mid!r}")
         rings = _geo_rings(geom, path, label)
-        footprints.append((by_id[mid], _planar_polygon(rings, ref)))
+        footprints.append((by_id[mid], planar_polygon(rings, ref)))
     return footprints
 
 

@@ -112,6 +112,12 @@ def project(p: GeoPoint, ref: GeoPoint) -> PlanarPoint:
     return PlanarPoint(x, y)
 
 
+def planar_polygon(rings, ref: GeoPoint) -> PolygonM:
+    """The polygon of GeoPoint ``rings`` (exterior first, then holes) projected into the frame at ``ref``."""
+    projected = tuple(tuple(project(p, ref) for p in ring) for ring in rings)
+    return PolygonM(exterior=projected[0], holes=projected[1:])
+
+
 def project_arrays(lat, lon, ref: GeoPoint):
     """:func:`project` for arrays of latitudes and longitudes; returns (x, y).
 

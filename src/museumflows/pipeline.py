@@ -53,12 +53,12 @@ from .geometry import (
     GeoPoint,
     GridCell,
     PlanarPoint,
-    PolygonM,
     containment_box,
     distance_to_polygon_m,
     edge_distance_m_arrays,
     haversine_km,
     haversine_km_arrays,
+    planar_polygon,
     point_in_polygon,
     point_in_polygon_arrays,
     point_on_boundary,
@@ -67,7 +67,7 @@ from .geometry import (
     project_arrays,
     unproject,
 )
-from .sim import FlowMatrix, Museum, Zone
+from .sim import FlowMatrix, Museum, Zone, repeated_ids
 
 MAX_TEXT_CODEPOINTS = 280
 DEFAULT_KEYWORDS = ("museum", "gallery", "exhibition", "exhibit")
@@ -765,104 +765,64 @@ def _tag_number(museum_id: str, tags: dict, key: str, default=None) -> float:
 
 
 def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
-    """Distill raw map features into one Museum per site.
+    """Distill raw map features into one Museum per site, in the order of each site's first feature.
 
-    Keeps features tagged tourism=museum or named *museum*; drops points
-    duplicating a same-name polygon; merges same-name features within
-    merge_radius_m; polygons contribute their computed area to floor area.
+    Keeps features tagged tourism=museum or named *museum*, drops a point in a
+    polygon of the same case-folded name and merges same-name features within
+    merge_radius_m, transitively. A site's location and floor area are its
+    polygons' area-weighted centroid and total area, else its points' mean and
+    first floor_area_m2 tag. Its id is its first id tag, else museum-<k>, k the
+    index of its first kept feature; a repeated id raises InvalidAttributeError.
     """
     if not merge_radius_m >= 0:
         raise InvalidParameterError(f"merge radius {merge_radius_m} must be >= 0")
-
-    def wanted(tags) -> bool:
-        if str(tags.get("tourism", "")).strip().casefold() == "museum":
-            return True
-        return "museum" in str(tags.get("name", "")).casefold()
-
-    records = []  # (feature, norm_name, location, area or None, planar poly or None, its ref)
+    sites = []  # (tags, folded name, location, area, planar polygon, its frame); the last three None for a point
     for feat in features:
-        if not wanted(feat.tags):
+        norm = str(feat.tags.get("name", "")).strip().casefold()
+        if str(feat.tags.get("tourism", "")).strip().casefold() != "museum" and "museum" not in norm:
             continue
-        name = str(feat.tags.get("name", "")).strip()
-        norm = name.casefold()
-        if feat.rings is not None:
-            local_ref = feat.rings[0][0]
-            planar = PolygonM(
-                exterior=tuple(project(v, local_ref) for v in feat.rings[0]),
-                holes=tuple(tuple(project(v, local_ref) for v in ring) for ring in feat.rings[1:]),
-            )
-            centroid, area = polygon_centroid_area(planar)
-            records.append((feat, norm, unproject(centroid, local_ref), area, planar, local_ref))
-        else:
-            records.append((feat, norm, feat.point, None, None, None))
-
-    # a point inside a kept polygon of the same name duplicates that polygon
-    kept = []
-    for rec in records:
-        feat, norm, location, area, _, _ = rec
-        if area is None:
-            duplicate = any(
-                other_norm == norm
-                and point_in_polygon(project(location, other_ref), other_poly)
-                for _, other_norm, _, other_area, other_poly, other_ref in records
-                if other_area is not None
-            )
-            if duplicate:
-                continue
-        kept.append(rec)
-
-    # merge same-name records within the radius, transitively
-    parent = list(range(len(kept)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            if kept[i][1] != kept[j][1]:
-                continue
-            if haversine_km(kept[i][2], kept[j][2]) * 1000.0 <= merge_radius_m:
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list] = {}
-    for i, rec in enumerate(kept):
-        groups.setdefault(find(i), []).append(rec)
-
+        if feat.rings is None:
+            sites.append((feat.tags, norm, feat.point, None, None, None))
+            continue
+        ref = feat.rings[0][0]
+        planar = planar_polygon(feat.rings, ref)
+        centroid, area = polygon_centroid_area(planar)
+        sites.append((feat.tags, norm, unproject(centroid, ref), area, planar, ref))
+    polygons = [(norm, planar, ref) for _, norm, _, _, planar, ref in sites if planar is not None]
+    sites = [
+        (tags, norm, p, area)
+        for tags, norm, p, area, _, _ in sites
+        if area is not None
+        or not any(  # a point outside a frame's box is outside its polygon: every vertex is inside the box
+            name == norm
+            and max(abs(p.lat - ref.lat), abs(p.lon - ref.lon)) <= MAX_FRAME_DEGREES
+            and point_in_polygon(project(p, ref), planar)
+            for name, planar, ref in polygons
+        )
+    ]
+    group = list(range(len(sites)))  # each site's group label: the index of the group's first site
+    for j, (_, norm, location, _) in enumerate(sites):
+        for i, (_, other_norm, other, _) in enumerate(sites[:j]):
+            if group[i] != group[j] and other_norm == norm and haversine_km(other, location) * 1000.0 <= merge_radius_m:
+                group = [min(group[i], group[j]) if g in (group[i], group[j]) else g for g in group]
     museums = []
-    for root in sorted(groups):
-        members = groups[root]
-        first_tags = members[0][0].tags
-        ids = [str(m[0].tags["id"]) for m in members if "id" in m[0].tags]
-        mid = ids[0] if ids else f"museum-{root}"
-        name = str(first_tags.get("name", mid)).strip() or mid
-
-        areas = [(loc, area) for _, _, loc, area, _, _ in members if area is not None]
+    for first in sorted(set(group)):
+        members = [site for site, g in zip(sites, group) if g == first]
+        mid = next((str(tags["id"]) for tags, *_ in members if "id" in tags), f"museum-{first}")
+        areas = [(p, area) for _, _, p, area in members if area is not None]
+        weighted = areas or [(p, 1.0) for _, _, p, _ in members]  # weight 1.0: the plain mean, bit for bit
+        total = sum(w for _, w in weighted)
         if areas:
-            total = sum(a for _, a in areas)
-            lat = sum(loc.lat * a for loc, a in areas) / total
-            lon = sum(loc.lon * a for loc, a in areas) / total
             floor_area = total
         else:
-            locs = [loc for _, _, loc, _, _, _ in members]
-            lat = sum(p.lat for p in locs) / len(locs)
-            lon = sum(p.lon for p in locs) / len(locs)
-            tagged = [
-                _tag_number(mid, m[0].tags, "floor_area_m2") for m in members if m[0].tags.get("floor_area_m2") is not None
-            ]
+            tagged = [_tag_number(mid, t, "floor_area_m2") for t, *_ in members if t.get("floor_area_m2") is not None]
             floor_area = tagged[0] if tagged else DEFAULT_FLOOR_AREA_M2
-        mentions = max(_tag_number(mid, m[0].tags, "media_mentions", 0.0) for m in members)
-        museums.append(
-            Museum(
-                id=mid,
-                name=name,
-                location=GeoPoint(lat, lon),
-                floor_area_m2=floor_area,
-                media_mentions=mentions,
-            )
-        )
+        location = GeoPoint(sum(p.lat * w for p, w in weighted) / total, sum(p.lon * w for p, w in weighted) / total)
+        name = str(members[0][0].get("name", mid)).strip() or mid
+        mentions = max(_tag_number(mid, t, "media_mentions", 0.0) for t, *_ in members)
+        museums.append(Museum(id=mid, name=name, location=location, floor_area_m2=floor_area, media_mentions=mentions))
+    if repeated := repeated_ids([m.id for m in museums]):
+        raise InvalidAttributeError(f"repeated museum ids: {repeated}")
     return museums
 
 

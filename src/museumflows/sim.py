@@ -10,6 +10,7 @@ margins are pinned).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,11 @@ class ModelSpec:
             raise InvalidParameterError(f"constraint {self.constraint!r} not in {CONSTRAINTS}")
 
 
+def repeated_ids(ids) -> str:
+    """The ids that occur more than once, sorted and comma-separated; empty when none repeats."""
+    return ", ".join(sorted(i for i, n in Counter(ids).items() if n > 1))
+
+
 @dataclass(frozen=True)
 class FlowMatrix:
     """Labeled non-negative origin-destination matrix; no origin or destination id repeats."""
@@ -116,8 +122,8 @@ class FlowMatrix:
         object.__setattr__(self, "origin_ids", tuple(self.origin_ids))
         object.__setattr__(self, "destination_ids", tuple(self.destination_ids))
         for kind, ids in (("origin", self.origin_ids), ("destination", self.destination_ids)):
-            if len(set(ids)) < len(ids):
-                raise ShapeError(f"repeated {kind} ids: {', '.join(sorted({i for i in ids if ids.count(i) > 1}))}")
+            if repeated := repeated_ids(ids):
+                raise ShapeError(f"repeated {kind} ids: {repeated}")
         arr = np.array(self.values, dtype=float)
         if arr.shape != (len(self.origin_ids), len(self.destination_ids)):
             raise ShapeError(

@@ -204,6 +204,46 @@ def test_museums_verb_reports_a_tag_that_is_not_a_number(tmp_path, capsys, tag, 
     assert capsys.readouterr().err == f"error: museum n1: {tag} {value!r} is not a number\n"
 
 
+def run_museums(tmp_path, *features):
+    """Run the museums verb on (properties, geometry) pairs; return its exit code and the --out path."""
+    doc = {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": props, "geometry": geom} for props, geom in features
+    ]}
+    features_path = tmp_path / "raw.geojson"
+    features_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    return main(["museums", "--features", str(features_path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("first, second, repeated", [
+    ({"id": "m1", "name": "Leeds Museum"}, {"id": "m1", "name": "Bradford Museum"}, "m1"),
+    # the untagged site's fallback id, museum-0, is the other site's tag
+    ({"name": "Leeds Museum"}, {"id": "museum-0", "name": "Bradford Museum"}, "museum-0"),
+], ids=["tagged", "tag-meets-fallback"])
+def test_museums_verb_rejects_a_repeated_id_before_writing(tmp_path, capsys, first, second, repeated):
+    code, out = run_museums(
+        tmp_path,
+        (first, {"type": "Point", "coordinates": [-1.55, 53.80]}),
+        (second, {"type": "Point", "coordinates": [-1.75, 53.79]}),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: repeated museum ids: {repeated}\n"
+    assert not out.exists()
+
+
+def test_museums_verb_keeps_a_namesake_point_far_outside_a_polygon_frame(tmp_path):
+    ring = [[-1.5, 53.8], [-1.499, 53.8], [-1.499, 53.801], [-1.5, 53.801], [-1.5, 53.8]]
+    code, out = run_museums(
+        tmp_path,
+        ({"name": "Science Museum"}, {"type": "Polygon", "coordinates": [ring]}),
+        ({"name": "Science Museum"}, {"type": "Point", "coordinates": [-74.0, 40.7]}),
+    )
+    assert code == 0
+    museums = read_museums(out / "museums.geojson")
+    assert [(m.id, m.name) for m in museums] == [("museum-0", "Science Museum"), ("museum-1", "Science Museum")]
+    assert (museums[1].location.lat, museums[1].location.lon) == (40.7, -74.0)
+
+
 def test_filter_verb_default_stages(tmp_path, small_region):
     out = tmp_path / "out"
     code = main(["filter", "--tweets", small_region["tweets"], "--out", str(out)])

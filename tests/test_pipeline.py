@@ -405,6 +405,19 @@ def test_extract_museums_merges_same_name_cluster():
     assert len(extract_museums(parts + [far])) == 2
 
 
+def test_extract_museums_gives_sites_in_the_order_of_their_first_feature():
+    # D joins A and C, 160 m apart, into one chain; B is far from all three
+    a = GeoPoint(53.80, -1.50)
+    c, d = (unproject(PlanarPoint(x, 0.0), a) for x in (160.0, 80.0))
+    b = GeoPoint(53.80, -1.40)
+    features = [TaggedFeature(tags={"name": "Mill Museum"}, point=p) for p in (a, b, c, d)]
+    assert haversine_km(a, c) > 0.1 >= max(haversine_km(a, d), haversine_km(c, d))
+    first, second = extract_museums(features, merge_radius_m=100.0)
+    assert (first.id, second.id) == ("museum-0", "museum-1")
+    assert first.location == GeoPoint((a.lat + c.lat + d.lat) / 3, (a.lon + c.lon + d.lon) / 3)
+    assert second.location == b
+
+
 def test_extract_museums_rejects_a_tag_that_is_not_a_number():
     for tags in ({"media_mentions": "lots"}, {"floor_area_m2": "big"}, {"media_mentions": None}):
         feature = TaggedFeature(tags={"name": "City Museum", "id": "cm", **tags}, point=GeoPoint(53.8, -1.5))

@@ -11,8 +11,13 @@ separator, the empty keyword, link variants, equal instants under
 different UTC offsets, one-tweet users and repeated users, and a tweet
 from abroad. Every stage gets the tweets as a :class:`Corpus`; the oracles
 loop over them as a list.
+
+``oracle_extract_museums`` is the museum extraction as it stood before each
+site got one group label, the index of its group's first site, in place of
+a union-find whose roots ordered the output and named untagged sites.
 """
 
+import dataclasses
 import math
 import re
 import sys
@@ -26,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from museumflows import pipeline
-from museumflows.errors import InvalidCoordinateError
+from museumflows.errors import InvalidAttributeError, InvalidCoordinateError, InvalidParameterError
 from museumflows.geometry import (
     GeoPoint,
     GridCell,
@@ -35,19 +40,26 @@ from museumflows.geometry import (
     distance_to_polygon_m,
     edge_distance_m_arrays,
     haversine_km,
+    point_in_polygon,
+    polygon_centroid_area,
     project,
     snap_to_grid,
     unproject,
 )
 from museumflows.pipeline import (
     DEFAULT_CHECKIN_PATTERNS,
+    DEFAULT_FLOOR_AREA_M2,
     DEFAULT_KEYWORDS,
+    DEFAULT_MERGE_RADIUS_M,
     Corpus,
     StageCount,
+    TaggedFeature,
     Tweet,
     UserHome,
+    _tag_number,
     build_observed_matrix,
     dedup,
+    extract_museums,
     infer_home_locations,
     remove_automated_accounts,
     remove_checkins,
@@ -57,7 +69,7 @@ from museumflows.pipeline import (
     tokenize,
 )
 from museumflows.synth import SynthConfig, demo_region, generate_corpus
-from museumflows.sim import Deterrence, ModelSpec
+from museumflows.sim import Deterrence, ModelSpec, Museum
 
 REF = GeoPoint(53.5, -2.0)
 LAT0, LON0 = 53.5045, -2.0
@@ -223,6 +235,103 @@ def oracle_observed_matrix(museum_tweets, homes, zones, museums):
         contributors.add(t.user_id)
     values = [[float(counts.get((z.id, m.id), 0)) for m in museums] for z in zones]
     return values, sum(counts.values()), len(contributors)
+
+
+def oracle_extract_museums(features, merge_radius_m=DEFAULT_MERGE_RADIUS_M):
+    """The museum extraction with a union-find over the kept features, whose roots order the output."""
+    if not merge_radius_m >= 0:
+        raise InvalidParameterError(f"merge radius {merge_radius_m} must be >= 0")
+
+    def wanted(tags) -> bool:
+        if str(tags.get("tourism", "")).strip().casefold() == "museum":
+            return True
+        return "museum" in str(tags.get("name", "")).casefold()
+
+    records = []  # (feature, norm_name, location, area or None, planar poly or None, its ref)
+    for feat in features:
+        if not wanted(feat.tags):
+            continue
+        name = str(feat.tags.get("name", "")).strip()
+        norm = name.casefold()
+        if feat.rings is not None:
+            local_ref = feat.rings[0][0]
+            planar = PolygonM(
+                exterior=tuple(project(v, local_ref) for v in feat.rings[0]),
+                holes=tuple(tuple(project(v, local_ref) for v in ring) for ring in feat.rings[1:]),
+            )
+            centroid, area = polygon_centroid_area(planar)
+            records.append((feat, norm, unproject(centroid, local_ref), area, planar, local_ref))
+        else:
+            records.append((feat, norm, feat.point, None, None, None))
+
+    # a point inside a kept polygon of the same name duplicates that polygon
+    kept = []
+    for rec in records:
+        feat, norm, location, area, _, _ = rec
+        if area is None:
+            duplicate = any(
+                other_norm == norm
+                and point_in_polygon(project(location, other_ref), other_poly)
+                for _, other_norm, _, other_area, other_poly, other_ref in records
+                if other_area is not None
+            )
+            if duplicate:
+                continue
+        kept.append(rec)
+
+    # merge same-name records within the radius, transitively
+    parent = list(range(len(kept)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(kept)):
+        for j in range(i + 1, len(kept)):
+            if kept[i][1] != kept[j][1]:
+                continue
+            if haversine_km(kept[i][2], kept[j][2]) * 1000.0 <= merge_radius_m:
+                parent[find(j)] = find(i)
+
+    groups: dict[int, list] = {}
+    for i, rec in enumerate(kept):
+        groups.setdefault(find(i), []).append(rec)
+
+    museums = []
+    for root in sorted(groups):
+        members = groups[root]
+        first_tags = members[0][0].tags
+        ids = [str(m[0].tags["id"]) for m in members if "id" in m[0].tags]
+        mid = ids[0] if ids else f"museum-{root}"
+        name = str(first_tags.get("name", mid)).strip() or mid
+
+        areas = [(loc, area) for _, _, loc, area, _, _ in members if area is not None]
+        if areas:
+            total = sum(a for _, a in areas)
+            lat = sum(loc.lat * a for loc, a in areas) / total
+            lon = sum(loc.lon * a for loc, a in areas) / total
+            floor_area = total
+        else:
+            locs = [loc for _, _, loc, _, _, _ in members]
+            lat = sum(p.lat for p in locs) / len(locs)
+            lon = sum(p.lon for p in locs) / len(locs)
+            tagged = [
+                _tag_number(mid, m[0].tags, "floor_area_m2") for m in members if m[0].tags.get("floor_area_m2") is not None
+            ]
+            floor_area = tagged[0] if tagged else DEFAULT_FLOOR_AREA_M2
+        mentions = max(_tag_number(mid, m[0].tags, "media_mentions", 0.0) for m in members)
+        museums.append(
+            Museum(
+                id=mid,
+                name=name,
+                location=GeoPoint(lat, lon),
+                floor_area_m2=floor_area,
+                media_mentions=mentions,
+            )
+        )
+    return museums
 
 
 def rows(tweets):
@@ -450,6 +559,75 @@ def test_aggregate_tie_goes_to_smaller_id_whatever_the_order():
         matrix, _ = build_observed_matrix(corpus, homes, zones, museums)
         assert matrix.values[0, [m.id for m in museums].index("mA")] == 1.0
         assert pipeline._nearest_museum(GeoPoint(LAT0, LON0), museums) == "mA"
+
+
+# names that fold alike, or apart; a name without "museum" is kept only by its tourism tag
+MAP_NAMES = (None, "", "City Museum", " city museum", "CITY MUSEUM", "Straße Museum", "STRASSE MUSEUM", "Town Hall")
+# 80 m steps east, so a merge radius of 100 m chains sites that 50 m keeps apart
+CENTRES = ((0.0, 0.0), (80.0, 0.0), (160.0, 0.0), (240.0, 0.0), (40.0, 60.0), (400.0, 300.0))
+
+
+def planar_ring(x, y, half):
+    return tuple(planar(x + dx, y + dy) for dx, dy in ((-half, -half), (half, -half), (half, half), (-half, half)))
+
+
+@st.composite
+def map_features(draw):
+    """A point or a square (holed or not) a few hundred metres from REF; a tag drawn as None is left out."""
+    tags = {}
+    for key, values in (
+        ("tourism", ("museum", " Museum", "hotel", None)),
+        ("name", MAP_NAMES),
+        ("id", ("a", "b") + (None,) * 6),
+        ("floor_area_m2", ("120", 250.0, None)),
+        ("media_mentions", (0, 3.5, "7", None)),
+    ):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            tags[key] = value
+    x, y = draw(st.sampled_from(CENTRES))
+    if draw(st.booleans()):
+        dx, dy = draw(st.sampled_from(((0.0, 0.0), (25.0, 0.0), (25.0, 25.0), (60.0, 10.0), (-30.0, 0.0))))
+        return TaggedFeature(tags=tags, point=planar(x + dx, y + dy))
+    half = draw(st.sampled_from((25.0, 60.0)))
+    rings = (planar_ring(x, y, half),) + ((planar_ring(x, y, 10.0),) if draw(st.booleans()) else ())
+    return TaggedFeature(tags=tags, rings=rings)
+
+
+def fallback_index(mid):
+    return int(mid.removeprefix("museum-")) if mid.startswith("museum-") else None
+
+
+def without_fallback(m):
+    """The museum with a fallback id, and a name that fell back to it, stripped of the index."""
+    if fallback_index(m.id) is None:
+        return m
+    return dataclasses.replace(m, id="museum-*", name="museum-*" if m.name == m.id else m.name)
+
+
+# nameless, so the name falls back to the id as well
+A_CHAIN = [TaggedFeature(tags={"tourism": "museum"}, point=planar(x, 0.0)) for x in (0.0, 400.0, 160.0, 80.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(map_features(), max_size=10), st.sampled_from((0.0, 50.0, 100.0, math.inf)))
+@example(A_CHAIN, 100.0)  # the chain's union-find root is its third site
+def test_extract_museums_matches_the_union_find_loop(features, merge_radius_m):
+    expected = oracle_extract_museums(features, merge_radius_m)
+    ids = [m.id for m in expected]
+    if len(set(ids)) < len(ids):
+        repeated = ", ".join(sorted({i for i in ids if ids.count(i) > 1}))
+        with pytest.raises(InvalidAttributeError, match=f"^repeated museum ids: {repeated}$"):
+            extract_museums(features, merge_radius_m)
+        return
+    got = extract_museums(features, merge_radius_m)
+    old_of = {without_fallback(m): m for m in expected}
+    assert len(got) == len(old_of) == len(expected)
+    assert {without_fallback(m) for m in got} == set(old_of)
+    for new in got:
+        old = old_of[without_fallback(new)]
+        # a fallback id names the group's first site; the oracle's union-find root may come later
+        assert new == old or fallback_index(new.id) < fallback_index(old.id)
 
 
 # --- the whole chain ---
