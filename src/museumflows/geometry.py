@@ -4,6 +4,9 @@ All planar work happens in a local equirectangular frame anchored at a
 reference coordinate: at city scale the projection error stays well below
 0.5% of distance, which is accurate enough for buffer filters and grid
 generalization without dragging in a geodesy library.
+
+Every polygon predicate (containment, on-edge, distance) reduces one
+elementwise kernel over (edge, point) pairs, :func:`edge_tests`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ GRID_RESOLUTION_M = 100.0
 # Absolute tolerance (m^2 on the cross product) for deciding a point sits
 # exactly on a polygon edge.
 _EDGE_EPS = 1e-9
+
+# The most (point, edge) pairs polygons_contain sends through the kernel at once: a few MB of temporaries.
+_PAIR_EDGES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,74 +176,70 @@ def haversine_km_arrays(lat, lon, b: GeoPoint) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def _on_segment(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> bool:
-    dx, dy = b.x - a.x, b.y - a.y
-    cross = dx * (p.y - a.y) - dy * (p.x - a.x)
-    if abs(cross) > _EDGE_EPS:
-        return False
-    if dx == 0.0 and dy == 0.0:
-        # a repeated vertex: the zero-length edge holds only that vertex
-        return p.x == a.x and p.y == a.y
-    dot = (p.x - a.x) * dx + (p.y - a.y) * dy
-    return -_EDGE_EPS <= dot <= dx ** 2 + dy ** 2 + _EDGE_EPS
+def ring_edges(polys):
+    """(ax, ay, bx, by, n_edges): the closed ring edges a -> b of each polygon in turn, and each one's edge count."""
+    rings = [ring for poly in polys for ring in poly.rings()]
+    x, y = np.array([[v.x for ring in rings for v in ring], [v.y for ring in rings for v in ring]])
+    ends = np.cumsum([len(ring) for ring in rings], dtype=np.intp)
+    nxt = np.arange(1, len(x) + 1)
+    nxt[ends - 1] = np.append(0, ends[:-1])  # each ring's last vertex runs to its first
+    n_edges = np.array([sum(map(len, poly.rings())) for poly in polys], dtype=np.intp)
+    return x, y, x[nxt], y[nxt], n_edges
 
 
-def point_on_boundary(p: PlanarPoint, poly: PolygonM) -> bool:
-    """True when ``p`` lies on any ring edge of the polygon."""
-    for ring in poly.rings():
-        n = len(ring)
-        for i in range(n):
-            if _on_segment(p, ring[i], ring[(i + 1) % n]):
-                return True
-    return False
+def edge_tests(ax, ay, bx, by, x, y):
+    """The polygon edge kernel: (on, crosses, ex, ey) for each edge a -> b and point (x, y).
+
+    Edges lie along axis 0 and points along axis 1, or pair up one to one.
+    ``on``: the point is on the edge within ``_EDGE_EPS``; a zero-length edge
+    holds only its vertex. ``crosses``: the point's rightward ray crosses the
+    edge; a point is in a polygon when it is on an edge or crosses an odd
+    number of them (even-odd rule, Haines 1994). (ex, ey): the point's offset
+    from the edge's nearest point. Only +, -, *, / and comparisons act, in
+    one fixed order, so no answer depends on the shapes. The on-edge bound
+    squares with ``np.float_power``, the C ``pow`` that Python's ``**`` calls.
+    """
+    dx, dy = bx - ax, by - ay
+    px, py = x - ax, y - ay
+    dot = px * dx + py * dy
+    seg2 = dx * dx + dy * dy
+    bound = np.float_power(dx, 2.0) + np.float_power(dy, 2.0) + _EDGE_EPS
+    along = np.where((dx == 0.0) & (dy == 0.0), (x == ax) & (y == ay), (-_EDGE_EPS <= dot) & (dot <= bound))
+    on = (np.abs(dx * py - dy * px) <= _EDGE_EPS) & along
+    with np.errstate(divide="ignore", invalid="ignore"):  # dy == 0 never straddles; seg2 == 0 takes t = 0
+        crosses = ((ay > y) != (by > y)) & (x < ax + py * dx / dy)
+        t = np.where(seg2 == 0.0, 0.0, np.clip(dot / seg2, 0.0, 1.0))
+    return on, crosses, x - (ax + t * dx), y - (ay + t * dy)
+
+
+def polygons_contain(x, y, polys, which) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, on_edge) of each point (x[k], y[k]) in ``polys[which[k]]``, all arrays; on an edge is inside.
+
+    The (point, edge) pairs go through :func:`edge_tests` in slices of at
+    most ``_PAIR_EDGES`` pairs (or one point), whatever the vertex counts.
+    """
+    inside, on_edge = np.zeros((2, len(which)), dtype=bool)
+    ax, ay, bx, by, n_edges = ring_edges(polys)
+    first_edge = np.cumsum(n_edges) - n_edges
+    step = max(1, _PAIR_EDGES // int(n_edges.max(initial=1)))
+    for s in range(0, len(which), step):
+        counts = n_edges[which[s: s + step]]
+        starts = np.cumsum(counts) - counts
+        point = np.repeat(np.arange(s, s + len(counts)), counts)
+        edge = np.arange(counts.sum()) + np.repeat(first_edge[which[s: s + step]] - starts, counts)
+        on, crosses, _, _ = edge_tests(ax[edge], ay[edge], bx[edge], by[edge], x[point], y[point])
+        on_edge[s: s + step] = np.logical_or.reduceat(on, starts)
+        inside[s: s + step] = on_edge[s: s + step] | (np.add.reduceat(crosses, starts, dtype=np.intp) % 2 == 1)
+    return inside, on_edge
 
 
 def point_in_polygon(p: PlanarPoint, poly: PolygonM) -> bool:
-    """Even-odd containment test; points on any ring edge count as inside."""
-    inside = False
-    for ring in poly.rings():
-        n = len(ring)
-        for i in range(n):
-            a, b = ring[i], ring[(i + 1) % n]
-            if _on_segment(p, a, b):
-                return True
-            if (a.y > p.y) != (b.y > p.y):
-                x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if p.x < x_cross:
-                    inside = not inside
-    return inside
+    """:func:`polygons_contain` for one point: even-odd, and on any ring edge is inside."""
+    return bool(polygons_contain(np.array([p.x]), np.array([p.y]), [poly], np.zeros(1, dtype=np.intp))[0][0])
 
 
-def _on_segment_arrays(x, y, a: PlanarPoint, b: PlanarPoint) -> np.ndarray:
-    dx, dy = b.x - a.x, b.y - a.y
-    on = np.abs(dx * (y - a.y) - dy * (x - a.x)) <= _EDGE_EPS
-    if dx == 0.0 and dy == 0.0:
-        return on & (x == a.x) & (y == a.y)
-    dot = (x - a.x) * dx + (y - a.y) * dy
-    return on & (-_EDGE_EPS <= dot) & (dot <= dx ** 2 + dy ** 2 + _EDGE_EPS)
-
-
-def point_in_polygon_arrays(x, y, poly: PolygonM) -> np.ndarray:
-    """:func:`point_in_polygon` for arrays of planar coordinates.
-
-    Only +, -, *, / and comparisons act on each point, in the scalar
-    function's order, so every answer is the scalar one bit for bit.
-    """
-    on_edge = np.zeros(len(x), dtype=bool)
-    inside = np.zeros(len(x), dtype=bool)
-    for ring in poly.rings():
-        n = len(ring)
-        for i in range(n):
-            a, b = ring[i], ring[(i + 1) % n]
-            on_edge |= _on_segment_arrays(x, y, a, b)
-            rows = np.flatnonzero((a.y > y) != (b.y > y))
-            x_cross = a.x + (y[rows] - a.y) * (b.x - a.x) / (b.y - a.y)
-            inside[rows] ^= x[rows] < x_cross
-    return on_edge | inside
-
-
-def containment_box(poly: PolygonM) -> tuple[float, float, float, float]:
-    """(xmin, ymin, xmax, ymax) outside which :func:`point_in_polygon` is False.
+def containment_boxes(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xmin, ymin, xmax, ymax), one entry per polygon: the box outside which no point is in it.
 
     The box spans every ring, since the even-odd test counts holes too. It
     is padded to hold every point the edge tolerance accepts: an edge of
@@ -247,65 +249,14 @@ def containment_box(poly: PolygonM) -> tuple[float, float, float, float]:
     ulps of the coordinate magnitude for the rounding of the cross, dot and
     crossing computations.
     """
-    xs = [v.x for ring in poly.rings() for v in ring]
-    ys = [v.y for ring in poly.rings() for v in ring]
-    tolerance = 0.0
-    for ring in poly.rings():
-        n = len(ring)
-        for i in range(n):
-            a, b = ring[i], ring[(i + 1) % n]
-            length = math.hypot(b.x - a.x, b.y - a.y)
-            if length > 0.0:
-                tolerance = max(tolerance, _EDGE_EPS / length)
-    xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
-    pad = 2.0 * tolerance + 64.0 * math.ulp(max(-xmin, xmax, -ymin, ymax, 1.0))
+    ax, ay, bx, by, n_edges = ring_edges(polys)
+    first = np.cumsum(n_edges) - n_edges
+    length = np.hypot(bx - ax, by - ay)
+    tolerance = np.maximum.reduceat(_EDGE_EPS / np.where(length > 0.0, length, np.inf), first)
+    xmin, ymin = np.minimum.reduceat(ax, first), np.minimum.reduceat(ay, first)
+    xmax, ymax = np.maximum.reduceat(ax, first), np.maximum.reduceat(ay, first)
+    pad = 2.0 * tolerance + 64.0 * np.spacing(np.max([-xmin, xmax, -ymin, ymax, np.ones_like(xmin)], axis=0))
     return xmin - pad, ymin - pad, xmax + pad, ymax + pad
-
-
-def _point_segment_distance(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> float:
-    dx, dy = b.x - a.x, b.y - a.y
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(p.x - a.x, p.y - a.y)
-    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / seg2
-    t = max(0.0, min(1.0, t))
-    return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
-
-
-def distance_to_polygon_m(p: PlanarPoint, poly: PolygonM) -> float:
-    """0 for contained points, else the distance to the nearest ring edge."""
-    if point_in_polygon(p, poly):
-        return 0.0
-    best = math.inf
-    for ring in poly.rings():
-        n = len(ring)
-        for i in range(n):
-            best = min(best, _point_segment_distance(p, ring[i], ring[(i + 1) % n]))
-    return best
-
-
-def edge_distance_m_arrays(x, y, poly: PolygonM) -> np.ndarray:
-    """Distance from each point to the nearest ring edge of ``poly``.
-
-    :func:`distance_to_polygon_m` of an uncontained point, with the scalar
-    arithmetic except ``np.hypot``, which may differ from ``math.hypot`` in
-    the last place.
-    """
-    best = np.full(len(x), math.inf)
-    for ring in poly.rings():
-        n = len(ring)
-        for i in range(n):
-            a, b = ring[i], ring[(i + 1) % n]
-            dx, dy = b.x - a.x, b.y - a.y
-            seg2 = dx * dx + dy * dy
-            if seg2 == 0.0:
-                d = np.hypot(x - a.x, y - a.y)
-            else:
-                t = ((x - a.x) * dx + (y - a.y) * dy) / seg2
-                t = np.maximum(0.0, np.minimum(1.0, t))
-                d = np.hypot(x - (a.x + t * dx), y - (a.y + t * dy))
-            np.minimum(best, d, out=best)
-    return best
 
 
 def _ring_signed_area_centroid(ring) -> tuple[float, float, float]:

@@ -18,10 +18,10 @@ the surviving rows as a Corpus in their input order; only
 :func:`run_pipeline` also takes a sequence of :class:`Tweet`, which it
 turns into a Corpus once. Text stages test strings in Python, but only
 the rows a case-folded substring test leaves them, most by one regex
-search. Where numpy's arithmetic may round differently from the scalar
-geometry (``hypot``, ``arcsin``), rows within a hair of a decision are
-re-decided by the scalar functions, so every result is the one a
-per-message loop gives. Homes are a :class:`Homes`, a struct of arrays
+search. Where numpy may round differently from the math module (``hypot``,
+``arcsin``), rows within a hair of a decision are re-decided with the math
+module (a footprint distance by ``math.hypot`` of the edge kernel's own
+offsets), so every result is the one a per-message loop gives. Homes are a :class:`Homes`, a struct of arrays
 with one row per user, whose zones are resolved once per distinct cell;
 every cell is a square ``GRID_RESOLUTION_M`` (100 m) on a side.
 
@@ -52,19 +52,17 @@ from .geometry import (
     MAX_FRAME_DEGREES,
     GeoPoint,
     GridCell,
-    PlanarPoint,
-    containment_box,
-    distance_to_polygon_m,
-    edge_distance_m_arrays,
+    containment_boxes,
+    edge_tests,
     haversine_km,
     haversine_km_arrays,
     planar_polygon,
     point_in_polygon,
-    point_in_polygon_arrays,
-    point_on_boundary,
     polygon_centroid_area,
+    polygons_contain,
     project,
     project_arrays,
+    ring_edges,
     unproject,
 )
 from .sim import FlowMatrix, Museum, Zone, repeated_ids
@@ -79,8 +77,8 @@ DEFAULT_MERGE_RADIUS_M = 100.0
 DEFAULT_FLOOR_AREA_M2 = 1.0
 FILTER_STAGES = ("semantic", "spatial", "dedup", "checkin")  # the order the filter stages run in
 
-# Relative width of the band around a decision inside which the scalar
-# geometry re-decides: far wider than the last-place rounding of numpy's
+# Relative width of the band around a decision inside which the math module
+# re-decides: far wider than the last-place rounding of numpy's
 # hypot, sin and arcsin, far narrower than any real difference.
 _TIE_BAND = 1e-9
 
@@ -528,26 +526,29 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
 def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_BUFFER_M):
     """Keep tweets within buffer_m of any footprint polygon.
 
-    Footprint polygons must be planar in the frame anchored at ref.
-    Containment is exact; a distance within a hair of buffer_m is
-    re-decided by :func:`distance_to_polygon_m`.
+    Footprint polygons must be planar in the frame anchored at ref. Each
+    footprint runs :func:`edge_tests` on the rows in its containment box
+    widened by buffer_m and the tie band, as no other row is within
+    buffer_m. Containment is exact; a distance within a hair of buffer_m is
+    re-decided by ``math.hypot`` of the kernel's own offsets.
     """
     if not buffer_m >= 0:
         raise InvalidParameterError(f"buffer {buffer_m} must be >= 0")
-    polys = [poly for _, poly in footprints]
     x, y = project_arrays(corpus.lat, corpus.lon, ref)
     keep = np.zeros(len(corpus), dtype=bool)
-    close_call = np.zeros(len(corpus), dtype=bool)
     band = _TIE_BAND * max(buffer_m, 1.0)
-    for poly in polys:
-        edge = edge_distance_m_arrays(x, y, poly)
-        inside = point_in_polygon_arrays(x, y, poly)
+    reach = buffer_m + band
+    polys = [poly for _, poly in footprints]
+    for poly, xmin, ymin, xmax, ymax in zip(polys, *containment_boxes(polys)):
+        rows = np.flatnonzero((xmin - reach <= x) & (x <= xmax + reach) & (ymin - reach <= y) & (y <= ymax + reach))
+        ax, ay, bx, by = (v[:, None] for v in ring_edges([poly])[:4])
+        on, crosses, ex, ey = edge_tests(ax, ay, bx, by, x[rows], y[rows])
+        inside = on.any(axis=0) | (np.count_nonzero(crosses, axis=0) % 2 == 1)
+        edge = np.hypot(ex, ey).min(axis=0)
         close = ~inside & (np.abs(edge - buffer_m) <= band)
-        keep |= inside | ((edge <= buffer_m) & ~close)
-        close_call |= close
-    for i in np.flatnonzero(close_call & ~keep).tolist():
-        p = project(GeoPoint(corpus.lat[i], corpus.lon[i]), ref)
-        keep[i] = any(distance_to_polygon_m(p, poly) <= buffer_m for poly in polys)
+        keep[rows] |= inside | ((edge <= buffer_m) & ~close)
+        for k in np.flatnonzero(close).tolist():
+            keep[rows[k]] |= min(map(math.hypot, ex[:, k].tolist(), ey[:, k].tolist())) <= buffer_m
     return _kept("spatial", corpus, keep)
 
 
@@ -658,40 +659,32 @@ def assign_home_zone(homes, zones):
     Takes a :class:`Homes` and returns a Homes of the same rows whose zone
     column indexes ``zones``.
 
-    Resolution is per distinct cell: each cell is resolved once, for the
-    first home in it, and only against the zones whose containment box holds
-    its center; cells go in the order of their first home, so an ambiguous
-    cell names the first user living in one.
+    Resolution is per distinct cell, against the zones whose containment box
+    holds its center: every such (cell, zone) pair is tested in one call of
+    :func:`polygons_contain`. An ambiguous zone system names the first user
+    whose home is in an ambiguous cell.
     """
     for z in zones:
         if z.boundary is None:
             raise InvalidGeometryError(f"zone {z.id} has no boundary polygon")
     first, inverse = _distinct_cells(homes)
-    seen_at = np.argsort(first)  # cells in the order of their first home
-    rows = first[seen_at]
-    x = (homes.ix[rows, None] + 0.5) * GRID_RESOLUTION_M  # GridCell.center, bit for bit
-    y = (homes.iy[rows, None] + 0.5) * GRID_RESOLUTION_M
-    xmin, ymin, xmax, ymax = np.array([containment_box(z.boundary) for z in zones]).reshape(-1, 4).T
-    candidates: dict[int, list] = {}  # per cell, in cell order, its zones in zone order
-    for c, k in zip(*(a.tolist() for a in np.nonzero((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)))):
-        candidates.setdefault(c, []).append((k, zones[k]))
-    x, y = x.ravel().tolist(), y.ravel().tolist()
+    x = (homes.ix[first] + 0.5) * GRID_RESOLUTION_M  # GridCell.center, bit for bit
+    y = (homes.iy[first] + 0.5) * GRID_RESOLUTION_M
+    boundaries = [z.boundary for z in zones]
+    xmin, ymin, xmax, ymax = containment_boxes(boundaries)
+    cell, zone = np.nonzero((xmin <= x[:, None]) & (x[:, None] <= xmax) & (ymin <= y[:, None]) & (y[:, None] <= ymax))
+    inside, on_edge = polygons_contain(x[cell], y[cell], boundaries, zone)
+    cell, zone, on_edge = cell[inside], zone[inside], on_edge[inside]  # by cell, then in zone order
+    shared = np.bincount(cell, minlength=len(first)) > 1
+    ambiguous = np.flatnonzero(shared & (np.bincount(cell[on_edge], minlength=len(first)) == 0))
+    if ambiguous.size:
+        c = ambiguous[np.argmin(first[ambiguous])]
+        ids = [zones[k].id for k in zone[cell == c].tolist()]
+        raise AmbiguousZoneError(f"home of {homes.users[homes.user[first[c]]]} strictly inside zones {ids}")
+    first_zone = np.flatnonzero(np.diff(cell, prepend=-1))  # each containing cell's first zone
     zone_of_cell = np.full(len(first), -1, dtype=np.int64)
-    for c, in_box in candidates.items():
-        user_id = homes.users[homes.user[rows[c]]]
-        zone_of_cell[seen_at[c]] = _zone_containing(PlanarPoint(x[c], y[c]), in_box, user_id)
+    zone_of_cell[cell[first_zone]] = zone[first_zone]
     return Homes(homes.users, homes.user, homes.ix, homes.iy, homes.count, [z.id for z in zones], zone_of_cell[inverse])
-
-
-def _zone_containing(center: PlanarPoint, candidates, user_id: str) -> int:
-    """Index of the zone holding ``center`` among the (index, zone) candidates, in zone order; -1 for none."""
-    containing = [(k, z) for k, z in candidates if point_in_polygon(center, z.boundary)]
-    if not containing:
-        return -1
-    if len(containing) == 1 or any(point_on_boundary(center, z.boundary) for _, z in containing):
-        return containing[0][0]
-    ids = [z.id for _, z in containing]
-    raise AmbiguousZoneError(f"home of {user_id} strictly inside zones {ids}")
 
 
 def _nearest_museum(point: GeoPoint, museums) -> str:
@@ -771,8 +764,9 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
     polygon of the same case-folded name and merges same-name features within
     merge_radius_m, transitively. A site's location and floor area are its
     polygons' area-weighted centroid and total area, else its points' mean and
-    first floor_area_m2 tag. Its id is its first id tag, else museum-<k>, k the
-    index of its first kept feature; a repeated id raises InvalidAttributeError.
+    first floor_area_m2 tag; a member's floor_area_m2 that is not a number
+    raises InvalidAttributeError. Its id is its first id tag, else museum-<k>,
+    k the index of its first kept feature; a repeated id raises that too.
     """
     if not merge_radius_m >= 0:
         raise InvalidParameterError(f"merge radius {merge_radius_m} must be >= 0")
@@ -812,11 +806,8 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
         areas = [(p, area) for _, _, p, area in members if area is not None]
         weighted = areas or [(p, 1.0) for _, _, p, _ in members]  # weight 1.0: the plain mean, bit for bit
         total = sum(w for _, w in weighted)
-        if areas:
-            floor_area = total
-        else:
-            tagged = [_tag_number(mid, t, "floor_area_m2") for t, *_ in members if t.get("floor_area_m2") is not None]
-            floor_area = tagged[0] if tagged else DEFAULT_FLOOR_AREA_M2
+        tagged = [_tag_number(mid, t, "floor_area_m2") for t, *_ in members if t.get("floor_area_m2") is not None]
+        floor_area = total if areas else tagged[0] if tagged else DEFAULT_FLOOR_AREA_M2
         location = GeoPoint(sum(p.lat * w for p, w in weighted) / total, sum(p.lon * w for p, w in weighted) / total)
         name = str(members[0][0].get("name", mid)).strip() or mid
         mentions = max(_tag_number(mid, t, "media_mentions", 0.0) for t, *_ in members)

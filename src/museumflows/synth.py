@@ -26,7 +26,7 @@ from .geometry import (
     GeoPoint,
     PlanarPoint,
     PolygonM,
-    point_in_polygon,
+    polygons_contain,
     project,
     snap_to_grid,
     unproject,
@@ -109,18 +109,20 @@ class DemoRegion:
     ref: GeoPoint
 
 
-def _home_point(zone: Zone, ref: GeoPoint) -> GeoPoint:
-    """Where a synthetic user lives: the center of the centroid's grid cell.
+def _home_points(zones, ref: GeoPoint) -> list[GeoPoint]:
+    """Where each zone's synthetic users live: the center of its centroid's grid cell.
 
     Cell-center placement keeps the inferred home cell's center inside the
-    zone polygon; fall back to the raw centroid when the zone is so thin
-    that the snapped center escapes it.
+    zone polygon; a zone so thin that the snapped center escapes it keeps
+    its raw centroid.
     """
-    cell = snap_to_grid(project(zone.centroid, ref))
-    center = cell.center()
-    if zone.boundary is None or point_in_polygon(center, zone.boundary):
-        return unproject(center, ref)
-    return zone.centroid
+    centers = [snap_to_grid(project(z.centroid, ref)).center() for z in zones]
+    x, y = np.array([(c.x, c.y) for c in centers]).reshape(-1, 2).T
+    bounded = [k for k, z in enumerate(zones) if z.boundary is not None]
+    held = np.ones(len(zones), dtype=bool)
+    boundaries = [zones[k].boundary for k in bounded]
+    held[bounded] = polygons_contain(x[bounded], y[bounded], boundaries, np.arange(len(bounded)))[0]
+    return [unproject(c, ref) if h else z.centroid for z, c, h in zip(zones, centers, held.tolist())]
 
 
 def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
@@ -147,8 +149,7 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
         texts.append(text)
 
     trip = 0
-    for i, zone in enumerate(zones):
-        home = _home_point(zone, ref)
+    for i, home in enumerate(_home_points(zones, ref)):
         for j, museum in enumerate(museums):
             for _ in range(int(counts[i, j])):
                 user = f"t{trip:05d}"

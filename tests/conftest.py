@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from museumflows.geometry import GeoPoint
+from museumflows.geometry import GeoPoint, containment_boxes, edge_tests, ring_edges
 from museumflows.pipeline import Homes
 from museumflows.sim import Museum, Zone
 
@@ -14,6 +14,18 @@ ANCHOR = GeoPoint(53.7919, -1.5323)
 def deg_for_km(km: float) -> float:
     """Degrees of latitude spanning the given great-circle distance."""
     return math.degrees(km / 6371.0088)
+
+
+def containment_box(poly):
+    """(xmin, ymin, xmax, ymax): the entry of one polygon in :func:`containment_boxes`."""
+    return tuple(float(v[0]) for v in containment_boxes([poly]))
+
+
+def kernel_edge_distance(x, y, poly):
+    """Each point's distance to the nearest ring edge of ``poly``: ``np.hypot`` of the edge kernel's offsets."""
+    ax, ay, bx, by = (v[:, None] for v in ring_edges([poly])[:4])
+    _, _, ex, ey = edge_tests(ax, ay, bx, by, np.asarray(x), np.asarray(y))
+    return np.hypot(ex, ey).min(axis=0)
 
 
 def make_zone(zid, lat, lon, population=1000.0, arts_share=0.0, earnings_proxy=0.0, boundary=None):

@@ -3,13 +3,19 @@
 Derived expectations come from independent re-implementations: an atan2
 great-circle form, a crossing test cast along a different axis, a convex
 half-plane test, and a fan triangulation. None of them share code with the
-functions under test.
+functions under test. The edge kernel is also held to the scalar
+predicates it replaced, kept in ``scalar_geometry``.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import containment_box, kernel_edge_distance
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_geometry import distance_to_polygon_m, point_on_boundary
+from scalar_geometry import point_in_polygon as scalar_point_in_polygon
 
 from museumflows.errors import InvalidCoordinateError, InvalidGeometryError
 from museumflows.geometry import (
@@ -18,17 +24,15 @@ from museumflows.geometry import (
     GridCell,
     PlanarPoint,
     PolygonM,
-    containment_box,
-    distance_to_polygon_m,
-    edge_distance_m_arrays,
+    edge_tests,
     haversine_km,
     haversine_km_arrays,
     point_in_polygon,
-    point_in_polygon_arrays,
-    point_on_boundary,
     polygon_centroid_area,
+    polygons_contain,
     project,
     project_arrays,
+    ring_edges,
     snap_to_grid,
     unproject,
 )
@@ -331,10 +335,10 @@ def test_array_geometry_matches_the_scalar_functions():
             points.append(PlanarPoint(a.x + t * (b.x - a.x) + across, a.y + t * (b.y - a.y) - across))
         x = np.array([p.x for p in points])
         y = np.array([p.y for p in points])
-        inside = [point_in_polygon(p, poly) for p in points]
-        assert point_in_polygon_arrays(x, y, poly).tolist() == inside
+        inside = [scalar_point_in_polygon(p, poly) for p in points]
+        assert polygons_contain(x, y, [poly], np.zeros(len(points), dtype=np.intp))[0].tolist() == inside
         on_edges += sum(point_on_boundary(p, poly) for p in points)
-        edge = edge_distance_m_arrays(x, y, poly)
+        edge = kernel_edge_distance(x, y, poly)
         for p, got, contained in zip(points, edge.tolist(), inside):
             if not contained:  # the scalar distance of a contained point is 0
                 assert got == pytest.approx(distance_to_polygon_m(p, poly), rel=1e-15, abs=0.0)
@@ -349,6 +353,48 @@ def test_array_geometry_matches_the_scalar_functions():
     np.testing.assert_allclose(km, [haversine_km(g, LEEDS) for g in geo], rtol=1e-14, atol=0)
     with pytest.raises(InvalidCoordinateError, match="more than 5.0 degrees"):
         project_arrays(np.array([ref.lat, ref.lat + 5.5]), np.array([ref.lon, ref.lon]), ref)
+
+
+COORD = st.floats(-200.0, 200.0).map(lambda v: round(v, 6))  # no edge so short that dx / dy overflows
+VERTEX = st.tuples(COORD, COORD).map(lambda v: PlanarPoint(*v))
+
+
+@st.composite
+def polygons_and_points(draw):
+    """A ring, free or with a repeated vertex or all its vertices on one spot, up to two holes, and
+    points anywhere, on every vertex and on or 2e-12 m across every edge."""
+    kind = draw(st.sampled_from(("free", "repeated", "coincident")))
+    if kind == "coincident":
+        exterior = [draw(VERTEX)] * draw(st.integers(3, 5))
+    else:
+        exterior = draw(st.lists(VERTEX, min_size=3, max_size=7))
+        if kind == "repeated":
+            k = draw(st.integers(0, len(exterior) - 1))
+            exterior.insert(k, exterior[k])
+    holes = draw(st.lists(st.lists(VERTEX, min_size=3, max_size=5), max_size=2))
+    poly = PolygonM(exterior=tuple(exterior), holes=tuple(tuple(h) for h in holes))
+    points = draw(st.lists(VERTEX, max_size=4)) + [v for ring in poly.rings() for v in ring]
+    for ring in poly.rings():
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            t = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
+            across = draw(st.sampled_from((-2e-12, 0.0, 2e-12)))
+            points.append(PlanarPoint(a.x + t * (b.x - a.x) + across, a.y + t * (b.y - a.y) - across))
+    return poly, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygons_and_points())
+def test_edge_kernel_matches_the_scalar_predicates(case):
+    poly, points = case
+    x, y = np.array([p.x for p in points]), np.array([p.y for p in points])
+    inside, on_edge = polygons_contain(x, y, [poly], np.zeros(len(points), dtype=np.intp))
+    assert inside.tolist() == [scalar_point_in_polygon(p, poly) for p in points]
+    assert on_edge.tolist() == [point_on_boundary(p, poly) for p in points]
+    ax, ay, bx, by = (v[:, None] for v in ring_edges([poly])[:4])
+    _, _, ex, ey = edge_tests(ax, ay, bx, by, x, y)
+    for k, (p, contained) in enumerate(zip(points, inside.tolist())):
+        if not contained:  # the scalar distance of a contained point is 0
+            assert min(map(math.hypot, ex[:, k].tolist(), ey[:, k].tolist())) == distance_to_polygon_m(p, poly)
 
 
 def test_point_in_polygon_matches_oracles_on_random_convex():

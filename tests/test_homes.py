@@ -1,9 +1,10 @@
-"""Home location: the array modal-cell inference and the per-cell zone
-assignment, each against a scalar oracle kept here.
+"""Home location: the array modal-cell inference and the zone assignment,
+each against scalar oracles.
 
 The oracles are the per-tweet and per-zone loops the fast paths replaced:
-``project`` + ``snap_to_grid`` + a dict of cells per user, and every home
-tested against every zone with no box and no cache.
+``project`` + ``snap_to_grid`` + a dict of cells per user, every home
+tested against every zone with no box and no cache, and the per-cell
+resolution through ``scalar_geometry._zone_containing``.
 """
 
 import math
@@ -11,9 +12,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from conftest import make_homes, make_museum, make_zone
-from hypothesis import given, settings
+from conftest import containment_box, make_homes, make_museum, make_zone
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_geometry import _zone_containing, point_in_polygon, point_on_boundary
 
 from museumflows.errors import AmbiguousZoneError, InvalidCoordinateError, InvalidParameterError
 from museumflows.geometry import (
@@ -23,8 +25,6 @@ from museumflows.geometry import (
     GridCell,
     PlanarPoint,
     PolygonM,
-    point_in_polygon,
-    point_on_boundary,
     project,
     snap_to_grid,
 )
@@ -78,6 +78,22 @@ def oracle_zones(homes, zones):
             )
         out.append(UserHome(home.user_id, home.cell, home.tweet_count_at_cell, zone_id))
     return out
+
+
+def oracle_zones_by_cell(homes, zones):
+    """The per-cell resolution: each distinct cell once, in the order of its first home, against the
+    zones whose containment box holds its center, by the scalar ``_zone_containing``."""
+    boxes = [(k, z, containment_box(z.boundary)) for k, z in enumerate(zones)]
+    zone_of = {}
+    for home in homes:
+        if home.cell not in zone_of:
+            c = home.cell.center()
+            in_box = [(k, z) for k, z, (x0, y0, x1, y1) in boxes if x0 <= c.x <= x1 and y0 <= c.y <= y1]
+            zone_of[home.cell] = _zone_containing(c, in_box, home.user_id)
+    return [
+        UserHome(h.user_id, h.cell, h.tweet_count_at_cell, None if zone_of[h.cell] < 0 else zones[zone_of[h.cell]].id)
+        for h in homes
+    ]
 
 
 def random_corpus(rng, n_users=25, n_tweets=400):
@@ -254,6 +270,30 @@ def test_assign_home_zone_ambiguity_names_first_offending_user():
     later_cell = [UserHome("early", GridCell(3, 2), 1)] + homes  # after (3, 1) in (ix, iy) order
     with pytest.raises(AmbiguousZoneError, match="home of early strictly"):
         assign_home_zone(make_homes(later_cell), zones)
+
+
+RECTS = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 4), st.integers(1, 4), st.sampled_from((0.0, 25.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(RECTS, min_size=1, max_size=5), st.lists(st.tuples(st.integers(-1, 10), st.integers(-1, 10)), min_size=1, max_size=40))
+@example([(0, 0, 5, 5, 0.0), (1, 1, 5, 5, 0.0)], [(9, 9), (4, 2), (2, 4), (1, 1)])  # u01 named, not u02
+def test_assign_home_zone_matches_the_per_cell_resolution(rects, cells):
+    # overlapping rectangles whose edges run through cell centres or 25 m off
+    # them: shared edges, strict overlaps and centres outside every zone
+    zones = [
+        box(f"r{k}", 50.0 + 100.0 * i + off, 50.0 + 100.0 * (i + w), 50.0 + 100.0 * j + off, 50.0 + 100.0 * (j + h))
+        for k, (i, j, w, h, off) in enumerate(rects)
+    ]
+    homes = [UserHome(f"u{k:02d}", GridCell(ix, iy), 1) for k, (ix, iy) in enumerate(cells)]
+    try:
+        expected = oracle_zones_by_cell(homes, zones)
+    except AmbiguousZoneError as exc:
+        with pytest.raises(AmbiguousZoneError) as got:
+            assign_home_zone(make_homes(homes), zones)
+        assert str(got.value) == str(exc)
+        return
+    assert list(assign_home_zone(make_homes(homes), zones)) == expected
 
 
 PERMUTED_CORPUS = random_corpus(np.random.default_rng(43), n_users=12, n_tweets=120)

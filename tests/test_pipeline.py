@@ -426,6 +426,17 @@ def test_extract_museums_rejects_a_tag_that_is_not_a_number():
             extract_museums([feature])
 
 
+def test_extract_museums_checks_the_floor_area_tag_of_a_polygon_site():
+    ring = geo_ring(53.80, -1.50, 0.0005)
+    bad = TaggedFeature(tags={"name": "Coal Museum", "id": "c", "floor_area_m2": "big"}, rings=(ring,))
+    with pytest.raises(InvalidAttributeError, match="^museum c: floor_area_m2 'big' is not a number$"):
+        extract_museums([bad])
+    # a numeric tag still gives way to the polygon's computed area
+    tagged = TaggedFeature(tags={"name": "Coal Museum", "id": "c", "floor_area_m2": "5"}, rings=(ring,))
+    (untagged,) = extract_museums([TaggedFeature(tags={"name": "Coal Museum", "id": "c"}, rings=(ring,))])
+    assert extract_museums([tagged])[0].floor_area_m2 == untagged.floor_area_m2 != 5.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
 def test_nan_and_negative_parameters_are_rejected(bad):
     museum = make_museum("m0", *_geo_of(1000.0, 1000.0))

@@ -26,9 +26,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import make_homes, make_museum, make_zone
+from conftest import kernel_edge_distance, make_homes, make_museum, make_zone
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_geometry import distance_to_polygon_m, point_in_polygon
 
 from museumflows import pipeline
 from museumflows.errors import InvalidAttributeError, InvalidCoordinateError, InvalidParameterError
@@ -37,10 +38,7 @@ from museumflows.geometry import (
     GridCell,
     PlanarPoint,
     PolygonM,
-    distance_to_polygon_m,
-    edge_distance_m_arrays,
     haversine_km,
-    point_in_polygon,
     polygon_centroid_area,
     project,
     snap_to_grid,
@@ -473,6 +471,36 @@ def test_spatial_filter_matches_scalar_loop(corpus, buffer_choice, gap):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-25.0, 55.0), st.floats(-25.0, 55.0)), min_size=1, max_size=12),
+    st.integers(0, 5),
+)
+@example([(-6.0, -8.0), (36.0, 38.0), (-10.0, 15.0), (-10.00000001, 15.0), (-7.1, -7.1)], 2)
+@example([(-6.0, -8.0), (36.0, 38.0), (-10.0, 15.0), (-10.00000001, 15.0), (-7.1, -7.1)], 1)
+def test_spatial_filter_box_prefilter_matches_scalar_loop(offsets, buffer_choice):
+    # tweets around a 30 m footprint, many beyond its corners; the buffer is
+    # 0, 10, or the first tweet's scalar distance to it (a corner distance
+    # when the tweet lies beyond a corner), one ulp either side, or twice it
+    museum = make_museum("m0", LAT0, LON0)
+    o = project(POINTS[4], REF)
+    a = square(o.x, o.y, o.x + 30.0, o.y + 30.0)
+    far = square(o.x + 500.0, o.y, o.x + 530.0, o.y + 30.0)
+    tweets = [
+        Tweet(f"t{k:02d}", f"u{k}", BASE, unproject(PlanarPoint(o.x + dx, o.y + dy), REF), "museum")
+        for k, (dx, dy) in enumerate(offsets)
+    ]
+    d = distance_to_polygon_m(project(tweets[0].location, REF), a)
+    buffer_m = (0.0, 10.0, d, math.nextafter(d, 0.0), math.nextafter(d, math.inf), 2.0 * d)[buffer_choice]
+    footprints = [(museum, far), (museum, a)]
+    check_stage(
+        lambda c: spatial_filter(c, footprints, REF, buffer_m),
+        lambda c: oracle_spatial_filter(c, footprints, REF, buffer_m),
+        tweets,
+        "spatial",
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(corpora())
 @example(  # two rows of one user at one microsecond, their ids in the opposite order to the rows
@@ -511,7 +539,7 @@ def test_spatial_filter_decides_hypot_rounding_like_the_scalar_distance():
         gx, gy = rng.uniform(1.0, 20.0, size=2)
         poly = square(p.x + gx, p.y + gy, p.x + gx + 30.0, p.y + gy + 30.0)
         d = distance_to_polygon_m(p, poly)
-        e = float(edge_distance_m_arrays(np.array([p.x]), np.array([p.y]), poly)[0])
+        e = float(kernel_edge_distance([p.x], [p.y], poly)[0])
         if e != d:
             break
     else:
