@@ -5,7 +5,10 @@ FeatureCollections with [lon, lat] coordinates, matrices as CSV with
 museum ids across the first row and zone ids down the first column.
 Floats are written with repr so a write/read cycle is lossless. All
 writers emit deterministic bytes: sorted keys, fixed field order, no
-timestamps of their own.
+timestamps of their own. Every GeoJSON reader takes its features from
+:func:`_features`, which checks the collection, each Feature and its
+required properties, and every GeoJSON writer hands (properties,
+geometry) pairs to :func:`_write_features`.
 
 :func:`read_tweets` reads the NDJSON file in chunks of about 64 KB of
 lines into the columns of a :class:`~museumflows.pipeline.Corpus`, one
@@ -250,24 +253,33 @@ def _load_json(path):
             raise _not_utf8(path, exc) from exc
 
 
-def _feature_list(doc, path):
-    if (
-        not isinstance(doc, dict)
-        or doc.get("type") != "FeatureCollection"
-        or not isinstance(doc.get("features"), list)
-    ):
+def _features(path, noun, required):
+    """Check a GeoJSON FeatureCollection file; yield (properties, geometry, label) for each Feature.
+
+    ``label`` names the feature in messages: ``<noun> feature`` and the repr
+    of its ``id`` property, or of its index where it has none; footprints,
+    which may share a museum, by index alone. A Feature must hold every
+    ``required`` property.
+    """
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection" or not isinstance(doc.get("features"), list):
         raise DataFormatError(f"{path}: expected a GeoJSON FeatureCollection")
-    return doc["features"]
+    for idx, feat in enumerate(doc["features"]):
+        if not isinstance(feat, dict) or feat.get("type") != "Feature":
+            raise DataFormatError(f"{path}: feature {idx} is not a GeoJSON Feature")
+        props, geom = feat.get("properties") or {}, feat.get("geometry")
+        if not isinstance(props, dict) or not isinstance(geom, dict):
+            raise DataFormatError(f"{path}: feature {idx} lacks properties or geometry")
+        label = f"{noun} feature {idx if noun == 'footprint' else props.get('id', idx)!r}".lstrip()
+        if missing := [k for k in required if k not in props]:
+            raise DataFormatError(f"{path}: {label}: missing properties {', '.join(missing)}")
+        yield props, geom, label
 
 
-def _feature_parts(feat, path, idx):
-    if not isinstance(feat, dict) or feat.get("type") != "Feature":
-        raise DataFormatError(f"{path}: feature {idx} is not a GeoJSON Feature")
-    props = feat.get("properties") or {}
-    geom = feat.get("geometry")
-    if not isinstance(props, dict) or not isinstance(geom, dict):
-        raise DataFormatError(f"{path}: feature {idx} lacks properties or geometry")
-    return props, geom
+def _write_features(pairs, path) -> None:
+    """Write (properties, geometry) pairs as a GeoJSON FeatureCollection."""
+    features = [{"type": "Feature", "properties": props, "geometry": geom} for props, geom in pairs]
+    _dump_json({"type": "FeatureCollection", "features": features}, path)
 
 
 def _geo_point(geom, path, label) -> GeoPoint:
@@ -278,7 +290,10 @@ def _geo_point(geom, path, label) -> GeoPoint:
         lon, lat = float(coords[0]), float(coords[1])
     except (TypeError, ValueError, IndexError) as exc:
         raise DataFormatError(f"{path}: {label}: bad Point coordinates") from exc
-    return GeoPoint(lat, lon)
+    try:
+        return GeoPoint(lat, lon)
+    except FlowModelError as exc:
+        raise DataFormatError(f"{path}: {label}: {exc}") from exc
 
 
 def _geo_rings(geom, path, label):
@@ -302,12 +317,6 @@ def _geo_rings(geom, path, label):
     return tuple(rings)
 
 
-def _require(props, keys, path, label):
-    missing = [k for k in keys if k not in props]
-    if missing:
-        raise DataFormatError(f"{path}: {label}: missing properties {', '.join(missing)}")
-
-
 def _check_unique_ids(ids, path, kind) -> None:
     """Raise for the ids that repeat in one file, naming the file."""
     if repeated := repeated_ids(ids):
@@ -324,14 +333,8 @@ def read_zones(path):
     (min latitude, min longitude) over every zone vertex, so any file
     describing the same zones yields the same frame.
     """
-    features = _feature_list(_load_json(path), path)
-    if not features:
-        raise DataFormatError(f"{path}: no zone features")
     parsed = []
-    for idx, feat in enumerate(features):
-        props, geom = _feature_parts(feat, path, idx)
-        label = f"zone feature {props.get('id', idx)!r}"
-        _require(props, ("id", "name", "population"), path, label)
+    for props, geom, label in _features(path, "zone", ("id", "name", "population")):
         rings = _geo_rings(geom, path, label)
         try:
             parsed.append(
@@ -346,6 +349,8 @@ def read_zones(path):
             )
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: {label}: {exc}") from exc
+    if not parsed:
+        raise DataFormatError(f"{path}: no zone features")
     _check_unique_ids([zid for zid, *_ in parsed], path, "zone")
     ref = GeoPoint(
         min(p.lat for *_, rings in parsed for ring in rings for p in ring),
@@ -373,7 +378,7 @@ def read_zones(path):
 
 
 def write_zones(zones, ref, path) -> None:
-    features = []
+    pairs = []
     for z in zones:
         if z.boundary is None:
             raise InvalidGeometryError(f"zone {z.id!r} has no boundary polygon to write")
@@ -381,38 +386,25 @@ def write_zones(zones, ref, path) -> None:
         for ring in z.boundary.rings():
             geo = [unproject(q, ref) for q in ring]
             coords.append([[p.lon, p.lat] for p in geo] + [[geo[0].lon, geo[0].lat]])
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {
-                    "id": z.id,
-                    "name": z.name,
-                    "population": z.population,
-                    "arts_share": z.arts_share,
-                    "earnings_proxy": z.earnings_proxy,
-                },
-                "geometry": {"type": "Polygon", "coordinates": coords},
-            }
-        )
-    _dump_json({"type": "FeatureCollection", "features": features}, path)
+        props = {"id": z.id, "name": z.name, "population": z.population, "arts_share": z.arts_share,
+                 "earnings_proxy": z.earnings_proxy}
+        pairs.append((props, {"type": "Polygon", "coordinates": coords}))
+    _write_features(pairs, path)
 
 
 # --- museums and footprints ---
 
 
 def read_museums(path) -> list[Museum]:
-    features = _feature_list(_load_json(path), path)
     museums = []
-    for idx, feat in enumerate(features):
-        props, geom = _feature_parts(feat, path, idx)
-        label = f"museum feature {props.get('id', idx)!r}"
-        _require(props, ("id", "name", "floor_area_m2"), path, label)
+    for props, geom, label in _features(path, "museum", ("id", "name", "floor_area_m2")):
+        location = _geo_point(geom, path, label)
         try:
             museums.append(
                 Museum(
                     id=str(props["id"]),
                     name=str(props["name"]),
-                    location=_geo_point(geom, path, label),
+                    location=location,
                     floor_area_m2=float(props["floor_area_m2"]),
                     media_mentions=float(props.get("media_mentions", 0.0)),
                 )
@@ -424,31 +416,16 @@ def read_museums(path) -> list[Museum]:
 
 
 def write_museums(museums, path) -> None:
-    features = [
-        {
-            "type": "Feature",
-            "properties": {
-                "id": m.id,
-                "name": m.name,
-                "floor_area_m2": m.floor_area_m2,
-                "media_mentions": m.media_mentions,
-            },
-            "geometry": {"type": "Point", "coordinates": [m.location.lon, m.location.lat]},
-        }
-        for m in museums
-    ]
-    _dump_json({"type": "FeatureCollection", "features": features}, path)
+    pairs = [({"id": m.id, "name": m.name, "floor_area_m2": m.floor_area_m2, "media_mentions": m.media_mentions},
+              {"type": "Point", "coordinates": [m.location.lon, m.location.lat]}) for m in museums]
+    _write_features(pairs, path)
 
 
 def read_footprints(path, museums, ref):
     """Polygon features keyed by `museum_id`, projected into the shared frame."""
     by_id = {m.id: m for m in museums}
-    features = _feature_list(_load_json(path), path)
     footprints = []
-    for idx, feat in enumerate(features):
-        props, geom = _feature_parts(feat, path, idx)
-        label = f"footprint feature {idx}"
-        _require(props, ("museum_id",), path, label)
+    for props, geom, label in _features(path, "footprint", ("museum_id",)):
         mid = str(props["museum_id"])
         if mid not in by_id:
             raise DataFormatError(f"{path}: {label}: unknown museum id {mid!r}")
@@ -459,11 +436,8 @@ def read_footprints(path, museums, ref):
 
 def read_tagged_features(path) -> list[TaggedFeature]:
     """Raw map features (points or polygons) with their property tags."""
-    features = _feature_list(_load_json(path), path)
     out = []
-    for idx, feat in enumerate(features):
-        props, geom = _feature_parts(feat, path, idx)
-        label = f"feature {props.get('id', idx)!r}"
+    for props, geom, label in _features(path, "", ()):
         kind = geom.get("type")
         if kind == "Point":
             out.append(TaggedFeature(tags=props, point=_geo_point(geom, path, label)))
@@ -597,7 +571,7 @@ def write_flow_lines(matrix: FlowMatrix, zones, museums, path) -> None:
     """One straight LineString per nonzero cell, zone centroid to museum."""
     zone_by_id = {z.id: z for z in zones}
     museum_by_id = {m.id: m for m in museums}
-    features = []
+    pairs = []
     for i, zid in enumerate(matrix.origin_ids):
         if zid not in zone_by_id:
             raise DataFormatError(f"flow matrix references unknown zone id {zid!r}")
@@ -608,24 +582,10 @@ def write_flow_lines(matrix: FlowMatrix, zones, museums, path) -> None:
             if count <= 0.0:
                 continue
             z, m = zone_by_id[zid], museum_by_id[mid]
-            features.append(
-                {
-                    "type": "Feature",
-                    "properties": {
-                        "origin": zid,
-                        "destination": mid,
-                        "count": int(count) if count.is_integer() else count,
-                    },
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": [
-                            [z.centroid.lon, z.centroid.lat],
-                            [m.location.lon, m.location.lat],
-                        ],
-                    },
-                }
-            )
-    _dump_json({"type": "FeatureCollection", "features": features}, path)
+            line = [[z.centroid.lon, z.centroid.lat], [m.location.lon, m.location.lat]]
+            props = {"origin": zid, "destination": mid, "count": int(count) if count.is_integer() else count}
+            pairs.append((props, {"type": "LineString", "coordinates": line}))
+    _write_features(pairs, path)
 
 
 # --- user homes ---
@@ -644,7 +604,7 @@ def write_homes_csv(homes: Homes, path) -> None:
 
 
 def _dump_json(payload, path) -> None:
-    """Serialize any JSON-safe payload with deterministic bytes."""
+    """Serialize any JSON-safe payload with deterministic bytes, in one ``json.dumps`` and one write."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text + "\n")

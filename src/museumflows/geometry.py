@@ -212,14 +212,15 @@ def edge_tests(ax, ay, bx, by, x, y):
     return on, crosses, x - (ax + t * dx), y - (ay + t * dy)
 
 
-def polygons_contain(x, y, polys, which) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, on_edge) of each point (x[k], y[k]) in ``polys[which[k]]``, all arrays; on an edge is inside.
+def polygons_contain(x, y, edges, which) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, on_edge) of each point (x[k], y[k]) in polygon ``which[k]`` of ``edges = ring_edges(polys)``.
 
-    The (point, edge) pairs go through :func:`edge_tests` in slices of at
-    most ``_PAIR_EDGES`` pairs (or one point), whatever the vertex counts.
+    On an edge is inside. The (point, edge) pairs go through
+    :func:`edge_tests` in slices of at most ``_PAIR_EDGES`` pairs (or one
+    point), whatever the vertex counts.
     """
     inside, on_edge = np.zeros((2, len(which)), dtype=bool)
-    ax, ay, bx, by, n_edges = ring_edges(polys)
+    ax, ay, bx, by, n_edges = edges
     first_edge = np.cumsum(n_edges) - n_edges
     step = max(1, _PAIR_EDGES // int(n_edges.max(initial=1)))
     for s in range(0, len(which), step):
@@ -235,11 +236,11 @@ def polygons_contain(x, y, polys, which) -> tuple[np.ndarray, np.ndarray]:
 
 def point_in_polygon(p: PlanarPoint, poly: PolygonM) -> bool:
     """:func:`polygons_contain` for one point: even-odd, and on any ring edge is inside."""
-    return bool(polygons_contain(np.array([p.x]), np.array([p.y]), [poly], np.zeros(1, dtype=np.intp))[0][0])
+    return bool(polygons_contain(np.array([p.x]), np.array([p.y]), ring_edges([poly]), np.zeros(1, np.intp))[0][0])
 
 
-def containment_boxes(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(xmin, ymin, xmax, ymax), one entry per polygon: the box outside which no point is in it.
+def containment_boxes(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xmin, ymin, xmax, ymax), one entry per polygon of ``edges = ring_edges(polys)``: no point outside is in it.
 
     The box spans every ring, since the even-odd test counts holes too. It
     is padded to hold every point the edge tolerance accepts: an edge of
@@ -249,7 +250,7 @@ def containment_boxes(polys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     ulps of the coordinate magnitude for the rounding of the cross, dot and
     crossing computations.
     """
-    ax, ay, bx, by, n_edges = ring_edges(polys)
+    ax, ay, bx, by, n_edges = edges
     first = np.cumsum(n_edges) - n_edges
     length = np.hypot(bx - ax, by - ay)
     tolerance = np.maximum.reduceat(_EDGE_EPS / np.where(length > 0.0, length, np.inf), first)

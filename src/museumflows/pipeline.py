@@ -538,10 +538,11 @@ def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_
     keep = np.zeros(len(corpus), dtype=bool)
     band = _TIE_BAND * max(buffer_m, 1.0)
     reach = buffer_m + band
-    polys = [poly for _, poly in footprints]
-    for poly, xmin, ymin, xmax, ymax in zip(polys, *containment_boxes(polys)):
+    edges = ring_edges([poly for _, poly in footprints])
+    ends = np.cumsum(edges[4])
+    for end, n, xmin, ymin, xmax, ymax in zip(ends.tolist(), edges[4].tolist(), *containment_boxes(edges)):
         rows = np.flatnonzero((xmin - reach <= x) & (x <= xmax + reach) & (ymin - reach <= y) & (y <= ymax + reach))
-        ax, ay, bx, by = (v[:, None] for v in ring_edges([poly])[:4])
+        ax, ay, bx, by = (v[end - n: end, None] for v in edges[:4])
         on, crosses, ex, ey = edge_tests(ax, ay, bx, by, x[rows], y[rows])
         inside = on.any(axis=0) | (np.count_nonzero(crosses, axis=0) % 2 == 1)
         edge = np.hypot(ex, ey).min(axis=0)
@@ -670,10 +671,10 @@ def assign_home_zone(homes, zones):
     first, inverse = _distinct_cells(homes)
     x = (homes.ix[first] + 0.5) * GRID_RESOLUTION_M  # GridCell.center, bit for bit
     y = (homes.iy[first] + 0.5) * GRID_RESOLUTION_M
-    boundaries = [z.boundary for z in zones]
-    xmin, ymin, xmax, ymax = containment_boxes(boundaries)
+    edges = ring_edges([z.boundary for z in zones])
+    xmin, ymin, xmax, ymax = containment_boxes(edges)
     cell, zone = np.nonzero((xmin <= x[:, None]) & (x[:, None] <= xmax) & (ymin <= y[:, None]) & (y[:, None] <= ymax))
-    inside, on_edge = polygons_contain(x[cell], y[cell], boundaries, zone)
+    inside, on_edge = polygons_contain(x[cell], y[cell], edges, zone)
     cell, zone, on_edge = cell[inside], zone[inside], on_edge[inside]  # by cell, then in zone order
     shared = np.bincount(cell, minlength=len(first)) > 1
     ambiguous = np.flatnonzero(shared & (np.bincount(cell[on_edge], minlength=len(first)) == 0))

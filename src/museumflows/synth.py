@@ -28,6 +28,7 @@ from .geometry import (
     PolygonM,
     polygons_contain,
     project,
+    ring_edges,
     snap_to_grid,
     unproject,
 )
@@ -120,8 +121,8 @@ def _home_points(zones, ref: GeoPoint) -> list[GeoPoint]:
     x, y = np.array([(c.x, c.y) for c in centers]).reshape(-1, 2).T
     bounded = [k for k, z in enumerate(zones) if z.boundary is not None]
     held = np.ones(len(zones), dtype=bool)
-    boundaries = [zones[k].boundary for k in bounded]
-    held[bounded] = polygons_contain(x[bounded], y[bounded], boundaries, np.arange(len(bounded)))[0]
+    edges = ring_edges([zones[k].boundary for k in bounded])
+    held[bounded] = polygons_contain(x[bounded], y[bounded], edges, np.arange(len(bounded)))[0]
     return [unproject(c, ref) if h else z.centroid for z, c, h in zip(zones, centers, held.tolist())]
 
 

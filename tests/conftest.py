@@ -18,7 +18,7 @@ def deg_for_km(km: float) -> float:
 
 def containment_box(poly):
     """(xmin, ymin, xmax, ymax): the entry of one polygon in :func:`containment_boxes`."""
-    return tuple(float(v[0]) for v in containment_boxes([poly]))
+    return tuple(float(v[0]) for v in containment_boxes(ring_edges([poly])))
 
 
 def kernel_edge_distance(x, y, poly):

@@ -231,6 +231,14 @@ def test_museums_verb_rejects_a_repeated_id_before_writing(tmp_path, capsys, fir
     assert not out.exists()
 
 
+def test_museums_verb_names_the_file_and_feature_of_a_point_off_the_globe(tmp_path, capsys):
+    code, out = run_museums(tmp_path, ({"id": "n1", "name": "City Museum"}, {"type": "Point", "coordinates": [-1.55, 95]}))
+    assert code == 1
+    path = tmp_path / "raw.geojson"
+    assert capsys.readouterr().err == f"error: {path}: feature 'n1': latitude 95.0 outside [-90, 90]\n"
+    assert not out.exists()
+
+
 def test_museums_verb_keeps_a_namesake_point_far_outside_a_polygon_frame(tmp_path):
     ring = [[-1.5, 53.8], [-1.499, 53.8], [-1.499, 53.801], [-1.5, 53.801], [-1.5, 53.8]]
     code, out = run_museums(

@@ -312,6 +312,109 @@ def test_read_tagged_features(tmp_path):
         read_tagged_features(dump(doc, tmp_path / "raw2.geojson"))
 
 
+def read_leeds_footprints(path):
+    return read_footprints(path, [make_museum("m1", 53.7801, -1.5899)], GeoPoint(53.78, -1.60))
+
+
+POINT = {"type": "Point", "coordinates": [-1.55, 53.80]}
+SQUARE = zone_feature("zA", -1.60, 53.78)["geometry"]
+SLIVER = {"type": "Polygon", "coordinates": [[[-1.59, 53.78], [-1.58, 53.78], [-1.59, 53.78]]]}
+# reader, a valid feature's properties and geometry
+GEOJSON_READERS = {
+    "zones": (read_zones, {"id": "zA", "name": "Zone zA", "population": 1000.0}, SQUARE),
+    "museums": (read_museums, {"id": "m1", "name": "City Museum", "floor_area_m2": 1000.0}, POINT),
+    "footprints": (read_leeds_footprints, {"museum_id": "m1"}, SQUARE),
+    "features": (read_tagged_features, {"id": "n1", "tourism": "museum"}, POINT),
+}
+
+
+def feature(reader, drop=(), geometry=None, **props):
+    """The reader's valid Feature, less the ``drop`` properties, with ``props`` and ``geometry`` in place."""
+    _, base, geom = GEOJSON_READERS[reader]
+    kept = {k: v for k, v in base.items() if k not in drop}
+    return {"type": "Feature", "properties": {**kept, **props}, "geometry": geometry or geom}
+
+
+def collection(*features):
+    return {"type": "FeatureCollection", "features": list(features)}
+
+
+# (reader, document, message after "<path>: ")
+GEOJSON_ERRORS = [
+    *[(r, {"type": "Feature"}, "expected a GeoJSON FeatureCollection") for r in GEOJSON_READERS],
+    *[(r, {"type": "FeatureCollection", "features": {}}, "expected a GeoJSON FeatureCollection") for r in GEOJSON_READERS],
+    *[(r, collection(feature(r), "Feature"), "feature 1 is not a GeoJSON Feature") for r in GEOJSON_READERS],
+    *[(r, collection({"type": "Feature", "properties": {}}), "feature 0 lacks properties or geometry")
+      for r in GEOJSON_READERS],
+    *[(r, collection({"type": "Feature", "properties": ["id"], "geometry": POINT}), "feature 0 lacks properties or geometry")
+      for r in GEOJSON_READERS],
+    ("zones", collection(feature("zones", drop=("id",))), "zone feature 0: missing properties id"),
+    ("zones", collection(feature("zones", drop=("name",))), "zone feature 'zA': missing properties name"),
+    ("zones", collection(feature("zones", drop=("population",))), "zone feature 'zA': missing properties population"),
+    ("zones", collection({"type": "Feature", "properties": None, "geometry": SQUARE}),
+     "zone feature 0: missing properties id, name, population"),
+    ("museums", collection(feature("museums", drop=("id",))), "museum feature 0: missing properties id"),
+    ("museums", collection(feature("museums", drop=("name",))), "museum feature 'm1': missing properties name"),
+    ("museums", collection(feature("museums", drop=("floor_area_m2",))),
+     "museum feature 'm1': missing properties floor_area_m2"),
+    ("footprints", collection(feature("footprints", drop=("museum_id",), id="f1")),
+     "footprint feature 0: missing properties museum_id"),
+    ("zones", collection(feature("zones", geometry={"type": "MultiPolygon", "coordinates": []})),
+     "zone feature 'zA': expected Polygon geometry, got 'MultiPolygon'"),
+    ("zones", collection(feature("zones", geometry=POINT)), "zone feature 'zA': expected Polygon geometry, got 'Point'"),
+    ("museums", collection(feature("museums", geometry=SQUARE)),
+     "museum feature 'm1': expected Point geometry, got 'Polygon'"),
+    ("museums", collection(feature("museums", geometry={"type": "MultiPoint", "coordinates": []})),
+     "museum feature 'm1': expected Point geometry, got 'MultiPoint'"),
+    ("footprints", collection(feature("footprints", geometry={"type": "MultiPolygon", "coordinates": []})),
+     "footprint feature 0: expected Polygon geometry, got 'MultiPolygon'"),
+    ("features", collection(feature("features", geometry={"type": "MultiPolygon", "coordinates": []})),
+     "feature 'n1': unsupported geometry type 'MultiPolygon'"),
+    ("features", collection(feature("features", drop=("id",), geometry={"type": "LineString", "coordinates": []})),
+     "feature 0: unsupported geometry type 'LineString'"),
+    ("zones", collection(feature("zones", geometry={"type": "Polygon", "coordinates": []})),
+     "zone feature 'zA': Polygon needs at least one ring"),
+    ("zones", collection(feature("zones", geometry=SLIVER)), "zone feature 'zA': ring has fewer than 3 distinct vertices"),
+    ("footprints", collection(feature("footprints", geometry=SLIVER)),
+     "footprint feature 0: ring has fewer than 3 distinct vertices"),
+    ("features", collection(feature("features", geometry=SLIVER)),
+     "feature 'n1': ring has fewer than 3 distinct vertices"),
+    ("zones", collection(feature("zones", geometry={"type": "Polygon", "coordinates": [[[-1.6, 53.78], [-1.5, 95]]]})),
+     "zone feature 'zA': bad ring coordinates: latitude 95.0 outside [-90, 90]"),
+    ("features", collection(feature("features", geometry={"type": "Polygon", "coordinates": [[[-1.6, 53.78], [1]]]})),
+     "feature 'n1': bad ring coordinates: list index out of range"),
+    ("museums", collection(feature("museums", geometry={"type": "Point", "coordinates": [-1.55]})),
+     "museum feature 'm1': bad Point coordinates"),
+    ("features", collection(feature("features", geometry={"type": "Point", "coordinates": "here"})),
+     "feature 'n1': bad Point coordinates"),
+    ("museums", collection(feature("museums", geometry={"type": "Point", "coordinates": [-1.55, 95]})),
+     "museum feature 'm1': latitude 95.0 outside [-90, 90]"),
+    ("features", collection(feature("features", geometry={"type": "Point", "coordinates": [-1.55, 95]})),
+     "feature 'n1': latitude 95.0 outside [-90, 90]"),
+    ("museums", collection(feature("museums", geometry={"type": "Point", "coordinates": [181, 53.8]})),
+     "museum feature 'm1': longitude 181.0 outside [-180, 180]"),
+    ("museums", collection(feature("museums", floor_area_m2="big")),
+     "museum feature 'm1': could not convert string to float: 'big'"),
+    ("zones", collection(feature("zones", population="many")), "zone feature 'zA': could not convert string to float: 'many'"),
+    ("footprints", collection(feature("footprints", museum_id="ghost", id="f1")),
+     "footprint feature 0: unknown museum id 'ghost'"),
+    ("zones", collection(feature("zones"), feature("zones", name="again"), feature("zones", id=7), feature("zones", id=7)),
+     "repeated zone ids: 7, zA"),
+    ("museums", collection(feature("museums"), feature("museums")), "repeated museum ids: m1"),
+    ("zones", collection(), "no zone features"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, doc, message", GEOJSON_ERRORS, ids=[f"{r}-{i}" for i, (r, *_) in enumerate(GEOJSON_ERRORS)]
+)
+def test_geojson_errors_name_the_file_and_the_feature(tmp_path, reader, doc, message):
+    path = dump(doc, tmp_path / "in.geojson")
+    with pytest.raises(DataFormatError) as info:
+        GEOJSON_READERS[reader][0](path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 # --- matrices ---
 
 

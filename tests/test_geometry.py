@@ -336,7 +336,7 @@ def test_array_geometry_matches_the_scalar_functions():
         x = np.array([p.x for p in points])
         y = np.array([p.y for p in points])
         inside = [scalar_point_in_polygon(p, poly) for p in points]
-        assert polygons_contain(x, y, [poly], np.zeros(len(points), dtype=np.intp))[0].tolist() == inside
+        assert polygons_contain(x, y, ring_edges([poly]), np.zeros(len(points), dtype=np.intp))[0].tolist() == inside
         on_edges += sum(point_on_boundary(p, poly) for p in points)
         edge = kernel_edge_distance(x, y, poly)
         for p, got, contained in zip(points, edge.tolist(), inside):
@@ -387,7 +387,7 @@ def polygons_and_points(draw):
 def test_edge_kernel_matches_the_scalar_predicates(case):
     poly, points = case
     x, y = np.array([p.x for p in points]), np.array([p.y for p in points])
-    inside, on_edge = polygons_contain(x, y, [poly], np.zeros(len(points), dtype=np.intp))
+    inside, on_edge = polygons_contain(x, y, ring_edges([poly]), np.zeros(len(points), dtype=np.intp))
     assert inside.tolist() == [scalar_point_in_polygon(p, poly) for p in points]
     assert on_edge.tolist() == [point_on_boundary(p, poly) for p in points]
     ax, ay, bx, by = (v[:, None] for v in ring_edges([poly])[:4])
