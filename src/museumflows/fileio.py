@@ -267,7 +267,8 @@ def _features(path, noun, required):
     for idx, feat in enumerate(doc["features"]):
         if not isinstance(feat, dict) or feat.get("type") != "Feature":
             raise DataFormatError(f"{path}: feature {idx} is not a GeoJSON Feature")
-        props, geom = feat.get("properties") or {}, feat.get("geometry")
+        props, geom = feat.get("properties"), feat.get("geometry")
+        props = {} if props is None else props  # RFC 7946: an object or null
         if not isinstance(props, dict) or not isinstance(geom, dict):
             raise DataFormatError(f"{path}: feature {idx} lacks properties or geometry")
         label = f"{noun} feature {idx if noun == 'footprint' else props.get('id', idx)!r}".lstrip()

@@ -276,17 +276,13 @@ def _ring_signed_area_centroid(ring) -> tuple[float, float, float]:
 def polygon_centroid_area(poly: PolygonM) -> tuple[PlanarPoint, float]:
     """Area-weighted centroid and area in m^2, holes subtracted."""
     area = cx = cy = 0.0
-    a0, x0, y0 = _ring_signed_area_centroid(poly.exterior)
-    sign = 1.0 if a0 >= 0 else -1.0
-    area += sign * a0
-    cx += sign * x0
-    cy += sign * y0
-    for hole in poly.holes:
-        ah, xh, yh = _ring_signed_area_centroid(hole)
-        hsign = 1.0 if ah >= 0 else -1.0
-        area -= hsign * ah
-        cx -= hsign * xh
-        cy -= hsign * yh
+    for k, ring in enumerate(poly.rings()):
+        a, x, y = _ring_signed_area_centroid(ring)
+        # the ring's orientation, negated for a hole: adding -s * a is subtracting s * a, bit for bit
+        sign = (1.0 if a >= 0 else -1.0) * (1.0 if k == 0 else -1.0)
+        area += sign * a
+        cx += sign * x
+        cy += sign * y
     if area <= 0.0:
         raise InvalidGeometryError(f"polygon area must be positive, got {area}")
     return PlanarPoint(cx / area, cy / area), area

@@ -739,7 +739,7 @@ def build_observed_matrix(corpus, homes, zones, museums):
     tweet_row = home_row[corpus.user]
     rows = np.flatnonzero(tweet_row >= 0)
     if rows.size and not museums:
-        _nearest_museum(GeoPoint(corpus.lat[rows[0]], corpus.lon[rows[0]]), museums)  # raises EmptyInputError
+        raise EmptyInputError("no museums to assign")
     cells = tweet_row[rows] * max(len(museums), 1) + _nearest_museums(corpus, rows, museums)
     counts = np.bincount(cells, minlength=(len(zone_ids) + 1) * len(museums))
     counts = counts.reshape(len(zone_ids) + 1, len(museums)).astype(float)

@@ -160,23 +160,21 @@ class FlowMatrix:
         Label sets must match exactly: a silent fill would hide aggregation
         bugs upstream.
         """
-        origin_ids = tuple(origin_ids)
-        destination_ids = tuple(destination_ids)
-        if set(origin_ids) != set(self.origin_ids) or len(origin_ids) != len(self.origin_ids):
-            missing = sorted(set(origin_ids) ^ set(self.origin_ids))
-            raise ShapeError(f"origin ids do not match; differing ids: {missing}")
-        if set(destination_ids) != set(self.destination_ids) or len(destination_ids) != len(
-            self.destination_ids
-        ):
-            missing = sorted(set(destination_ids) ^ set(self.destination_ids))
-            raise ShapeError(f"destination ids do not match; differing ids: {missing}")
-        ri = [self.origin_ids.index(o) for o in origin_ids]
-        ci = [self.destination_ids.index(d) for d in destination_ids]
-        return FlowMatrix(origin_ids, destination_ids, self.values[np.ix_(ri, ci)])
+        wanted = (tuple(origin_ids), tuple(destination_ids))
+        order = []
+        for kind, ids, have in zip(("origin", "destination"), wanted, (self.origin_ids, self.destination_ids)):
+            if set(ids) != set(have) or len(ids) != len(have):
+                raise ShapeError(f"{kind} ids do not match; differing ids: {sorted(set(ids) ^ set(have))}")
+            position = {label: i for i, label in enumerate(have)}
+            order.append([position[label] for label in ids])
+        return FlowMatrix(*wanted, self.values[np.ix_(*order)])
 
 
 def distance_matrix(zones, museums) -> np.ndarray:
-    """Great-circle distances in km, zones on rows, museums on columns."""
+    """Great-circle distances in km, zones on rows, museums on columns.
+
+    Not ``haversine_km_arrays``, which differences before converting to radians: that moves every model's bits.
+    """
     if not zones or not museums:
         raise EmptyInputError("distance matrix needs at least one zone and one museum")
     lat_z = np.radians([z.centroid.lat for z in zones])[:, None]

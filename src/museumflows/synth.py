@@ -164,11 +164,11 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
 
     if cfg.noise > 0.0:
         n_decoys = int(round(cfg.n_trips * cfg.noise / (1.0 - cfg.noise)))
-        lats = [z.centroid.lat for z in zones]
-        lons = [z.centroid.lon for z in zones]
+        lat_lo, lat_hi = min(z.centroid.lat for z in zones), max(z.centroid.lat for z in zones)
+        lon_lo, lon_hi = min(z.centroid.lon for z in zones), max(z.centroid.lon for z in zones)
         for d in range(n_decoys):
-            lat = float(rng.uniform(min(lats), max(lats)))
-            lon = float(rng.uniform(min(lons), max(lons)))
+            lat = float(rng.uniform(lat_lo, lat_hi))
+            lon = float(rng.uniform(lon_lo, lon_hi))
             text = DECOY_TEXTS[int(rng.integers(len(DECOY_TEXTS)))]
             emit(f"d{d:05d}", trip, d, lat, lon, text)
 
@@ -195,6 +195,11 @@ def recovery_report(zones, museums, cfg: SynthConfig, ref: GeoPoint, grid=None) 
     )
 
 
+def _rectangle(x0: float, y0: float, x1: float, y1: float) -> PolygonM:
+    """The axis-aligned rectangle with corners (x0, y0) and (x1, y1), counter-clockwise from (x0, y0)."""
+    return PolygonM(exterior=(PlanarPoint(x0, y0), PlanarPoint(x1, y0), PlanarPoint(x1, y1), PlanarPoint(x0, y1)))
+
+
 def demo_region(n_zones: int = 20, n_museums: int = 5, seed: int = 0) -> DemoRegion:
     """Square-grid zones (2 km sides) with scattered museums and footprints."""
     if n_zones < 1 or n_museums < 1:
@@ -208,12 +213,6 @@ def demo_region(n_zones: int = 20, n_museums: int = 5, seed: int = 0) -> DemoReg
     for k in range(n_zones):
         r, c = divmod(k, cols)
         x0, y0 = c * side, r * side
-        ring = (
-            PlanarPoint(x0, y0),
-            PlanarPoint(x0 + side, y0),
-            PlanarPoint(x0 + side, y0 + side),
-            PlanarPoint(x0, y0 + side),
-        )
         zones.append(
             Zone(
                 id=f"z{k:03d}",
@@ -222,7 +221,7 @@ def demo_region(n_zones: int = 20, n_museums: int = 5, seed: int = 0) -> DemoReg
                 population=float(rng.uniform(500.0, 5000.0)),
                 arts_share=float(rng.uniform(0.0, 0.5)),
                 earnings_proxy=float(rng.uniform(0.0, 20.0)),
-                boundary=PolygonM(exterior=ring),
+                boundary=_rectangle(x0, y0, x0 + side, y0 + side),
             )
         )
 
@@ -241,15 +240,7 @@ def demo_region(n_zones: int = 20, n_museums: int = 5, seed: int = 0) -> DemoReg
             media_mentions=float(rng.integers(0, 300)),
         )
         half = 30.0
-        footprint = PolygonM(
-            exterior=(
-                PlanarPoint(x - half, y - half),
-                PlanarPoint(x + half, y - half),
-                PlanarPoint(x + half, y + half),
-                PlanarPoint(x - half, y + half),
-            )
-        )
         museums.append(museum)
-        footprints.append((museum, footprint))
+        footprints.append((museum, _rectangle(x - half, y - half, x + half, y + half)))
 
     return DemoRegion(tuple(zones), tuple(museums), tuple(footprints), ref)

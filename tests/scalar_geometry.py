@@ -5,13 +5,15 @@ They are kept as differential oracles: one Python loop per ring edge, on
 :func:`point_in_polygon` here is the scalar loop, not the package's
 function of that name, which reduces the edge kernel. ``_zone_containing``
 is the per-cell zone resolution ``assign_home_zone`` made before it tested
-every (cell, zone) pair at once.
+every (cell, zone) pair at once. ``polygon_centroid_area`` is the package's
+function as it was before one loop over ``rings()`` took the exterior and
+the holes alike: an exterior block, then a hole loop.
 """
 
 import math
 
-from museumflows.errors import AmbiguousZoneError
-from museumflows.geometry import _EDGE_EPS, PlanarPoint, PolygonM
+from museumflows.errors import AmbiguousZoneError, InvalidGeometryError
+from museumflows.geometry import _EDGE_EPS, PlanarPoint, PolygonM, _ring_signed_area_centroid
 
 
 def _on_segment(p: PlanarPoint, a: PlanarPoint, b: PlanarPoint) -> bool:
@@ -83,3 +85,22 @@ def _zone_containing(center: PlanarPoint, candidates, user_id: str) -> int:
         return containing[0][0]
     ids = [z.id for _, z in containing]
     raise AmbiguousZoneError(f"home of {user_id} strictly inside zones {ids}")
+
+
+def polygon_centroid_area(poly: PolygonM) -> tuple[PlanarPoint, float]:
+    """Area-weighted centroid and area in m^2, holes subtracted."""
+    area = cx = cy = 0.0
+    a0, x0, y0 = _ring_signed_area_centroid(poly.exterior)
+    sign = 1.0 if a0 >= 0 else -1.0
+    area += sign * a0
+    cx += sign * x0
+    cy += sign * y0
+    for hole in poly.holes:
+        ah, xh, yh = _ring_signed_area_centroid(hole)
+        hsign = 1.0 if ah >= 0 else -1.0
+        area -= hsign * ah
+        cx -= hsign * xh
+        cy -= hsign * yh
+    if area <= 0.0:
+        raise InvalidGeometryError(f"polygon area must be positive, got {area}")
+    return PlanarPoint(cx / area, cy / area), area

@@ -402,6 +402,9 @@ GEOJSON_ERRORS = [
      "repeated zone ids: 7, zA"),
     ("museums", collection(feature("museums"), feature("museums")), "repeated museum ids: m1"),
     ("zones", collection(), "no zone features"),
+    # only an absent member or null means no properties (RFC 7946)
+    *[(r, collection({"type": "Feature", "properties": bad, "geometry": GEOJSON_READERS[r][2]}),
+       "feature 0 lacks properties or geometry") for bad in (0, [], "", False) for r in GEOJSON_READERS],
 ]
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_geometry import distance_to_polygon_m, point_on_boundary
 from scalar_geometry import point_in_polygon as scalar_point_in_polygon
+from scalar_geometry import polygon_centroid_area as scalar_polygon_centroid_area
 
 from museumflows.errors import InvalidCoordinateError, InvalidGeometryError
 from museumflows.geometry import (
@@ -492,6 +493,30 @@ def test_centroid_area_zero_area_rejected():
     flat = PolygonM(exterior=(PlanarPoint(0, 0), PlanarPoint(1, 1), PlanarPoint(2, 2)))
     with pytest.raises(InvalidGeometryError):
         polygon_centroid_area(flat)
+
+
+# small integers make exactly zero and exactly cancelling areas likely; wide floats round
+coordinate = st.one_of(st.integers(-4, 4).map(float), st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False))
+# each ring as drawn or reversed, so Hypothesis tries both windings of one ring
+ring_either_way = st.tuples(
+    st.lists(st.builds(PlanarPoint, coordinate, coordinate), min_size=3, max_size=6), st.booleans()
+).map(lambda drawn: tuple(reversed(drawn[0])) if drawn[1] else tuple(drawn[0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_either_way, st.lists(ring_either_way, max_size=3))
+def test_centroid_area_matches_the_exterior_then_holes_oracle_bit_for_bit(exterior, holes):
+    poly = PolygonM(exterior=exterior, holes=tuple(holes))
+    try:
+        expected = scalar_polygon_centroid_area(poly)
+    except InvalidGeometryError as exc:
+        with pytest.raises(InvalidGeometryError) as info:
+            polygon_centroid_area(poly)
+        assert str(info.value) == str(exc)
+        return
+    (c, a), (oc, oa) = polygon_centroid_area(poly), expected
+    assert (c.x, c.y, a) == (oc.x, oc.y, oa)
+    assert [v.hex() for v in (c.x, c.y, a)] == [v.hex() for v in (oc.x, oc.y, oa)]  # signed zeros too
 
 
 def test_snap_to_grid_examples():

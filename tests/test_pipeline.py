@@ -357,6 +357,26 @@ def test_build_observed_matrix():
     assert entry0.tweets_out == 0
 
 
+def test_build_observed_matrix_without_museums():
+    zones = [planar_zone("z1", 0.0, 200.0, 0.0, 200.0)]
+    tweets = Corpus.from_tweets([tw("u1", 53.80, -1.50, "museum a"), tw("u2", 53.80, -1.50, "museum b")])
+    zoned = make_homes([
+        UserHome("u1", GridCell(0, 0), 3, zone_id="z1"),
+        UserHome("u2", GridCell(9, 9), 1, zone_id=None),
+    ], tweets.users)
+    with pytest.raises(EmptyInputError, match="^no museums to assign$"):
+        build_observed_matrix(tweets, zoned, zones, [])
+
+    # no tweet has a zoned home, so none needs a museum
+    unzoned = make_homes([
+        UserHome("u1", GridCell(0, 0), 3, zone_id=None),
+        UserHome("u2", GridCell(9, 9), 1, zone_id=None),
+    ], tweets.users)
+    matrix, entry = build_observed_matrix(tweets, unzoned, zones, [])
+    assert (matrix.origin_ids, matrix.destination_ids, matrix.shape) == (("z1",), (), (1, 0))
+    assert entry == StageCount("aggregate", 2, 0, 0)
+
+
 def geo_ring(lat, lon, half_deg):
     return (
         GeoPoint(lat - half_deg, lon - half_deg),

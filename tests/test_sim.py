@@ -92,8 +92,33 @@ def test_flow_matrix_reindex():
     flipped = fm.reindex(("b", "a"), ("y", "x"))
     assert flipped.values.tolist() == [[4.0, 3.0], [2.0, 1.0]]
     assert flipped.reindex(("a", "b"), ("x", "y")).values.tolist() == fm.values.tolist()
-    with pytest.raises(ShapeError):
-        fm.reindex(("a", "q"), ("x", "y"))
+    # each axis names itself; a repeated id has the same set but not the same length
+    cases = [
+        ((("a", "q"), ("x", "y")), "origin ids do not match; differing ids: ['b', 'q']"),
+        ((("a",), ("q",)), "origin ids do not match; differing ids: ['b']"),
+        ((("a", "b"), ("y", "z")), "destination ids do not match; differing ids: ['x', 'z']"),
+        ((("a", "b", "a"), ("x", "y")), "origin ids do not match; differing ids: []"),
+        ((("b", "a"), ("x", "y", "y")), "destination ids do not match; differing ids: []"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ShapeError) as info:
+            fm.reindex(*args)
+        assert str(info.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_flow_matrix_reindex_matches_a_list_index_oracle(n_rows, n_cols, rnd):
+    origins = [f"z{k}" for k in range(n_rows)]
+    destinations = [f"m{k}" for k in range(n_cols)]
+    rnd.shuffle(origins)
+    rnd.shuffle(destinations)
+    fm = FlowMatrix(origins, destinations, np.arange(n_rows * n_cols, dtype=float).reshape(n_rows, n_cols))
+    rows, cols = rnd.sample(origins, n_rows), rnd.sample(destinations, n_cols)
+    expected = [[fm.values[origins.index(o), destinations.index(d)] for d in cols] for o in rows]
+    for got in (fm.reindex(rows, cols), fm.reindex((o for o in rows), (d for d in cols))):
+        assert (got.origin_ids, got.destination_ids) == (tuple(rows), tuple(cols))
+        assert got.values.tolist() == expected
 
 
 def test_distance_matrix_against_pairwise_oracle():
