@@ -280,6 +280,9 @@ def _cmd_calibrate(args) -> int:
 def _cmd_simulate(args) -> int:
     if bool(args.zones) != bool(args.museums):
         raise _UsageError("--zones and --museums go together")
+    spec = _build_spec(args, args.beta, constraint="unconstrained")
+    cfg = SynthConfig(true_spec=spec, n_trips=args.n_trips, noise=args.noise, seed=args.seed)
+    grid = BetaGrid(args.beta_start, args.beta_step, args.beta_count)
     out = _outdir(args)
     if args.zones:
         zones, museums, ref = _read_region(args)
@@ -289,9 +292,6 @@ def _cmd_simulate(args) -> int:
         fileio.write_zones(zones, ref, os.path.join(out, "zones.geojson"))
         fileio.write_museums(museums, os.path.join(out, "museums.geojson"))
 
-    spec = _build_spec(args, args.beta, constraint="unconstrained")
-    cfg = SynthConfig(true_spec=spec, n_trips=args.n_trips, noise=args.noise, seed=args.seed)
-    grid = BetaGrid(args.beta_start, args.beta_step, args.beta_count)
     rep = recovery_report(zones, museums, cfg, ref, grid)
     fileio.write_tweets(rep.corpus, os.path.join(out, "corpus.ndjson"))
     fileio.write_matrix_csv(rep.truth, os.path.join(out, "truth.csv"))

@@ -264,14 +264,14 @@ class _CorpusBuilder:
         if not (in_range.all() and all(ids) and all(user_ids) and max(map(len, texts), default=0) <= MAX_TEXT_CODEPOINTS):
             for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts, sources, stamp_us.tolist()):
                 _check_row(*row)
-        self.ids += ids
+        self.ids.extend(ids)
         self.user.extend(_codes(self.users, user_ids))
         self.stamp_us.frombytes(stamp_us.tobytes())
         self.tz.extend(_codes(self.tzinfos, zones))
         self.lat.frombytes(lat.tobytes())
         self.lon.frombytes(lon.tobytes())
-        self.texts += texts
-        self.sources += sources
+        self.texts.extend(texts)
+        self.sources.extend(sources)
 
     def corpus(self) -> Corpus:
         return Corpus(

@@ -4,17 +4,26 @@ Trips are drawn multinomially from the model's flow matrix. Every trip gets
 its own user: a burst of keyword-free tweets pinned to the origin zone (so
 home inference must land there) plus one keyword tweet at the museum point.
 Decoy users add keyword-free chatter at random locations. Messages are
-collected as columns (stamps as integer microseconds) and go into a Corpus
-in one call of the column appender the NDJSON reader uses.
+built as columns (stamps as integer microseconds) and go into a Corpus
+through the column appender the NDJSON reader uses: one call for the
+trips and one for the decoys.
 
 All randomness comes from numpy's default_rng (PCG64) seeded from the
-config, which keeps corpora byte-identical across platforms and runs.
+config, which keeps corpora byte-identical across platforms and runs. The
+stream is that of one scalar ``rng.integers`` call per trip draw, and the
+bytes of every corpus, ``data/demo`` and the benchmark inputs pin it, so
+the trip draws are made as arrays that reproduce it bit for bit: one block
+of raw 32-bit values, decoded as numpy's bounded integers decode them
+(:func:`_lemire`) and walked trip by trip, then drawn again, as many as
+were used, so that every later draw sees the state it saw. The decoys keep
+their scalar calls: ``uniform`` computes ``low + range * u`` in C, which a
+compiler may contract into a fused multiply-add, so an array form of it
+could not be shown to give the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -61,6 +70,12 @@ DECOY_TEXTS = (
 )
 
 
+def _check_seed(seed: int):
+    """numpy's default_rng takes no negative seed."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed {seed} must be >= 0")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Ground truth and sampling parameters for one synthetic corpus.
@@ -82,6 +97,7 @@ class SynthConfig:
             raise InvalidParameterError(f"noise {self.noise} outside [0, 1)")
         if self.true_spec.constraint != "unconstrained":
             raise InvalidParameterError("synthetic trips sample from the unconstrained model")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -126,6 +142,107 @@ def _home_points(zones, ref: GeoPoint) -> list[GeoPoint]:
     return [unproject(c, ref) if h else z.centroid for z, c, h in zip(zones, centers, held.tolist())]
 
 
+def _lemire(raw, n: int):
+    """Decode raw 32-bit draws into [0, n) as numpy's bounded integers do.
+
+    numpy maps a raw value u to (u * n) >> 32 and rejects it, taking the
+    next raw value instead, where (u * n) mod 2**32 < (2**32 - n) mod n
+    (Lemire, ACM TOMACS 2019). Returns each raw value's decoded value and
+    whether it is rejected. Holds for 2 <= n <= 2**32; numpy draws nothing
+    for n = 1.
+    """
+    m = raw.astype(np.uint64) * np.uint64(n)
+    return (m >> np.uint64(32)).astype(np.intp), (m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
+
+
+def _orbit(nxt, n: int):
+    """The first n points of 0, nxt[0], nxt[nxt[0]], ...; each pass doubles the points found and the jump."""
+    points, jump = np.zeros(1, dtype=np.intp), nxt
+    while len(points) < n:
+        points = np.concatenate([points, jump[points]])
+        jump = jump[jump]
+    return points[:n]
+
+
+def _trip_draws(rng, n_trips: int, lo: int, hi: int, n_texts: int):
+    """The draws of n_trips trips, each made as scalar calls would make them.
+
+    A trip draws its home-tweet count ``rng.integers(lo, hi + 1)``, then
+    count + 1 texts ``rng.integers(n_texts)``: its home tweets' and its
+    museum tweet's. Returns each trip's count, each text's index within its
+    trip, and the texts, trip by trip; ``rng`` is left as those calls would
+    leave it. The calls are decoded from one block of raw draws, walked trip
+    by trip; the state is then rewound and exactly the raw draws used are
+    drawn again.
+    """
+    state = rng.bit_generator.state
+    cap = (hi + 2) * n_trips  # enough raw draws unless some are rejected
+    while True:
+        raw = rng.integers(0, 2**32, size=cap, dtype=np.uint32)
+        rng.bit_generator.state = state
+        count, rejected = _lemire(raw, hi - lo + 1)
+        count_at = np.flatnonzero(~rejected)
+        text, rejected = _lemire(raw, n_texts)
+        text_at = np.flatnonzero(~rejected)
+        # a trip whose count lands at raw position count_at[i] draws its texts
+        # at text_at[first[i]] to text_at[last[i]]; the next trip's count lands
+        # at count_at[nxt[i]], and nxt is len(count_at) past the block's end
+        n_home = lo + count[count_at]
+        first = np.searchsorted(text_at, count_at, side="right")
+        last = first + n_home
+        ends = np.append(text_at, cap)[np.minimum(last, len(text_at))] + 1
+        nxt = np.append(np.searchsorted(count_at, ends), len(count_at))
+        trips = _orbit(nxt, n_trips)
+        if trips[-1] < len(count_at) and last[trips[-1]] < len(text_at):
+            break
+        cap *= 2
+    rng.integers(0, 2**32, size=text_at[last[trips[-1]]] + 1, dtype=np.uint32)
+    n_home = n_home[trips]
+    sizes = n_home + 1
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return n_home, k, text[text_at[np.repeat(first[trips], sizes) + k]]
+
+
+def _trip_rows(rng, counts, zones, museums, ref: GeoPoint):
+    """Users, hours, minutes, lat, lon and texts of every trip's rows.
+
+    Trips run over the trip-count matrix ``counts`` in row-major order. Trip
+    t's user posts at hour t: n_home home tweets, then its museum tweet.
+    """
+    lo, hi = HOME_TWEETS_PER_USER
+    n_trips = int(counts.sum())
+    n_home, minute, drawn = _trip_draws(rng, n_trips, lo, hi, len(HOME_TEXTS))  # MUSEUM_TEXTS is as long
+    trip = np.repeat(np.arange(n_trips), n_home + 1)
+    at_museum = minute == n_home[trip]
+    zone, museum = np.divmod(np.repeat(np.arange(counts.size), counts.ravel())[trip], len(museums))
+    homes = _home_points(zones, ref)
+    return (
+        np.array([f"t{t:05d}" for t in range(n_trips)], dtype=object)[trip],
+        trip,
+        minute,
+        np.where(at_museum, np.array([m.location.lat for m in museums])[museum], np.array([h.lat for h in homes])[zone]),
+        np.where(at_museum, np.array([m.location.lon for m in museums])[museum], np.array([h.lon for h in homes])[zone]),
+        np.where(at_museum, np.array(MUSEUM_TEXTS, dtype=object)[drawn], np.array(HOME_TEXTS, dtype=object)[drawn]),
+    )
+
+
+def _decoy_rows(rng, n_decoys: int, n_trips: int, zones):
+    """Users, hours, minutes, lat, lon and texts of the decoys' rows.
+
+    Decoy d posts once, at hour n_trips and minute d, from a uniform point in
+    the box of the zone centroids.
+    """
+    lat_lo, lat_hi = min(z.centroid.lat for z in zones), max(z.centroid.lat for z in zones)
+    lon_lo, lon_hi = min(z.centroid.lon for z in zones), max(z.centroid.lon for z in zones)
+    lat, lon, drawn = np.empty(n_decoys), np.empty(n_decoys), np.empty(n_decoys, dtype=np.intp)
+    for d in range(n_decoys):
+        lat[d] = rng.uniform(lat_lo, lat_hi)
+        lon[d] = rng.uniform(lon_lo, lon_hi)
+        drawn[d] = rng.integers(len(DECOY_TEXTS))
+    users = np.array([f"d{d:05d}" for d in range(n_decoys)], dtype=object)
+    return users, n_trips, np.arange(n_decoys), lat, lon, np.array(DECOY_TEXTS, dtype=object)[drawn]
+
+
 def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
     """Sample a corpus and return it, as a shuffled Corpus, with the exact trip-count matrix."""
     truth_model = unconstrained_flows(zones, museums, cfg.true_spec)
@@ -137,46 +254,21 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
     counts = counts.reshape(truth_model.shape)
     truth = FlowMatrix(truth_model.origin_ids, truth_model.destination_ids, counts.astype(float))
 
-    lo, hi = HOME_TWEETS_PER_USER
     epoch_us = _utc_us(EPOCH)
-    users, texts = [], []
-    stamp_us, lat_col, lon_col = array("q"), array("d"), array("d")
-
-    def emit(user, hours, minutes, lat, lon, text):
-        users.append(user)
-        stamp_us.append(epoch_us + hours * 3_600_000_000 + minutes * 60_000_000)
-        lat_col.append(lat)
-        lon_col.append(lon)
-        texts.append(text)
-
-    trip = 0
-    for i, home in enumerate(_home_points(zones, ref)):
-        for j, museum in enumerate(museums):
-            for _ in range(int(counts[i, j])):
-                user = f"t{trip:05d}"
-                n_home = int(rng.integers(lo, hi + 1))
-                for k in range(n_home):
-                    text = HOME_TEXTS[int(rng.integers(len(HOME_TEXTS)))]
-                    emit(user, trip, k, home.lat, home.lon, text)
-                text = MUSEUM_TEXTS[int(rng.integers(len(MUSEUM_TEXTS)))]
-                emit(user, trip, n_home, museum.location.lat, museum.location.lon, text)
-                trip += 1
-
-    if cfg.noise > 0.0:
-        n_decoys = int(round(cfg.n_trips * cfg.noise / (1.0 - cfg.noise)))
-        lat_lo, lat_hi = min(z.centroid.lat for z in zones), max(z.centroid.lat for z in zones)
-        lon_lo, lon_hi = min(z.centroid.lon for z in zones), max(z.centroid.lon for z in zones)
-        for d in range(n_decoys):
-            lat = float(rng.uniform(lat_lo, lat_hi))
-            lon = float(rng.uniform(lon_lo, lon_hi))
-            text = DECOY_TEXTS[int(rng.integers(len(DECOY_TEXTS)))]
-            emit(f"d{d:05d}", trip, d, lat, lon, text)
-
-    n = len(users)
     rows = _CorpusBuilder()
-    rows.extend([f"syn{k:07d}" for k in range(1, n + 1)], users, stamp_us, [EPOCH.tzinfo] * n, lat_col, lon_col, texts, [None] * n)
-    del users, texts, stamp_us, lat_col, lon_col  # copied into rows; not kept through the shuffled copy
-    return rows.corpus().take(rng.permutation(n)), truth
+
+    def add(users, hours, minutes, lat, lon, texts):
+        n, done = len(users), len(rows.ids)
+        ids = [f"syn{k:07d}" for k in range(done + 1, done + n + 1)]
+        stamp_us = epoch_us + hours * 3_600_000_000 + minutes * 60_000_000
+        rows.extend(ids, users, stamp_us, [EPOCH.tzinfo] * n, lat, lon, texts, [None] * n)
+
+    add(*_trip_rows(rng, counts, zones, museums, ref))
+    n_decoys = int(round(cfg.n_trips * cfg.noise / (1.0 - cfg.noise)))
+    add(*_decoy_rows(rng, n_decoys, cfg.n_trips, zones))
+    corpus = rows.corpus()
+    del rows  # corpus holds copies of its lists; they need not outlive the shuffled copy
+    return corpus.take(rng.permutation(len(corpus))), truth
 
 
 def recovery_report(zones, museums, cfg: SynthConfig, ref: GeoPoint, grid=None) -> RecoveryReport:
@@ -204,6 +296,7 @@ def demo_region(n_zones: int = 20, n_museums: int = 5, seed: int = 0) -> DemoReg
     """Square-grid zones (2 km sides) with scattered museums and footprints."""
     if n_zones < 1 or n_museums < 1:
         raise InvalidParameterError("demo region needs at least one zone and one museum")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     ref = GeoPoint(53.70, -1.80)
     side = 2000.0

@@ -639,6 +639,19 @@ def test_simulate_with_explicit_region(tmp_path):
     assert not (out / "zones.geojson").exists()  # region came from the caller
 
 
+@pytest.mark.parametrize("explicit_region", [False, True])
+def test_simulate_with_a_negative_seed_is_a_reported_error_before_io(tmp_path, capsys, explicit_region):
+    argv = ["simulate", "--n-trips", "50", "--seed", "-1", "--out", str(tmp_path / "out")]
+    if explicit_region:
+        region = demo_region(6, 2, seed=3)
+        write_zones(region.zones, region.ref, tmp_path / "zones.geojson")
+        write_museums(region.museums, tmp_path / "museums.geojson")
+        argv += ["--zones", str(tmp_path / "zones.geojson"), "--museums", str(tmp_path / "museums.geojson")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed -1 must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_flows_rerun_is_byte_identical(tmp_path, small_region):
     out = tmp_path / "out"
     args = [

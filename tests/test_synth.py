@@ -1,5 +1,7 @@
 """Synthetic corpus generation and parameter recovery."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,10 +15,13 @@ from museumflows.synth import (
     DECOY_TEXTS,
     HOME_TEXTS,
     SynthConfig,
+    _lemire,
+    _trip_draws,
     demo_region,
     generate_corpus,
     recovery_report,
 )
+from scalar_synth import generate_corpus as scalar_generate_corpus
 
 SPEC = ModelSpec(deterrence=Deterrence("exponential", 0.95))
 
@@ -35,6 +40,8 @@ def test_config_validation():
     constrained = ModelSpec(deterrence=Deterrence("exponential", 0.95), constraint="doubly")
     with pytest.raises(InvalidParameterError):
         SynthConfig(true_spec=constrained, n_trips=10)
+    with pytest.raises(InvalidParameterError, match=r"seed -1 must be >= 0"):
+        SynthConfig(true_spec=SPEC, n_trips=10, seed=-1)
 
 
 def test_same_seed_same_corpus():
@@ -194,3 +201,70 @@ def test_demo_region_shape_and_determinism():
     assert c != a
     with pytest.raises(InvalidParameterError):
         demo_region(0, 4)
+    with pytest.raises(InvalidParameterError, match=r"seed -1 must be >= 0"):
+        demo_region(12, 4, seed=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def region_of(n_zones, n_museums, region_seed):
+    return demo_region(n_zones, n_museums, seed=region_seed)
+
+
+def corpus_columns(corpus):
+    """Every column and table of a Corpus, floats by their bits."""
+    return (
+        corpus.ids.tolist(), corpus.users, corpus.user.tolist(), corpus.stamp_us.tolist(), corpus.tzinfos,
+        corpus.tz.tolist(), corpus.lat.tobytes(), corpus.lon.tobytes(), corpus.texts.tolist(), corpus.sources.tolist(),
+    )
+
+
+# (zones, museums, region seed): a small region, data/demo's and the calibrate-paper workload's
+@pytest.mark.parametrize("region", [(6, 3, 1), (12, 4, 20130601), (179, 15, 11)], ids=["6x3", "demo", "paper"])
+@pytest.mark.parametrize("noise", [0.0, 0.1, 0.2])
+@pytest.mark.parametrize("n_trips", [1, 37, 5000])
+def test_generate_corpus_matches_the_scalar_generator(region, noise, n_trips):
+    r = region_of(*region)
+    zones, museums, ref = r.zones, r.museums, r.ref
+    for seed in (0, 77, 20130601):
+        cfg = SynthConfig(true_spec=SPEC, n_trips=n_trips, noise=noise, seed=seed)
+        corpus, truth = generate_corpus(zones, museums, cfg, ref)
+        want_corpus, want_truth = scalar_generate_corpus(zones, museums, cfg, ref)
+        assert corpus_columns(corpus) == corpus_columns(want_corpus), seed
+        assert truth.origin_ids == want_truth.origin_ids and truth.destination_ids == want_truth.destination_ids
+        assert truth.values.tobytes() == want_truth.values.tobytes(), seed
+
+
+# 3 and 4 are the generator's own ranges and almost never reject; 2**31 + 1
+# rejects about half of all raw values, 5 and 2**32 - 1 a few in 2**32
+@pytest.mark.parametrize("n", [3, 4, 5, 2**31 + 1, 2**32 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 2013])
+def test_lemire_decodes_raw_draws_as_numpy_draws_bounded_integers(n, seed):
+    scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    scalar.integers(2), block.integers(2)  # start with half a 64-bit value cached
+    want = [int(scalar.integers(n)) for _ in range(500)]
+    state = block.bit_generator.state
+    value, rejected = _lemire(block.integers(0, 2**32, size=2000, dtype=np.uint32), n)
+    kept = np.flatnonzero(~rejected)[:500]
+    assert value[kept].tolist() == want
+    block.bit_generator.state = state
+    block.integers(0, 2**32, size=kept[-1] + 1, dtype=np.uint32)
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("n_texts", [4, 2**31 + 1])
+@pytest.mark.parametrize("n_trips", [1, 2, 300])
+def test_trip_draws_make_the_scalar_calls_draws(n_texts, n_trips):
+    # 2**31 + 1 texts reject about half of all raw values, which puts gaps
+    # between the text draws and runs the first block of raw values out
+    lo, hi = 2, 4
+    for seed in range(5):
+        scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        want_counts, want_texts = [], []
+        for _ in range(n_trips):
+            want_counts.append(int(scalar.integers(lo, hi + 1)))
+            want_texts += [int(scalar.integers(n_texts)) for _ in range(want_counts[-1] + 1)]
+        counts, within, texts = _trip_draws(block, n_trips, lo, hi, n_texts)
+        assert counts.tolist() == want_counts and texts.tolist() == want_texts
+        assert within.tolist() == [k for c in want_counts for k in range(c + 1)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+        assert block.integers(2**40) == scalar.integers(2**40)
