@@ -24,6 +24,7 @@ from .pipeline import (
     DEFAULT_MERGE_RADIUS_M,
     FILTER_STAGES,
     PipelineReport,
+    _check_distance,
     _located_homes,
     _run_filters,
     corpus_frame,
@@ -170,6 +171,7 @@ def _build_spec(args, beta: float, constraint: str | None = None) -> ModelSpec:
 
 
 def _cmd_museums(args) -> int:
+    _check_distance("merge radius", args.merge_radius_m)
     features = fileio.read_tagged_features(args.features)
     museums = extract_museums(features, merge_radius_m=args.merge_radius_m)
     out = _outdir(args)
@@ -183,6 +185,7 @@ def _cmd_filter(args) -> int:
         raise _UsageError("the spatial stage needs --footprints and --museums")
     if args.footprints and not args.museums:
         raise _UsageError("--footprints needs --museums to resolve ids")
+    _check_distance("buffer", args.buffer_m)
 
     tweets = fileio.read_tweets(args.tweets)
     if args.zones:
@@ -236,6 +239,7 @@ def _pipeline_from_tweets(args, zones, museums, ref):
 
 
 def _cmd_flows(args) -> int:
+    _check_distance("buffer", args.buffer_m)
     zones, museums, ref = _read_region(args)
     result = _pipeline_from_tweets(args, zones, museums, ref)
     out = _outdir(args)
@@ -249,9 +253,9 @@ def _cmd_flows(args) -> int:
 def _cmd_model(args) -> int:
     if args.constraint != "unconstrained" and not args.observed:
         raise _UsageError(f"--constraint {args.constraint} needs --observed for its margins")
+    spec = _build_spec(args, args.beta)
     zones, museums, _ = _read_region(args)
     observed = fileio.read_matrix_csv(args.observed) if args.observed else None
-    spec = _build_spec(args, args.beta)
     matrix = model_matrix(zones, museums, spec, observed=observed)
     out = _outdir(args)
     fileio.write_matrix_csv(matrix, os.path.join(out, "model.csv"))
@@ -262,13 +266,14 @@ def _cmd_model(args) -> int:
 def _cmd_calibrate(args) -> int:
     if bool(args.observed) == bool(args.tweets):
         raise _UsageError("give exactly one of --observed or --tweets")
+    _check_distance("buffer", args.buffer_m)
+    grid = BetaGrid(args.beta_start, args.beta_step, args.beta_count)
+    spec = _build_spec(args, args.beta_start)
     zones, museums, ref = _read_region(args)
     if args.observed:
         observed = fileio.read_matrix_csv(args.observed)
     else:
         observed = _pipeline_from_tweets(args, zones, museums, ref).matrix
-    grid = BetaGrid(args.beta_start, args.beta_step, args.beta_count)
-    spec = _build_spec(args, args.beta_start)
     sweep = sweep_beta(zones, museums, observed, spec, grid)
     out = _outdir(args)
     fileio.write_sweep_csv(sweep, os.path.join(out, "sweep.csv"))

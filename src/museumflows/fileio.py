@@ -10,25 +10,28 @@ timestamps of their own. Every GeoJSON reader takes its features from
 required properties, and every GeoJSON writer hands (properties,
 geometry) pairs to :func:`_write_features`.
 
-:func:`read_tweets` reads the NDJSON file in chunks of about 64 KB of
-lines into the columns of a :class:`~museumflows.pipeline.Corpus`, one
-call of the column appender per chunk; no Tweet object is built. Each
-chunk is parsed with one ``json.loads`` and checked column by column. A
-chunk that holds ``[`` or ``]`` anywhere (a bracket could merge a line
-with its neighbours), a stamp that is not strict UTC, or a line that
-fails any step goes through the per-line reader, which checks each line
-alone, so the first bad line is reported as ``path:line`` with its usual
-message. :func:`write_tweets` writes from those columns in slices of
-4,096 rows, one f-string per row; stamps in a zero-offset ``timezone``
-come from numpy, the rest from ``isoformat``, each in its own UTC
-offset, so a read/write cycle keeps the bytes. Every reader reports
-input that is not UTF-8 as a :class:`DataFormatError` naming the file
-(and, for NDJSON, the line).
+:func:`read_tweets` reads the NDJSON file in blocks of 64 KB, each cut
+after its last ``\\n`` with the rest carried into the next, so a chunk is
+whole lines, and appends each chunk to the columns of a
+:class:`~museumflows.pipeline.Corpus` in one call of the column
+appender; no Tweet object is built. Each chunk is decoded as one bytes
+object, parsed with one ``json.loads`` and checked column by column, and
+its ids are checked unique with one set update. A chunk that holds ``[``
+or ``]`` anywhere (a bracket could merge a line with its neighbours), a
+stamp that is not strict UTC, or a line that fails any step goes through
+the per-line reader, which checks each line alone, so the first bad line
+is reported as ``path:line`` with its usual message. :func:`write_tweets`
+writes from those columns in slices of 4,096 rows, one f-string per row;
+stamps in a zero-offset ``timezone`` come from numpy, the rest from
+``isoformat``, each in its own UTC offset, so a read/write cycle keeps
+the bytes. Every reader reports input that is not UTF-8 as a
+:class:`DataFormatError` naming the file (and, for NDJSON, the line).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict
@@ -72,9 +75,9 @@ def _not_utf8(where, exc: UnicodeDecodeError) -> DataFormatError:
     return DataFormatError(f"{where}: not valid UTF-8: byte 0x{exc.object[exc.start]:02x}, {exc.reason}")
 
 
-# Bytes of lines read, parsed and checked together. A chunk's parsed
-# objects take about ten times its bytes; kept this small they stay in
-# cache, and peak memory stays near the per-line reader's.
+# Bytes read at a time; a chunk is a block cut after its last newline. A
+# chunk's parsed objects take about ten times its bytes; kept this small
+# they stay in cache, and peak memory stays near the per-line reader's.
 _CHUNK_BYTES = 1 << 16
 
 # The stamps numpy's datetime64 parses as datetime.fromisoformat does, once
@@ -89,7 +92,7 @@ _ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
 
 def _json_values(text: str):
-    """The JSON value of each non-blank line of ``text``, which holds no bracket.
+    """The JSON value of each non-blank line of ``text``, which holds no bracket, and its count of ``\\n``.
 
     The lines are parsed in one ``json.loads``, each wrapped in an array of
     its own. A string cannot hold the raw newline of the separator, and
@@ -98,8 +101,8 @@ def _json_values(text: str):
     one element for a line that is one JSON value. Raises ValueError where
     a line is not one JSON value.
     """
-    wrapped = json.loads("[[" + "]\n,[".join(text.split("\n")) + "]]")
-    return [value for (value,) in filter(None, wrapped)]  # ValueError: a line of several values
+    wrapped = json.loads("[[" + text.replace("\n", "]\n,[") + "]]")
+    return [value for (value,) in filter(None, wrapped)], len(wrapped) - 1  # ValueError: a line of several values
 
 
 def _utc_stamp_us(stamps):
@@ -113,43 +116,49 @@ def _utc_stamp_us(stamps):
     return np.array(naive, dtype="datetime64[us]").astype(np.int64)  # ValueError: a field out of range
 
 
-def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk) -> bool:
-    """Append a chunk of raw lines, converted and checked column by column.
+def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | None:
+    """Append a chunk of whole lines, converted and checked column by column; return its count of ``\\n``.
 
     Each value is converted as the per-line reader converts it (``str`` or
-    ``float``). Returns False, having appended nothing, when the chunk
-    holds a bracket, a stamp that is not strict UTC, or a line that fails
-    any step: then the per-line reader reads it, and tells which line to
-    report.
+    ``float``). Returns None, having appended nothing and left ``seen`` as
+    it was, when the chunk holds a bracket, a stamp that is not strict UTC,
+    or a line that fails any step: then the per-line reader reads it, and
+    tells which line to report.
     """
     try:
-        text = b"".join(chunk).decode("utf-8")
+        text = chunk.decode("utf-8")
         if "[" in text or "]" in text:
-            return False  # a bracket could merge a line with its neighbours in one parse
-        objs = _json_values(text)
+            return None  # a bracket could merge a line with its neighbours in one parse
+        objs, newlines = _json_values(text)
         if not objs or set(map(type, objs)) != {dict}:
-            return False
+            return None
         ids, user_ids, stamps, lat, lon, texts = ([obj[key] for obj in objs] for key in _TWEET_FIELDS)
         ids, user_ids, texts = list(map(str, ids)), list(map(str, user_ids)), list(map(str, texts))
         lat, lon = list(map(float, lat)), list(map(float, lon))
         sources = [None if source is None else str(source) for source in (obj.get("source") for obj in objs)]
-        fresh = set(ids)
-        if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
-            return False
         stamp_us = _utc_stamp_us(stamps)
         if stamp_us is None:
-            return False
-        rows.extend(ids, user_ids, stamp_us, [timezone.utc] * len(ids), lat, lon, texts, sources)
+            return None
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
-        return False  # UnicodeDecodeError, JSONDecodeError and the checks' own errors are ValueErrors
-    seen |= fresh
-    return True
+        return None  # UnicodeDecodeError, JSONDecodeError and the conversions' own errors are ValueErrors
+    size = len(seen)
+    seen.update(ids)
+    try:
+        if len(seen) == size + len(ids):
+            rows.extend(ids, user_ids, stamp_us, timezone.utc, lat, lon, texts, sources)
+            return newlines
+    except ValueError:  # a row fails a check of the appender
+        pass
+    seen.difference_update(ids)
+    if len(seen) < size:  # an id of an earlier row came back; seen held the ids of the rows appended
+        seen.update(rows.ids)
+    return None
 
 
-def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk, path, lines_before: int) -> None:
-    """Append a chunk of raw lines, each checked on its own, the first bad line raising as ``path:line``."""
+def _extend_by_line(rows: _CorpusBuilder, seen: set, lines, path, lines_before: int) -> None:
+    """Append raw lines, each checked on its own, the first bad line raising as ``path:line``."""
     found = []
-    for line_no, raw in enumerate(chunk, start=lines_before + 1):
+    for line_no, raw in enumerate(lines, start=lines_before + 1):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -180,27 +189,52 @@ def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk, path, lines_before: 
     rows.extend(*(tuple(zip(*found)) or ((),) * 8))
 
 
-def read_tweets(path) -> Corpus:
-    """Read an NDJSON file into a :class:`Corpus`, about 64 KB of lines at a time.
+def _chunks(fh):
+    """The file's bytes as chunks of whole lines: blocks of :data:`_CHUNK_BYTES`, each cut after its last ``\\n``.
 
-    Lines end at ``\\n``. Each chunk is decoded and parsed at once, then
+    The bytes after the cut start the next chunk; a line longer than a block
+    takes in blocks until its ``\\n``. Only the last chunk may lack a final
+    ``\\n``.
+    """
+    parts = []
+    while block := fh.read(_CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            parts.append(block)
+            continue
+        parts.append(block[:cut])
+        yield b"".join(parts)
+        parts = [block[cut:]]
+    if tail := b"".join(parts):
+        yield tail
+
+
+def read_tweets(path) -> Corpus:
+    """Read an NDJSON file into a :class:`Corpus`, in chunks of whole lines from 64 KB blocks.
+
+    Lines end at ``\\n`` alone (a ``\\r`` ends no line). Each block is cut
+    after its last ``\\n`` and the rest carried into the next block, so a
+    chunk holds whole lines. Each chunk is decoded and parsed at once, then
     converted and checked column by column, with the checks a
     :class:`Tweet` makes and unique ids; its stamps are read by one numpy
     conversion when all are strict UTC (``YYYY-MM-DDTHH:MM:SS[.ffffff]``
     and ``Z`` or ``+00:00``). A chunk that holds ``[`` or ``]``, another
     stamp form, or a line that fails any of this goes through the per-line
-    reader instead, which appends its lines one at a time: so the first bad
-    line in the file is the one reported, as ``path:line``, whatever chunk
-    it falls in.
+    reader instead, which gets the chunk split after each ``\\n`` and
+    appends its lines one at a time: so the first bad line in the file is
+    the one reported, as ``path:line``, whatever chunk it falls in.
     """
     rows = _CorpusBuilder()
     seen: set[str] = set()
     line_no = 0
     with open(path, "rb") as fh:
-        while chunk := fh.readlines(_CHUNK_BYTES):
-            if not _extend_from_chunk(rows, seen, chunk):
-                _extend_by_line(rows, seen, chunk, path, line_no)
-            line_no += len(chunk)
+        for chunk in _chunks(fh):
+            newlines = _extend_from_chunk(rows, seen, chunk)
+            if newlines is None:
+                lines = io.BytesIO(chunk).readlines()
+                _extend_by_line(rows, seen, lines, path, line_no)
+                newlines = len(lines)  # one more than the count of \n only in a last chunk without one
+            line_no += newlines
     return rows.corpus()
 
 

@@ -36,7 +36,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 
 import numpy as np
 
@@ -253,9 +253,10 @@ class _CorpusBuilder:
         """Append rows given as columns, one sequence per field.
 
         ``stamp_us`` holds each stamp as :func:`_utc_us` gives it (naive
-        counts as UTC) and ``zones`` its own time zone. Should any row fail
-        a check, the first such row raises as :func:`_check_row` does, and
-        nothing is appended.
+        counts as UTC). ``zones`` holds each row's own time zone, or is one
+        time zone for every row (a ``tzinfo``, or None for naive), coded
+        once. Should any row fail a check, the first such row raises as
+        :func:`_check_row` does, and nothing is appended.
         """
         lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
         stamp_us = np.asarray(stamp_us, dtype=np.int64)
@@ -267,7 +268,10 @@ class _CorpusBuilder:
         self.ids.extend(ids)
         self.user.extend(_codes(self.users, user_ids))
         self.stamp_us.frombytes(stamp_us.tobytes())
-        self.tz.extend(_codes(self.tzinfos, zones))
+        if zones is not None and not isinstance(zones, tzinfo):
+            self.tz.extend(_codes(self.tzinfos, zones))
+        elif len(ids):  # a zone that no row holds gets no code
+            self.tz.extend(array("q", _codes(self.tzinfos, [zones])) * len(ids))
         self.lat.frombytes(lat.tobytes())
         self.lon.frombytes(lon.tobytes())
         self.texts.extend(texts)
@@ -523,6 +527,12 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     return _kept("semantic", corpus, keep)
 
 
+def _check_distance(name: str, metres: float) -> None:
+    """Raise InvalidParameterError unless ``metres`` is >= 0 (NaN is not)."""
+    if not metres >= 0:
+        raise InvalidParameterError(f"{name} {metres} must be >= 0")
+
+
 def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_BUFFER_M):
     """Keep tweets within buffer_m of any footprint polygon.
 
@@ -532,8 +542,7 @@ def spatial_filter(corpus, footprints, ref: GeoPoint, buffer_m: float = DEFAULT_
     buffer_m. Containment is exact; a distance within a hair of buffer_m is
     re-decided by ``math.hypot`` of the kernel's own offsets.
     """
-    if not buffer_m >= 0:
-        raise InvalidParameterError(f"buffer {buffer_m} must be >= 0")
+    _check_distance("buffer", buffer_m)
     x, y = project_arrays(corpus.lat, corpus.lon, ref)
     keep = np.zeros(len(corpus), dtype=bool)
     band = _TIE_BAND * max(buffer_m, 1.0)
@@ -564,18 +573,23 @@ def dedup(corpus):
 
     Normalization strips URL-shaped substrings and collapses whitespace, so
     reposts that differ only in an embedded link collapse to one tweet.
-    The URL pattern runs only on texts holding ``://`` or ``t.co/`` (any
-    case), where each of its matches lies. Earliest is by (timestamp, id):
-    rows are sorted by (user, microsecond), stably, and only the runs of
-    equal (user, microsecond) are then put in id order, by a stable sort of
-    their ids, so equal ids keep their row order.
+    Only the texts of users with two or more rows are normalized: a user's
+    only row is kept whatever its text. The URL pattern runs only on texts
+    holding ``://`` or ``t.co/`` (any case), where each of its matches
+    lies. Earliest is by (timestamp, id): rows are sorted by (user,
+    microsecond), stably, and only the runs of equal (user, microsecond)
+    are then put in id order, by a stable sort of their ids, so equal ids
+    keep their row order.
     """
     n = len(corpus)
+    many = np.bincount(corpus.user)[corpus.user] > 1
     text_code: dict[str, int] = {}
-    texts = np.fromiter(
-        (text_code.setdefault(_normalized_text(t), len(text_code)) for t in corpus.texts.tolist()),
+    repeated = corpus.texts if many.all() else corpus.texts[many]  # no copy where every row repeats a user
+    texts = np.zeros(n, dtype=np.int64)  # one code for every only row, whose user holds no other
+    texts[many] = np.fromiter(
+        (text_code.setdefault(_normalized_text(t), len(text_code)) for t in repeated.tolist()),
         dtype=np.int64,
-        count=n,
+        count=len(repeated),
     )
     order = np.lexsort((corpus.stamp_us, corpus.user))
     user, stamp_us = corpus.user[order], corpus.stamp_us[order]
@@ -769,8 +783,7 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
     raises InvalidAttributeError. Its id is its first id tag, else museum-<k>,
     k the index of its first kept feature; a repeated id raises that too.
     """
-    if not merge_radius_m >= 0:
-        raise InvalidParameterError(f"merge radius {merge_radius_m} must be >= 0")
+    _check_distance("merge radius", merge_radius_m)
     sites = []  # (tags, folded name, location, area, planar polygon, its frame); the last three None for a point
     for feat in features:
         norm = str(feat.tags.get("name", "")).strip().casefold()

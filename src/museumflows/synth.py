@@ -261,7 +261,7 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
         n, done = len(users), len(rows.ids)
         ids = [f"syn{k:07d}" for k in range(done + 1, done + n + 1)]
         stamp_us = epoch_us + hours * 3_600_000_000 + minutes * 60_000_000
-        rows.extend(ids, users, stamp_us, [EPOCH.tzinfo] * n, lat, lon, texts, [None] * n)
+        rows.extend(ids, users, stamp_us, EPOCH.tzinfo, lat, lon, texts, [None] * n)
 
     add(*_trip_rows(rng, counts, zones, museums, ref))
     n_decoys = int(round(cfg.n_trips * cfg.noise / (1.0 - cfg.noise)))

@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import museumflows
-from museumflows import pipeline
+from museumflows import fileio, pipeline
 from museumflows.cli import main
 from museumflows.fileio import (
     read_footprints,
@@ -454,6 +455,29 @@ def test_flows_rejects_a_nan_buffer(tmp_path, small_region, capsys):
     ]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: buffer nan must be >= 0\n"
+
+
+REGION = ["--zones", "z.geojson", "--museums", "m.geojson"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a negative buffer without footprints used to run the whole verb and exit 0
+    (["flows", "--tweets", "t.ndjson", *REGION, "--buffer-m", "-1"], "buffer -1.0 must be >= 0"),
+    (["flows", "--tweets", "t.ndjson", *REGION, "--footprints", "f.geojson", "--buffer-m", "-1"], "buffer -1.0 must be >= 0"),
+    (["calibrate", "--tweets", "t.ndjson", *REGION, "--buffer-m", "-0.5"], "buffer -0.5 must be >= 0"),
+    (["filter", "--tweets", "t.ndjson", "--buffer-m", "nan"], "buffer nan must be >= 0"),
+    (["museums", "--features", "raw.geojson", "--merge-radius-m", "-1"], "merge radius -1.0 must be >= 0"),
+    # the grid and the model used to be built after the whole pipeline had run
+    (["calibrate", "--tweets", "t.ndjson", *REGION, "--beta-step", "0"], "grid step 0.0 must be > 0"),
+    (["calibrate", "--observed", "o.csv", *REGION, "--beta-start", "-1"], "grid start -1.0 must be >= 0"),
+    (["model", *REGION, "--beta", "-1"], "deterrence beta -1.0 must be >= 0"),
+])
+def test_a_bad_parameter_is_reported_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    for name in ("read_tweets", "read_zones", "read_museums", "read_footprints", "read_tagged_features", "read_matrix_csv"):
+        monkeypatch.setattr(fileio, name, mock.Mock(side_effect=AssertionError(f"{name} was called")))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_model_verb_beta_zero_baseline_rows_are_population_shares(tmp_path, small_region):

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import nullcontext
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -271,7 +272,7 @@ def test_a_fault_right_after_a_chunk_boundary_is_reported_at_its_line(fault):
     good = unique_records(30)
     for k in (1, 7, 29):
         parts = good[:k] + [FAULTS[fault]] + good[k:]
-        first_chunk = len(assemble(good[:k], [b"\n"] * k))  # readlines stops right after line k
+        first_chunk = len(assemble(good[:k], [b"\n"] * k))  # the first block ends with line k's newline
         kind, message = check_same(assemble(parts, [b"\n"] * len(parts)), first_chunk)
         assert kind == "error" and f"t.ndjson:{k + 1}: " in message
 
@@ -285,6 +286,44 @@ def test_a_fault_anywhere_is_reported_at_its_line(k, chunk_bytes, fault):
     assert (kind == "ok") == (fault == "none")
     if fault != "none":
         assert f"t.ndjson:{k + 1}: " in result
+
+
+# Small files read at every block size from one byte up, so that a block
+# edge falls at every offset: inside a line longer than a block, between a
+# \r and its \n, and after a last line with no newline. "clean" files must
+# stay in bulk at every edge. The last two fail after their chunk's ids
+# went into the set of ids seen, which the per-line reader must then get
+# back as it was: without the earlier chunk's id, or with the failing
+# chunk's ids, it would report the wrong line.
+BLOCK_EDGE_FILES = {
+    "a line longer than a block": ([record("1"), record("long", text="x" * 280), record("3")], b"\n", "clean"),
+    "crlf": ([record("1"), record("2", source="web"), record("3")], b"\r\n", "clean"),
+    "a lone cr": ([record("1")[:-1] + "\r}", "\r" + record("2").replace(", ", ",\r"), record("3")], b"\n", "clean"),
+    "a bad line after a lone cr": ([record("1")[:-1] + "\r}", record("2"), "{broken"], b"\n", "invalid JSON"),
+    "a repeated id in the chunk after one that fell back": (
+        [record("a", text="[" + "x" * 200 + "]"), record("b"), record("a")], b"\n", "duplicate tweet id 'a'"
+    ),
+    "a column check failing after the ids went into seen": (
+        [record("a"), record("b"), record("c", text="x" * 281)], b"\n", "tweet c: text has 281 code points"
+    ),
+}
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGE_FILES))
+def test_every_block_edge_reads_as_the_line_reader_reads(tmp_path, name, final_newline):
+    lines, ending, expect = BLOCK_EDGE_FILES[name]
+    data = ending.join(line.encode("utf-8") for line in lines) + (ending if final_newline else b"")
+    path = tmp_path / "t.ndjson"
+    path.write_bytes(data)
+    expected = outcome(line_reader, path)
+    if expect == "clean":
+        assert expected[0] == "ok"
+    else:
+        assert expected[0] == "error" and f"t.ndjson:3: {expect}" in expected[1]
+    for chunk_bytes in range(1, len(data) + 2):
+        with mock.patch.object(fileio, "_CHUNK_BYTES", chunk_bytes), bulk_only() if expect == "clean" else nullcontext():
+            assert outcome(read_tweets, path) == expected, chunk_bytes
 
 
 def test_bracket_pair_is_an_error_at_its_first_line(tmp_path):

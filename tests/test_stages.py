@@ -27,6 +27,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import kernel_edge_distance, make_homes, make_museum, make_zone
+from full_dedup import dedup as full_dedup
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_geometry import distance_to_polygon_m, point_in_polygon
@@ -515,6 +516,38 @@ def test_spatial_filter_box_prefilter_matches_scalar_loop(offsets, buffer_choice
 )
 def test_dedup_matches_scalar_loop(corpus):
     check_stage(dedup, oracle_dedup, corpus, "dedup")
+
+
+REPOSTS = ("museum day", "museum day http://t.co/a", "museum  day t.co/b", "Museum day https://x.org/p", "gallery")
+
+
+@st.composite
+def dedup_corpora(draw):
+    """0-30 rows: users with one row beside users with several, reposts that differ by a link, equal stamps and ids.
+
+    About none, a third or two thirds of the rows have a user of their own.
+    """
+    solo = draw(st.integers(0, 2))
+    tweets = []
+    for k in range(draw(st.integers(0, 30))):
+        instant = BASE + timedelta(minutes=draw(st.integers(0, 1)), microseconds=draw(st.sampled_from((0, 1))))
+        tweets.append(Tweet(
+            id=draw(st.sampled_from(("t0", "t1"))) if draw(st.integers(0, 3)) == 0 else f"t{k:02d}",
+            user_id=f"solo{k}" if draw(st.integers(0, 2)) < solo else draw(st.sampled_from(("u0", "u1"))),
+            timestamp=instant.astimezone(draw(st.sampled_from(ZONES_OF_DAY))),
+            location=POINTS[0],
+            text=draw(st.sampled_from(REPOSTS + TEXTS)),
+        ))
+    return tweets
+
+
+@settings(max_examples=200, deadline=None)
+@given(dedup_corpora())
+def test_dedup_keeps_the_rows_the_dedup_normalizing_every_text_keeps(tweets):
+    corpus = Corpus.from_tweets(tweets)
+    (out, entry), (expected, expected_entry) = dedup(corpus), full_dedup(corpus)
+    assert list(out) == list(expected)
+    assert entry == expected_entry
 
 
 @settings(max_examples=60, deadline=None)
