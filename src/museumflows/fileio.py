@@ -15,17 +15,20 @@ after its last ``\\n`` with the rest carried into the next, so a chunk is
 whole lines, and appends each chunk to the columns of a
 :class:`~museumflows.pipeline.Corpus` in one call of the column
 appender; no Tweet object is built. Each chunk is decoded as one bytes
-object, parsed with one ``json.loads`` and checked column by column, and
-its ids are checked unique with one set update. A chunk that holds ``[``
-or ``]`` anywhere (a bracket could merge a line with its neighbours), a
-stamp that is not strict UTC, or a line that fails any step goes through
-the per-line reader, which checks each line alone, so the first bad line
-is reported as ``path:line`` with its usual message. :func:`write_tweets`
-writes from those columns in slices of 4,096 rows, one f-string per row;
-stamps in a zero-offset ``timezone`` come from numpy, the rest from
-``isoformat``, each in its own UTC offset, so a read/write cycle keeps
-the bytes. Every reader reports input that is not UTF-8 as a
-:class:`DataFormatError` naming the file (and, for NDJSON, the line).
+object, parsed with one ``json.loads`` (a line that holds ``[`` or ``]``,
+which could merge with its neighbours there, is parsed alone) and checked
+column by column, and its ids are checked unique with one set update.
+Its stamps must be strict UTC, ``Z`` or ``+00:00``; they are grouped by
+shape and each group is read from the columns of its bytes. A chunk with
+any other stamp, or a line that fails any step, goes through the
+per-line reader, which checks each line alone, so the first bad line is
+reported as ``path:line`` with its usual message.
+:func:`write_tweets` writes from those columns in slices of 4,096 rows,
+one f-string per row; stamps in a zero-offset ``timezone`` come from
+numpy, the rest from ``isoformat``, each in its own UTC offset, so a
+read/write cycle keeps the bytes. Every reader reports input that is not
+UTF-8 as a :class:`DataFormatError` naming the file (and, for NDJSON, the
+line).
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import asdict
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -80,40 +86,98 @@ def _not_utf8(where, exc: UnicodeDecodeError) -> DataFormatError:
 # they stay in cache, and peak memory stays near the per-line reader's.
 _CHUNK_BYTES = 1 << 16
 
-# The stamps numpy's datetime64 parses as datetime.fromisoformat does, once
-# the UTC suffix is cut off: digits zeroed, each has one of these shapes.
-# numpy raises on a month, day, hour, minute or second out of range, as
-# datetime does; it takes year 0000, which datetime does not, and which the
-# column appender then rejects.
-_UTC_SHAPES = frozenset(
-    "0000-00-00T00:00:00" + fraction + suffix for fraction in ("", ".000000") for suffix in ("Z", "+00:00")
-)
+# The stamp shapes read in bulk, digits zeroed: date and time, no fraction
+# or one of six digits, and "Z" or "+00:00". Each maps to the width of its
+# naive part, which numpy's datetime64 parses as datetime.fromisoformat
+# does: numpy raises on a month, day, hour, minute or second out of range,
+# as datetime does; it takes year 0000, which datetime does not, and which
+# the column appender then rejects.
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
+_STAMP_SHAPES = {
+    "0000-00-00T00:00:00" + fraction + suffix: 19 + len(fraction)
+    for fraction in ("", ".000000")
+    for suffix in ("Z", "+00:00")
+}
 
 
 def _json_values(text: str):
-    """The JSON value of each non-blank line of ``text``, which holds no bracket, and its count of ``\\n``.
+    """The JSON value of each non-blank line of ``text`` and its count of ``\\n``.
 
-    The lines are parsed in one ``json.loads``, each wrapped in an array of
-    its own. A string cannot hold the raw newline of the separator, and
-    without brackets no line can open an array to take the separator in,
-    so each wrapper holds exactly its own line: nothing for a blank line,
-    one element for a line that is one JSON value. Raises ValueError where
-    a line is not one JSON value.
+    The lines free of brackets are parsed in one ``json.loads``, each
+    wrapped in an array of its own. A string cannot hold the raw newline of
+    the separator, and without brackets no line can open an array to take
+    the separator in, so each wrapper holds exactly its own line: nothing
+    for a blank line, one element for a line that is one JSON value. A line
+    that holds ``[`` or ``]`` is parsed alone and stands blank in that
+    parse, so the values keep their line order. Raises ValueError where a
+    line is not one JSON value.
     """
+    alone = []
+    if "[" in text or "]" in text:
+        lines = text.split("\n")
+        alone = [(k, line) for k, line in enumerate(lines) if "[" in line or "]" in line]
+        for k, _ in alone:
+            lines[k] = ""
+        text = "\n".join(lines)
     wrapped = json.loads("[[" + text.replace("\n", "]\n,[") + "]]")
+    for k, line in alone:
+        wrapped[k] = [json.loads(line)]
     return [value for (value,) in filter(None, wrapped)], len(wrapped) - 1  # ValueError: a line of several values
 
 
-def _utc_stamp_us(stamps):
-    """Each stamp's µs since 1970 UTC, read by one numpy conversion; None unless every stamp is strict UTC."""
+def _utc_stamp_us(stamps) -> np.ndarray:
+    """Each stamp's µs since 1970 UTC, read from the columns of its bytes; raises unless every stamp is strict UTC.
+
+    The stamps are grouped by shape, digits zeroed (one group where the
+    first stamp's shape, repeated, gives them all), and each group is read
+    by :func:`_naive_us`. Raises ValueError, or KeyError for a shape not of
+    :data:`_STAMP_SHAPES`.
+    """
+    n = len(stamps)
     joined = "\n".join(stamps) + "\n"
-    shapes = joined.translate(_ZERO_DIGITS).split("\n")[:-1]
-    utc = joined.count("Z\n") + joined.count("+00:00\n")  # the shapes also take other offsets
-    if len(shapes) != utc or utc != len(stamps) or not _UTC_SHAPES.issuperset(shapes):
-        return None
-    naive = joined.replace("Z\n", "\n").replace("+00:00\n", "\n").split("\n")[:-1]
-    return np.array(naive, dtype="datetime64[us]").astype(np.int64)  # ValueError: a field out of range
+    shapes = joined.translate(_ZERO_DIGITS)
+    first = shapes[: shapes.find("\n") + 1]
+    if shapes == first * n:  # n lines of the first shape, a "\n" after each and none within
+        return _naive_us(joined, first[:-1])
+    shapes = shapes.split("\n")[:-1]
+    if len(shapes) != n or not _STAMP_SHAPES.keys() >= set(shapes):
+        raise ValueError("a stamp not strict UTC")
+    stamp_us = np.empty(n, dtype=np.int64)
+    for shape in set(shapes):
+        rows = [row for row, other in enumerate(shapes) if other == shape]
+        stamp_us[rows] = _naive_us("".join([stamps[row] + "\n" for row in rows]), shape)
+    return stamp_us
+
+
+def _naive_us(lines: str, shape: str) -> np.ndarray:
+    """The µs since 1970 UTC of stamps of one ``shape`` of :data:`_STAMP_SHAPES`, each ending in ``\\n``.
+
+    The lines are viewed as a (rows × width) array of bytes, and the naive
+    parts, its first columns, are cast to ``datetime64[us]`` at once.
+    """
+    width = _STAMP_SHAPES[shape]  # KeyError: another shape
+    if shape.endswith("+00:00") and lines.count("+00:00\n") != lines.count("\n"):
+        raise ValueError("an offset other than +00:00")
+    cells = np.frombuffer(lines.encode("ascii"), dtype=np.uint8).reshape(-1, len(shape) + 1)
+    naive = np.ascontiguousarray(cells[:, :width]).view(f"S{width}").ravel()
+    return naive.astype("datetime64[us]").view(np.int64)  # ValueError: a field out of range
+
+
+def _str_column(values: list) -> list:
+    """The values as ``str`` gives them: the list itself where all are str, as one C-level join tells."""
+    try:
+        "".join(values)
+    except TypeError:
+        return list(map(str, values))
+    return values
+
+
+def _float_column(values: list):
+    """The values as ``float`` gives them, converted in C where all are int or float."""
+    try:
+        return np.frombuffer(array("d", values))
+    except TypeError:
+        return list(map(float, values))
 
 
 def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | None:
@@ -121,24 +185,22 @@ def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | N
 
     Each value is converted as the per-line reader converts it (``str`` or
     ``float``). Returns None, having appended nothing and left ``seen`` as
-    it was, when the chunk holds a bracket, a stamp that is not strict UTC,
-    or a line that fails any step: then the per-line reader reads it, and
+    it was, when a stamp is not strict UTC (see :func:`_utc_stamp_us`) or
+    a line fails any step: then the per-line reader reads the chunk, and
     tells which line to report.
     """
     try:
-        text = chunk.decode("utf-8")
-        if "[" in text or "]" in text:
-            return None  # a bracket could merge a line with its neighbours in one parse
-        objs, newlines = _json_values(text)
-        if not objs or set(map(type, objs)) != {dict}:
+        objs, newlines = _json_values(chunk.decode("utf-8"))
+        if not objs:
             return None
-        ids, user_ids, stamps, lat, lon, texts = ([obj[key] for obj in objs] for key in _TWEET_FIELDS)
-        ids, user_ids, texts = list(map(str, ids)), list(map(str, user_ids)), list(map(str, texts))
-        lat, lon = list(map(float, lat)), list(map(float, lon))
-        sources = [None if source is None else str(source) for source in (obj.get("source") for obj in objs)]
+        # TypeError where a value is not an object, KeyError where a field is missing
+        ids, user_ids, stamps, lat, lon, texts = (list(map(itemgetter(key), objs)) for key in _TWEET_FIELDS)
+        ids, user_ids, texts = _str_column(ids), _str_column(user_ids), _str_column(texts)
+        lat, lon = _float_column(lat), _float_column(lon)
+        sources = list(map(dict.get, objs, repeat("source")))
+        if sources.count(None) != len(sources):
+            sources = [None if source is None else str(source) for source in sources]
         stamp_us = _utc_stamp_us(stamps)
-        if stamp_us is None:
-            return None
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None  # UnicodeDecodeError, JSONDecodeError and the conversions' own errors are ValueErrors
     size = len(seen)
@@ -167,8 +229,8 @@ def _extend_by_line(rows: _CorpusBuilder, seen: set, lines, path, lines_before: 
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
+            raise DataFormatError(f"{path}:{line_no}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(obj, dict):
             raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
         if not obj.keys() >= _TWEET_KEYS:
@@ -180,7 +242,7 @@ def _extend_by_line(rows: _CorpusBuilder, seen: set, lines, path, lines_before: 
             lat, lon = float(obj["lat"]), float(obj["lon"])
             user_id, text, source = str(obj["user_id"]), str(obj["text"]), None if source is None else str(source)
             _check_row(tid, user_id, lat, lon, text)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:  # a huge int, a source nested deep
             raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
         if tid in seen:
             raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
@@ -214,15 +276,16 @@ def read_tweets(path) -> Corpus:
 
     Lines end at ``\\n`` alone (a ``\\r`` ends no line). Each block is cut
     after its last ``\\n`` and the rest carried into the next block, so a
-    chunk holds whole lines. Each chunk is decoded and parsed at once, then
-    converted and checked column by column, with the checks a
-    :class:`Tweet` makes and unique ids; its stamps are read by one numpy
-    conversion when all are strict UTC (``YYYY-MM-DDTHH:MM:SS[.ffffff]``
-    and ``Z`` or ``+00:00``). A chunk that holds ``[`` or ``]``, another
-    stamp form, or a line that fails any of this goes through the per-line
-    reader instead, which gets the chunk split after each ``\\n`` and
-    appends its lines one at a time: so the first bad line in the file is
-    the one reported, as ``path:line``, whatever chunk it falls in.
+    chunk holds whole lines. Each chunk is decoded and parsed at once, each
+    line that holds ``[`` or ``]`` on its own, then converted and checked
+    column by column, with the checks a :class:`Tweet` makes and unique
+    ids. Its stamps are read in bulk when each is strict UTC,
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` and ``Z`` or ``+00:00``, in any mix
+    of those shapes. A chunk with another stamp form, or a line that fails
+    any of this, goes through the per-line reader instead, which gets the
+    chunk split after each ``\\n`` and appends its lines one at a time: so
+    the first bad line in the file is the one reported, as ``path:line``,
+    whatever chunk it falls in.
     """
     rows = _CorpusBuilder()
     seen: set[str] = set()
@@ -285,6 +348,8 @@ def _load_json(path):
             raise DataFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
+        except (ValueError, RecursionError) as exc:  # an integer of too many digits, or nesting too deep
+            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _features(path, noun, required):
@@ -323,7 +388,7 @@ def _geo_point(geom, path, label) -> GeoPoint:
     coords = geom.get("coordinates")
     try:
         lon, lat = float(coords[0]), float(coords[1])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataFormatError(f"{path}: {label}: bad Point coordinates") from exc
     try:
         return GeoPoint(lat, lon)
@@ -342,7 +407,7 @@ def _geo_rings(geom, path, label):
     for ring in raw_rings:
         try:
             pts = [GeoPoint(float(pos[1]), float(pos[0])) for pos in ring]
-        except (TypeError, ValueError, IndexError, FlowModelError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError, FlowModelError) as exc:
             raise DataFormatError(f"{path}: {label}: bad ring coordinates: {exc}") from exc
         if len(pts) >= 2 and pts[0] == pts[-1]:
             pts = pts[:-1]
@@ -382,7 +447,7 @@ def read_zones(path):
                     rings,
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: {label}: {exc}") from exc
     if not parsed:
         raise DataFormatError(f"{path}: no zone features")
@@ -444,7 +509,7 @@ def read_museums(path) -> list[Museum]:
                     media_mentions=float(props.get("media_mentions", 0.0)),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: {label}: {exc}") from exc
     _check_unique_ids([m.id for m in museums], path, "museum")
     return museums
@@ -582,7 +647,7 @@ def read_report_json(path) -> PipelineReport:
                     users_remaining=int(entry["users_remaining"]),
                 )
             )
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: stage entry {idx}: {exc}") from exc
     return PipelineReport(tuple(parsed))
 

@@ -418,6 +418,39 @@ def test_geojson_errors_name_the_file_and_the_feature(tmp_path, reader, doc, mes
     assert str(info.value) == f"{path}: {message}"
 
 
+HUGE = "9" * 400  # an int no float holds
+LONG = "9" * 4301  # more digits than int() takes from a string
+DEEP = "[" * 100_000 + "]" * 100_000  # nested deeper than json.loads goes
+TWEET = '{"id": "%s", "user_id": "u", "timestamp": "2013-06-01T12:00:00Z", "lat": %s, "lon": -1.5, "text": "hi"%s}'
+ZONE_DOC = json.dumps(collection(feature("zones", population=0.5)))
+MUSEUM_DOC = json.dumps(collection(feature("museums", floor_area_m2=0.5)))
+REPORT_DOC = '{"stages": [{"stage": "input", "tweets_in": 0.5, "tweets_out": 1, "users_remaining": 1}]}'
+# (reader, file text, the message after "<path>"), each a traceback before
+# these numbers were caught: OverflowError, ValueError or RecursionError
+MALFORMED_NUMBERS = [
+    (read_tweets, TWEET % ("1", 53.8, "") + "\n" + TWEET % ("2", HUGE, ""), ":2: int too large to convert to float"),
+    (read_tweets, TWEET % ("1", 53.8, "") + "\n" + TWEET % ("2", LONG, ""), ":2: invalid JSON: "),
+    (read_tweets, TWEET % ("1", 53.8, "") + "\n" + TWEET % ("2", 53.8, ', "source": ' + DEEP), ":2: invalid JSON: "),
+    (read_zones, ZONE_DOC.replace("0.5", HUGE), ": zone feature 'zA': int too large to convert to float"),
+    (read_zones, ZONE_DOC.replace("-1.6", HUGE, 1), ": zone feature 'zA': bad ring coordinates: int too large"),
+    (read_zones, ZONE_DOC.replace("0.5", LONG), ": invalid JSON: "),
+    (read_zones, ZONE_DOC.replace("0.5", DEEP), ": invalid JSON: "),
+    (read_museums, MUSEUM_DOC.replace("0.5", HUGE), ": museum feature 'm1': int too large to convert to float"),
+    (read_museums, MUSEUM_DOC.replace("-1.55", HUGE), ": museum feature 'm1': bad Point coordinates"),
+    (read_report_json, REPORT_DOC.replace("0.5", "Infinity"), ": stage entry 0: cannot convert float infinity to integer"),
+    (read_report_json, REPORT_DOC.replace("0.5", LONG), ": invalid JSON: "),
+]
+
+
+@pytest.mark.parametrize("reader, text, message", MALFORMED_NUMBERS, ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(MALFORMED_NUMBERS)])
+def test_malformed_numbers_are_reported_with_the_file(tmp_path, reader, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}{message}")
+
+
 # --- matrices ---
 
 

@@ -3,12 +3,14 @@
 ``line_reader`` below is that reader as it stood: each line decoded,
 parsed with ``json.loads`` and converted into a :class:`Tweet` on its own,
 so the first bad line raises, and the Tweets encoded by
-``Corpus.from_tweets``. Its stamp parser has since learnt one rule: a stamp
-whose UTC instant a ``datetime`` cannot hold is a bad line. The chunked reader must give the same columns, or raise
-the same message, on any input. Hypothesis builds files from valid
-records, records with every value the per-line reader converts or rejects,
-and raw lines that are not records; the chunk size is patched down so that
-chunk boundaries fall between (and around) them.
+``Corpus.from_tweets``. It has since learnt two rules: a stamp whose UTC
+instant a ``datetime`` cannot hold is a bad line, and so is a line with a
+number or a nesting that ``json.loads`` or ``float`` cannot take. The
+chunked reader must give the same columns, or raise the same message, on
+any input. Hypothesis builds files from valid records, records with every
+value the per-line reader converts or rejects, and raw lines that are not
+records; the chunk size is patched down so that chunk boundaries fall
+between (and around) them.
 """
 
 import json
@@ -72,6 +74,8 @@ def line_reader(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise DataFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
             if not obj.keys() >= set(FIELDS):
@@ -83,7 +87,7 @@ def line_reader(path):
                 lat, lon = float(obj["lat"]), float(obj["lon"])
                 rows.append(Tweet(tid, str(obj["user_id"]), stamp, GeoPoint(lat, lon), str(obj["text"]),
                                   None if source is None else str(source)))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
             if tid in seen:
                 raise DataFormatError(f"{path}:{line_no}: duplicate tweet id {tid!r}")
@@ -165,6 +169,26 @@ STAMPS = (
     "２０１３-06-01T12:00:00Z",
     "yesterday",
     "",
+    "2013-06-01T13:00:00+01:00",
+    "2013-06-01T12:00:00.250000-05:30",
+    "2013-06-01T12:00:00-00:00",
+    "2013-06-02T11:59:00+23:59",
+    "2013-06-01T12:00:00+24:00",
+    "2013-06-01T12:00:00+01:60",
+    "0000-12-31T23:00:00-05:30",
+    "2013+06-01T12:00:00+01:00",
+    "2013-06-01T12:00:00Z\n2013-06-01T12:00:00Z",
+)
+
+# Stamps for runs of records: strict UTC in each of its four shapes, which
+# a chunk may mix and stay in bulk, and two more that send it by line.
+RUN_STAMPS = (
+    "2013-06-01T12:00:00Z",
+    "2013-06-01T12:00:00.250000Z",
+    "2013-06-01T12:00:00+00:00",
+    "2013-06-01T12:00:00.000001+00:00",
+    "2013-06-01T13:00:00+01:00",
+    "0000-06-01T12:00:00+00:00",
 )
 
 
@@ -184,7 +208,7 @@ def coordinate(draw, valid):
 
 
 @st.composite
-def records(draw):
+def records(draw, stamps=STAMPS[:12]):
     """A line holding a record; each field is now and then one the per-line reader converts or rejects."""
     text = st.one_of(
         st.sampled_from(["hi", "museum [day] out", "a ] b", "Straße ☕", "x" * 280, "tab\there"]),
@@ -193,7 +217,7 @@ def records(draw):
     fields = {
         "id": draw(st.sampled_from(["1", "2"])) if sometimes(draw) else str(draw(st.integers(3, 10**9))),
         "user_id": draw(st.sampled_from(["u", "v", "é"])),
-        "timestamp": draw(st.sampled_from(STAMPS[:12])),
+        "timestamp": draw(st.sampled_from(stamps)),
         "lat": coordinate(draw, 53.8),
         "lon": coordinate(draw, -1.5),
         "text": draw(text),
@@ -225,9 +249,14 @@ raw_lines = st.sampled_from([
     '"a string"', "7", "null", "{}", GOOD.replace("53.8", "NaN"), GOOD.replace("53.8", "Infinity"),
     GOOD.replace("53.8", "-Infinity"), '{"k": ' * 40 + "1" + "}" * 40, b"\xe9t\xe9", b"\xff" + GOOD.encode(),
     record("two1") + ", " + record("two2"),
+    GOOD.replace("53.8", "9" * 400),  # no float holds it
+    GOOD.replace("53.8", "9" * 4301),  # more digits than int() takes from a string
+    GOOD[:-1] + ', "source": ' + "[" * 2000 + "]" * 2000 + "}",  # nested deeper than json.loads goes
+    GOOD[:-1] + ', "source": ' + '{"k": ' * 2000 + "1" + "}" * 2001,
 ])
 
-# one item is one line, or a pair of lines that go together
+# one item is one line, a pair of lines that go together, or a run of
+# records whose stamps are strict UTC most of the time
 items = st.one_of(
     records().map(lambda line: [line]),
     records().map(lambda line: [line]),
@@ -235,6 +264,8 @@ items = st.one_of(
     raw_lines.map(lambda line: [line]),
     st.sampled_from(unique_records(8)).map(lambda line: [line]),
     st.sampled_from([list(BRACKET_PAIR), list(BRACE_PAIR)]),
+    st.lists(records(RUN_STAMPS[:4]), min_size=1, max_size=6),
+    st.lists(records(RUN_STAMPS), min_size=1, max_size=6),
 )
 
 
@@ -249,6 +280,10 @@ def assemble(parts, endings, tail=b""):
 @given(st.lists(items, max_size=10), st.data(), st.integers(1, 400))
 @example([list(BRACKET_PAIR)], None, 1 << 20)
 @example([list(BRACE_PAIR)], None, 1 << 20)
+@example([[record("a", stamp=RUN_STAMPS[1]), record("b", stamp=RUN_STAMPS[2], text="[pic]"),
+           record("c", stamp=RUN_STAMPS[3])]], None, 1 << 20)
+@example([[record("a", stamp=RUN_STAMPS[2]), record("b", stamp=RUN_STAMPS[-1]), " [1, 2]", "{broken"]],
+         None, 1 << 20)
 def test_chunked_reader_matches_the_line_reader(items, data, chunk_bytes):
     parts = [line for item in items for line in item]
     if data is None:
@@ -301,7 +336,8 @@ BLOCK_EDGE_FILES = {
     "a lone cr": ([record("1")[:-1] + "\r}", "\r" + record("2").replace(", ", ",\r"), record("3")], b"\n", "clean"),
     "a bad line after a lone cr": ([record("1")[:-1] + "\r}", record("2"), "{broken"], b"\n", "invalid JSON"),
     "a repeated id in the chunk after one that fell back": (
-        [record("a", text="[" + "x" * 200 + "]"), record("b"), record("a")], b"\n", "duplicate tweet id 'a'"
+        [record("a", stamp="2013-06-01T12:00:00", text="x" * 200), record("b"), record("a")], b"\n",
+        "duplicate tweet id 'a'",
     ),
     "a column check failing after the ids went into seen": (
         [record("a"), record("b"), record("c", text="x" * 281)], b"\n", "tweet c: text has 281 code points"
@@ -358,16 +394,19 @@ STRICT_UTC = {
 def test_strict_utc_stamps_are_read_in_bulk_and_the_rest_by_line(tmp_path):
     assert {"2013-06-01T12:00:00.123456+00:00", "0001-01-01T00:00:00Z", "2013-06-01T24:00:00Z"} <= STRICT_UTC
     assert not {"2013-06-01T12:00:00z", "2013-06-01T12:00:00.5Z", "2013-06-01T14:00:00+02:00"} & STRICT_UTC
+    assert not {"2013-06-01T12:00:00-00:00", "2013-06-01T13:00:00+01:00"} & STRICT_UTC
     path = tmp_path / "t.ndjson"
     for stamp in STAMPS:
-        path.write_text(record(stamp=stamp) + "\n" + record("2") + "\n", encoding="utf-8")
-        expected = outcome(line_reader, path)
-        with by_line_watched() as by_line:
-            assert outcome(read_tweets, path) == expected, stamp
-        assert by_line.called == (stamp not in STRICT_UTC or expected[0] == "error"), stamp
+        for second in (stamp, "2013-06-01T12:00:00Z"):  # one stamp shape, then mixed unless the stamp is plain Z
+            path.write_text(record(stamp=stamp) + "\n" + record("2", stamp=second) + "\n", encoding="utf-8")
+            expected = outcome(line_reader, path)
+            with by_line_watched() as by_line:
+                assert outcome(read_tweets, path) == expected, (stamp, second)
+            assert by_line.called == (stamp not in STRICT_UTC or expected[0] == "error"), (stamp, second)
     rejected = {s for s in STAMPS if outcome(line_reader, _with_stamp(tmp_path, s))[0] == "error"}
     assert {"0000-06-01T12:00:00Z", "2013-02-30T12:00:00Z", "2013-06-01T23:59:60Z"} <= rejected
     assert {"9999-12-31T23:00:00-05:30", "0001-01-01T00:30:00+01:00"} <= rejected  # outside datetime in UTC
+    assert {"2013-06-01T12:00:00+24:00", "0000-12-31T23:00:00-05:30"} <= rejected  # in UTC, 0001-01-01T04:30
     assert "0001-01-01T00:00:00-00:01" not in rejected
     assert "2013-06-01T12:00:00.123456+00:00" not in rejected
 
@@ -391,15 +430,62 @@ def test_conversions_blank_lines_and_crlf_stay_in_bulk(tmp_path):
         assert outcome(read_tweets, path) == expected
 
 
-def test_only_a_chunk_holding_a_bracket_is_read_by_line(tmp_path):
-    lines = [record("1"), record("2", text="museum [day] out"), record("3"), record("4", source="4sq]")]
+def test_a_chunk_holding_brackets_stays_in_bulk(tmp_path):
+    lines = [
+        record("1"), record("2", text="museum [day] out"), record("3"), record("4", source="4sq]"),
+        record("5", text="[pic]", source="[app]"), record("6", text="a [ b"),
+    ]
     path = tmp_path / "t.ndjson"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     expected = outcome(line_reader, path)
     assert expected[0] == "ok"
-    with mock.patch.object(fileio, "_CHUNK_BYTES", 1), by_line_watched() as by_line:  # a line per chunk
+    for chunk_bytes in (1, 1 << 16):  # a line per chunk, then one chunk
+        with mock.patch.object(fileio, "_CHUNK_BYTES", chunk_bytes), bulk_only():
+            assert outcome(read_tweets, path) == expected
+
+
+def test_a_chunk_of_mixed_utc_shapes_stays_in_bulk(tmp_path):
+    stamps = ("2013-06-01T12:00:00Z", "2013-06-01T12:00:00.250000+00:00", "2013-06-01T12:00:01+00:00",
+              "2013-06-01T12:00:00.000001Z")
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n".join(record(str(k), stamp=stamps[k % 4]) for k in range(12)) + "\n", encoding="utf-8")
+    expected = outcome(line_reader, path)
+    assert expected[0] == "ok"
+    with bulk_only():
         assert outcome(read_tweets, path) == expected
-    assert [call.args[2] for call in by_line.call_args_list] == [[lines[1].encode() + b"\n"], [lines[3].encode() + b"\n"]]
+
+
+def test_a_chunk_of_offset_stamps_is_read_by_line_and_keeps_its_bytes(tmp_path):
+    stamps = ("2013-06-01T12:00:00+00:00", "2013-06-01T13:00:00+01:00", "2013-06-01T06:30:00-05:30")
+    lines = [record(str(k), stamp=stamp) for k, stamp in enumerate(stamps + stamps[1:])]
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = outcome(line_reader, path)
+    assert expected[0] == "ok"
+    with by_line_watched() as by_line:
+        corpus = read_tweets(path)
+    assert by_line.called
+    assert columns(corpus) == expected[1]
+    assert corpus.tzinfos == (timezone.utc, timezone(timedelta(hours=1)), timezone(-timedelta(hours=5, minutes=30)))
+    again, last = tmp_path / "again.ndjson", tmp_path / "last.ndjson"
+    fileio.write_tweets(corpus, again)
+    assert [json.loads(line)["timestamp"] for line in again.read_text().splitlines()] == [
+        "2013-06-01T12:00:00Z", *stamps[1:], *stamps[1:]
+    ]
+    fileio.write_tweets(read_tweets(again), last)
+    assert last.read_bytes() == again.read_bytes()
+
+
+def test_a_row_needing_conversion_keeps_its_chunk_in_bulk(tmp_path):
+    clean = [record(str(k)) for k in range(5)]
+    path = tmp_path / "t.ndjson"
+    for odd in (record(6), record("6", lat="53.8"), record("6", lon=-2), record("6", source="web"), record("6", source=7),
+                record("6", user=8), record("6", text=9)):
+        path.write_text("\n".join(clean[:2] + [odd] + clean[2:]) + "\n", encoding="utf-8")
+        expected = outcome(line_reader, path)
+        assert expected[0] == "ok"
+        with bulk_only():
+            assert outcome(read_tweets, path) == expected, odd
 
 
 def test_bulk_columns_equal_the_line_reader_on_a_large_clean_file(tmp_path):
