@@ -184,15 +184,15 @@ def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | N
     """Append a chunk of whole lines, converted and checked column by column; return its count of ``\\n``.
 
     Each value is converted as the per-line reader converts it (``str`` or
-    ``float``). Returns None, having appended nothing and left ``seen`` as
-    it was, when a stamp is not strict UTC (see :func:`_utc_stamp_us`) or
-    a line fails any step: then the per-line reader reads the chunk, and
-    tells which line to report.
+    ``float``). A chunk of blank lines appends nothing. Returns None, having
+    appended nothing and left ``seen`` as it was, when a stamp is not strict
+    UTC (see :func:`_utc_stamp_us`) or a line fails any step: then the
+    per-line reader reads the chunk, and tells which line to report.
     """
     try:
         objs, newlines = _json_values(chunk.decode("utf-8"))
         if not objs:
-            return None
+            return newlines
         # TypeError where a value is not an object, KeyError where a field is missing
         ids, user_ids, stamps, lat, lon, texts = (list(map(itemgetter(key), objs)) for key in _TWEET_FIELDS)
         ids, user_ids, texts = _str_column(ids), _str_column(user_ids), _str_column(texts)

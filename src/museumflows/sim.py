@@ -5,6 +5,12 @@ Three constraint regimes share one deterrence kernel and one formula
 origin-constrained (rows pinned to observed origin totals), and doubly
 constrained (origin-constrained with solved destination weights, so both
 margins are pinned).
+
+The formula works on a stack of kernels, one per beta of a block, so that a
+sweep pays numpy's per-call cost once per block rather than once per beta.
+The doubly regime solves the betas of a block in lockstep. Each slice keeps
+the arithmetic of its beta alone, so every slice equals the matrix that beta
+gives in a block of one, bit for bit.
 """
 
 from __future__ import annotations
@@ -261,14 +267,30 @@ def model_inputs(zones, museums, spec: ModelSpec, observed: FlowMatrix | None = 
     return ModelInputs(spec, zone_ids, museum_ids, dmat, rows, w, D)
 
 
-def model_values(inputs: ModelInputs, beta: float) -> np.ndarray:
-    """The model matrix of ``inputs`` at one beta."""
-    f = deterrence_matrix(inputs.dmat, Deterrence(inputs.spec.deterrence.kind, beta))
+def model_values(inputs: ModelInputs, betas) -> np.ndarray:
+    """The model matrices of ``inputs`` at a block of betas, stacked on axis 0.
+
+    Slice k is bit for bit the matrix of ``betas[k]`` alone. A block raises
+    the error that its betas, evaluated one at a time in order, would raise
+    first.
+    """
+    kind = inputs.spec.deterrence.kind
+    f = np.empty((len(betas),) + inputs.dmat.shape)
+    for k, beta in enumerate(betas):
+        try:
+            f[k] = deterrence_matrix(inputs.dmat, Deterrence(kind, float(beta)))
+        except InvalidParameterError:
+            if k:  # the betas before the invalid one come first
+                model_values(inputs, betas[:k])
+            raise
     return flow_values(inputs.spec.constraint, f, inputs.rows, inputs.w, inputs.D)
 
 
 def flow_values(constraint, f, rows, w, D=None) -> np.ndarray:
     """The one model formula of all three regimes, over precomputed arrays.
+
+    ``f`` is a stack of kernels (k, origins, destinations), one per beta,
+    and so is the result:
 
     - unconstrained: ``rows ⊗ w ⊙ f``, rows being the weighted populations;
     - origin: ``O · rownorm(w ⊙ f)``, rows being the origin totals O;
@@ -284,18 +306,19 @@ def flow_values(constraint, f, rows, w, D=None) -> np.ndarray:
 
 
 def _check_reachable(dead: np.ndarray) -> None:
-    """Raise for the origins marked ``dead``: flow to send, no destination to reach."""
-    if np.any(dead):
+    """Raise for the origins marked ``dead`` in the first slice that marks any: flow to send, nowhere to go."""
+    hit = dead.any(axis=1)
+    if np.any(hit):
         raise UnreachableOriginError(
-            f"origins {np.nonzero(dead)[0].tolist()} have positive flow but cannot reach any destination"
+            f"origins {np.nonzero(dead[hit.argmax()])[0].tolist()} have positive flow but cannot reach any destination"
         )
 
 
 def _row_shares(scores: np.ndarray, O: np.ndarray) -> np.ndarray:
-    """rownorm(scores); an origin with flow to send must have a positive row."""
-    denom = scores.sum(axis=1)
+    """rownorm(scores) of each slice; an origin with flow to send must have a positive row."""
+    denom = scores.sum(axis=2)
     _check_reachable((denom == 0.0) & (O > 0))
-    return np.divide(scores, denom[:, None], out=np.zeros_like(scores), where=denom[:, None] > 0)
+    return np.divide(scores, denom[:, :, None], out=np.zeros_like(scores), where=denom[:, :, None] > 0)
 
 
 _TOL = 1e-8  # the doubly regime's bound on max_j |C_j - D_j| / D_j
@@ -305,7 +328,7 @@ _BACKTRACKS = 30
 
 
 def _newton_step(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The minimum-norm solution of J x = rhs for a column-sum Jacobian J.
+    """The minimum-norm solution of J x = rhs in each slice of a stack of column-sum Jacobians.
 
     J = diag(C) - Pᵀ diag(O) P is the Laplacian of the graph that joins two
     columns through every row reaching both, so each connected block of the
@@ -313,23 +336,30 @@ def _newton_step(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     elsewhere. When J has no zero entry the
     graph is connected: fixing x_0 = 0 leaves a regular system, and centring
     its solution gives the minimum-norm one that ``lstsq`` returns, at a
-    fraction of the cost. A zero entry (exp underflow may have cut the
-    support into blocks) or a reduced system that is singular in floating
-    point falls back to ``lstsq``, centred on each block (component of
-    ``J != 0``): a null singular value just above its cutoff leaves a
-    constant part there, which would count toward ``_MAX_LOG_STEP``.
+    fraction of the cost. These slices are solved in one stacked call, and
+    one at a time when that call finds a singular one. A zero entry (exp
+    underflow may have cut the support into blocks) or a reduced system
+    that is singular in floating point falls back to ``lstsq`` for that
+    slice, centred on each block (component of ``J != 0``): a null
+    singular value just above its cutoff leaves a constant part there,
+    which would count toward ``_MAX_LOG_STEP``.
     """
-    if J.all():
-        try:
-            x = np.linalg.solve(J[1:, 1:], rhs[1:])
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            step = np.concatenate(([0.0], x))
-            return step - step.mean()
-    step = np.linalg.lstsq(J, rhs, rcond=None)[0]
-    block = np.linalg.matrix_power((J != 0) | np.eye(len(J), dtype=bool), len(J))  # [i, j]: a path joins i, j
-    return step - block @ step / block.sum(axis=1)
+    step = np.zeros_like(rhs)
+    connected = J.all(axis=(1, 2))
+    try:
+        step[connected, 1:] = np.linalg.solve(J[connected, 1:, 1:], rhs[connected, 1:, None])[..., 0]
+    except np.linalg.LinAlgError:  # the stacked call does not say which slice is singular
+        for i in np.flatnonzero(connected):
+            try:
+                step[i, 1:] = np.linalg.solve(J[i, 1:, 1:], rhs[i, 1:])
+            except np.linalg.LinAlgError:
+                connected[i] = False
+    step -= step.mean(axis=1, keepdims=True)
+    for i in np.flatnonzero(~connected):
+        x = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+        block = np.linalg.matrix_power((J[i] != 0) | np.eye(len(x), dtype=bool), len(x))  # [a, b]: a path joins a, b
+        step[i] = x - block @ x / block.sum(axis=1)
+    return step
 
 
 def _balanced_values(f, O, D) -> np.ndarray:
@@ -348,72 +378,113 @@ def _balanced_values(f, O, D) -> np.ndarray:
     their row maximum, which rownorm cancels, so no weight under- or
     overflows. Columns with D_j = 0 get w_j = 0.
 
+    The kernels of a block (slices of ``f``) are solved in lockstep: each
+    round evaluates every slice still iterating at once and takes their
+    Newton steps in one stacked product and solve. Each slice keeps the
+    arithmetic it has alone (the same element-wise operations, reductions
+    along the same axes, and one BLAS or LAPACK call per slice), and its
+    step cap, backtracking and fixed-point fallback are its own. A slice
+    leaves the round once converged.
+
     What does not depend on u is settled once, before the first step:
     only rows with O_i > 0 and columns with D_j > 0 enter the iteration; an
     origin that reaches no live column raises ``UnreachableOriginError``;
     and a live column that no such origin reaches raises
-    ``ConvergenceError`` (no weight can give it flow).
+    ``ConvergenceError`` (no weight can give it flow). A block raises the
+    error of its first failing slice, so the slices before one that fails
+    these checks are solved first.
     """
     values = np.zeros_like(f)
     live = D > 0
     if not np.any(live):
         return values
     with np.errstate(divide="ignore"):
-        log_f = np.log(f[:, live])
+        log_f = np.log(f[:, :, live])
     reach = np.isfinite(log_f)
     sending = O > 0
-    _check_reachable(sending & ~reach.any(axis=1))
-    unreached = ~reach[sending].any(axis=0)
-    if np.any(unreached):
-        raise ConvergenceError(
-            f"destinations {np.nonzero(live)[0][unreached].tolist()} have positive totals "
-            "but no origin with flow can reach them"
-        )
+    dead = sending & ~reach.any(axis=2)
+    unreached = ~reach[:, sending].any(axis=1)
+    failing = np.flatnonzero(dead.any(axis=1) | unreached.any(axis=1))
+    stop = failing[0] if failing.size else len(f)  # the slices before it are solved
     D = D[live]
     O = O[sending]
-    # log_f, P and T are held transposed, destinations on axis 0: each
+    # log_f, P and T are held transposed, destinations on axis 1: each
     # origin's max and sum then reduce across a few contiguous rows rather
     # than along the origin's own short row, which is about twice as fast
-    log_f = np.ascontiguousarray(log_f[sending].T)
+    log_f = np.ascontiguousarray(log_f[:stop, sending].transpose(0, 2, 1))
+    diagonal = np.arange(len(D))
 
-    def evaluate(u):
-        P = log_f + u[:, None]
-        P -= P.max(axis=0)
+    def evaluate(log_f, u, P=None, T=None):
+        P = np.add(log_f, u[:, :, None], out=P)
+        P -= P.max(axis=1, keepdims=True)
         np.exp(P, out=P)
-        P /= P.sum(axis=0)
-        T = P * O
-        C = T.sum(axis=1)
-        return u, P, T, C, float((np.abs(C - D) / D).max())
+        P /= P.sum(axis=1, keepdims=True)
+        T = np.multiply(P, O, out=T)
+        C = T.sum(axis=2)
+        return [u, P, T, C, (np.abs(C - D) / D).max(axis=1)]
 
     # exact for a flat kernel
-    u, P, T, C, residual = evaluate(np.log(D))
+    u, P, T, C, residual = evaluate(log_f, np.tile(np.log(D), (stop, 1)))
+    at = np.arange(stop)  # the grid positions of the slices still iterating
+    solved = np.empty_like(log_f)  # the flows T of each slice, once converged
     steps = 0
-    while not residual <= _TOL:  # a NaN residual keeps iterating, then raises
+    while True:
+        done = residual <= _TOL  # a NaN residual keeps iterating, then raises
+        if done.all():
+            solved[at] = T
+            break
+        if done.any():
+            solved[at[done]] = T[done]
+            at, log_f, u, P, T, C, residual = (a[~done] for a in (at, log_f, u, P, T, C, residual))
         if steps == _MAX_STEPS:
             raise ConvergenceError(
                 f"destination weights did not converge in {_MAX_STEPS} Newton steps "
-                f"(last residual {residual:.3e})",
-                residual=residual,
+                f"(last residual {residual[0]:.3e})",
+                residual=float(residual[0]),
             )
         steps += 1
-        step = _newton_step(np.diag(C) - P @ T.T, D - C)
-        step *= _MAX_LOG_STEP / max(np.abs(step).max(), _MAX_LOG_STEP)
-        for _ in range(_BACKTRACKS):
-            trial = evaluate(u + step)
-            if trial[-1] < residual:
-                break
-            step /= 2.0
-        else:
-            trial = evaluate(u + np.log(D / np.maximum(C, np.finfo(float).tiny)))
+        J = np.zeros((len(at), len(D), len(D)))
+        J[:, diagonal, diagonal] = C
+        J -= P @ T.transpose(0, 2, 1)
+        step = _newton_step(J, D - C)
+        step *= (_MAX_LOG_STEP / np.maximum(np.abs(step).max(axis=1), _MAX_LOG_STEP))[:, None]
+        # into the buffers of P and T, which the step no longer needs once J is
+        # formed: fresh arrays every round would each fault in new pages
+        trial = evaluate(log_f, u + step, P, T)
+        fell = trial[-1] < residual
+        if not fell.all():  # the slices whose residual did not fall halve their steps together
+            retry = np.flatnonzero(~fell)
+            held = [a[retry] for a in (log_f, u, step, C, residual)]
+            for tries in range(1, _BACKTRACKS + 1):
+                log_f_r, u_r, step_r, C_r, residual_r = held
+                if tries < _BACKTRACKS:
+                    step_r /= 2.0
+                    again = evaluate(log_f_r, u_r + step_r)
+                    fell = again[-1] < residual_r
+                else:  # no length helped
+                    again = evaluate(log_f_r, u_r + np.log(D / np.maximum(C_r, np.finfo(float).tiny)))
+                    fell = np.ones(retry.size, dtype=bool)
+                if fell.any():
+                    for whole, part in zip(trial, again):
+                        whole[retry[fell]] = part[fell]
+                    if fell.all():
+                        break
+                    retry, held = retry[~fell], [a[~fell] for a in held]
         u, P, T, C, residual = trial
-    values[np.ix_(sending, live)] = T.T
+    if stop < len(f):
+        _check_reachable(dead[stop : stop + 1])
+        raise ConvergenceError(
+            f"destinations {np.nonzero(live)[0][unreached[stop]].tolist()} have positive totals "
+            "but no origin with flow can reach them"
+        )
+    values[:, np.outer(sending, live)] = solved.transpose(0, 2, 1).reshape(stop, -1)
     return values
 
 
 def model_matrix(zones, museums, spec: ModelSpec, observed: FlowMatrix | None = None) -> FlowMatrix:
     """Evaluate a ModelSpec over zones and museums (``observed`` as for model_inputs)."""
     inputs = model_inputs(zones, museums, spec, observed)
-    values = model_values(inputs, spec.deterrence.beta)
+    values = model_values(inputs, [spec.deterrence.beta])[0]
     return FlowMatrix(inputs.origin_ids, inputs.destination_ids, values)
 
 
@@ -445,5 +516,5 @@ def doubly_constrained_flows(O, D, dmat, det: Deterrence) -> FlowMatrix:
     if abs(total - D.sum()) > 1e-9 * max(total, D.sum(), 1.0):
         raise MarginalMismatchError(f"origin total {total} != destination total {D.sum()}")
 
-    values = flow_values("doubly", deterrence_matrix(dmat, det), O, None, D)
+    values = flow_values("doubly", deterrence_matrix(dmat, det)[None], O, None, D)[0]
     return FlowMatrix([f"o{i}" for i in range(O.size)], [f"d{j}" for j in range(D.size)], values)

@@ -303,7 +303,7 @@ def test_sweep_scores_every_point_as_pearson_r_and_rms_error_do():
         result = sweep_beta(zones, museums, observed, spec, grid)
         inputs = model_inputs(zones, museums, spec, observed)
         for beta, r, rms in zip(result.betas, result.r_values, result.rms_values):
-            values = model_values(inputs, beta)
+            values = model_values(inputs, [beta])[0]
             assert r == pearson_r(values, observed.values)
             assert rms == rms_error(values, observed.values)
 
@@ -357,7 +357,7 @@ def test_doubly_sweep_at_paper_scale_matches_the_lstsq_step_oracle(paper_scale, 
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     fast = sweep_beta(region.zones, region.museums, truth, spec)
     assert not fallbacks
-    monkeypatch.setattr(sim, "_newton_step", lambda J, rhs: lstsq(J, rhs, rcond=None)[0])
+    monkeypatch.setattr(sim, "_newton_step", lambda J, rhs: np.array([lstsq(j, r, rcond=None)[0] for j, r in zip(J, rhs)]))
     oracle = sweep_beta(region.zones, region.museums, truth, spec)
     np.testing.assert_allclose(fast.r_values, oracle.r_values, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fast.rms_values, oracle.rms_values, rtol=1e-12, atol=0)

@@ -444,6 +444,17 @@ def test_a_chunk_holding_brackets_stays_in_bulk(tmp_path):
             assert outcome(read_tweets, path) == expected
 
 
+def test_a_chunk_of_blank_lines_stays_in_bulk(tmp_path):
+    # with one-line chunks, each blank line between records is a chunk of its own
+    lines = [record("1"), "", record("2"), "  ", "", record("3"), "\t"]
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = outcome(line_reader, path)
+    assert expected[0] == "ok"
+    with mock.patch.object(fileio, "_CHUNK_BYTES", 1), bulk_only():
+        assert outcome(read_tweets, path) == expected
+
+
 def test_a_chunk_of_mixed_utc_shapes_stays_in_bulk(tmp_path):
     stamps = ("2013-06-01T12:00:00Z", "2013-06-01T12:00:00.250000+00:00", "2013-06-01T12:00:01+00:00",
               "2013-06-01T12:00:00.000001Z")

@@ -535,7 +535,7 @@ def test_newton_step_matches_the_lstsq_oracle_on_connected_jacobians(system):
     rhs = rhs - rhs.mean()
     expected = lstsq_step(J, rhs)
     expected -= expected.mean()
-    step = sim._newton_step(J, rhs)
+    step = sim._newton_step(J[None], rhs[None])[0]
     scale = np.linalg.norm(rhs) / np.linalg.svd(J, compute_uv=False)[-2]
     assert abs(step.mean()) <= 1e-15 * scale
     assert np.linalg.norm(step - expected) <= 1e-12 * scale
@@ -561,7 +561,7 @@ def test_newton_step_falls_back_to_lstsq_on_block_diagonal_jacobians(system):
     # the smallest singular value of a block that is not its null one; over
     # 20,000 random draws of this strategy it reached 1.1e-11.
     J, rhs, group = system
-    step = sim._newton_step(J, rhs)
+    step = sim._newton_step(J[None], rhs[None])[0]
     sizes = np.bincount(group)
     sigma = min(
         (np.linalg.svd(J[np.ix_(group == g, group == g)], compute_uv=False)[-2] for g in np.flatnonzero(sizes > 1)),
