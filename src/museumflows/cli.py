@@ -160,13 +160,13 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _build_spec(args, beta: float, constraint: str | None = None) -> ModelSpec:
+def _build_spec(args, beta: float) -> ModelSpec:
     attract, demand = SPEC_FLAGS[args.spec]
     return ModelSpec(
         deterrence=Deterrence(args.deterrence, beta),
         use_attractiveness=attract,
         use_demand=demand,
-        constraint=constraint or getattr(args, "constraint", ModelSpec.constraint),
+        constraint=getattr(args, "constraint", ModelSpec.constraint),
     )
 
 
@@ -285,7 +285,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_simulate(args) -> int:
     if bool(args.zones) != bool(args.museums):
         raise _UsageError("--zones and --museums go together")
-    spec = _build_spec(args, args.beta, constraint="unconstrained")
+    spec = _build_spec(args, args.beta)
     cfg = SynthConfig(true_spec=spec, n_trips=args.n_trips, noise=args.noise, seed=args.seed)
     grid = BetaGrid(args.beta_start, args.beta_step, args.beta_count)
     out = _outdir(args)

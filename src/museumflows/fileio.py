@@ -185,9 +185,10 @@ def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | N
 
     Each value is converted as the per-line reader converts it (``str`` or
     ``float``). A chunk of blank lines appends nothing. Returns None, having
-    appended nothing and left ``seen`` as it was, when a stamp is not strict
-    UTC (see :func:`_utc_stamp_us`) or a line fails any step: then the
-    per-line reader reads the chunk, and tells which line to report.
+    appended nothing, when a stamp is not strict UTC (see :func:`_utc_stamp_us`)
+    or a line fails any step: then the per-line reader reads the chunk, and
+    tells which line to report. ``seen`` is then rebuilt from ``rows.ids``, the
+    ids appended so far; that path always ends in a reported error.
     """
     try:
         objs, newlines = _json_values(chunk.decode("utf-8"))
@@ -211,9 +212,8 @@ def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | N
             return newlines
     except ValueError:  # a row fails a check of the appender
         pass
-    seen.difference_update(ids)
-    if len(seen) < size:  # an id of an earlier row came back; seen held the ids of the rows appended
-        seen.update(rows.ids)
+    seen.clear()
+    seen.update(rows.ids)
     return None
 
 

@@ -9,8 +9,9 @@ margins are pinned).
 The formula works on a stack of kernels, one per beta of a block, so that a
 sweep pays numpy's per-call cost once per block rather than once per beta.
 The doubly regime solves the betas of a block in lockstep. Each slice keeps
-the arithmetic of its beta alone, so every slice equals the matrix that beta
-gives in a block of one, bit for bit.
+the arithmetic of its beta alone, backtracking included, so it equals the
+matrix of that beta in a block of one, bit for bit. A failing block is
+evaluated again one beta at a time, to raise its first failing beta's error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     ConvergenceError,
     DegenerateFactorError,
     EmptyInputError,
+    FlowModelError,
     InvalidAttributeError,
     InvalidParameterError,
     MarginalMismatchError,
@@ -270,20 +272,21 @@ def model_inputs(zones, museums, spec: ModelSpec, observed: FlowMatrix | None = 
 def model_values(inputs: ModelInputs, betas) -> np.ndarray:
     """The model matrices of ``inputs`` at a block of betas, stacked on axis 0.
 
-    Slice k is bit for bit the matrix of ``betas[k]`` alone. A block raises
-    the error that its betas, evaluated one at a time in order, would raise
-    first.
+    Slice k is bit for bit the matrix of ``betas[k]`` alone. A block that
+    fails is evaluated again one beta at a time, in order, so it raises the
+    error of its first beta that fails alone.
     """
     kind = inputs.spec.deterrence.kind
     f = np.empty((len(betas),) + inputs.dmat.shape)
-    for k, beta in enumerate(betas):
-        try:
+    try:
+        for k, beta in enumerate(betas):
             f[k] = deterrence_matrix(inputs.dmat, Deterrence(kind, float(beta)))
-        except InvalidParameterError:
-            if k:  # the betas before the invalid one come first
-                model_values(inputs, betas[:k])
-            raise
-    return flow_values(inputs.spec.constraint, f, inputs.rows, inputs.w, inputs.D)
+        return flow_values(inputs.spec.constraint, f, inputs.rows, inputs.w, inputs.D)
+    except FlowModelError:
+        if len(betas) > 1:
+            for k in range(len(betas)):
+                model_values(inputs, betas[k : k + 1])
+        raise
 
 
 def flow_values(constraint, f, rows, w, D=None) -> np.ndarray:
@@ -306,11 +309,10 @@ def flow_values(constraint, f, rows, w, D=None) -> np.ndarray:
 
 
 def _check_reachable(dead: np.ndarray) -> None:
-    """Raise for the origins marked ``dead`` in the first slice that marks any: flow to send, nowhere to go."""
-    hit = dead.any(axis=1)
-    if np.any(hit):
+    """Raise for the origins marked ``dead`` in any slice: flow to send, no destination to reach."""
+    if np.any(dead):
         raise UnreachableOriginError(
-            f"origins {np.nonzero(dead[hit.argmax()])[0].tolist()} have positive flow but cannot reach any destination"
+            f"origins {np.flatnonzero(dead.any(axis=0)).tolist()} have positive flow but cannot reach any destination"
         )
 
 
@@ -382,17 +384,15 @@ def _balanced_values(f, O, D) -> np.ndarray:
     round evaluates every slice still iterating at once and takes their
     Newton steps in one stacked product and solve. Each slice keeps the
     arithmetic it has alone (the same element-wise operations, reductions
-    along the same axes, and one BLAS or LAPACK call per slice), and its
-    step cap, backtracking and fixed-point fallback are its own. A slice
-    leaves the round once converged.
+    along the same axes, and one BLAS or LAPACK call per slice). A slice
+    whose residual did not fall backtracks on its own, and leaves the
+    round once converged.
 
     What does not depend on u is settled once, before the first step:
     only rows with O_i > 0 and columns with D_j > 0 enter the iteration; an
     origin that reaches no live column raises ``UnreachableOriginError``;
     and a live column that no such origin reaches raises
-    ``ConvergenceError`` (no weight can give it flow). A block raises the
-    error of its first failing slice, so the slices before one that fails
-    these checks are solved first.
+    ``ConvergenceError`` (no weight can give it flow).
     """
     values = np.zeros_like(f)
     live = D > 0
@@ -402,16 +402,19 @@ def _balanced_values(f, O, D) -> np.ndarray:
         log_f = np.log(f[:, :, live])
     reach = np.isfinite(log_f)
     sending = O > 0
-    dead = sending & ~reach.any(axis=2)
+    _check_reachable(sending & ~reach.any(axis=2))
     unreached = ~reach[:, sending].any(axis=1)
-    failing = np.flatnonzero(dead.any(axis=1) | unreached.any(axis=1))
-    stop = failing[0] if failing.size else len(f)  # the slices before it are solved
+    if np.any(unreached):
+        raise ConvergenceError(
+            f"destinations {np.nonzero(live)[0][unreached.any(axis=0)].tolist()} have positive totals "
+            "but no origin with flow can reach them"
+        )
     D = D[live]
     O = O[sending]
     # log_f, P and T are held transposed, destinations on axis 1: each
     # origin's max and sum then reduce across a few contiguous rows rather
     # than along the origin's own short row, which is about twice as fast
-    log_f = np.ascontiguousarray(log_f[:stop, sending].transpose(0, 2, 1))
+    log_f = np.ascontiguousarray(log_f[:, sending].transpose(0, 2, 1))
     diagonal = np.arange(len(D))
 
     def evaluate(log_f, u, P=None, T=None):
@@ -424,8 +427,8 @@ def _balanced_values(f, O, D) -> np.ndarray:
         return [u, P, T, C, (np.abs(C - D) / D).max(axis=1)]
 
     # exact for a flat kernel
-    u, P, T, C, residual = evaluate(log_f, np.tile(np.log(D), (stop, 1)))
-    at = np.arange(stop)  # the grid positions of the slices still iterating
+    u, P, T, C, residual = evaluate(log_f, np.tile(np.log(D), (len(f), 1)))
+    at = np.arange(len(f))  # the grid positions of the slices still iterating
     solved = np.empty_like(log_f)  # the flows T of each slice, once converged
     steps = 0
     while True:
@@ -451,33 +454,19 @@ def _balanced_values(f, O, D) -> np.ndarray:
         # into the buffers of P and T, which the step no longer needs once J is
         # formed: fresh arrays every round would each fault in new pages
         trial = evaluate(log_f, u + step, P, T)
-        fell = trial[-1] < residual
-        if not fell.all():  # the slices whose residual did not fall halve their steps together
-            retry = np.flatnonzero(~fell)
-            held = [a[retry] for a in (log_f, u, step, C, residual)]
-            for tries in range(1, _BACKTRACKS + 1):
-                log_f_r, u_r, step_r, C_r, residual_r = held
-                if tries < _BACKTRACKS:
-                    step_r /= 2.0
-                    again = evaluate(log_f_r, u_r + step_r)
-                    fell = again[-1] < residual_r
-                else:  # no length helped
-                    again = evaluate(log_f_r, u_r + np.log(D / np.maximum(C_r, np.finfo(float).tiny)))
-                    fell = np.ones(retry.size, dtype=bool)
-                if fell.any():
-                    for whole, part in zip(trial, again):
-                        whole[retry[fell]] = part[fell]
-                    if fell.all():
-                        break
-                    retry, held = retry[~fell], [a[~fell] for a in held]
+        for i in np.flatnonzero(~(trial[-1] < residual)):  # each slice whose residual did not fall
+            alone = slice(i, i + 1)
+            for _ in range(_BACKTRACKS - 1):
+                step[alone] /= 2.0
+                again = evaluate(log_f[alone], u[alone] + step[alone])
+                if again[-1][0] < residual[i]:
+                    break
+            else:  # no length helped
+                again = evaluate(log_f[alone], u[alone] + np.log(D / np.maximum(C[alone], np.finfo(float).tiny)))
+            for whole, part in zip(trial, again):
+                whole[alone] = part
         u, P, T, C, residual = trial
-    if stop < len(f):
-        _check_reachable(dead[stop : stop + 1])
-        raise ConvergenceError(
-            f"destinations {np.nonzero(live)[0][unreached[stop]].tolist()} have positive totals "
-            "but no origin with flow can reach them"
-        )
-    values[:, np.outer(sending, live)] = solved.transpose(0, 2, 1).reshape(stop, -1)
+    values[:, np.outer(sending, live)] = solved.transpose(0, 2, 1).reshape(len(f), -1)
     return values
 
 

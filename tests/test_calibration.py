@@ -202,6 +202,9 @@ def test_beta_grid():
         BetaGrid(count=0)
     with pytest.raises(InvalidParameterError):
         BetaGrid(start=-0.5)
+    with pytest.raises(InvalidParameterError, match=r"^grid start 1e\+308 step 1e\+308 count 3 overflows$"):
+        BetaGrid(1e308, 1e308, 3)
+    assert BetaGrid(1e308, 1e308, 1).betas().tolist() == [1e308]
 
 
 def test_sweep_recovers_exact_grid_point():

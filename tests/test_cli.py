@@ -471,6 +471,9 @@ REGION = ["--zones", "z.geojson", "--museums", "m.geojson"]
     (["calibrate", "--tweets", "t.ndjson", *REGION, "--beta-step", "0"], "grid step 0.0 must be > 0"),
     (["calibrate", "--observed", "o.csv", *REGION, "--beta-start", "-1"], "grid start -1.0 must be >= 0"),
     (["model", *REGION, "--beta", "-1"], "deterrence beta -1.0 must be >= 0"),
+    # a grid past the largest float used to fail at beta inf, after every input was read
+    (["calibrate", "--observed", "o.csv", *REGION, "--beta-start", "1e308", "--beta-step", "1e308", "--beta-count", "3"],
+     "grid start 1e+308 step 1e+308 count 3 overflows"),
 ])
 def test_a_bad_parameter_is_reported_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv, message):
     for name in ("read_tweets", "read_zones", "read_museums", "read_footprints", "read_tagged_features", "read_matrix_csv"):
