@@ -49,7 +49,11 @@ class BetaGrid:
             raise InvalidParameterError(f"grid step {self.step} must be > 0")
         if self.count < 1:
             raise InvalidParameterError(f"grid count {self.count} must be >= 1")
-        if not math.isfinite(self.start + self.step * (self.count - 1)):
+        try:
+            last = self.start + self.step * (self.count - 1)
+        except OverflowError:  # a count too large for a float
+            last = math.inf
+        if not math.isfinite(last):
             raise InvalidParameterError(f"grid start {self.start} step {self.step} count {self.count} overflows")
 
     def betas(self) -> np.ndarray:

@@ -431,49 +431,36 @@ def read_zones(path):
 
     The shared planar frame is anchored at the corpus-independent corner
     (min latitude, min longitude) over every zone vertex, so any file
-    describing the same zones yields the same frame.
+    describing the same zones yields the same frame. The checks run in this
+    order: each feature's structure, required properties and ring
+    coordinates; then repeated ids; then, in file order, each zone's frame,
+    area and attributes. Every error names the file and the feature.
     """
-    parsed = []
-    for props, geom, label in _features(path, "zone", ("id", "name", "population")):
-        rings = _geo_rings(geom, path, label)
-        try:
-            parsed.append(
-                (
-                    str(props["id"]),
-                    str(props["name"]),
-                    float(props["population"]),
-                    float(props.get("arts_share", 0.0)),
-                    float(props.get("earnings_proxy", 0.0)),
-                    rings,
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}: {label}: {exc}") from exc
-    if not parsed:
+    features = [(props, _geo_rings(geom, path, label), label)
+                for props, geom, label in _features(path, "zone", ("id", "name", "population"))]
+    if not features:
         raise DataFormatError(f"{path}: no zone features")
-    _check_unique_ids([zid for zid, *_ in parsed], path, "zone")
-    ref = GeoPoint(
-        min(p.lat for *_, rings in parsed for ring in rings for p in ring),
-        min(p.lon for *_, rings in parsed for ring in rings for p in ring),
-    )
+    _check_unique_ids([str(props["id"]) for props, _, _ in features], path, "zone")
+    points = [p for _, rings, _ in features for ring in rings for p in ring]
+    ref = GeoPoint(min(p.lat for p in points), min(p.lon for p in points))
     zones = []
-    for zid, name, population, arts, earnings, rings in parsed:
-        boundary = planar_polygon(rings, ref)
-        centroid, _ = polygon_centroid_area(boundary)
+    for props, rings, label in features:
         try:
+            boundary = planar_polygon(rings, ref)
+            centroid, _ = polygon_centroid_area(boundary)
             zones.append(
                 Zone(
-                    id=zid,
-                    name=name,
+                    id=str(props["id"]),
+                    name=str(props["name"]),
                     centroid=unproject(centroid, ref),
-                    population=population,
-                    arts_share=arts,
-                    earnings_proxy=earnings,
+                    population=float(props["population"]),
+                    arts_share=float(props.get("arts_share", 0.0)),
+                    earnings_proxy=float(props.get("earnings_proxy", 0.0)),
                     boundary=boundary,
                 )
             )
-        except FlowModelError as exc:
-            raise DataFormatError(f"{path}: zone feature {zid!r}: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:  # every FlowModelError is a ValueError
+            raise DataFormatError(f"{path}: {label}: {exc}") from exc
     return zones, ref
 
 
@@ -530,7 +517,10 @@ def read_footprints(path, museums, ref):
         if mid not in by_id:
             raise DataFormatError(f"{path}: {label}: unknown museum id {mid!r}")
         rings = _geo_rings(geom, path, label)
-        footprints.append((by_id[mid], planar_polygon(rings, ref)))
+        try:
+            footprints.append((by_id[mid], planar_polygon(rings, ref)))
+        except ValueError as exc:  # a vertex outside the frame
+            raise DataFormatError(f"{path}: {label}: {exc}") from exc
     return footprints
 
 
@@ -551,12 +541,17 @@ def read_tagged_features(path) -> list[TaggedFeature]:
 # --- matrices (CSV) ---
 
 
-def write_matrix_csv(matrix: FlowMatrix, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Write the header row, then ``rows``, as UTF-8 CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["zone_id", *matrix.destination_ids])
-        for zid, row in zip(matrix.origin_ids, matrix.values):
-            writer.writerow([zid, *[repr(float(v)) for v in row]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_matrix_csv(matrix: FlowMatrix, path) -> None:
+    rows = ([zid, *[repr(float(v)) for v in row]] for zid, row in zip(matrix.origin_ids, matrix.values))
+    _write_csv(path, ["zone_id", *matrix.destination_ids], rows)
 
 
 def read_matrix_csv(path) -> FlowMatrix:
@@ -595,11 +590,9 @@ def read_matrix_csv(path) -> FlowMatrix:
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
     name = spec_name(sweep.spec)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "r", "rms", "spec"])
-        for beta, r, rms in zip(sweep.betas, sweep.r_values, sweep.rms_values):
-            writer.writerow([repr(beta), repr(r), repr(rms), name])
+    rows = ([repr(beta), repr(r), repr(rms), name]
+            for beta, r, rms in zip(sweep.betas, sweep.r_values, sweep.rms_values))
+    _write_csv(path, ["beta", "r", "rms", "spec"], rows)
 
 
 def write_sweep_json(sweep: SweepResult, path) -> None:
@@ -695,12 +688,8 @@ def write_homes_csv(homes: Homes, path) -> None:
     """Write a Homes from the columns; no zone is an empty cell."""
     users, zone_ids = homes.users, [z or "" for z in homes.zone_ids] + [""]
     columns = (homes.user, homes.ix, homes.iy, homes.count, homes.zone)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "cell_ix", "cell_iy", "tweet_count_at_cell", "zone_id"])
-        writer.writerows(
-            [users[code], ix, iy, count, zone_ids[zone]] for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns))
-        )
+    rows = ([users[code], ix, iy, count, zone_ids[zone]] for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns)))
+    _write_csv(path, ["user_id", "cell_ix", "cell_iy", "tweet_count_at_cell", "zone_id"], rows)
 
 
 def _dump_json(payload, path) -> None:

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import (
     AmbiguousZoneError,
     EmptyInputError,
+    FlowModelError,
     InvalidAttributeError,
     InvalidGeometryError,
     InvalidParameterError,
@@ -780,12 +781,14 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
     merge_radius_m, transitively. A site's location and floor area are its
     polygons' area-weighted centroid and total area, else its points' mean and
     first floor_area_m2 tag; a member's floor_area_m2 that is not a number
-    raises InvalidAttributeError. Its id is its first id tag, else museum-<k>,
-    k the index of its first kept feature; a repeated id raises that too.
+    raises InvalidAttributeError. A polygon wider than its frame or of no area
+    raises its own error, naming the feature by its id tag, else its index.
+    Its id is its first id tag, else museum-<k>, k the index of its first
+    kept feature; a repeated id raises InvalidAttributeError too.
     """
     _check_distance("merge radius", merge_radius_m)
     sites = []  # (tags, folded name, location, area, planar polygon, its frame); the last three None for a point
-    for feat in features:
+    for k, feat in enumerate(features):
         norm = str(feat.tags.get("name", "")).strip().casefold()
         if str(feat.tags.get("tourism", "")).strip().casefold() != "museum" and "museum" not in norm:
             continue
@@ -793,8 +796,11 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
             sites.append((feat.tags, norm, feat.point, None, None, None))
             continue
         ref = feat.rings[0][0]
-        planar = planar_polygon(feat.rings, ref)
-        centroid, area = polygon_centroid_area(planar)
+        try:
+            planar = planar_polygon(feat.rings, ref)
+            centroid, area = polygon_centroid_area(planar)
+        except FlowModelError as exc:  # named as the features reader names it: by its id tag, else its index
+            raise type(exc)(f"feature {feat.tags.get('id', k)!r}: {exc}") from exc
         sites.append((feat.tags, norm, unproject(centroid, ref), area, planar, ref))
     polygons = [(norm, planar, ref) for _, norm, _, _, planar, ref in sites if planar is not None]
     sites = [

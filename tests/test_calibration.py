@@ -205,6 +205,9 @@ def test_beta_grid():
     with pytest.raises(InvalidParameterError, match=r"^grid start 1e\+308 step 1e\+308 count 3 overflows$"):
         BetaGrid(1e308, 1e308, 3)
     assert BetaGrid(1e308, 1e308, 1).betas().tolist() == [1e308]
+    # a count too large for a float used to raise a bare OverflowError
+    with pytest.raises(InvalidParameterError, match=r"^grid start 0\.01 step 0\.01 count 10{400} overflows$"):
+        BetaGrid(0.01, 0.01, 10**400)
 
 
 def test_sweep_recovers_exact_grid_point():

@@ -474,6 +474,9 @@ REGION = ["--zones", "z.geojson", "--museums", "m.geojson"]
     # a grid past the largest float used to fail at beta inf, after every input was read
     (["calibrate", "--observed", "o.csv", *REGION, "--beta-start", "1e308", "--beta-step", "1e308", "--beta-count", "3"],
      "grid start 1e+308 step 1e+308 count 3 overflows"),
+    # a count too large for a float used to end in a bare OverflowError
+    (["calibrate", "--observed", "o.csv", *REGION, "--beta-count", "9" * 401],
+     f"grid start 0.01 step 0.01 count {'9' * 401} overflows"),
 ])
 def test_a_bad_parameter_is_reported_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv, message):
     for name in ("read_tweets", "read_zones", "read_museums", "read_footprints", "read_tagged_features", "read_matrix_csv"):

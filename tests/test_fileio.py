@@ -319,6 +319,8 @@ def read_leeds_footprints(path):
 POINT = {"type": "Point", "coordinates": [-1.55, 53.80]}
 SQUARE = zone_feature("zA", -1.60, 53.78)["geometry"]
 SLIVER = {"type": "Polygon", "coordinates": [[[-1.59, 53.78], [-1.58, 53.78], [-1.59, 53.78]]]}
+FLAT = {"type": "Polygon", "coordinates": [[[-1.59, 53.78], [-1.58, 53.78], [-1.57, 53.78], [-1.59, 53.78]]]}
+NORTH = zone_feature("zB", -1.60, 61.78)["geometry"]  # 8 degrees north of SQUARE
 # reader, a valid feature's properties and geometry
 GEOJSON_READERS = {
     "zones": (read_zones, {"id": "zA", "name": "Zone zA", "population": 1000.0}, SQUARE),
@@ -405,6 +407,12 @@ GEOJSON_ERRORS = [
     # only an absent member or null means no properties (RFC 7946)
     *[(r, collection({"type": "Feature", "properties": bad, "geometry": GEOJSON_READERS[r][2]}),
        "feature 0 lacks properties or geometry") for bad in (0, [], "", False) for r in GEOJSON_READERS],
+    # a polygon outside the frame or of no area used to name neither file nor feature
+    ("zones", collection(feature("zones"), feature("zones", id="zB", geometry=NORTH)),
+     "zone feature 'zB': point (61.78, -1.6) more than 5.0 degrees from frame reference (53.78, -1.6)"),
+    ("zones", collection(feature("zones", geometry=FLAT)), "zone feature 'zA': polygon area must be positive, got 0.0"),
+    ("footprints", collection(feature("footprints", geometry=NORTH)),
+     "footprint feature 0: point (61.78, -1.6) more than 5.0 degrees from frame reference (53.78, -1.6)"),
 ]
 
 
@@ -415,6 +423,21 @@ def test_geojson_errors_name_the_file_and_the_feature(tmp_path, reader, doc, mes
     path = dump(doc, tmp_path / "in.geojson")
     with pytest.raises(DataFormatError) as info:
         GEOJSON_READERS[reader][0](path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("doc, message", [
+    # each feature's structure and ring coordinates come before repeated ids,
+    # and those before any zone's attributes
+    (collection(feature("zones", population="many"),
+                feature("zones", id="zB", geometry={"type": "Polygon", "coordinates": [[[-1.6, 53.78], [-1.5, 95]]]})),
+     "zone feature 'zB': bad ring coordinates: latitude 95.0 outside [-90, 90]"),
+    (collection(feature("zones", population="many"), feature("zones")), "repeated zone ids: zA"),
+], ids=["ring-before-attributes", "repeated-id-before-attributes"])
+def test_zone_checks_run_in_the_documented_order(tmp_path, doc, message):
+    path = dump(doc, tmp_path / "zones.geojson")
+    with pytest.raises(DataFormatError) as info:
+        read_zones(path)
     assert str(info.value) == f"{path}: {message}"
 
 

@@ -15,6 +15,7 @@ from museumflows.errors import (
     AmbiguousZoneError,
     EmptyInputError,
     InvalidAttributeError,
+    InvalidCoordinateError,
     InvalidGeometryError,
     InvalidParameterError,
 )
@@ -455,6 +456,17 @@ def test_extract_museums_checks_the_floor_area_tag_of_a_polygon_site():
     tagged = TaggedFeature(tags={"name": "Coal Museum", "id": "c", "floor_area_m2": "5"}, rings=(ring,))
     (untagged,) = extract_museums([TaggedFeature(tags={"name": "Coal Museum", "id": "c"}, rings=(ring,))])
     assert extract_museums([tagged])[0].floor_area_m2 == untagged.floor_area_m2 != 5.0
+
+
+def test_extract_museums_names_the_polygon_that_fails_its_frame_or_area_check():
+    # named as read_tagged_features names the feature: by its id tag, else its index in the list
+    point = TaggedFeature(tags={"tourism": "museum"}, point=GeoPoint(53.8, -1.5))
+    flat = (GeoPoint(53.8, -1.5), GeoPoint(53.8, -1.49), GeoPoint(53.8, -1.48))
+    wide = (GeoPoint(53.8, -1.5), GeoPoint(53.8, -1.49), GeoPoint(61.8, -1.49))
+    with pytest.raises(InvalidGeometryError, match=r"^feature 'n1': polygon area must be positive, got 0\.0$"):
+        extract_museums([TaggedFeature(tags={"tourism": "museum", "id": "n1"}, rings=(flat,))])
+    with pytest.raises(InvalidCoordinateError, match=r"^feature 1: point \(61\.8, -1\.49\) more than 5\.0 degrees"):
+        extract_museums([point, TaggedFeature(tags={"name": "Wide Museum"}, rings=(wide,))])
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
