@@ -25,6 +25,7 @@ from .pipeline import (
     FILTER_STAGES,
     PipelineReport,
     _check_distance,
+    _distinct_cells,
     _located_homes,
     _run_filters,
     corpus_frame,
@@ -173,7 +174,10 @@ def _build_spec(args, beta: float) -> ModelSpec:
 def _cmd_museums(args) -> int:
     _check_distance("merge radius", args.merge_radius_m)
     features = fileio.read_tagged_features(args.features)
-    museums = extract_museums(features, merge_radius_m=args.merge_radius_m)
+    try:
+        museums = extract_museums(features, merge_radius_m=args.merge_radius_m)
+    except FlowModelError as exc:
+        raise type(exc)(f"{args.features}: {exc}") from exc
     out = _outdir(args)
     fileio.write_museums(museums, os.path.join(out, "museums.geojson"))
     print(f"wrote {len(museums)} museums to {out}/museums.geojson")
@@ -213,7 +217,7 @@ def _cmd_homes(args) -> int:
     out = _outdir(args)
     fileio.write_homes_csv(homes, os.path.join(out, "homes.csv"))
     placed = int((homes.zone >= 0).sum())
-    cells = len(set(zip(homes.ix.tolist(), homes.iy.tolist())))
+    cells = len(_distinct_cells(homes)[0])
     print(
         f"located {len(homes)} users ({placed} inside a zone) "
         f"in {cells} distinct home cells; wrote {out}/homes.csv"

@@ -587,11 +587,7 @@ def dedup(corpus):
     text_code: dict[str, int] = {}
     repeated = corpus.texts if many.all() else corpus.texts[many]  # no copy where every row repeats a user
     texts = np.zeros(n, dtype=np.int64)  # one code for every only row, whose user holds no other
-    texts[many] = np.fromiter(
-        (text_code.setdefault(_normalized_text(t), len(text_code)) for t in repeated.tolist()),
-        dtype=np.int64,
-        count=len(repeated),
-    )
+    texts[many] = _codes(text_code, map(_normalized_text, repeated.tolist()))
     order = np.lexsort((corpus.stamp_us, corpus.user))
     user, stamp_us = corpus.user[order], corpus.stamp_us[order]
     tied = (user[1:] == user[:-1]) & (stamp_us[1:] == stamp_us[:-1])  # position k + 1 ties with k

@@ -3,12 +3,18 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 
+from museumflows.errors import FlowModelError
 from museumflows.geometry import GeoPoint, containment_boxes, edge_tests, ring_edges
 from museumflows.pipeline import Homes
 from museumflows.sim import Museum, Zone
 
 ANCHOR = GeoPoint(53.7919, -1.5323)
+
+# On CI, Hypothesis loads its derandomized "ci" profile and replays the same
+# examples every run; this one draws new ones from --hypothesis-seed.
+settings.register_profile("explore", derandomize=False, database=None, print_blob=True)
 
 
 def deg_for_km(km: float) -> float:
@@ -26,6 +32,29 @@ def kernel_edge_distance(x, y, poly):
     ax, ay, bx, by = (v[:, None] for v in ring_edges([poly])[:4])
     _, _, ex, ey = edge_tests(ax, ay, bx, by, np.asarray(x), np.asarray(y))
     return np.hypot(ex, ey).min(axis=0)
+
+
+def outcome(fn, *args):
+    """("ok", value) of ``fn(*args)``, or ("error", type, message, residual) of the FlowModelError it raised."""
+    try:
+        return "ok", fn(*args)
+    except FlowModelError as exc:
+        return "error", type(exc), str(exc), getattr(exc, "residual", None)
+
+
+def assert_same_outcome(got, expected, *context):
+    """Assert that both outcomes are ok, or are the same error field by field; return whether both are ok.
+
+    A NaN residual equals a NaN residual. The values of two ok outcomes are
+    left to the caller, which compares them exactly in its own terms.
+    ``context`` goes into the assertion messages.
+    """
+    assert got[0] == expected[0], (got, expected, *context)
+    if got[0] == "error":
+        assert got[1:3] == expected[1:3], (got, expected, *context)  # type and message
+        residual, want = got[3], expected[3]
+        assert residual == want or (residual != residual and want != want), (got, expected, *context)  # or both NaN
+    return got[0] == "ok"
 
 
 def make_zone(zid, lat, lon, population=1000.0, arts_share=0.0, earnings_proxy=0.0, boundary=None):

@@ -202,7 +202,7 @@ def test_museums_verb_reports_a_tag_that_is_not_a_number(tmp_path, capsys, tag, 
     features_path = tmp_path / "raw.geojson"
     features_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["museums", "--features", str(features_path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: museum n1: {tag} {value!r} is not a number\n"
+    assert capsys.readouterr().err == f"error: {features_path}: museum n1: {tag} {value!r} is not a number\n"
 
 
 def run_museums(tmp_path, *features):
@@ -228,7 +228,16 @@ def test_museums_verb_rejects_a_repeated_id_before_writing(tmp_path, capsys, fir
         (second, {"type": "Point", "coordinates": [-1.75, 53.79]}),
     )
     assert code == 1
-    assert capsys.readouterr().err == f"error: repeated museum ids: {repeated}\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'raw.geojson'}: repeated museum ids: {repeated}\n"
+    assert not out.exists()
+
+
+def test_museums_verb_names_the_file_and_feature_of_a_polygon_of_no_area(tmp_path, capsys):
+    collinear = {"type": "Polygon", "coordinates": [[[-1.55, 53.80], [-1.54, 53.80], [-1.53, 53.80], [-1.55, 53.80]]]}
+    code, out = run_museums(tmp_path, ({"id": "n1", "tourism": "museum"}, collinear))
+    assert code == 1
+    path = tmp_path / "raw.geojson"
+    assert capsys.readouterr().err == f"error: {path}: feature 'n1': polygon area must be positive, got 0.0\n"
     assert not out.exists()
 
 

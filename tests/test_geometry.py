@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import containment_box, kernel_edge_distance
-from hypothesis import given, settings
+from conftest import assert_same_outcome, containment_box, kernel_edge_distance, outcome
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_geometry import distance_to_polygon_m, point_on_boundary
 from scalar_geometry import point_in_polygon as scalar_point_in_polygon
@@ -505,16 +505,15 @@ ring_either_way = st.tuples(
 
 @settings(max_examples=400, deadline=None)
 @given(ring_either_way, st.lists(ring_either_way, max_size=3))
+@example(  # the centroid's y overflows: both sides raise InvalidCoordinateError
+    tuple(PlanarPoint(x, y) for x, y in ((3.0, 1.0), (0.0, 4.0), (3.0, 0.0), (2.2250738585072014e-308, 0.0))), []
+)
 def test_centroid_area_matches_the_exterior_then_holes_oracle_bit_for_bit(exterior, holes):
     poly = PolygonM(exterior=exterior, holes=tuple(holes))
-    try:
-        expected = scalar_polygon_centroid_area(poly)
-    except InvalidGeometryError as exc:
-        with pytest.raises(InvalidGeometryError) as info:
-            polygon_centroid_area(poly)
-        assert str(info.value) == str(exc)
+    got, expected = outcome(polygon_centroid_area, poly), outcome(scalar_polygon_centroid_area, poly)
+    if not assert_same_outcome(got, expected):
         return
-    (c, a), (oc, oa) = polygon_centroid_area(poly), expected
+    (c, a), (oc, oa) = got[1], expected[1]
     assert (c.x, c.y, a) == (oc.x, oc.y, oa)
     assert [v.hex() for v in (c.x, c.y, a)] == [v.hex() for v in (oc.x, oc.y, oa)]  # signed zeros too
 
