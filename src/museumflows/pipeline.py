@@ -16,14 +16,15 @@ NDJSON reader, the synthetic generator and :meth:`Corpus.from_tweets` feed.
 Every stage takes a Corpus, works on the columns with numpy, and returns
 the surviving rows as a Corpus in their input order; only
 :func:`run_pipeline` also takes a sequence of :class:`Tweet`, which it
-turns into a Corpus once. Text stages test strings in Python, but only
-the rows a case-folded substring test leaves them, most by one regex
-search. Where numpy may round differently from the math module (``hypot``,
-``arcsin``), rows within a hair of a decision are re-decided with the math
-module (a footprint distance by ``math.hypot`` of the edge kernel's own
-offsets), so every result is the one a per-message loop gives. Homes are a :class:`Homes`, a struct of arrays
-with one row per user, whose zones are resolved once per distinct cell;
-every cell is a square ``GRID_RESOLUTION_M`` (100 m) on a side.
+turns into a Corpus once. Text stages scan the texts in slices, each joined
+and case-folded once and searched by ``str.find``; only a text whose fold
+changes its length is tokenized alone. Where numpy may round differently
+from the math module (``hypot``, ``arcsin``), rows within a hair of a
+decision are re-decided with the math module (a footprint distance by
+``math.hypot`` of the edge kernel's own offsets), so every result is the
+one a per-message loop gives. Homes are a :class:`Homes`, a struct of
+arrays with one row per user, whose zones are resolved once per distinct
+cell; every cell is a square ``GRID_RESOLUTION_M`` (100 m) on a side.
 
 Every planar step shares one local frame; its reference coordinate is a
 required argument wherever grid cells or footprint distances are involved,
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
@@ -85,6 +87,9 @@ _TIE_BAND = 1e-9
 
 _SEPARATORS = r"\s.,!?:;"  # what splits tokens, as a character class body
 _TOKEN_SPLIT = re.compile(f"[{_SEPARATORS}]+")
+# A token start followed by three non-separators: where a keyword must sit in a folded text
+_TOKEN_START = re.compile(f"(?:^|(?<=[{_SEPARATORS}]))(?=[^{_SEPARATORS}]{{3}})").match
+_TEXT_SLICE = 1 << 14  # texts joined and case-folded at a time: bounds the joined strings
 _URL = re.compile(r"\S+://\S+|\bt\.co/\S+", re.IGNORECASE)
 _URL_HINT = re.compile(r"://|t\.co/", re.IGNORECASE)  # every _URL match holds one of these
 
@@ -411,10 +416,38 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in _TOKEN_SPLIT.split(text) if len(tok) > 2]
 
 
-def _contains_any(strings, needles) -> np.ndarray:
-    """Whether each string, case-folded, holds any needle as a substring."""
-    search = re.compile("|".join(map(re.escape, needles))).search
-    return np.fromiter(map(bool, map(search, map(str.casefold, strings))), dtype=bool, count=len(strings))
+def _scan_texts(texts: list, joiner: str, needles, accept=None):
+    """(hit, changed) per text: a needle in its fold where ``accept(folded, at)`` holds (None: anywhere); a fold of another length.
+
+    Texts are joined by ``joiner``, which folds to itself and is in no
+    needle, ``_TEXT_SLICE`` at a time, and each slice is case-folded once:
+    str.casefold folds code point by code point, so the fold of a join is
+    the join of the folds. ``str.find`` finds each needle, none empty, and
+    ``np.searchsorted`` over the folded texts' cumulative lengths places
+    each occurrence in its text; the joiner itself is never searched for,
+    so a text holding it moves no boundary. Per-text folds are taken only
+    in a slice whose fold changes its length.
+    """
+    hit = np.zeros(len(texts), dtype=bool)
+    changed = np.zeros(len(texts), dtype=bool)
+    for first in range(0, len(texts), _TEXT_SLICE):
+        part = texts[first : first + _TEXT_SLICE]
+        joined = joiner.join(part)
+        folded = joined.casefold()
+        lengths = np.fromiter(map(len, part), np.int64, len(part))
+        if len(folded) != len(joined):
+            folds = np.fromiter(map(len, map(str.casefold, part)), np.int64, len(part))
+            changed[first : first + len(part)] = folds != lengths
+            lengths = folds
+        found = []
+        for needle in needles:
+            at = folded.find(needle)
+            while at >= 0:
+                if accept is None or accept(folded, at):
+                    found.append(at)
+                at = folded.find(needle, at + 1)
+        hit[first + np.searchsorted(np.cumsum(lengths + 1), found, side="right")] = True
+    return hit, changed
 
 
 def _grid_cells(corpus: Corpus, rows, ref: GeoPoint):
@@ -481,50 +514,34 @@ def remove_automated_accounts(
     return _kept("bot-removal", corpus, ~dropped[corpus.user])
 
 
-def _token_start_search(keywords):
-    """The search, over a case-folded text, for a token of more than two code points that starts with a keyword.
-
-    Keywords holding a separator are left out, since no token holds one;
-    with none left, None: no token can match.
-    """
-    usable = [k for k in keywords if not _TOKEN_SPLIT.search(k)]
-    if not usable:
-        return None
-    keyword = "|".join(map(re.escape, usable))
-    return re.compile(f"(?:^|(?<=[{_SEPARATORS}]))(?=[^{_SEPARATORS}]{{3}})(?:{keyword})").search
-
-
 def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     """Keep tweets with a token starting with any keyword, case-folded.
 
     Prefix matching keeps plurals ("museums") without letting substrings
-    like "amusement" through. Only texts that contain a keyword once
-    case-folded are candidates: str.casefold folds code point by code
-    point, so a token's folded prefix is a substring of the folded text.
-    A candidate whose fold is as long as the text is decided by one search
-    of the folded text for a token start followed by a keyword
-    (:func:`_token_start_search`): no code point folds to nothing, so then
-    every code point folds to one, tokens keep their positions and lengths,
-    and no fold of one code point crosses the separator class (the premise
-    test in ``tests/test_stages.py`` checks every code point). Other
-    candidates, such as "Straße" or "ﬁ", are tokenized and each token
-    folded.
+    like "amusement" through. Texts are scanned in slices, each joined by
+    a newline and case-folded once (:func:`_scan_texts`). A text whose fold
+    is as long as the text is kept when a keyword occurs in the folded
+    slice at a token start followed by three non-separators: no code point
+    folds to nothing, so then every code point folds to one, tokens keep
+    their positions and lengths, and no fold of one code point crosses the
+    separator class (the premise tests in ``tests/test_stages.py`` check
+    every code point). The joiner is a separator, so each text's tokens end
+    at its bounds. Keywords holding a separator are left out, as no token
+    holds one, and so is one that starts with another keyword. Texts whose
+    fold changes length, such as "Straße" or "ﬁ", are tokenized and each
+    token folded. The empty keyword keeps every text with a token.
     """
     keywords = tuple(k.casefold() for k in keywords)
     if not keywords:
         raise InvalidParameterError("semantic filter needs at least one keyword")
-    texts = corpus.texts
-    keep = _contains_any(texts.tolist(), keywords)
-    search = _token_start_search(keywords)
-
-    def has_keyword_token(text: str) -> bool:
-        folded = text.casefold()  # again, not kept for the whole column: that costs memory
-        if len(folded) == len(text):
-            return search is not None and search(folded) is not None
-        return any(tok.casefold().startswith(keywords) for tok in tokenize(text))
-
-    candidates = np.flatnonzero(keep)
-    keep[candidates] = list(map(has_keyword_token, texts[candidates].tolist()))
+    texts = corpus.texts.tolist()
+    if "" in keywords:  # every token starts with it
+        return _kept("semantic", corpus, np.fromiter(map(bool, map(tokenize, texts)), bool, len(texts)))
+    usable = {k for k in keywords if not _TOKEN_SPLIT.search(k)}
+    needles = [k for k in usable if not k.startswith(tuple(usable - {k}))]
+    keep, changed = _scan_texts(texts, "\n", needles, _TOKEN_START)
+    redo = corpus.texts[changed].tolist()
+    keep[changed] = [any(tok.casefold().startswith(keywords) for tok in tokenize(t)) for t in redo]
     return _kept("semantic", corpus, keep)
 
 
@@ -604,15 +621,20 @@ def dedup(corpus):
 
 
 def remove_checkins(corpus, patterns=DEFAULT_CHECKIN_PATTERNS):
-    """Drop check-in relay tweets matched by substring in text or source.
+    """Drop check-in relay tweets matched by substring in text or source, case-folded.
 
-    Text and source are tested apart, so no pattern matches across them.
+    Text and source are scanned apart, so no pattern matches across them,
+    in slices joined by the first code point that folds to itself and is
+    in no pattern (:func:`_scan_texts`), so none matches across two texts.
     """
     patterns = tuple(p.casefold() for p in patterns)
     if not patterns:
         raise InvalidParameterError("check-in removal needs at least one pattern")
+    if "" in patterns:  # in every text
+        return _kept("checkin-removal", corpus, np.zeros(len(corpus), dtype=bool))
+    joiner = next(c for c in map(chr, range(sys.maxunicode + 1)) if c.casefold() == c and c not in "".join(patterns))
     sources = [s or "" for s in corpus.sources.tolist()]
-    hit = _contains_any(corpus.texts.tolist(), patterns) | _contains_any(sources, patterns)
+    hit = _scan_texts(corpus.texts.tolist(), joiner, patterns)[0] | _scan_texts(sources, joiner, patterns)[0]
     return _kept("checkin-removal", corpus, ~hit)
 
 

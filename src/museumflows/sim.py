@@ -376,9 +376,11 @@ def _balanced_values(f, O, D) -> np.ndarray:
     the margin residual max_j |C_j - D_j| / D_j falls; when no length
     helps, one fixed-point sweep u += log(D / C) is taken instead. The
     iteration stops once the residual is at most ``_TOL`` and raises
-    ``ConvergenceError`` after ``_MAX_STEPS`` steps. Scores are shifted by
-    their row maximum, which rownorm cancels, so no weight under- or
-    overflows. Columns with D_j = 0 get w_j = 0.
+    ``ConvergenceError`` after ``_MAX_STEPS`` steps, or at once when a
+    residual is not finite: the fallback sweep then makes u NaN, so no step
+    can bring it back. Scores are shifted by their row maximum, which
+    rownorm cancels, so no weight under- or overflows. Columns with D_j = 0
+    get w_j = 0.
 
     The kernels of a block (slices of ``f``) are solved in lockstep: each
     round evaluates every slice still iterating at once and takes their
@@ -432,18 +434,19 @@ def _balanced_values(f, O, D) -> np.ndarray:
     solved = np.empty_like(log_f)  # the flows T of each slice, once converged
     steps = 0
     while True:
-        done = residual <= _TOL  # a NaN residual keeps iterating, then raises
+        done = residual <= _TOL
         if done.all():
             solved[at] = T
             break
         if done.any():
             solved[at[done]] = T[done]
             at, log_f, u, P, T, C, residual = (a[~done] for a in (at, log_f, u, P, T, C, residual))
-        if steps == _MAX_STEPS:
+        lost = np.flatnonzero(~np.isfinite(residual))  # a residual that is not finite never recovers
+        if steps == _MAX_STEPS or lost.size:
+            last = float(residual[lost[0] if lost.size else 0])
             raise ConvergenceError(
-                f"destination weights did not converge in {_MAX_STEPS} Newton steps "
-                f"(last residual {residual[0]:.3e})",
-                residual=float(residual[0]),
+                f"destination weights did not converge in {steps} Newton steps (last residual {last:.3e})",
+                residual=last,
             )
         steps += 1
         J = np.zeros((len(at), len(D), len(D)))

@@ -5,9 +5,11 @@ at a time, and ``_balanced_values`` takes the doubly constrained Newton
 steps of that one beta alone. The blocked kernel must give each beta of a
 block the matrix these give it, bit for bit, and raise the error that a
 loop over these, in grid order, raises first. The solver's constants are
-imported from ``museumflows.sim``, so a test that patches one patches it
-in both modules.
+imported from ``museumflows.sim`` by value, so a test that patches one
+must patch it in both modules.
 """
+
+import math
 
 import numpy as np
 
@@ -92,9 +94,10 @@ def _balanced_values(f, O, D) -> np.ndarray:
     the margin residual max_j |C_j - D_j| / D_j falls; when no length
     helps, one fixed-point sweep u += log(D / C) is taken instead. The
     iteration stops once the residual is at most ``_TOL`` and raises
-    ``ConvergenceError`` after ``_MAX_STEPS`` steps. Scores are shifted by
-    their row maximum, which rownorm cancels, so no weight under- or
-    overflows. Columns with D_j = 0 get w_j = 0.
+    ``ConvergenceError`` after ``_MAX_STEPS`` steps, or at once when the
+    residual is not finite. Scores are shifted by their row maximum, which
+    rownorm cancels, so no weight under- or overflows. Columns with D_j = 0
+    get w_j = 0.
 
     What does not depend on u is settled once, before the first step:
     only rows with O_i > 0 and columns with D_j > 0 enter the iteration; an
@@ -136,11 +139,10 @@ def _balanced_values(f, O, D) -> np.ndarray:
     # exact for a flat kernel
     u, P, T, C, residual = evaluate(np.log(D))
     steps = 0
-    while not residual <= _TOL:  # a NaN residual keeps iterating, then raises
-        if steps == _MAX_STEPS:
+    while not residual <= _TOL:
+        if steps == _MAX_STEPS or not math.isfinite(residual):  # a residual that is not finite never recovers
             raise ConvergenceError(
-                f"destination weights did not converge in {_MAX_STEPS} Newton steps "
-                f"(last residual {residual:.3e})",
+                f"destination weights did not converge in {steps} Newton steps (last residual {residual:.3e})",
                 residual=residual,
             )
         steps += 1

@@ -10,6 +10,7 @@ each slice the bits of the call on that slice alone.
 """
 
 import math
+import time
 import warnings
 from unittest import mock
 
@@ -144,6 +145,19 @@ def test_blocked_sweep_equals_the_per_beta_loop_on_small_worlds(world):
         warnings.simplefilter("ignore", RuntimeWarning)
         with mock.patch.object(scalar_sim, "_MAX_STEPS", 100):
             assert_same_sweep(*world)
+
+
+def test_a_residual_that_is_not_finite_stops_the_balancing_at_once():
+    # NaN never recovers (the fallback sweep makes u NaN), so the solve
+    # raises at once rather than after _MAX_STEPS steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        start = time.perf_counter()
+        got = outcome(blocked_sweep, *NAN_RESIDUAL_WORLD)
+        seconds = time.perf_counter() - start
+        assert_same_sweep(*NAN_RESIDUAL_WORLD)
+    assert got[:2] == ("error", ConvergenceError) and math.isnan(got[3])
+    assert seconds <= 0.05
 
 
 def two_clusters(far_km=111.0):

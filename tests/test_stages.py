@@ -10,7 +10,8 @@ length or keeps it, tokens of two characters or fewer, keywords holding a
 separator, the empty keyword, link variants, equal instants under
 different UTC offsets, one-tweet users and repeated users, and a tweet
 from abroad. Every stage gets the tweets as a :class:`Corpus`; the oracles
-loop over them as a list.
+loop over them as a list. The text stages run again with their scans cut
+into slices of one and of two texts, so every slice edge is crossed.
 
 ``oracle_extract_museums`` is the museum extraction as it stood before each
 site got one group label, the index of its group's first site, in place of
@@ -342,6 +343,17 @@ def rows(tweets):
     return [(t.id, t.user_id, t.timestamp.isoformat(), t.location, t.text, t.source) for t in tweets]
 
 
+# The text scans' slice size as shipped, then slice edges at every text and at every other one
+SLICES = (pipeline._TEXT_SLICE, 1, 2)
+
+
+def check_in_slices(stage, oracle, corpus, name):
+    """:func:`check_stage` with the text scans cut into slices of each size in ``SLICES``."""
+    for size in SLICES:
+        with mock.patch.object(pipeline, "_TEXT_SLICE", size):
+            check_stage(stage, oracle, corpus, name)
+
+
 def check_stage(stage, oracle, corpus, name):
     """Run the stage on the tweets as a Corpus and compare with the oracle's loop over them."""
     got = outcome(lambda: stage(Corpus.from_tweets(corpus)))
@@ -378,7 +390,7 @@ def test_bot_removal_matches_scalar_loop(corpus, threshold, fraction):
 @settings(max_examples=60, deadline=None)
 @given(corpora(), st.sampled_from(KEYWORD_SETS))
 def test_semantic_filter_matches_scalar_loop(corpus, keywords):
-    check_stage(
+    check_in_slices(
         lambda c: semantic_filter(c, keywords),
         lambda c: oracle_semantic_filter(c, keywords),
         corpus,
@@ -389,7 +401,7 @@ def test_semantic_filter_matches_scalar_loop(corpus, keywords):
 @pytest.mark.parametrize("keywords", KEYWORD_SETS)
 def test_semantic_filter_matches_scalar_loop_on_every_text(keywords):
     corpus = [Tweet(f"t{k:02d}", "u", BASE, POINTS[0], text) for k, text in enumerate(TEXTS)]
-    check_stage(
+    check_in_slices(
         lambda c: semantic_filter(c, keywords),
         lambda c: oracle_semantic_filter(c, keywords),
         corpus,
@@ -407,6 +419,72 @@ def test_semantic_filter_searches_texts_whose_fold_keeps_their_length_without_to
     with mock.patch.object(pipeline, "tokenize", wraps=tokenize) as tokenized:
         out, _ = semantic_filter(Corpus.from_tweets([Tweet("c", "u", BASE, POINTS[0], "Straße museum")]))
     assert [t.id for t in out] == ["c"] and tokenized.call_count == 1
+
+
+def stage_texts(stage, texts, size=pipeline._TEXT_SLICE):
+    """The texts a stage keeps of one user's tweets holding ``texts``, its text scans cut into slices of ``size``."""
+    corpus = Corpus.from_tweets([Tweet(f"t{k:02d}", "u", BASE, POINTS[0], text) for k, text in enumerate(texts)])
+    with mock.patch.object(pipeline, "_TEXT_SLICE", size):
+        out, _ = stage(corpus)
+    return [t.text for t in out]
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_a_newline_in_a_text_starts_a_token_as_the_joiner_does(size):
+    texts = ["x\nmuseum", "xmuseum", "x\n", "museum", "amuse\nment"]
+    assert stage_texts(semantic_filter, texts, size) == ["x\nmuseum", "museum"]
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_a_two_code_point_keyword_needs_a_third_code_point_before_the_texts_end(size):
+    texts = ["see mu", "seum", "mus", "a mu.", "mu", "ok mu\nsic"]
+    assert stage_texts(lambda c: semantic_filter(c, ("mu",)), texts, size) == ["mus"]
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_the_empty_keyword_keeps_every_text_with_a_token(size):
+    texts = ["ab cd", "abc", "", "ﬁx", "x\nyz", "ab.cde"]
+    for keywords in (("",), ("", "museum"), ("art gallery", "")):
+        assert stage_texts(lambda c: semantic_filter(c, keywords), texts, size) == ["abc", "ab.cde"]
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_a_text_holding_the_checkin_joiner_moves_no_boundary(size):
+    # no default pattern holds U+0000, which folds to itself: it joins the slices
+    texts = ["a\x00", "\x00\x004sq.com", "\x00", "nothing", "FOURSQUARE\x00"]
+    assert stage_texts(remove_checkins, texts, size) == ["a\x00", "\x00", "nothing"]
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_a_pattern_holding_a_code_point_moves_the_checkin_joiner_on(size):
+    # joined by U+0000, "a" and "b" would read "a\x00b"
+    texts = ["a", "b", "xa\x00b", "a\x01b"]
+    assert stage_texts(lambda c: remove_checkins(c, ("A\x00B",)), texts, size) == ["a", "b", "a\x01b"]
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_the_empty_pattern_drops_every_text(size):
+    assert stage_texts(lambda c: remove_checkins(c, ("", "4sq")), ["a", "", "b"], size) == []
+
+
+@pytest.mark.parametrize("size", SLICES)
+def test_only_the_text_whose_fold_changes_length_is_tokenized(size):
+    # "museum" starts past the second text's length but inside its fold: placed by
+    # the unfolded lengths, it would land in "amusement"
+    texts = ["museum a", "Straßßßßßßßßße museum", "amusement", "gallery visit"]
+    with mock.patch.object(pipeline, "tokenize", wraps=tokenize) as tokenized:
+        assert stage_texts(semantic_filter, texts, size) == [texts[0], texts[1], texts[3]]
+    assert tokenized.call_count == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.characters(exclude_categories=()))), st.characters(exclude_categories=()))
+@example(["Straße", "ﬁx", "İstanbul", "ΣΑΣ"], "\n")
+def test_casefold_of_a_join_is_the_join_of_the_folds(parts, joiner):
+    # The text scans rest on this, for the Unicode database of the Python
+    # running them: str.casefold folds each code point alone, whatever its
+    # neighbours, so a slice is folded in one call
+    assert joiner.join(parts).casefold() == joiner.casefold().join(p.casefold() for p in parts)
 
 
 def test_casefold_keeps_each_code_point_on_its_side_of_the_separators():
@@ -554,7 +632,7 @@ def test_dedup_keeps_the_rows_the_dedup_normalizing_every_text_keeps(tweets):
 @settings(max_examples=60, deadline=None)
 @given(corpora(), st.sampled_from(PATTERN_SETS))
 def test_checkin_removal_matches_scalar_loop(corpus, patterns):
-    check_stage(
+    check_in_slices(
         lambda c: remove_checkins(c, patterns),
         lambda c: oracle_remove_checkins(c, patterns),
         corpus,
