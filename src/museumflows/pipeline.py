@@ -72,10 +72,10 @@ from .sim import FlowMatrix, Museum, Zone, repeated_ids
 
 MAX_TEXT_CODEPOINTS = 280
 DEFAULT_KEYWORDS = ("museum", "gallery", "exhibition", "exhibit")
-DEFAULT_CHECKIN_PATTERNS = ("4sq.com", "foursquare")
+CHECKIN_PATTERNS = ("4sq.com", "foursquare")  # case-folded; a check-in relay holds one in its text or source
 DEFAULT_BUFFER_M = 10.0
-DEFAULT_ACTIVITY_THRESHOLD = 1000
-DEFAULT_STATIC_FRACTION = 0.95
+ACTIVITY_THRESHOLD = 1000  # a bot posts more tweets than this,
+STATIC_FRACTION = 0.95  # and at least this share of them from one 100 m cell
 DEFAULT_MERGE_RADIUS_M = 100.0
 DEFAULT_FLOOR_AREA_M2 = 1.0
 FILTER_STAGES = ("semantic", "spatial", "dedup", "checkin")  # the order the filter stages run in
@@ -90,6 +90,8 @@ _TOKEN_SPLIT = re.compile(f"[{_SEPARATORS}]+")
 # A token start followed by three non-separators: where a keyword must sit in a folded text
 _TOKEN_START = re.compile(f"(?:^|(?<=[{_SEPARATORS}]))(?=[^{_SEPARATORS}]{{3}})").match
 _TEXT_SLICE = 1 << 14  # texts joined and case-folded at a time: bounds the joined strings
+# The first code point that folds to itself and is in no check-in pattern: it joins the check-in scan's slices
+_CHECKIN_JOINER = next(c for c in map(chr, range(sys.maxunicode + 1)) if c.casefold() == c and c not in "".join(CHECKIN_PATTERNS))
 _URL = re.compile(r"\S+://\S+|\bt\.co/\S+", re.IGNORECASE)
 _URL_HINT = re.compile(r"://|t\.co/", re.IGNORECASE)  # every _URL match holds one of these
 
@@ -161,12 +163,11 @@ class Corpus:
     makes the checks of :class:`Tweet`, so they hold valid messages only.
 
     Iteration gives :class:`Tweet` rows, each timestamp rebuilt in its own
-    zone, so they equal the tweets the corpus was read or built from. Two
-    Corpus objects are equal when their rows are. There is no indexing: one
-    row's point for a scalar decision is ``GeoPoint(corpus.lat[i],
-    corpus.lon[i])``. :meth:`take` selects rows; the names table is
-    shared, so a user code means the same user in every corpus taken from
-    one source.
+    zone, so they equal the tweets the corpus was read or built from. There
+    is no indexing: one row's point for a scalar decision is
+    ``GeoPoint(corpus.lat[i], corpus.lon[i])``. :meth:`take` selects rows;
+    the names table is shared, so a user code means the same user in every
+    corpus taken from one source.
     """
 
     __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
@@ -212,13 +213,6 @@ class Corpus:
         columns = (self.ids, self.user, self.stamp_us, self.tz, self.lat, self.lon, self.texts, self.sources)
         for tid, code, us, tz, lat, lon, text, source in zip(*(c.tolist() for c in columns)):
             yield Tweet(tid, self.users[code], _datetime(us, self.tzinfos[tz]), GeoPoint(lat, lon), text, source)
-
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
 
 def _utc_us(stamp: datetime) -> int:
@@ -320,8 +314,7 @@ class Homes:
     :class:`~museumflows.geometry.GridCell`. :func:`infer_home_locations`
     gives rows sorted by user id.
 
-    Iteration gives :class:`UserHome` rows, and two Homes are equal when
-    their rows are, as for a :class:`Corpus`.
+    Iteration gives :class:`UserHome` rows.
     """
 
     __slots__ = ("users", "user", "ix", "iy", "count", "zone_ids", "zone")
@@ -343,13 +336,6 @@ class Homes:
         columns = (self.user, self.ix, self.iy, self.count, self.zone)
         for code, ix, iy, count, zone in zip(*(c.tolist() for c in columns)):
             yield UserHome(users[code], GridCell(ix, iy), count, zone_ids[zone])
-
-    def __eq__(self, other):
-        if not isinstance(other, Homes):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -488,29 +474,20 @@ def _cell_runs(user, ix, iy):
     return order, starts, counts, group, run_user[first_runs], np.maximum.reduceat(counts, first_runs)
 
 
-def remove_automated_accounts(
-    corpus,
-    ref: GeoPoint,
-    activity_threshold: int = DEFAULT_ACTIVITY_THRESHOLD,
-    static_fraction: float = DEFAULT_STATIC_FRACTION,
-):
+def remove_automated_accounts(corpus, ref: GeoPoint):
     """Drop users that post heavily from a single 100 m cell.
 
-    A user goes when they have more than activity_threshold tweets AND at
-    least static_fraction of them fall into one cell. Only those heavy
-    users' tweets are projected.
+    A user goes when they have more than :data:`ACTIVITY_THRESHOLD` tweets
+    AND at least :data:`STATIC_FRACTION` of them fall into one cell. Only
+    those heavy users' tweets are projected.
     """
-    if not activity_threshold >= 1:
-        raise InvalidParameterError(f"activity threshold {activity_threshold} must be >= 1")
-    if not 0.0 < static_fraction <= 1.0:
-        raise InvalidParameterError(f"static fraction {static_fraction} outside (0, 1]")
     tweets_per_user = np.bincount(corpus.user, minlength=len(corpus.users))
-    heavy = np.flatnonzero((tweets_per_user > activity_threshold)[corpus.user])
+    heavy = np.flatnonzero((tweets_per_user > ACTIVITY_THRESHOLD)[corpus.user])
     dropped = np.zeros(len(corpus.users), dtype=bool)
     if heavy.size:
         ix, iy = _grid_cells(corpus, heavy, ref)
         _, _, _, _, users, top = _cell_runs(corpus.user[heavy], ix, iy)
-        dropped[users[top >= static_fraction * tweets_per_user[users]]] = True
+        dropped[users[top >= STATIC_FRACTION * tweets_per_user[users]]] = True
     return _kept("bot-removal", corpus, ~dropped[corpus.user])
 
 
@@ -620,22 +597,16 @@ def dedup(corpus):
     return _kept("dedup", corpus, keep)
 
 
-def remove_checkins(corpus, patterns=DEFAULT_CHECKIN_PATTERNS):
-    """Drop check-in relay tweets matched by substring in text or source, case-folded.
+def remove_checkins(corpus):
+    """Drop check-in relay tweets: a :data:`CHECKIN_PATTERNS` substring in the case-folded text or source.
 
     Text and source are scanned apart, so no pattern matches across them,
-    in slices joined by the first code point that folds to itself and is
-    in no pattern (:func:`_scan_texts`), so none matches across two texts.
+    in slices joined by ``_CHECKIN_JOINER`` (:func:`_scan_texts`), so none
+    matches across two texts.
     """
-    patterns = tuple(p.casefold() for p in patterns)
-    if not patterns:
-        raise InvalidParameterError("check-in removal needs at least one pattern")
-    if "" in patterns:  # in every text
-        return _kept("checkin-removal", corpus, np.zeros(len(corpus), dtype=bool))
-    joiner = next(c for c in map(chr, range(sys.maxunicode + 1)) if c.casefold() == c and c not in "".join(patterns))
-    sources = [s or "" for s in corpus.sources.tolist()]
-    hit = _scan_texts(corpus.texts.tolist(), joiner, patterns)[0] | _scan_texts(sources, joiner, patterns)[0]
-    return _kept("checkin-removal", corpus, ~hit)
+    text_hit = _scan_texts(corpus.texts.tolist(), _CHECKIN_JOINER, CHECKIN_PATTERNS)[0]
+    source_hit = _scan_texts([s or "" for s in corpus.sources.tolist()], _CHECKIN_JOINER, CHECKIN_PATTERNS)[0]
+    return _kept("checkin-removal", corpus, ~(text_hit | source_hit))
 
 
 def infer_home_locations(corpus, ref: GeoPoint):

@@ -364,6 +364,10 @@ def _newton_step(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
+# No value that is not finite here becomes a result, so numpy need not warn: log 0
+# marks a zero kernel, a trial fails backtracking (trial < residual is False for
+# NaN), and a residual stops the solve.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _balanced_values(f, O, D) -> np.ndarray:
     """Origin formula with destination weights w = exp(u) solved for column sums D.
 
@@ -400,8 +404,7 @@ def _balanced_values(f, O, D) -> np.ndarray:
     live = D > 0
     if not np.any(live):
         return values
-    with np.errstate(divide="ignore"):
-        log_f = np.log(f[:, :, live])
+    log_f = np.log(f[:, :, live])
     reach = np.isfinite(log_f)
     sending = O > 0
     _check_reachable(sending & ~reach.any(axis=2))

@@ -79,6 +79,23 @@ def make_museum(mid, lat, lon, floor_area_m2=1000.0, media_mentions=5.0):
     )
 
 
+def corpus_columns(corpus):
+    """Every column and table of a Corpus, floats by their bits."""
+    return (
+        corpus.ids.tolist(), corpus.users, corpus.user.tolist(), corpus.stamp_us.tolist(), corpus.tzinfos,
+        corpus.tz.tolist(), corpus.lat.tobytes(), corpus.lon.tobytes(), corpus.texts.tolist(), corpus.sources.tolist(),
+    )
+
+
+def home_rows(homes):
+    """Each home as (user id, ix, iy, count, zone id), codes resolved to names: corpora in two orders code users apart."""
+    zone_ids = homes.zone_ids + (None,)
+    return list(zip(
+        [homes.users[c] for c in homes.user.tolist()], homes.ix.tolist(), homes.iy.tolist(), homes.count.tolist(),
+        [zone_ids[z] for z in homes.zone.tolist()],
+    ))
+
+
 def make_homes(rows, users=None):
     """A Homes holding the given UserHome rows in their order.
 

@@ -11,7 +11,6 @@ each slice the bits of the call on that slice alone.
 
 import math
 import time
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -137,25 +136,19 @@ def test_blocked_sweep_equals_the_per_beta_loop_on_small_worlds(world):
     zones, museums, observed, *_ = world
     if np.all(observed.values == observed.values.flat[0]):
         return  # no curve: the sweep and the loop both refuse a constant observed matrix
-    # Where a beta runs out of Newton steps, the loop stops there, but the
-    # block solves the betas after it in lockstep: at the far end of a grid
-    # (kernels near e^-700) those may warn of NaN before the block raises.
-    # Both sides run under a cap of 100 steps, which keeps such grids short.
-    with warnings.catch_warnings(), mock.patch.object(sim, "_MAX_STEPS", 100):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with mock.patch.object(scalar_sim, "_MAX_STEPS", 100):
-            assert_same_sweep(*world)
+    # Both sides run under a cap of 100 steps, which keeps grids whose betas
+    # run out of Newton steps short.
+    with mock.patch.object(sim, "_MAX_STEPS", 100), mock.patch.object(scalar_sim, "_MAX_STEPS", 100):
+        assert_same_sweep(*world)
 
 
 def test_a_residual_that_is_not_finite_stops_the_balancing_at_once():
     # NaN never recovers (the fallback sweep makes u NaN), so the solve
     # raises at once rather than after _MAX_STEPS steps
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        start = time.perf_counter()
-        got = outcome(blocked_sweep, *NAN_RESIDUAL_WORLD)
-        seconds = time.perf_counter() - start
-        assert_same_sweep(*NAN_RESIDUAL_WORLD)
+    start = time.perf_counter()
+    got = outcome(blocked_sweep, *NAN_RESIDUAL_WORLD)
+    seconds = time.perf_counter() - start
+    assert_same_sweep(*NAN_RESIDUAL_WORLD)
     assert got[:2] == ("error", ConvergenceError) and math.isnan(got[3])
     assert seconds <= 0.05
 

@@ -188,6 +188,8 @@ def test_fit_at_beta_errors():
     )
     with pytest.raises(DegenerateVarianceError):
         sweep_beta(flat_zones, museums, observed, spec, [0.0])
+    with pytest.raises(InvalidParameterError, match="^beta grid must be a non-empty 1-D sequence$"):
+        sweep_beta(flat_zones, museums, observed, spec, [])
 
 
 def test_beta_grid():

@@ -331,6 +331,19 @@ def test_unknown_stage_rejected_before_io(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["flows", "--tweets", "t.ndjson", "--zones", "z.geojson", "--museums", "m.geojson", "--keywords", " , "],
+     "empty keyword list"),
+    (["filter", "--tweets", "t.ndjson", "--stages", ","], "empty stage list"),
+])
+def test_an_empty_list_flag_is_rejected_before_io(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def footprints_file(tmp_path):
     """Squares of about 70 m by 110 m around small_region's two museums."""
     features = []
@@ -678,6 +691,12 @@ def test_simulate_with_explicit_region(tmp_path):
     assert not (out / "zones.geojson").exists()  # region came from the caller
 
 
+def test_simulate_zones_without_museums_is_a_usage_error_before_io(tmp_path, capsys):
+    assert main(["simulate", "--zones", "z.geojson", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "usage error: --zones and --museums go together\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("explicit_region", [False, True])
 def test_simulate_with_a_negative_seed_is_a_reported_error_before_io(tmp_path, capsys, explicit_region):
     argv = ["simulate", "--n-trips", "50", "--seed", "-1", "--out", str(tmp_path / "out")]
@@ -748,6 +767,21 @@ def test_demo_flows_and_homes_outputs_match_recorded_digests(tmp_path):
     assert main(["homes", "--tweets", tweets, "--zones", zones, "--out", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DEMO_DIGESTS}
     assert digests == DEMO_DIGESTS
+
+
+def test_flows_keywords_flag_is_the_pipeline_run_with_those_keywords(tmp_path):
+    tweets, zones_path = os.path.join(DEMO, "corpus.ndjson"), os.path.join(DEMO, "zones.geojson")
+    museums_path = os.path.join(DEMO, "museums.geojson")
+    argv = ["flows", "--tweets", tweets, "--zones", zones_path, "--museums", museums_path, "--keywords", "gallery"]
+    assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
+    zones, ref = read_zones(zones_path)
+    result = pipeline.run_pipeline(read_tweets(tweets), zones, read_museums(museums_path), ref, keywords=("gallery",))
+    write_matrix_csv(result.matrix, tmp_path / "observed.csv")
+    write_report_json(result.report, tmp_path / "report.json")
+    for name in ("observed.csv", "report.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    semantic = next(s for s in result.report.stages if s.stage == "semantic")
+    assert 0 < semantic.tweets_out < semantic.tweets_in  # gallery alone keeps some museum tweets, not all
 
 
 def test_demo_attract_demand_sweeps_match_recorded_digests(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_homes, make_museum, make_zone
 
 from museumflows.calibration import BetaGrid, sweep_beta
-from museumflows.errors import DataFormatError
+from museumflows.errors import DataFormatError, InvalidGeometryError
 from museumflows.fileio import (
     format_report,
     read_footprints,
@@ -220,6 +220,8 @@ def test_zones_write_read_round_trip(tmp_path):
         assert a.population == b.population and a.arts_share == b.arts_share
         assert a.centroid.lat == pytest.approx(b.centroid.lat, abs=1e-9)
         assert a.centroid.lon == pytest.approx(b.centroid.lon, abs=1e-9)
+    with pytest.raises(InvalidGeometryError, match="^zone 'z0' has no boundary polygon to write$"):
+        write_zones([make_zone("z0", 53.7, -1.6)], region.ref, path)
 
 
 def test_zone_file_must_be_feature_collection(tmp_path):
@@ -511,6 +513,12 @@ def test_matrix_csv_errors_name_line(tmp_path):
     path.write_text("zone_id,m1\nz1,1.0\nz2,2.0\nz1,3.0\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=r"m\.csv: repeated origin ids: z1$"):
         read_matrix_csv(path)
+    path.write_text("zone_id\nz1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"m\.csv:1: no museum columns$"):
+        read_matrix_csv(path)
+    path.write_text("zone_id,m1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"m\.csv: no zone rows$"):
+        read_matrix_csv(path)
 
 
 # --- sweeps ---
@@ -567,6 +575,14 @@ def test_report_round_trip_and_formatting(tmp_path):
     assert "90.0%" in text and "33.3%" in text
 
 
+@pytest.mark.parametrize("doc", [[], {}, {"stages": {}}, {"stages": None}])
+def test_a_report_without_a_stages_list_names_the_file(tmp_path, doc):
+    path = dump(doc, tmp_path / "report.json")
+    with pytest.raises(DataFormatError) as info:
+        read_report_json(path)
+    assert str(info.value) == f"{path}: expected an object with a 'stages' list"
+
+
 def test_homes_csv(tmp_path):
     homes = make_homes([
         UserHome("alice", GridCell(5, 7), 4, zone_id="zA"),
@@ -602,6 +618,9 @@ def test_flow_lines_skip_zeros_and_use_lon_lat(tmp_path):
 
     orphan = FlowMatrix(("zX",), ("m1",), [[1.0]])
     with pytest.raises(DataFormatError, match="'zX'"):
+        write_flow_lines(orphan, zones, museums, path)
+    orphan = FlowMatrix(("zA",), ("m1", "mX"), [[1.0, 0.0]])  # named though its only cell is zero
+    with pytest.raises(DataFormatError, match="^flow matrix references unknown museum id 'mX'$"):
         write_flow_lines(orphan, zones, museums, path)
 
 

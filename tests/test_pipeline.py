@@ -7,9 +7,10 @@ scan oracle.
 
 import math
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
-from conftest import make_homes, make_museum, make_zone
+from conftest import corpus_columns, home_rows, make_homes, make_museum, make_zone
 
 from museumflows.errors import (
     AmbiguousZoneError,
@@ -143,14 +144,11 @@ def test_remove_automated_accounts():
     roaming = [at_planar("roamer", 500.0 * i, 0.0, f"hello {i} museum") for i in range(12)]
     quiet = [at_planar("quiet", 500.0, 500.0, f"note {i}") for i in range(5)]
     corpus = Corpus.from_tweets(static + roaming + quiet)
-    out, entry = remove_automated_accounts(corpus, REF, activity_threshold=10, static_fraction=0.95)
+    with mock.patch.object(pipeline, "ACTIVITY_THRESHOLD", 10):
+        out, entry = remove_automated_accounts(corpus, REF)
     assert {t.user_id for t in out} == {"roamer", "quiet"}
     assert entry.stage == "bot-removal"
     assert (entry.tweets_in, entry.tweets_out, entry.users_remaining) == (29, 17, 2)
-    with pytest.raises(InvalidParameterError):
-        remove_automated_accounts(corpus, REF, activity_threshold=0)
-    with pytest.raises(InvalidParameterError):
-        remove_automated_accounts(corpus, REF, static_fraction=1.5)
 
 
 def test_remove_automated_accounts_default_threshold():
@@ -223,15 +221,13 @@ def test_remove_checkins():
     out, entry = remove_checkins(Corpus.from_tweets([hit_text, hit_source, clean]))
     assert [t.id for t in out] == [clean.id]
     assert (entry.tweets_in, entry.tweets_out) == (3, 1)
-    with pytest.raises(InvalidParameterError):
-        remove_checkins(Corpus.from_tweets([clean]), patterns=())
 
 
 def test_remove_checkins_tests_text_and_source_apart():
-    # joined as "text source", the pattern "day web" would match across the seam
-    split = tw("u1", 53.8, -1.5, "museum day", source="web")
-    inside = tw("u2", 53.8, -1.5, "a fine day web page")
-    out, entry = remove_checkins(Corpus.from_tweets([split, inside]), patterns=("day web",))
+    # joined as "text source", the pattern "foursquare" would match across the seam
+    split = tw("u1", 53.8, -1.5, "museum four", source="square")
+    inside = tw("u2", 53.8, -1.5, "a foursquare page")
+    out, entry = remove_checkins(Corpus.from_tweets([split, inside]))
     assert [t.id for t in out] == [split.id]
     assert (entry.tweets_in, entry.tweets_out) == (2, 1)
 
@@ -256,6 +252,11 @@ def test_infer_home_strict_mode():
     (home,) = infer_home_locations(Corpus.from_tweets(tweets), REF)
     assert (home.cell.ix, home.cell.iy) == (1, 1)
     assert home.tweet_count_at_cell == 5
+
+
+def test_infer_home_of_an_empty_corpus_is_no_home():
+    homes = infer_home_locations(Corpus.from_tweets([]), REF)
+    assert len(homes) == 0 and homes.users == () and list(homes) == []
 
 
 def test_infer_home_tie_earliest_among_tied():
@@ -284,7 +285,7 @@ def test_infer_home_singleton_and_permutation_invariance():
     ]
     forward = infer_home_locations(Corpus.from_tweets(tweets), REF)
     backward = infer_home_locations(Corpus.from_tweets(tweets[::-1]), REF)
-    assert forward == backward
+    assert home_rows(forward) == home_rows(backward)
 
 
 def test_assign_home_zone():
@@ -387,6 +388,16 @@ def geo_ring(lat, lon, half_deg):
     )
 
 
+def test_tagged_feature_needs_exactly_one_geometry_and_rings_of_three_vertices():
+    ring = geo_ring(53.80, -1.50, 0.0005)
+    for point, rings in ((GeoPoint(53.8, -1.5), (ring,)), (None, None)):
+        with pytest.raises(InvalidGeometryError, match="^feature needs exactly one of point or rings$"):
+            TaggedFeature(tags={}, point=point, rings=rings)
+    for rings in ((ring[:2],), (ring, ring[:2]), ()):
+        with pytest.raises(InvalidGeometryError, match="^polygon feature needs rings of >=3 vertices$"):
+            TaggedFeature(tags={}, rings=rings)
+
+
 def test_extract_museums_point_duplicating_polygon():
     poly = TaggedFeature(
         tags={"name": "City Museum", "tourism": "museum", "id": "cm"},
@@ -477,15 +488,13 @@ def test_nan_and_negative_parameters_are_rejected(bad):
         spatial_filter(corpus, [(museum, square_at(2000.0, 2000.0, 10.0))], REF, buffer_m=bad)
     with pytest.raises(InvalidParameterError, match="merge radius"):
         extract_museums([], merge_radius_m=bad)
-    with pytest.raises(InvalidParameterError, match="activity threshold"):
-        remove_automated_accounts(corpus, REF, activity_threshold=bad)
 
 
 def test_infinite_buffer_and_merge_radius_keep_everything_and_merge_all_namesakes():
     museum = make_museum("m0", *_geo_of(1000.0, 1000.0))
     corpus = Corpus.from_tweets([at_planar("u", 1000.0 + 10.0**k, 1000.0, f"{k}") for k in range(6)])
     out, _ = spatial_filter(corpus, [(museum, square_at(1000.0, 1000.0, 10.0))], REF, buffer_m=math.inf)
-    assert out == corpus
+    assert corpus_columns(out) == corpus_columns(corpus)
     far = [TaggedFeature(tags={"name": "Far Museum"}, point=GeoPoint(53.0 + k, -1.5)) for k in range(3)]
     assert len(extract_museums(far, merge_radius_m=math.inf)) == 1
 

@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_same_outcome, outcome
+from conftest import assert_same_outcome, corpus_columns, outcome
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -96,19 +96,10 @@ def line_reader(path):
     return Corpus.from_tweets(rows)
 
 
-def columns(corpus):
-    """Everything a Corpus holds, floats by their bits."""
-    return (
-        corpus.ids.tolist(), corpus.users, corpus.user.tolist(), corpus.lat.tobytes(), corpus.lon.tobytes(),
-        corpus.stamp_us.tolist(), corpus.tzinfos, corpus.tz.tolist(), corpus.texts.tolist(),
-        corpus.sources.tolist(),
-    )
-
-
 def assert_same_read(got, expected, *context):
     """Two readers' outcomes agree: the same error field by field, or Corpora with the same columns."""
     if assert_same_outcome(got, expected, *context):
-        assert columns(got[1]) == columns(expected[1]), context
+        assert corpus_columns(got[1]) == corpus_columns(expected[1]), context
 
 
 def check_same(data: bytes, chunk_bytes: int):
@@ -476,7 +467,7 @@ def test_a_chunk_of_offset_stamps_is_read_by_line_and_keeps_its_bytes(tmp_path):
     with by_line_watched() as by_line:
         corpus = read_tweets(path)
     assert by_line.called
-    assert columns(corpus) == columns(expected[1])
+    assert corpus_columns(corpus) == corpus_columns(expected[1])
     assert corpus.tzinfos == (timezone.utc, timezone(timedelta(hours=1)), timezone(-timedelta(hours=5, minutes=30)))
     again, last = tmp_path / "again.ndjson", tmp_path / "last.ndjson"
     fileio.write_tweets(corpus, again)
@@ -528,20 +519,20 @@ def test_extend_checks_as_a_tweet_does_and_appends_nothing_on_a_fault():
         assert expected[0] == "error"
         rows = _CorpusBuilder()
         extend(rows, good)
-        before = columns(rows.corpus())
+        before = corpus_columns(rows.corpus())
         for after in ((later,), ()):
             assert_same_outcome(outcome(extend, rows, good, bad, *after), expected)
-            assert columns(rows.corpus()) == before
+            assert corpus_columns(rows.corpus()) == before
 
     plus_two = timezone(timedelta(hours=2))
     rows = _CorpusBuilder()
     extend(rows, good, ("c", "w", stamp.replace(tzinfo=plus_two), 53.0, -1.5, "hé", "web"))
     extend(rows, ("d", "u", stamp.replace(tzinfo=None), -90.0, 180.0, "x" * 280, None))
     noon_us = 1370088000 * 10**6  # 2013-06-01T12:00:00Z
-    assert columns(rows.corpus()) == (
-        ["a", "c", "d"], ("u", "w"), [0, 1, 0], np.array([53.8, 53.0, -90.0]).tobytes(),
-        np.array([-1.5, -1.5, 180.0]).tobytes(), [noon_us, noon_us - 7200 * 10**6, noon_us],
-        (timezone.utc, plus_two, None), [0, 1, 2], ["hi", "hé", "x" * 280], [None, "web", None],
+    assert corpus_columns(rows.corpus()) == (
+        ["a", "c", "d"], ("u", "w"), [0, 1, 0], [noon_us, noon_us - 7200 * 10**6, noon_us],
+        (timezone.utc, plus_two, None), [0, 1, 2], np.array([53.8, 53.0, -90.0]).tobytes(),
+        np.array([-1.5, -1.5, 180.0]).tobytes(), ["hi", "hé", "x" * 280], [None, "web", None],
     )
 
 

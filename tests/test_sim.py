@@ -262,6 +262,13 @@ def test_unconstrained_flat_kernel_returns_population():
     assert fm.values == pytest.approx(np.array([[1200.0, 1200.0], [800.0, 800.0]]))
 
 
+@pytest.mark.parametrize("constraint", ["origin", "doubly"])
+def test_unconstrained_flows_rejects_a_constrained_spec(constraint):
+    spec = ModelSpec(deterrence=Deterrence("exponential", 0.5), constraint=constraint)
+    with pytest.raises(InvalidParameterError, match=f"^expected unconstrained spec, got '{constraint}'$"):
+        unconstrained_flows([make_zone("z", 53.80, -1.55)], [make_museum("m", 53.81, -1.55)], spec)
+
+
 def test_unconstrained_single_pair_value():
     # museum exactly 1 km due north; 1000 * e^-0.95 = 386.7410235
     z = make_zone("z", 53.80, -1.55, 1000.0)
@@ -433,6 +440,11 @@ def test_doubly_constrained_errors(monkeypatch):
         doubly_constrained_flows((10.0, 10.0), (5.0, 5.0), dmat, Deterrence("exponential", 0.5))
     with pytest.raises(ShapeError):
         doubly_constrained_flows((5.0, 5.0, 5.0), (10.0, 5.0), dmat, Deterrence("exponential", 0.5))
+    negative = (((-1.0, 11.0), (5.0, 5.0)), ((10.0, 0.0), (11.0, -1.0)))
+    not_finite = (((math.nan, 10.0), (5.0, 5.0)), ((10.0, 0.0), (math.inf, 5.0)))
+    for O, D in negative + not_finite:
+        with pytest.raises(InvalidAttributeError, match="^marginal totals must be finite and >= 0$"):
+            doubly_constrained_flows(O, D, dmat, Deterrence("exponential", 0.5))
     monkeypatch.setattr(sim, "_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError, match="in 1 Newton steps") as exc:
         doubly_constrained_flows(

@@ -27,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_same_outcome, kernel_edge_distance, make_homes, make_museum, make_zone, outcome
+from conftest import assert_same_outcome, home_rows, kernel_edge_distance, make_homes, make_museum, make_zone, outcome
 from full_dedup import dedup as full_dedup
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,7 +47,7 @@ from museumflows.geometry import (
     unproject,
 )
 from museumflows.pipeline import (
-    DEFAULT_CHECKIN_PATTERNS,
+    CHECKIN_PATTERNS,
     DEFAULT_FLOOR_AREA_M2,
     DEFAULT_KEYWORDS,
     DEFAULT_MERGE_RADIUS_M,
@@ -136,7 +136,6 @@ KEYWORD_SETS = (
     ("mu",),
     ("c++", "(art)", "a|b"),
 )
-PATTERN_SETS = (DEFAULT_CHECKIN_PATTERNS, ("day web", "4SQ"), ("museum day",), ("(4sq)", "a|b"))
 
 
 @st.composite
@@ -379,12 +378,13 @@ def check_stage(stage, oracle, corpus, name):
     1.0,
 )
 def test_bot_removal_matches_scalar_loop(corpus, threshold, fraction):
-    check_stage(
-        lambda c: remove_automated_accounts(c, REF, threshold, fraction),
-        lambda c: oracle_remove_automated_accounts(c, REF, threshold, fraction),
-        corpus,
-        "bot-removal",
-    )
+    with mock.patch.object(pipeline, "ACTIVITY_THRESHOLD", threshold), mock.patch.object(pipeline, "STATIC_FRACTION", fraction):
+        check_stage(
+            lambda c: remove_automated_accounts(c, REF),
+            lambda c: oracle_remove_automated_accounts(c, REF, threshold, fraction),
+            corpus,
+            "bot-removal",
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,21 +450,10 @@ def test_the_empty_keyword_keeps_every_text_with_a_token(size):
 
 @pytest.mark.parametrize("size", SLICES)
 def test_a_text_holding_the_checkin_joiner_moves_no_boundary(size):
-    # no default pattern holds U+0000, which folds to itself: it joins the slices
+    # no check-in pattern holds U+0000, which folds to itself: it joins the slices
+    assert pipeline._CHECKIN_JOINER == "\x00"
     texts = ["a\x00", "\x00\x004sq.com", "\x00", "nothing", "FOURSQUARE\x00"]
     assert stage_texts(remove_checkins, texts, size) == ["a\x00", "\x00", "nothing"]
-
-
-@pytest.mark.parametrize("size", SLICES)
-def test_a_pattern_holding_a_code_point_moves_the_checkin_joiner_on(size):
-    # joined by U+0000, "a" and "b" would read "a\x00b"
-    texts = ["a", "b", "xa\x00b", "a\x01b"]
-    assert stage_texts(lambda c: remove_checkins(c, ("A\x00B",)), texts, size) == ["a", "b", "a\x01b"]
-
-
-@pytest.mark.parametrize("size", SLICES)
-def test_the_empty_pattern_drops_every_text(size):
-    assert stage_texts(lambda c: remove_checkins(c, ("", "4sq")), ["a", "", "b"], size) == []
 
 
 @pytest.mark.parametrize("size", SLICES)
@@ -512,8 +501,9 @@ def test_out_of_frame_error_names_the_tweet_a_per_user_loop_meets_first():
         oracle_remove_automated_accounts(tweets, REF, 1, 0.5)
     assert f"({ABROAD[0].lat}," in str(expected.value)
     corpus = Corpus.from_tweets(tweets)
-    with pytest.raises(InvalidCoordinateError) as got:
-        remove_automated_accounts(corpus, REF, 1, 0.5)
+    with mock.patch.object(pipeline, "ACTIVITY_THRESHOLD", 1), mock.patch.object(pipeline, "STATIC_FRACTION", 0.5):
+        with pytest.raises(InvalidCoordinateError) as got:
+            remove_automated_accounts(corpus, REF)
     assert str(got.value) == str(expected.value)
     with pytest.raises(InvalidCoordinateError) as got:
         infer_home_locations(corpus, REF)
@@ -630,14 +620,9 @@ def test_dedup_keeps_the_rows_the_dedup_normalizing_every_text_keeps(tweets):
 
 
 @settings(max_examples=60, deadline=None)
-@given(corpora(), st.sampled_from(PATTERN_SETS))
-def test_checkin_removal_matches_scalar_loop(corpus, patterns):
-    check_in_slices(
-        lambda c: remove_checkins(c, patterns),
-        lambda c: oracle_remove_checkins(c, patterns),
-        corpus,
-        "checkin-removal",
-    )
+@given(corpora())
+def test_checkin_removal_matches_scalar_loop(corpus):
+    check_in_slices(remove_checkins, lambda c: oracle_remove_checkins(c, CHECKIN_PATTERNS), corpus, "checkin-removal")
 
 
 def test_spatial_filter_decides_hypot_rounding_like_the_scalar_distance():
@@ -808,7 +793,7 @@ def test_run_pipeline_is_invariant_to_corpus_order(order):
     assert result.matrix.destination_ids == PERM_RESULT.matrix.destination_ids
     assert np.array_equal(result.matrix.values, PERM_RESULT.matrix.values)
     assert result.report == PERM_RESULT.report
-    assert result.homes == PERM_RESULT.homes
+    assert home_rows(result.homes) == home_rows(PERM_RESULT.homes)
     assert sorted(t.id for t in result.museum_tweets) == sorted(t.id for t in PERM_RESULT.museum_tweets)
 
 

@@ -21,6 +21,7 @@ from museumflows.synth import (
     generate_corpus,
     recovery_report,
 )
+from conftest import corpus_columns
 from scalar_synth import generate_corpus as scalar_generate_corpus
 
 SPEC = ModelSpec(deterrence=Deterrence("exponential", 0.95))
@@ -80,7 +81,7 @@ def test_generated_corpus_is_the_corpus_recovery_reports():
     assert isinstance(corpus, Corpus)
     report = recovery_report(region.zones, region.museums, cfg, region.ref, BetaGrid(0.5, 0.05, 20))
     assert isinstance(report.corpus, Corpus)
-    assert report.corpus == corpus
+    assert corpus_columns(report.corpus) == corpus_columns(corpus)
 
 
 def test_different_seed_different_corpus():
@@ -208,14 +209,6 @@ def test_demo_region_shape_and_determinism():
 @functools.lru_cache(maxsize=None)
 def region_of(n_zones, n_museums, region_seed):
     return demo_region(n_zones, n_museums, seed=region_seed)
-
-
-def corpus_columns(corpus):
-    """Every column and table of a Corpus, floats by their bits."""
-    return (
-        corpus.ids.tolist(), corpus.users, corpus.user.tolist(), corpus.stamp_us.tolist(), corpus.tzinfos,
-        corpus.tz.tolist(), corpus.lat.tobytes(), corpus.lon.tobytes(), corpus.texts.tolist(), corpus.sources.tolist(),
-    )
 
 
 # (zones, museums, region seed): a small region, data/demo's and the calibrate-paper workload's
