@@ -17,12 +17,14 @@ whole lines, and appends each chunk to the columns of a
 appender; no Tweet object is built. Each chunk is decoded as one bytes
 object, parsed with one ``json.loads`` (a line that holds ``[`` or ``]``,
 which could merge with its neighbours there, is parsed alone) and checked
-column by column, and its ids are checked unique with one set update.
-Its stamps must be strict UTC, ``Z`` or ``+00:00``; they are grouped by
-shape and each group is read from the columns of its bytes. A chunk with
-any other stamp, or a line that fails any step, goes through the
-per-line reader, which checks each line alone, so the first bad line is
-reported as ``path:line`` with its usual message.
+column by column. Its stamps must be strict UTC, ``Z`` or ``+00:00``;
+they are grouped by shape and each group is read from the columns of its
+bytes. A chunk with any other stamp, or a line that fails any step, goes
+through the per-line reader, which checks each line alone. After the last
+chunk the ids are checked unique once, from their sorted hashes. A file
+with a bad line or a repeated id is read again by the per-line reader
+alone, with one set of the ids seen, so the first bad line is reported as
+``path:line`` with its usual message.
 :func:`write_tweets` writes from those columns in slices of 4,096 rows,
 one f-string per row; stamps in a zero-offset ``timezone`` come from
 numpy, the rest from ``isoformat``, each in its own UTC offset, so a
@@ -180,15 +182,14 @@ def _float_column(values: list):
         return list(map(float, values))
 
 
-def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | None:
+def _extend_from_chunk(rows: _CorpusBuilder, chunk: bytes) -> int | None:
     """Append a chunk of whole lines, converted and checked column by column; return its count of ``\\n``.
 
     Each value is converted as the per-line reader converts it (``str`` or
     ``float``). A chunk of blank lines appends nothing. Returns None, having
     appended nothing, when a stamp is not strict UTC (see :func:`_utc_stamp_us`)
-    or a line fails any step: then the per-line reader reads the chunk, and
-    tells which line to report. ``seen`` is then rebuilt from ``rows.ids``, the
-    ids appended so far; that path always ends in a reported error.
+    or a line fails any step: then the per-line reader reads the chunk. Ids
+    are not checked here; :func:`_repeats` checks them all once.
     """
     try:
         objs, newlines = _json_values(chunk.decode("utf-8"))
@@ -201,24 +202,15 @@ def _extend_from_chunk(rows: _CorpusBuilder, seen: set, chunk: bytes) -> int | N
         sources = list(map(dict.get, objs, repeat("source")))
         if sources.count(None) != len(sources):
             sources = [None if source is None else str(source) for source in sources]
-        stamp_us = _utc_stamp_us(stamps)
+        rows.extend(ids, user_ids, _utc_stamp_us(stamps), timezone.utc, lat, lon, texts, sources)
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
-        return None  # UnicodeDecodeError, JSONDecodeError and the conversions' own errors are ValueErrors
-    size = len(seen)
-    seen.update(ids)
-    try:
-        if len(seen) == size + len(ids):
-            rows.extend(ids, user_ids, stamp_us, timezone.utc, lat, lon, texts, sources)
-            return newlines
-    except ValueError:  # a row fails a check of the appender
-        pass
-    seen.clear()
-    seen.update(rows.ids)
-    return None
+        return None  # UnicodeDecodeError, JSONDecodeError, the conversions' and the appender's checks raise ValueErrors
+    return newlines
 
 
-def _extend_by_line(rows: _CorpusBuilder, seen: set, lines, path, lines_before: int) -> None:
-    """Append raw lines, each checked on its own, the first bad line raising as ``path:line``."""
+def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk: bytes, path, lines_before: int) -> int:
+    """Append a chunk's lines, each checked on its own, the first bad line raising as ``path:line``; return their count."""
+    lines = io.BytesIO(chunk).readlines()
     found = []
     for line_no, raw in enumerate(lines, start=lines_before + 1):
         try:
@@ -249,6 +241,7 @@ def _extend_by_line(rows: _CorpusBuilder, seen: set, lines, path, lines_before: 
         seen.add(tid)
         found.append((tid, user_id, _utc_us(stamp), stamp.tzinfo, lat, lon, text, source))
     rows.extend(*(tuple(zip(*found)) or ((),) * 8))
+    return len(lines)  # one more than the count of \n only in a last chunk without one
 
 
 def _chunks(fh):
@@ -271,6 +264,15 @@ def _chunks(fh):
         yield tail
 
 
+def _repeats(ids) -> bool:
+    """Whether two ids are equal: their hashes are sorted, and only ids whose hash repeats go into a set."""
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes.sort()
+    shared = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    alike = [tid for tid in ids if hash(tid) in shared] if shared else []
+    return len(set(alike)) < len(alike)
+
+
 def read_tweets(path) -> Corpus:
     """Read an NDJSON file into a :class:`Corpus`, in chunks of whole lines from 64 KB blocks.
 
@@ -278,26 +280,32 @@ def read_tweets(path) -> Corpus:
     after its last ``\\n`` and the rest carried into the next block, so a
     chunk holds whole lines. Each chunk is decoded and parsed at once, each
     line that holds ``[`` or ``]`` on its own, then converted and checked
-    column by column, with the checks a :class:`Tweet` makes and unique
-    ids. Its stamps are read in bulk when each is strict UTC,
-    ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` and ``Z`` or ``+00:00``, in any mix
-    of those shapes. A chunk with another stamp form, or a line that fails
-    any of this, goes through the per-line reader instead, which gets the
-    chunk split after each ``\\n`` and appends its lines one at a time: so
-    the first bad line in the file is the one reported, as ``path:line``,
-    whatever chunk it falls in.
+    column by column, with the checks a :class:`Tweet` makes. Its stamps are
+    read in bulk when each is strict UTC, ``YYYY-MM-DDTHH:MM:SS[.ffffff]``
+    and ``Z`` or ``+00:00``, in any mix of those shapes. A chunk with
+    another stamp form, or a line that fails any of this, goes through the
+    per-line reader instead, which gets the chunk split after each ``\\n``
+    and appends its lines one at a time. Repeated ids are looked for once,
+    after the last chunk, among the sorted hashes of every id. A file with a
+    bad line or a repeated id is read again by line, with one set of the ids
+    seen, so the first bad line in the file is the one reported, as
+    ``path:line``, whatever chunk it falls in.
     """
     rows = _CorpusBuilder()
-    seen: set[str] = set()
-    line_no = 0
+    try:
+        line_no = 0
+        with open(path, "rb") as fh:
+            for chunk in _chunks(fh):
+                newlines = _extend_from_chunk(rows, chunk)
+                line_no += _extend_by_line(rows, set(), chunk, path, line_no) if newlines is None else newlines
+        if not _repeats(rows.ids):
+            return rows.corpus()
+    except DataFormatError:
+        pass
+    rows, seen, line_no = _CorpusBuilder(), set(), 0  # a bad line or a repeat: the first in the file raises
     with open(path, "rb") as fh:
         for chunk in _chunks(fh):
-            newlines = _extend_from_chunk(rows, seen, chunk)
-            if newlines is None:
-                lines = io.BytesIO(chunk).readlines()
-                _extend_by_line(rows, seen, lines, path, line_no)
-                newlines = len(lines)  # one more than the count of \n only in a last chunk without one
-            line_no += newlines
+            line_no += _extend_by_line(rows, seen, chunk, path, line_no)
     return rows.corpus()
 
 

@@ -146,6 +146,9 @@ def _datetime(us: int, zone) -> datetime:
 
 
 def _objects(values) -> np.ndarray:
+    """The values as an object array; an array as it is."""
+    if isinstance(values, np.ndarray):
+        return values
     out = np.empty(len(values), dtype=object)
     out[:] = values
     return out
@@ -173,7 +176,7 @@ class Corpus:
     __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
 
     def __init__(self, ids, users, user, lat, lon, stamp_us, tzinfos, tz, texts, sources):
-        self.ids = ids if isinstance(ids, np.ndarray) else _objects(ids)
+        self.ids = _objects(ids)
         self.users = tuple(users)
         self.user = np.asarray(user, dtype=np.int64)
         self.lat = np.asarray(lat, dtype=np.float64)
@@ -181,8 +184,8 @@ class Corpus:
         self.stamp_us = np.asarray(stamp_us, dtype=np.int64)
         self.tzinfos = tuple(tzinfos)
         self.tz = np.asarray(tz, dtype=np.int64)
-        self.texts = texts if isinstance(texts, np.ndarray) else _objects(texts)
-        self.sources = sources if isinstance(sources, np.ndarray) else _objects(sources)
+        self.texts = _objects(texts)
+        self.sources = _objects(sources)
 
     @classmethod
     def from_tweets(cls, tweets) -> "Corpus":
@@ -278,6 +281,9 @@ class _CorpusBuilder:
         self.sources.extend(sources)
 
     def corpus(self) -> Corpus:
+        """The rows as a Corpus, which takes over the columns: a spent builder is not extended again."""
+        for name in ("ids", "texts", "sources"):  # each list is dropped before the next is copied
+            setattr(self, name, _objects(getattr(self, name)))
         return Corpus(
             self.ids, self.users, self.user, self.lat, self.lon,
             self.stamp_us, self.tzinfos, self.tz, self.texts, self.sources,
@@ -463,12 +469,14 @@ def _cell_runs(user, ix, iy):
     (one per user, in user code order), each group's user code and its
     longest run length.
     """
-    order = np.lexsort((iy, ix, user))
-    user, ix, iy = user[order], ix[order], iy[order]
-    change = (user[1:] != user[:-1]) | (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], change)))
-    counts = np.diff(np.append(starts, len(user)))
-    run_user = user[starts]
+    x0, y0 = ix.min(), iy.min()
+    nx, ny = ix.max() - x0 + 1, iy.max() - y0 + 1
+    key = (user * nx + (ix - x0)) * ny + (iy - y0)  # < 2**63 for fewer than 7e10 users: nx, ny <= 11,121 in the frame
+    order = np.argsort(key)  # not stable: a run is read as the set of its members, or as any one of them
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    counts = np.diff(np.append(starts, len(key)))
+    run_user = user[order[starts]]
     first_runs = np.flatnonzero(np.concatenate(([True], run_user[1:] != run_user[:-1])))
     group = np.repeat(np.arange(len(first_runs)), np.diff(np.append(first_runs, len(starts))))
     return order, starts, counts, group, run_user[first_runs], np.maximum.reduceat(counts, first_runs)
@@ -622,6 +630,8 @@ def infer_home_locations(corpus, ref: GeoPoint):
     """
     if not len(corpus):
         return Homes(corpus.users, [], [], [], [])
+    name_rank = np.empty(len(corpus.users), dtype=np.int64)  # before the cells, so its Python ints are gone by then
+    name_rank[sorted(range(len(corpus.users)), key=corpus.users.__getitem__)] = np.arange(len(corpus.users))
     ix, iy = _grid_cells(corpus, None, ref)
     order, starts, counts, group, users, top = _cell_runs(corpus.user, ix, iy)
     top_runs = np.flatnonzero(counts == top[group])
@@ -639,8 +649,6 @@ def infer_home_locations(corpus, ref: GeoPoint):
         best_run[g] = min(top_runs[first_top[g]: first_top[g + 1]].tolist(), key=earliest)
 
     best = order[starts[best_run]]
-    name_rank = np.empty(len(corpus.users), dtype=np.int64)
-    name_rank[sorted(range(len(corpus.users)), key=corpus.users.__getitem__)] = np.arange(len(corpus.users))
     by_name = np.argsort(name_rank[users])
     best = best[by_name]
     return Homes(corpus.users, users[by_name], ix[best], iy[best], top[by_name])
@@ -648,9 +656,8 @@ def infer_home_locations(corpus, ref: GeoPoint):
 
 def _distinct_cells(homes: Homes):
     """(first, inverse): each distinct (ix, iy) cell's first row, and each row's distinct cell."""
-    _, x = np.unique(homes.ix, return_inverse=True)
-    ys, y = np.unique(homes.iy, return_inverse=True)
-    key = x.ravel() * len(ys) + y.ravel()  # < homes**2
+    x0, y0 = homes.ix.min(initial=0), homes.iy.min(initial=0)  # 0 joins the bounds, so no homes is no cell
+    key = (homes.ix - x0) * (homes.iy.max(initial=0) - y0 + 1) + (homes.iy - y0)  # < 11,121**2 for cells in the frame
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse.ravel()
 

@@ -267,7 +267,6 @@ def generate_corpus(zones, museums, cfg: SynthConfig, ref: GeoPoint):
     n_decoys = int(round(cfg.n_trips * cfg.noise / (1.0 - cfg.noise)))
     add(*_decoy_rows(rng, n_decoys, cfg.n_trips, zones))
     corpus = rows.corpus()
-    del rows  # corpus holds copies of its lists; they need not outlive the shuffled copy
     return corpus.take(rng.permutation(len(corpus))), truth
 
 

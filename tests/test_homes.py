@@ -21,6 +21,7 @@ from museumflows.errors import AmbiguousZoneError, InvalidCoordinateError, Inval
 from museumflows.geometry import (
     EARTH_RADIUS_M,
     GRID_RESOLUTION_M,
+    MAX_FRAME_DEGREES,
     GeoPoint,
     GridCell,
     PlanarPoint,
@@ -361,3 +362,62 @@ def test_observed_matrix_needs_homes_over_the_corpus_users_table(tmp_path):
     assert reordered.users != HOME_CORPUS.users
     with pytest.raises(InvalidParameterError, match="users table"):
         build_observed_matrix(reordered, homes, zones, museums)
+
+
+def frame_corner_tweets(rng, n_users):
+    """Tweets within 300 m of the four corners of the 5-degree frame, half of them on a cell edge nudged by ulps.
+
+    Each of ``n_users`` users tweets at several corners, in a handful of
+    minutes, so counts and timestamps tie, and each user's cells span the
+    frame: the packed (user, cell) key takes its widest values.
+    """
+    tweets = []
+    for k in range(600):
+        slat, slon = rng.choice([-1.0, 1.0], size=2)
+        x = slon * (MAX_FRAME_DEGREES * METERS_PER_DEG_LON - rng.uniform(0.0, 300.0))
+        y = slat * (MAX_FRAME_DEGREES * METERS_PER_DEG_LAT - rng.uniform(0.0, 300.0))
+        if rng.random() < 0.5:
+            x = 100.0 * math.trunc(x / 100.0)
+        if rng.random() < 0.5:
+            y = 100.0 * math.trunc(y / 100.0)
+        lon, lat = REF.lon + x / METERS_PER_DEG_LON, REF.lat + y / METERS_PER_DEG_LAT
+        for _ in range(int(rng.integers(0, 3))):
+            lon = math.nextafter(lon, math.inf if rng.random() < 0.5 else -math.inf)
+            lat = math.nextafter(lat, math.inf if rng.random() < 0.5 else -math.inf)
+        while abs(lon - REF.lon) > MAX_FRAME_DEGREES:
+            lon = math.nextafter(lon, REF.lon)
+        while abs(lat - REF.lat) > MAX_FRAME_DEGREES:
+            lat = math.nextafter(lat, REF.lat)
+        minute = timedelta(minutes=int(rng.integers(4)))
+        tweets.append(Tweet(f"c{k:03d}", f"corner{int(rng.integers(n_users))}", EPOCH + minute, GeoPoint(lat, lon), "x"))
+    return tweets
+
+
+def test_packed_cell_keys_hold_at_the_frame_corners():
+    # Users first seen after 3,000 others, so their codes are in the thousands,
+    # with cells at the corners of the frame, where the cell indices are widest.
+    rng = np.random.default_rng(53)
+    fillers = [Tweet(f"f{k}", f"filler{k:04d}", EPOCH, cell_center(k % 60, k // 60), "x") for k in range(3000)]
+    corpus = Corpus.from_tweets(fillers + frame_corner_tweets(rng, 40))
+    homes = infer_home_locations(corpus, REF)
+    assert list(homes) == oracle_homes(corpus, REF)
+    corner = homes.user >= 3000
+    assert corner.sum() == 40
+    assert np.ptp(homes.ix[corner]) > 2 * MAX_FRAME_DEGREES * METERS_PER_DEG_LON / GRID_RESOLUTION_M - 10
+    assert np.ptp(homes.iy[corner]) > 2 * MAX_FRAME_DEGREES * METERS_PER_DEG_LAT / GRID_RESOLUTION_M - 10
+    # 3 x 3 squares at each corner, their edges through cell centres, and a
+    # home in every cell whose centre they hold, the frame's extreme cells too
+    zones, every_cell = [], []
+    for ix0 in (homes.ix[corner].min() - 1, homes.ix[corner].max() - 4):
+        for iy0 in (homes.iy[corner].min() - 1, homes.iy[corner].max() - 4):
+            zones += [
+                box(f"z{ix0}/{iy0}/{i}{j}", 50.0 + 100.0 * (ix0 + 2 * i), 50.0 + 100.0 * (ix0 + 2 * i + 2),
+                    50.0 + 100.0 * (iy0 + 2 * j), 50.0 + 100.0 * (iy0 + 2 * j + 2))
+                for i in range(3) for j in range(3)
+            ]
+            every_cell += [GridCell(int(ix0) + i, int(iy0) + j) for i in range(7) for j in range(7)]
+    got = list(assign_home_zone(homes, zones))
+    assert got == oracle_zones_by_cell(list(homes), zones)
+    assert sum(h.zone_id is not None for h in got) > 30
+    dense = [UserHome(f"d{k:03d}", cell, 1) for k, cell in enumerate(every_cell)]
+    assert list(assign_home_zone(make_homes(dense), zones)) == oracle_zones_by_cell(dense, zones)

@@ -17,6 +17,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 from contextlib import nullcontext
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -29,9 +30,11 @@ from hypothesis import strategies as st
 
 from museumflows import fileio
 from museumflows.errors import DataFormatError
-from museumflows.fileio import read_tweets
+from museumflows.fileio import read_tweets, write_tweets
 from museumflows.geometry import GeoPoint
 from museumflows.pipeline import Corpus, Tweet, _CorpusBuilder, _utc_us
+from museumflows.sim import Deterrence, ModelSpec
+from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
 FIELDS = ("id", "user_id", "timestamp", "lat", "lon", "text")
 
@@ -317,10 +320,12 @@ def test_a_fault_anywhere_is_reported_at_its_line(k, chunk_bytes, fault):
 # Small files read at every block size from one byte up, so that a block
 # edge falls at every offset: inside a line longer than a block, between a
 # \r and its \n, and after a last line with no newline. "clean" files must
-# stay in bulk at every edge. The last two fail after their chunk's ids
-# went into the set of ids seen, which the per-line reader must then get
-# back as it was: without the earlier chunk's id, or with the failing
-# chunk's ids, it would report the wrong line.
+# stay in bulk at every edge. The last two fail after other chunks went
+# in: one repeats an id of a chunk read by line, which only the check after
+# the last chunk finds; in the other a column check fails in the chunk
+# after the ids. Each is reported at its line by the second, per-line read
+# of the file. The last keeps its name from the set of ids seen that the
+# reader once kept.
 BLOCK_EDGE_FILES = {
     "a line longer than a block": ([record("1"), record("long", text="x" * 280), record("3")], b"\n", "clean"),
     "crlf": ([record("1"), record("2", source="web"), record("3")], b"\r\n", "clean"),
@@ -351,6 +356,67 @@ def test_every_block_edge_reads_as_the_line_reader_reads(tmp_path, name, final_n
     for chunk_bytes in range(1, len(data) + 2):
         with mock.patch.object(fileio, "_CHUNK_BYTES", chunk_bytes), bulk_only() if expect == "clean" else nullcontext():
             assert_same_read(outcome(read_tweets, path), expected, chunk_bytes)
+
+
+class SameHash(str):
+    """A str whose hash is one constant, so that distinct ids collide."""
+
+    def __hash__(self):
+        return 7
+
+
+def test_repeats_tells_equal_ids_from_ids_that_share_a_hash():
+    assert not fileio._repeats([])
+    assert not fileio._repeats(["a"])
+    assert not fileio._repeats([SameHash("a"), SameHash("b")])
+    assert fileio._repeats([SameHash("a"), "b", SameHash("a")])
+    assert fileio._repeats(["a", "b", "c", "b"])
+    assert not fileio._repeats([f"id{k}" for k in range(1000)])
+
+
+def test_a_repeat_across_chunks_is_reported_at_its_later_line():
+    good = unique_records(40)
+    parts = good[:30] + [record("r3", text="again")] + good[30:]
+    got = check_same(assemble(parts, [b"\n"] * len(parts)), 200)  # a few lines per chunk
+    assert got[0] == "error" and got[2].endswith("t.ndjson:31: duplicate tweet id 'r3'")
+
+
+def test_a_repeat_before_a_bad_line_in_a_later_chunk_is_the_one_reported():
+    good = unique_records(40)
+    parts = good[:20] + [record("r1", text="again")] + good[20:] + [record("late", lat=91.0)]
+    got = check_same(assemble(parts, [b"\n"] * len(parts)), 200)
+    assert got[0] == "error" and got[2].endswith("t.ndjson:21: duplicate tweet id 'r1'")
+
+
+def test_a_repeat_between_a_bulk_chunk_and_an_offset_chunk_is_reported():
+    bulk = unique_records(10)
+    offset = [record(tid, stamp="2013-06-01T13:00:00+01:00") for tid in ("o1", "o2", "o3", "o4", "o5", "r2", "o6")]
+    parts = bulk + offset
+    first_chunk = len(assemble(bulk, [b"\n"] * len(bulk)))  # the bulk lines fill the first block
+    with by_line_watched() as by_line:
+        got = check_same(assemble(parts, [b"\n"] * len(parts)), first_chunk)
+    assert by_line.called
+    assert got[0] == "error" and got[2].endswith("t.ndjson:16: duplicate tweet id 'r2'")
+
+
+def test_reading_holds_little_beyond_the_corpus_it_keeps(tmp_path):
+    # The reader keeps no set of the ids seen, and the builder hands its
+    # object columns over one at a time: the peak stays near what is kept.
+    region = demo_region(20, 5, seed=7)
+    cfg = SynthConfig(true_spec=ModelSpec(deterrence=Deterrence("exponential", 0.95)), n_trips=5000, noise=0.2, seed=3)
+    corpus, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    path = tmp_path / "t.ndjson"
+    write_tweets(corpus.take(np.arange(20_000)), path)
+    del corpus
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = read_tweets(path)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 20_000
+    assert peak <= 1.3 * kept, (peak, kept)
 
 
 def test_bracket_pair_is_an_error_at_its_first_line(tmp_path):
