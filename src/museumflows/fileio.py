@@ -20,11 +20,10 @@ which could merge with its neighbours there, is parsed alone) and checked
 column by column. Its stamps must be strict UTC, ``Z`` or ``+00:00``;
 they are grouped by shape and each group is read from the columns of its
 bytes. A chunk with any other stamp, or a line that fails any step, goes
-through the per-line reader, which checks each line alone. After the last
-chunk the ids are checked unique once, from their sorted hashes. A file
-with a bad line or a repeated id is read again by the per-line reader
-alone, with one set of the ids seen, so the first bad line is reported as
-``path:line`` with its usual message.
+through the per-line reader. The ids are checked unique once, from their
+sorted hashes. A file with a bad line or a repeat is read again from its
+start by the per-line reader alone, with one id set, so the first bad
+line is reported as ``path:line``; a stream that cannot seek names none.
 :func:`write_tweets` writes from those columns in slices of 4,096 rows,
 one f-string per row; stamps in a zero-offset ``timezone`` come from
 numpy, the rest from ``isoformat``, each in its own UTC offset, so a
@@ -287,23 +286,24 @@ def read_tweets(path) -> Corpus:
     per-line reader instead, which gets the chunk split after each ``\\n``
     and appends its lines one at a time. Repeated ids are looked for once,
     after the last chunk, among the sorted hashes of every id. A file with a
-    bad line or a repeated id is read again by line, with one set of the ids
-    seen, so the first bad line in the file is the one reported, as
-    ``path:line``, whatever chunk it falls in.
+    bad line or a repeated id is read again by line from its start, with one
+    set of the ids seen, so the first bad line in it is reported as
+    ``path:line``; a stream that cannot seek, such as a pipe, names no line.
     """
-    rows = _CorpusBuilder()
-    try:
-        line_no = 0
-        with open(path, "rb") as fh:
+    rows, line_no = _CorpusBuilder(), 0
+    with open(path, "rb") as fh:
+        try:
             for chunk in _chunks(fh):
                 newlines = _extend_from_chunk(rows, chunk)
                 line_no += _extend_by_line(rows, set(), chunk, path, line_no) if newlines is None else newlines
-        if not _repeats(rows.ids):
-            return rows.corpus()
-    except DataFormatError:
-        pass
-    rows, seen, line_no = _CorpusBuilder(), set(), 0  # a bad line or a repeat: the first in the file raises
-    with open(path, "rb") as fh:
+            if not _repeats(rows.ids):
+                return rows.corpus()
+        except DataFormatError:
+            pass
+        if not fh.seekable():  # a pipe opened again would go on where it stopped
+            raise DataFormatError(f"{path}: a bad line or a repeated tweet id; a stream that cannot seek is not read again to tell which")
+        fh.seek(0)  # a bad line or a repeat: the first in the file raises
+        rows, seen, line_no = _CorpusBuilder(), set(), 0
         for chunk in _chunks(fh):
             line_no += _extend_by_line(rows, seen, chunk, path, line_no)
     return rows.corpus()

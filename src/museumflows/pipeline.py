@@ -656,8 +656,9 @@ def infer_home_locations(corpus, ref: GeoPoint):
 
 def _distinct_cells(homes: Homes):
     """(first, inverse): each distinct (ix, iy) cell's first row, and each row's distinct cell."""
-    x0, y0 = homes.ix.min(initial=0), homes.iy.min(initial=0)  # 0 joins the bounds, so no homes is no cell
-    key = (homes.ix - x0) * (homes.iy.max(initial=0) - y0 + 1) + (homes.iy - y0)  # < 11,121**2 for cells in the frame
+    _, x = np.unique(homes.ix, return_inverse=True)
+    ys, y = np.unique(homes.iy, return_inverse=True)
+    key = x.ravel() * len(ys) + y.ravel()  # < homes**2
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return first, inverse.ravel()
 

@@ -399,6 +399,36 @@ def test_a_repeat_between_a_bulk_chunk_and_an_offset_chunk_is_reported():
     assert got[0] == "error" and got[2].endswith("t.ndjson:16: duplicate tweet id 'r2'")
 
 
+def read_from_pipe(data: bytes):
+    """``read_tweets`` on a pipe that holds ``data``, as ``--tweets <(zcat ...)`` gives one."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)  # small enough for the pipe's buffer, so no writer thread is needed
+        os.close(w)
+        w = None
+        with mock.patch.object(fileio, "_CHUNK_BYTES", 200):
+            return outcome(read_tweets, f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to open a pipe by path")
+@pytest.mark.parametrize("at", [40, 20], ids=["repeat-at-the-end", "bad-line-mid-stream"])
+def test_a_pipe_with_a_bad_line_or_a_repeat_raises_rather_than_read_on(at):
+    # A pipe opened again goes on where it stopped: a second pass would read
+    # only the rest of the stream, so a stream that cannot seek raises.
+    good = unique_records(40)
+    bad = record("r1", text="again") if at == 40 else record("late", lat=91.0)
+    parts = good[:at] + [bad] + good[at:]
+    got = read_from_pipe(assemble(parts, [b"\n"] * len(parts)))
+    assert got[0] == "error" and got[1] is DataFormatError
+    assert "cannot seek" in got[2]
+    clean = assemble(good, [b"\n"] * len(good))
+    assert_same_read(read_from_pipe(clean), check_same(clean, 200))
+
+
 def test_reading_holds_little_beyond_the_corpus_it_keeps(tmp_path):
     # The reader keeps no set of the ids seen, and the builder hands its
     # object columns over one at a time: the peak stays near what is kept.
