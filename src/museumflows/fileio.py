@@ -101,8 +101,8 @@ _STAMP_SHAPES = {
 }
 
 
-def _json_values(text: str):
-    """The JSON value of each non-blank line of ``text`` and its count of ``\\n``.
+def _json_values(text: str) -> list:
+    """The JSON value of each non-blank line of ``text``.
 
     The lines free of brackets are parsed in one ``json.loads``, each
     wrapped in an array of its own. A string cannot hold the raw newline of
@@ -123,7 +123,7 @@ def _json_values(text: str):
     wrapped = json.loads("[[" + text.replace("\n", "]\n,[") + "]]")
     for k, line in alone:
         wrapped[k] = [json.loads(line)]
-    return [value for (value,) in filter(None, wrapped)], len(wrapped) - 1  # ValueError: a line of several values
+    return [value for (value,) in filter(None, wrapped)]  # ValueError: a line of several values
 
 
 def _utc_stamp_us(stamps) -> np.ndarray:
@@ -181,19 +181,19 @@ def _float_column(values: list):
         return list(map(float, values))
 
 
-def _extend_from_chunk(rows: _CorpusBuilder, chunk: bytes) -> int | None:
-    """Append a chunk of whole lines, converted and checked column by column; return its count of ``\\n``.
+def _extend_from_chunk(rows: _CorpusBuilder, chunk: bytes) -> bool:
+    """Append a chunk of whole lines, converted and checked column by column; return whether it was.
 
     Each value is converted as the per-line reader converts it (``str`` or
-    ``float``). A chunk of blank lines appends nothing. Returns None, having
+    ``float``). A chunk of blank lines appends nothing. Returns False, having
     appended nothing, when a stamp is not strict UTC (see :func:`_utc_stamp_us`)
     or a line fails any step: then the per-line reader reads the chunk. Ids
     are not checked here; :func:`_repeats` checks them all once.
     """
     try:
-        objs, newlines = _json_values(chunk.decode("utf-8"))
+        objs = _json_values(chunk.decode("utf-8"))
         if not objs:
-            return newlines
+            return True
         # TypeError where a value is not an object, KeyError where a field is missing
         ids, user_ids, stamps, lat, lon, texts = (list(map(itemgetter(key), objs)) for key in _TWEET_FIELDS)
         ids, user_ids, texts = _str_column(ids), _str_column(user_ids), _str_column(texts)
@@ -203,8 +203,8 @@ def _extend_from_chunk(rows: _CorpusBuilder, chunk: bytes) -> int | None:
             sources = [None if source is None else str(source) for source in sources]
         rows.extend(ids, user_ids, _utc_stamp_us(stamps), timezone.utc, lat, lon, texts, sources)
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
-        return None  # UnicodeDecodeError, JSONDecodeError, the conversions' and the appender's checks raise ValueErrors
-    return newlines
+        return False  # UnicodeDecodeError, JSONDecodeError, the conversions' and the appender's checks raise ValueErrors
+    return True
 
 
 def _extend_by_line(rows: _CorpusBuilder, seen: set, chunk: bytes, path, lines_before: int) -> int:
@@ -290,12 +290,12 @@ def read_tweets(path) -> Corpus:
     set of the ids seen, so the first bad line in it is reported as
     ``path:line``; a stream that cannot seek, such as a pipe, names no line.
     """
-    rows, line_no = _CorpusBuilder(), 0
+    rows = _CorpusBuilder()
     with open(path, "rb") as fh:
-        try:
+        try:  # this pass names no line: an error in it is caught, and the reporting pass below names the line
             for chunk in _chunks(fh):
-                newlines = _extend_from_chunk(rows, chunk)
-                line_no += _extend_by_line(rows, set(), chunk, path, line_no) if newlines is None else newlines
+                if not _extend_from_chunk(rows, chunk):
+                    _extend_by_line(rows, set(), chunk, path, 0)
             if not _repeats(rows.ids):
                 return rows.corpus()
         except DataFormatError:

@@ -13,8 +13,9 @@ The corpus is a :class:`Corpus`, a struct of arrays with one row per
 message: user codes, coordinates, UTC microsecond timestamps, ids, texts
 and sources. Rows are encoded in one place, a column appender that the
 NDJSON reader, the synthetic generator and :meth:`Corpus.from_tweets` feed.
-Every stage takes a Corpus, works on the columns with numpy, and returns
-the surviving rows as a Corpus in their input order; only
+Every stage takes a Corpus, works on the columns with numpy, and keeps
+its rows, in their input order, through one keep mask handed to
+:func:`_kept`, as aggregation does too; helpers take a whole Corpus. Only
 :func:`run_pipeline` also takes a sequence of :class:`Tweet`, which it
 turns into a Corpus once. Text stages scan the texts in slices, each joined
 and case-folded once and searched by ``str.find``; only a text whose fold
@@ -442,21 +443,19 @@ def _scan_texts(texts: list, joiner: str, needles, accept=None):
     return hit, changed
 
 
-def _grid_cells(corpus: Corpus, rows, ref: GeoPoint):
-    """(ix, iy) of the given rows (None: all), bit for bit :func:`project` + :func:`snap_to_grid`.
+def _grid_cells(corpus: Corpus, ref: GeoPoint):
+    """(ix, iy) of every row, bit for bit :func:`project` + :func:`snap_to_grid`.
 
     An out-of-frame row raises through :func:`project`: the first such row
     of the user who appears first, as a loop over users meets it.
     """
-    every = np.arange(len(corpus))
-    rows = every if rows is None else rows
-    lat, lon = (corpus.lat, corpus.lon) if rows is every else (corpus.lat[rows], corpus.lon[rows])
-    far = rows[(np.abs(lat - ref.lat) > MAX_FRAME_DEGREES) | (np.abs(lon - ref.lon) > MAX_FRAME_DEGREES)]
+    lat, lon = corpus.lat, corpus.lon
+    far = np.flatnonzero((np.abs(lat - ref.lat) > MAX_FRAME_DEGREES) | (np.abs(lon - ref.lon) > MAX_FRAME_DEGREES))
     if far.size:
         first = np.full(len(corpus.users), len(corpus))
-        np.minimum.at(first, corpus.user, every)
+        np.minimum.at(first, corpus.user, np.arange(len(corpus)))
         row = far[np.argmin(first[corpus.user[far]])]
-        project(GeoPoint(corpus.lat[row], corpus.lon[row]), ref)
+        project(GeoPoint(lat[row], lon[row]), ref)
     x, y = project_arrays(lat, lon, ref)
     return np.floor(x / GRID_RESOLUTION_M, out=x).astype(np.int64), np.floor(y / GRID_RESOLUTION_M, out=y).astype(np.int64)
 
@@ -487,14 +486,14 @@ def remove_automated_accounts(corpus, ref: GeoPoint):
 
     A user goes when they have more than :data:`ACTIVITY_THRESHOLD` tweets
     AND at least :data:`STATIC_FRACTION` of them fall into one cell. Only
-    those heavy users' tweets are projected.
+    those heavy users' tweets are taken and projected.
     """
     tweets_per_user = np.bincount(corpus.user, minlength=len(corpus.users))
     heavy = np.flatnonzero((tweets_per_user > ACTIVITY_THRESHOLD)[corpus.user])
     dropped = np.zeros(len(corpus.users), dtype=bool)
     if heavy.size:
-        ix, iy = _grid_cells(corpus, heavy, ref)
-        _, _, _, _, users, top = _cell_runs(corpus.user[heavy], ix, iy)
+        suspects = corpus.take(heavy)  # each heavy user's rows, all of them in order: no user's first row moves
+        _, _, _, _, users, top = _cell_runs(suspects.user, *_grid_cells(suspects, ref))
         dropped[users[top >= STATIC_FRACTION * tweets_per_user[users]]] = True
     return _kept("bot-removal", corpus, ~dropped[corpus.user])
 
@@ -587,9 +586,8 @@ def dedup(corpus):
     n = len(corpus)
     many = np.bincount(corpus.user)[corpus.user] > 1
     text_code: dict[str, int] = {}
-    repeated = corpus.texts if many.all() else corpus.texts[many]  # no copy where every row repeats a user
     texts = np.zeros(n, dtype=np.int64)  # one code for every only row, whose user holds no other
-    texts[many] = _codes(text_code, map(_normalized_text, repeated.tolist()))
+    texts[many] = _codes(text_code, map(_normalized_text, corpus.texts[many].tolist()))
     order = np.lexsort((corpus.stamp_us, corpus.user))
     user, stamp_us = corpus.user[order], corpus.stamp_us[order]
     tied = (user[1:] == user[:-1]) & (stamp_us[1:] == stamp_us[:-1])  # position k + 1 ties with k
@@ -632,7 +630,7 @@ def infer_home_locations(corpus, ref: GeoPoint):
         return Homes(corpus.users, [], [], [], [])
     name_rank = np.empty(len(corpus.users), dtype=np.int64)  # before the cells, so its Python ints are gone by then
     name_rank[sorted(range(len(corpus.users)), key=corpus.users.__getitem__)] = np.arange(len(corpus.users))
-    ix, iy = _grid_cells(corpus, None, ref)
+    ix, iy = _grid_cells(corpus, ref)
     order, starts, counts, group, users, top = _cell_runs(corpus.user, ix, iy)
     top_runs = np.flatnonzero(counts == top[group])
     # each user group's top runs are top_runs[first_top[g]: first_top[g + 1]]
@@ -707,16 +705,16 @@ def _nearest_museum(point: GeoPoint, museums) -> str:
     return min(museums, key=lambda m: (haversine_km(point, m.location), m.id)).id
 
 
-def _nearest_museums(corpus: Corpus, rows, museums) -> np.ndarray:
-    """Index into museums of :func:`_nearest_museum` for the given rows.
+def _nearest_museums(corpus: Corpus, museums) -> np.ndarray:
+    """Index into museums of :func:`_nearest_museum` for every row.
 
     A vectorised haversine argmin; rows whose two nearest museums lie
     within a hair of each other are re-decided by the scalar rule.
     """
-    lat, lon = corpus.lat[rows], corpus.lon[rows]
-    best = np.full(len(rows), math.inf)
-    runner_up = np.full(len(rows), math.inf)
-    nearest = np.zeros(len(rows), dtype=np.int64)
+    lat, lon = corpus.lat, corpus.lon
+    best = np.full(len(corpus), math.inf)
+    runner_up = np.full(len(corpus), math.inf)
+    nearest = np.zeros(len(corpus), dtype=np.int64)
     for j, m in enumerate(museums):
         d = haversine_km_arrays(lat, lon, m.location)
         closer = d < best
@@ -735,30 +733,26 @@ def build_observed_matrix(corpus, homes, zones, museums):
 
     ``corpus`` holds the museum tweets and ``homes`` is a :class:`Homes`
     inferred from the same source, so both share one users table; homes
-    with another table raise. Tweets of users with no zoned home contribute
-    nothing to the matrix; the returned stage entry records how many tweets
-    made it in.
+    with another table raise. The tweets of users with a zoned home are kept
+    through :func:`_kept`, as a stage keeps its rows, and the returned stage
+    entry counts them; a home whose zone id is not among ``zones`` counts
+    there too but lands in no cell of the matrix.
     """
     if homes.users != corpus.users:
         raise InvalidParameterError("homes and museum tweets must share one users table")
     zone_ids = [z.id for z in zones]
     museum_ids = [m.id for m in museums]
-    # zone ids outside the zone list count as contributing but land in a spare row
-    zone_row = {z: i for i, z in enumerate(zone_ids)}
+    zone_row = {z: i for i, z in enumerate(zone_ids)}  # a zone id outside the zone list gets the spare last row
     row_of_zone = np.array([zone_row.get(z, len(zone_ids)) for z in homes.zone_ids] + [-1], dtype=np.int64)
     home_row = np.full(len(corpus.users), -1, dtype=np.int64)
     home_row[homes.user] = row_of_zone[homes.zone]
-    tweet_row = home_row[corpus.user]
-    rows = np.flatnonzero(tweet_row >= 0)
-    if rows.size and not museums:
+    corpus, entry = _kept("aggregate", corpus, home_row[corpus.user] >= 0)
+    if len(corpus) and not museums:
         raise EmptyInputError("no museums to assign")
-    cells = tweet_row[rows] * max(len(museums), 1) + _nearest_museums(corpus, rows, museums)
+    cells = home_row[corpus.user] * max(len(museums), 1) + _nearest_museums(corpus, museums)
     counts = np.bincount(cells, minlength=(len(zone_ids) + 1) * len(museums))
     counts = counts.reshape(len(zone_ids) + 1, len(museums)).astype(float)
-    matrix = FlowMatrix(zone_ids, museum_ids, counts[:-1])  # ShapeError: a repeated zone or museum id
-    contributors = int(np.count_nonzero(np.bincount(corpus.user[rows], minlength=1)))
-    entry = StageCount("aggregate", len(corpus), len(rows), contributors)
-    return matrix, entry
+    return FlowMatrix(zone_ids, museum_ids, counts[:-1]), entry  # ShapeError: a repeated zone or museum id
 
 
 def _tag_number(museum_id: str, tags: dict, key: str, default=None) -> float:

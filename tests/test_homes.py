@@ -32,6 +32,7 @@ from museumflows.geometry import (
 from museumflows.pipeline import (
     Corpus,
     Homes,
+    StageCount,
     Tweet,
     UserHome,
     assign_home_zone,
@@ -362,6 +363,23 @@ def test_observed_matrix_needs_homes_over_the_corpus_users_table(tmp_path):
     assert reordered.users != HOME_CORPUS.users
     with pytest.raises(InvalidParameterError, match="users table"):
         build_observed_matrix(reordered, homes, zones, museums)
+
+
+def test_a_home_in_a_zone_left_out_of_the_aggregate_counts_but_fills_no_cell():
+    zones = zone_system()
+    three = [zones[0], zones[1], zones[7]]  # b00, b10 and short
+    museums = [make_museum("m0", REF.lat + 0.001, REF.lon + 0.002), make_museum("m1", REF.lat + 0.003, REF.lon + 0.02)]
+    homes = assign_home_zone(infer_home_locations(HOME_CORPUS, REF), three)
+    assert {h.user_id: h.zone_id for h in homes}["ö"] == "short"
+    full, full_entry = build_observed_matrix(HOME_CORPUS, homes, three, museums)
+    matrix, entry = build_observed_matrix(HOME_CORPUS, homes, three[:2], museums)
+    assert full.values[2].sum() == 2  # ö's two tweets
+    assert matrix.origin_ids == ("b00", "b10") and np.array_equal(matrix.values, full.values[:2])
+    # ö and its tweets count in the stage entry as they do over all three zones
+    zoned = [h.user_id for h in homes if h.zone_id is not None]
+    assert "ö" in zoned
+    assert entry == full_entry == StageCount("aggregate", len(HOME_CORPUS), full.total(), len(zoned))
+    assert entry.tweets_out == matrix.total() + 2
 
 
 def frame_corner_tweets(rng, n_users):

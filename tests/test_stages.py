@@ -513,6 +513,28 @@ def test_out_of_frame_error_names_the_tweet_a_per_user_loop_meets_first():
         spatial_filter(corpus, [], REF)
 
 
+def test_bot_removal_projects_only_the_heavy_users_rows():
+    # u0, light, appears first with its one tweet abroad; u1 is heavy and
+    # has a far tweet too: bot removal meets only u1's, home inference u0's
+    def at(tid, user, where):
+        return Tweet(tid, user, BASE, where, "museum")
+
+    tweets = [at("a", "u0", ABROAD[0]), at("b", "u1", POINTS[0]), at("c", "u1", ABROAD[1])]
+    corpus = Corpus.from_tweets(tweets)
+    with pytest.raises(InvalidCoordinateError) as bots:
+        oracle_remove_automated_accounts(tweets, REF, 1, 0.5)
+    with pytest.raises(InvalidCoordinateError) as everyone:  # a loop that projects every user's tweets
+        oracle_remove_automated_accounts(tweets, REF, 0, 0.5)
+    assert f"({ABROAD[1].lat}," in str(bots.value) and f"({ABROAD[0].lat}," in str(everyone.value)
+    with mock.patch.object(pipeline, "ACTIVITY_THRESHOLD", 1), mock.patch.object(pipeline, "STATIC_FRACTION", 0.5):
+        with pytest.raises(InvalidCoordinateError) as got:
+            remove_automated_accounts(corpus, REF)
+    assert str(got.value) == str(bots.value)
+    with pytest.raises(InvalidCoordinateError) as got:
+        infer_home_locations(corpus, REF)
+    assert str(got.value) == str(everyone.value)
+
+
 def square(x0, y0, x1, y1):
     return PolygonM(exterior=(PlanarPoint(x0, y0), PlanarPoint(x1, y0), PlanarPoint(x1, y1), PlanarPoint(x0, y1)))
 
