@@ -191,7 +191,7 @@ def _cmd_filter(args) -> int:
         raise _UsageError("--footprints needs --museums to resolve ids")
     _check_distance("buffer", args.buffer_m)
 
-    tweets = fileio.read_tweets(args.tweets)
+    tweets = fileio.read_tweets(args.tweets, args.keywords if args.stages is None or "semantic" in args.stages else None)
     if args.zones:
         _, ref = fileio.read_zones(args.zones)
     else:
@@ -211,7 +211,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_homes(args) -> int:
-    tweets = fileio.read_tweets(args.tweets)
+    tweets = fileio.read_tweets(args.tweets, ())  # homes read no text
     zones, ref = fileio.read_zones(args.zones)
     _, _, homes = _located_homes(tweets, zones, ref)
     out = _outdir(args)
@@ -233,7 +233,7 @@ def _read_region(args):
 
 def _pipeline_from_tweets(args, zones, museums, ref):
     """run_pipeline over --tweets, with --footprints, --keywords and --buffer-m."""
-    tweets = fileio.read_tweets(args.tweets)
+    tweets = fileio.read_tweets(args.tweets, args.keywords)
     footprints = (
         fileio.read_footprints(args.footprints, museums, ref) if args.footprints else None
     )

@@ -29,7 +29,9 @@ one f-string per row; stamps in a zero-offset ``timezone`` come from
 numpy, the rest from ``isoformat``, each in its own UTC offset, so a
 read/write cycle keeps the bytes. Every reader reports input that is not
 UTF-8 as a :class:`DataFormatError` naming the file (and, for NDJSON, the
-line).
+line). Given ``keep_text`` keywords, the reader keeps the text and source
+only of rows the semantic filter keeps for them; a corpus so read is
+filtered with those keywords only.
 """
 
 from __future__ import annotations
@@ -272,25 +274,21 @@ def _repeats(ids) -> bool:
     return len(set(alike)) < len(alike)
 
 
-def read_tweets(path) -> Corpus:
+def read_tweets(path, keep_text=None) -> Corpus:
     """Read an NDJSON file into a :class:`Corpus`, in chunks of whole lines from 64 KB blocks.
 
-    Lines end at ``\\n`` alone (a ``\\r`` ends no line). Each block is cut
-    after its last ``\\n`` and the rest carried into the next block, so a
-    chunk holds whole lines. Each chunk is decoded and parsed at once, each
-    line that holds ``[`` or ``]`` on its own, then converted and checked
-    column by column, with the checks a :class:`Tweet` makes. Its stamps are
-    read in bulk when each is strict UTC, ``YYYY-MM-DDTHH:MM:SS[.ffffff]``
-    and ``Z`` or ``+00:00``, in any mix of those shapes. A chunk with
-    another stamp form, or a line that fails any of this, goes through the
-    per-line reader instead, which gets the chunk split after each ``\\n``
-    and appends its lines one at a time. Repeated ids are looked for once,
-    after the last chunk, among the sorted hashes of every id. A file with a
-    bad line or a repeated id is read again by line from its start, with one
-    set of the ids seen, so the first bad line in it is reported as
+    Lines end at ``\\n`` alone (a ``\\r`` ends no line). Each chunk is parsed
+    and checked column by column, or by line where that fails or a stamp is
+    not strict UTC (see the module notes). Repeated ids are looked for once,
+    after the last chunk. A file with a bad line or a repeated id is read
+    again by line from its start, so the first bad line in it is reported as
     ``path:line``; a stream that cannot seek, such as a pipe, names no line.
+    ``keep_text`` None keeps every text. Given keywords, a row whose text
+    the semantic filter would drop for them is kept, once its checks have
+    run, with ``""`` as its text and None as its source, so the corpus is
+    filtered with those same keywords only; ``()`` keeps no text at all.
     """
-    rows = _CorpusBuilder()
+    rows = _CorpusBuilder(keep_text)
     with open(path, "rb") as fh:
         try:  # this pass names no line: an error in it is caught, and the reporting pass below names the line
             for chunk in _chunks(fh):
@@ -303,7 +301,7 @@ def read_tweets(path) -> Corpus:
         if not fh.seekable():  # a pipe opened again would go on where it stopped
             raise DataFormatError(f"{path}: a bad line or a repeated tweet id; a stream that cannot seek is not read again to tell which")
         fh.seek(0)  # a bad line or a repeat: the first in the file raises
-        rows, seen, line_no = _CorpusBuilder(), set(), 0
+        rows, seen, line_no = _CorpusBuilder(keep_text), set(), 0
         for chunk in _chunks(fh):
             line_no += _extend_by_line(rows, seen, chunk, path, line_no)
     return rows.corpus()

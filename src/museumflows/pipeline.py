@@ -40,6 +40,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
+from functools import lru_cache
 
 import numpy as np
 
@@ -242,12 +243,13 @@ class _CorpusBuilder:
     columns, checks them as :class:`Tweet` does, and assigns their user
     and time-zone codes. Every producer feeds it: the NDJSON reader, once
     per chunk, :meth:`Corpus.from_tweets` and the synthetic generator.
+    Given ``keep_text`` keywords, a row :func:`_keyword_texts` rejects gets ``""`` as its text and None as its source.
     """
 
-    __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
+    __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources", "keep_text")
 
-    def __init__(self):
-        self.ids, self.texts, self.sources = [], [], []
+    def __init__(self, keep_text=None):
+        self.keep_text, self.ids, self.texts, self.sources = keep_text, [], [], []
         self.users: dict[str, int] = {}
         self.tzinfos: dict = {}
         self.user, self.stamp_us, self.tz = array("q"), array("q"), array("q")
@@ -269,6 +271,9 @@ class _CorpusBuilder:
         if not (in_range.all() and all(ids) and all(user_ids) and max(map(len, texts), default=0) <= MAX_TEXT_CODEPOINTS):
             for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts, sources, stamp_us.tolist()):
                 _check_row(*row)
+        if self.keep_text is not None and not all(keep := _keyword_texts(texts, self.keep_text).tolist()):
+            texts = [text if k else "" for text, k in zip(texts, keep)]  # after the checks; the blanks share one ""
+            sources = [s if k else None for s, k in zip(sources, keep)] if sources.count(None) < len(sources) else sources
         self.ids.extend(ids)
         self.user.extend(_codes(self.users, user_ids))
         self.stamp_us.frombytes(stamp_us.tobytes())
@@ -498,8 +503,28 @@ def remove_automated_accounts(corpus, ref: GeoPoint):
     return _kept("bot-removal", corpus, ~dropped[corpus.user])
 
 
+@lru_cache(maxsize=16)
+def _needles(keywords: tuple):
+    """(folded keywords, needles): the folded keywords with no separator, less any that starts with another; once per tuple."""
+    usable = {k for k in map(str.casefold, keywords) if not _TOKEN_SPLIT.search(k)}
+    return tuple(map(str.casefold, keywords)), tuple(k for k in usable if not k.startswith(tuple(usable - {k})))
+
+
+def _keyword_texts(texts, keywords) -> np.ndarray:
+    """Each text's keep under :func:`semantic_filter`'s rule; no text is scanned when no keyword can start a token."""
+    keywords, needles = _needles(tuple(keywords))
+    if "" in keywords:  # every token starts with it
+        return np.fromiter(map(bool, map(tokenize, texts)), bool, len(texts))
+    if not needles:
+        return np.zeros(len(texts), dtype=bool)
+    keep, changed = _scan_texts(texts, "\n", needles, _TOKEN_START)
+    redo = [texts[i] for i in np.flatnonzero(changed).tolist()]
+    keep[changed] = [any(tok.casefold().startswith(keywords) for tok in tokenize(t)) for t in redo]
+    return keep
+
+
 def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
-    """Keep tweets with a token starting with any keyword, case-folded.
+    """Keep tweets with a token starting with any keyword, case-folded, by :func:`_keyword_texts`, the reader's rule too.
 
     Prefix matching keeps plurals ("museums") without letting substrings
     like "amusement" through. Texts are scanned in slices, each joined by
@@ -515,18 +540,9 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     fold changes length, such as "Straße" or "ﬁ", are tokenized and each
     token folded. The empty keyword keeps every text with a token.
     """
-    keywords = tuple(k.casefold() for k in keywords)
-    if not keywords:
+    if not (keywords := tuple(keywords)):
         raise InvalidParameterError("semantic filter needs at least one keyword")
-    texts = corpus.texts.tolist()
-    if "" in keywords:  # every token starts with it
-        return _kept("semantic", corpus, np.fromiter(map(bool, map(tokenize, texts)), bool, len(texts)))
-    usable = {k for k in keywords if not _TOKEN_SPLIT.search(k)}
-    needles = [k for k in usable if not k.startswith(tuple(usable - {k}))]
-    keep, changed = _scan_texts(texts, "\n", needles, _TOKEN_START)
-    redo = corpus.texts[changed].tolist()
-    keep[changed] = [any(tok.casefold().startswith(keywords) for tok in tokenize(t)) for t in redo]
-    return _kept("semantic", corpus, keep)
+    return _kept("semantic", corpus, _keyword_texts(corpus.texts.tolist(), keywords))
 
 
 def _check_distance(name: str, metres: float) -> None:

@@ -24,9 +24,10 @@ from museumflows.fileio import (
     write_matrix_csv,
     write_museums,
     write_report_json,
+    write_tweets,
     write_zones,
 )
-from museumflows.pipeline import FILTER_STAGES, PipelineReport, StageCount
+from museumflows.pipeline import DEFAULT_BUFFER_M, DEFAULT_KEYWORDS, FILTER_STAGES, PipelineReport, StageCount, tokenize
 from museumflows.sim import Deterrence, ModelSpec, unconstrained_flows
 from museumflows.synth import demo_region
 
@@ -782,6 +783,45 @@ def test_flows_keywords_flag_is_the_pipeline_run_with_those_keywords(tmp_path):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
     semantic = next(s for s in result.report.stages if s.stage == "semantic")
     assert 0 < semantic.tweets_out < semantic.tweets_in  # gallery alone keeps some museum tweets, not all
+
+
+def test_filter_keeps_every_text_it_writes_whether_or_not_it_runs_the_semantic_stage(tmp_path):
+    # filter reads with its keywords only when it runs the semantic stage; without it, filtered.ndjson
+    # holds every kept row's full text. Two rows carry a check-in source, which the check-in stage reads.
+    rows = [json.loads(line) for line in open(os.path.join(DEMO, "corpus.ndjson"), encoding="utf-8")]
+    keyword = {row["id"] for row in rows if any(t.casefold().startswith(DEFAULT_KEYWORDS) for t in tokenize(row["text"]))}
+    relays = {next(row["id"] for row in rows if row["id"] in keyword), next(row["id"] for row in rows if row["id"] not in keyword)}
+    tweets = tmp_path / "corpus.ndjson"
+    tweets.write_text("".join(
+        json.dumps(dict(row, source="Foursquare for iPhone") if row["id"] in relays else row, sort_keys=True) + "\n"
+        for row in rows
+    ), encoding="utf-8")
+    texts = {row["id"]: row["text"] for row in rows}
+    zones_path, museums_path = os.path.join(DEMO, "zones.geojson"), os.path.join(DEMO, "museums.geojson")
+    footprints_path = tmp_path / "footprints.geojson"
+    museums = read_museums(museums_path)
+    squares = [[[m.location.lon + dx, m.location.lat + dy] for dx, dy in ((-.005, -.005), (.005, -.005), (.005, .005), (-.005, .005), (-.005, -.005))]
+               for m in museums]
+    footprints_path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"museum_id": m.id}, "geometry": {"type": "Polygon", "coordinates": [ring]}}
+        for m, ring in zip(museums, squares)
+    ]}), encoding="utf-8")
+    _, ref = read_zones(zones_path)
+    footprints = read_footprints(footprints_path, museums, ref)
+    for stages, spatial in (("spatial,dedup", True), ("checkin", False), (None, False), (None, True)):
+        out = tmp_path / f"{stages}-{spatial}"
+        argv = ["filter", "--tweets", str(tweets), "--zones", zones_path, "--out", str(out)]
+        argv += ["--museums", museums_path, "--footprints", str(footprints_path)] if spatial else []
+        assert main(argv + (["--stages", stages] if stages else [])) == 0
+        plain = read_tweets(tweets)
+        kept, _ = pipeline._run_filters(plain, ref, stages and stages.split(","), footprints if spatial else None,
+                                        DEFAULT_KEYWORDS, DEFAULT_BUFFER_M)
+        write_tweets(kept, tmp_path / "expected.ndjson")
+        assert (out / "filtered.ndjson").read_bytes() == (tmp_path / "expected.ndjson").read_bytes(), (stages, spatial)
+        written = {row["id"]: row["text"] for row in map(json.loads, (out / "filtered.ndjson").read_text(encoding="utf-8").splitlines())}
+        assert written and all(text == texts[tid] for tid, text in written.items())
+        assert bool(set(written) - keyword) == (stages is not None), (stages, spatial)  # rows without a keyword are written
+        assert not relays & set(written) or stages == "spatial,dedup", (stages, spatial)
 
 
 def test_demo_attract_demand_sweeps_match_recorded_digests(tmp_path):

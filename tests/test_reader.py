@@ -10,7 +10,9 @@ chunked reader must give the same columns, or raise the same message, on
 any input. Hypothesis builds files from valid records, records with every
 value the per-line reader converts or rejects, and raw lines that are not
 records; the chunk size is patched down so that chunk boundaries fall
-between (and around) them.
+between (and around) them. The last tests read with ``keep_text``, which
+blanks the texts the semantic filter would drop: every check must still
+see the real text, and the pipeline's outputs must not change.
 """
 
 import json
@@ -24,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_same_outcome, corpus_columns, outcome
+from conftest import assert_same_outcome, corpus_columns, home_rows, outcome
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +34,7 @@ from museumflows import fileio
 from museumflows.errors import DataFormatError
 from museumflows.fileio import read_tweets, write_tweets
 from museumflows.geometry import GeoPoint
-from museumflows.pipeline import Corpus, Tweet, _CorpusBuilder, _utc_us
+from museumflows.pipeline import DEFAULT_KEYWORDS, Corpus, Tweet, _CorpusBuilder, _located_homes, _utc_us, run_pipeline
 from museumflows.sim import Deterrence, ModelSpec
 from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
@@ -613,12 +615,13 @@ def test_extend_checks_as_a_tweet_does_and_appends_nothing_on_a_fault():
     ):
         expected = outcome(tweet, *bad)
         assert expected[0] == "error"
-        rows = _CorpusBuilder()
-        extend(rows, good)
-        before = corpus_columns(rows.corpus())
-        for after in ((later,), ()):
-            assert_same_outcome(outcome(extend, rows, good, bad, *after), expected)
-            assert corpus_columns(rows.corpus()) == before
+        for keep_text in (None, DEFAULT_KEYWORDS, ()):  # the checks see the real texts, kept or not
+            rows = _CorpusBuilder(keep_text)
+            extend(rows, good)
+            before = corpus_columns(rows.corpus())
+            for after in ((later,), ()):
+                assert_same_outcome(outcome(extend, rows, good, bad, *after), expected, keep_text)
+                assert corpus_columns(rows.corpus()) == before
 
     plus_two = timezone(timedelta(hours=2))
     rows = _CorpusBuilder()
@@ -639,3 +642,94 @@ def tweet(tid, user, stamp, lat, lon, text, source):
 def extend(rows, *tweet_rows):
     tids, users, stamps, lat, lon, texts, sources = zip(*tweet_rows)
     rows.extend(tids, users, [_utc_us(s) for s in stamps], [s.tzinfo for s in stamps], lat, lon, texts, sources)
+
+
+# --- reading with keep_text ---
+
+# Rows whose text holds no keyword, each with one fault that a plain read
+# reports at line 3. A source that is not a string is no fault: the reader
+# converts it with str before any check, as the line reader does, so that
+# row must read as in a plain read, its source blanked with its text.
+NON_KEYWORD_FAULTS = {
+    "a 281-code-point text": (record("long", text="x" * 281), "t.ndjson:3: tweet long: text has 281 code points, limit is 280"),
+    "an empty id": (record("", text="rain again"), "t.ndjson:3: tweet id and user_id must be non-empty"),
+    "a repeated id": (record("r1", text="rain again"), "t.ndjson:3: duplicate tweet id 'r1'"),
+    "a source that is not a string": (record("s", text="rain again", source=7), None),
+}
+
+
+def blanked(corpus, keeps):
+    """The columns of ``corpus`` with the text and source of each row whose id is not in ``keeps`` blanked."""
+    columns = corpus_columns(corpus)
+    kept = [tid in keeps for tid in columns[0]]
+    texts = [text if k else "" for text, k in zip(columns[8], kept)]
+    return columns[:8] + (texts, [source if k else None for source, k in zip(columns[9], kept)])
+
+
+@pytest.mark.parametrize("stamp", ["2013-06-01T12:00:00Z", "2013-06-01T13:00:00+01:00"], ids=["bulk", "by-line"])
+@pytest.mark.parametrize("fault", sorted(NON_KEYWORD_FAULTS))
+def test_a_read_that_blanks_texts_checks_every_row_first(tmp_path, fault, stamp):
+    line, message = NON_KEYWORD_FAULTS[fault]
+    lines = [record("r0", stamp=stamp, text="Museum day", source="web"), record("r1", text="rain"), line,
+             record("r2", text="the gallery", source="app")]
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    plain = outcome(read_tweets, path)
+    assert plain[0] == ("ok" if message is None else "error")
+    for keep_text, keeps in ((DEFAULT_KEYWORDS, {"r0", "r2"}), ((), set())):
+        with by_line_watched() as by_line:
+            got = outcome(read_tweets, path, keep_text)
+        assert by_line.called == (stamp.endswith("+01:00") or message is not None)
+        if assert_same_outcome(got, plain, keep_text):
+            assert corpus_columns(got[1]) == blanked(plain[1], keeps)
+        else:
+            assert got[2].endswith(message), got
+
+
+FOLD_TEXTS = (
+    "Straße museum", "STRASSE day", "İstanbul exhibit", "ﬁne ﬁ art", "ﬁx", "art gallery, now", "museum.", "",
+    "amusement", "musée ☕ Museum", "ab cd", "a://b museum", "rain", "Gallery! 4sq.com/x", "ßß gallery ß",
+)
+FOLD_KEYWORDS = (
+    DEFAULT_KEYWORDS, ("strasse", "ﬁ", "i̇st"), ("ﬁne", "STRASSE"), ("",), ("", "museum"), ("art gallery", "musé"),
+    ("art gallery",), ("mu", "gallery"),
+)
+TZ = (timezone.utc, timezone(timedelta(hours=1)))
+
+
+@st.composite
+def fold_corpora(draw):
+    """A small corpus in a 2 x 2 zone region: texts that fold to other lengths, users with several rows, repeats."""
+    region = demo_region(4, 2, seed=7)
+    places = [z.centroid for z in region.zones] + [m.location for m in region.museums] + [GeoPoint(53.9, -1.2)]
+    tweets = []
+    for k in range(draw(st.integers(1, 30))):
+        at = draw(st.sampled_from(places))
+        text = draw(st.one_of(st.sampled_from(FOLD_TEXTS), st.text(st.sampled_from("aßİﬁ mgy .,"), max_size=12)))
+        stamp = datetime(2013, 6, 1, 12, tzinfo=timezone.utc) + timedelta(minutes=draw(st.integers(0, 3)))
+        tweets.append(Tweet(
+            f"t{k}", f"u{draw(st.integers(0, 4))}", stamp.astimezone(draw(st.sampled_from(TZ))),
+            GeoPoint(at.lat + draw(st.sampled_from((0.0, 0.0004))), at.lon), text,
+            draw(st.sampled_from((None, "web", "foursquare"))),
+        ))
+    return region, tweets
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_corpora(), st.sampled_from(FOLD_KEYWORDS), st.booleans(), st.sampled_from((1 << 16, 300)))
+def test_a_read_that_blanks_texts_gives_the_outputs_of_a_plain_read(tmp_path_factory, drawn, keywords, spatial, chunk_bytes):
+    region, tweets = drawn
+    path = tmp_path_factory.mktemp("blank") / "t.ndjson"
+    write_tweets(Corpus.from_tweets(tweets), path)
+    footprints = list(region.footprints) if spatial else None
+    with mock.patch.object(fileio, "_CHUNK_BYTES", chunk_bytes):
+        plain, read = read_tweets(path), read_tweets(path, keywords)
+        no_text = read_tweets(path, ())
+    assert set(read.texts.tolist()) <= set(plain.texts.tolist()) | {""}
+    assert set(no_text.texts.tolist()) <= {""} and set(no_text.sources.tolist()) <= {None}
+    want, got = (run_pipeline(c, region.zones, region.museums, region.ref, footprints, keywords) for c in (plain, read))
+    assert got.report == want.report
+    assert (got.matrix.origin_ids, got.matrix.destination_ids) == (want.matrix.origin_ids, want.matrix.destination_ids)
+    assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
+    assert corpus_columns(got.museum_tweets) == corpus_columns(want.museum_tweets)
+    assert home_rows(_located_homes(no_text, region.zones, region.ref)[2]) == home_rows(want.homes)
