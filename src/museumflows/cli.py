@@ -201,7 +201,9 @@ def _cmd_filter(args) -> int:
         museums = fileio.read_museums(args.museums)
         footprints = fileio.read_footprints(args.footprints, museums, ref)
 
-    corpus, entries = _run_filters(tweets, ref, args.stages, footprints, args.keywords, args.buffer_m)
+    corpus, entries = tweets, []
+    for corpus, entry in _run_filters(tweets, ref, args.stages, footprints, args.keywords, args.buffer_m):
+        entries.append(entry)
 
     out = _outdir(args)
     fileio.write_tweets(corpus, os.path.join(out, "filtered.ndjson"))
@@ -232,13 +234,11 @@ def _read_region(args):
 
 
 def _pipeline_from_tweets(args, zones, museums, ref):
-    """run_pipeline over --tweets, with --footprints, --keywords and --buffer-m."""
-    tweets = fileio.read_tweets(args.tweets, args.keywords)
-    footprints = (
-        fileio.read_footprints(args.footprints, museums, ref) if args.footprints else None
-    )
+    """run_pipeline over --tweets (read first, and named by no frame here), with --footprints, --keywords and --buffer-m."""
     return run_pipeline(
-        tweets, zones, museums, ref, footprints=footprints, keywords=args.keywords, buffer_m=args.buffer_m
+        fileio.read_tweets(args.tweets, args.keywords), zones, museums, ref,
+        footprints=fileio.read_footprints(args.footprints, museums, ref) if args.footprints else None,
+        keywords=args.keywords, buffer_m=args.buffer_m,
     )
 
 

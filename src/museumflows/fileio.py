@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DataFormatError, FlowModelError, InvalidGeometryError
 from .geometry import GeoPoint, planar_polygon, polygon_centroid_area, unproject
-from .pipeline import Corpus, Homes, PipelineReport, StageCount, TaggedFeature, _check_row, _CorpusBuilder, _datetime, _utc_us
+from .pipeline import Corpus, Homes, PipelineReport, StageCount, TaggedFeature, _all_str, _check_row, _CorpusBuilder, _datetime, _utc_us
 from .pipeline import _FIRST_US, _LAST_US, _STAMP_RANGE
 from .sim import FlowMatrix, Museum, Zone, repeated_ids
 from .calibration import SweepResult, spec_name
@@ -168,11 +168,7 @@ def _naive_us(lines: str, shape: str) -> np.ndarray:
 
 def _str_column(values: list) -> list:
     """The values as ``str`` gives them: the list itself where all are str, as one C-level join tells."""
-    try:
-        "".join(values)
-    except TypeError:
-        return list(map(str, values))
-    return values
+    return values if _all_str(values) else list(map(str, values))
 
 
 def _float_column(values: list):

@@ -40,7 +40,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import is_not
 
 import numpy as np
 
@@ -231,6 +232,15 @@ _LAST_US = _utc_us(datetime.max)
 _STAMP_RANGE = "is outside 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59.999999Z"
 
 
+def _all_str(values) -> bool:
+    """Whether every value is a str, as one C-level join tells."""
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return True
+
+
 def _codes(table: dict, keys) -> list:
     """Each key's code in ``table``; a key not yet there gets the next code, in first-seen order."""
     return [table.setdefault(key, len(table)) for key in keys]
@@ -268,7 +278,10 @@ class _CorpusBuilder:
         stamp_us = np.asarray(stamp_us, dtype=np.int64)
         in_range = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
         in_range &= (_FIRST_US <= stamp_us) & (stamp_us <= _LAST_US)
-        if not (in_range.all() and all(ids) and all(user_ids) and max(map(len, texts), default=0) <= MAX_TEXT_CODEPOINTS):
+        # one C-level test of each str column first, so no later test meets another type; a source may be None
+        sources_ok = _all_str(sources) or sources.count(None) == len(sources) or _all_str(filter(partial(is_not, None), sources))
+        if not (all(map(_all_str, (ids, user_ids, texts))) and sources_ok and in_range.all() and all(ids) and all(user_ids)
+                and max(map(len, texts), default=0) <= MAX_TEXT_CODEPOINTS):
             for row in zip(ids, user_ids, lat.tolist(), lon.tolist(), texts, sources, stamp_us.tolist()):
                 _check_row(*row)
         if self.keep_text is not None and not all(keep := _keyword_texts(texts, self.keep_text).tolist()):
@@ -451,8 +464,8 @@ def _scan_texts(texts: list, joiner: str, needles, accept=None):
 def _grid_cells(corpus: Corpus, ref: GeoPoint):
     """(ix, iy) of every row, bit for bit :func:`project` + :func:`snap_to_grid`.
 
-    An out-of-frame row raises through :func:`project`: the first such row
-    of the user who appears first, as a loop over users meets it.
+    Each projected column is divided and floored in place, then cast. An out-of-frame
+    row raises through :func:`project`: the first such row of the user who appears first.
     """
     lat, lon = corpus.lat, corpus.lon
     far = np.flatnonzero((np.abs(lat - ref.lat) > MAX_FRAME_DEGREES) | (np.abs(lon - ref.lon) > MAX_FRAME_DEGREES))
@@ -462,28 +475,39 @@ def _grid_cells(corpus: Corpus, ref: GeoPoint):
         row = far[np.argmin(first[corpus.user[far]])]
         project(GeoPoint(lat[row], lon[row]), ref)
     x, y = project_arrays(lat, lon, ref)
-    return np.floor(x / GRID_RESOLUTION_M, out=x).astype(np.int64), np.floor(y / GRID_RESOLUTION_M, out=y).astype(np.int64)
+    x = np.floor(np.divide(x, GRID_RESOLUTION_M, out=x), out=x).astype(np.int64)
+    return x, np.floor(np.divide(y, GRID_RESOLUTION_M, out=y), out=y).astype(np.int64)
 
 
-def _cell_runs(user, ix, iy):
-    """Runs of equal (user, cell) in sorted order, grouped by user.
+def _cell_runs(corpus: Corpus, ref: GeoPoint):
+    """Runs of equal (user, cell) in one sort of the rows, grouped by user.
 
-    Returns (order, starts, counts, group, group_user, top): the sorting
-    permutation, each run's start in it and its length, each run's group
-    (one per user, in user code order), each group's user code and its
-    longest run length.
+    Folds the cells of :func:`_grid_cells` in place into one int64 key,
+    ``user * size + (ix - x0) * ny + (iy - y0)`` over the box of every cell
+    (least indices x0, y0; ny rows; size cells), then drops them, and the
+    sorted key once each run's bounds and key are read. Returns (order,
+    bounds, first, users, top, cells): the sort order, run r's rows
+    ``order[bounds[r]: bounds[r + 1]]``, each user's first run, code
+    (``key // size``) and longest run, and ``cells(runs)``, their (ix, iy)
+    read back by exact integer arithmetic (``key % size // ny + x0``, ...).
     """
-    x0, y0 = ix.min(), iy.min()
-    nx, ny = ix.max() - x0 + 1, iy.max() - y0 + 1
-    key = (user * nx + (ix - x0)) * ny + (iy - y0)  # < 2**63 for fewer than 7e10 users: nx, ny <= 11,121 in the frame
+    key, iy = _grid_cells(corpus, ref)
+    x0, y0 = key.min(), iy.min()
+    ny = iy.max() - y0 + 1
+    size = (key.max() - x0 + 1) * ny  # user * size < 2**63 for fewer than 7e10 users: nx, ny <= 11,121 in the frame
+    key *= ny
+    key += iy
+    key += np.multiply(corpus.user, size, out=iy) - (x0 * ny + y0)
+    del iy
     order = np.argsort(key)  # not stable: a run is read as the set of its members, or as any one of them
     key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    counts = np.diff(np.append(starts, len(key)))
-    run_user = user[order[starts]]
-    first_runs = np.flatnonzero(np.concatenate(([True], run_user[1:] != run_user[:-1])))
-    group = np.repeat(np.arange(len(first_runs)), np.diff(np.append(first_runs, len(starts))))
-    return order, starts, counts, group, run_user[first_runs], np.maximum.reduceat(counts, first_runs)
+    bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    key = key[bounds[:-1]]
+    first = np.flatnonzero(np.diff(key // size, prepend=-1))
+
+    def cells(runs):
+        return key[runs] % size // ny + x0, key[runs] % size % ny + y0
+    return order, bounds, first, key[first] // size, np.maximum.reduceat(np.diff(bounds), first), cells
 
 
 def remove_automated_accounts(corpus, ref: GeoPoint):
@@ -498,7 +522,7 @@ def remove_automated_accounts(corpus, ref: GeoPoint):
     dropped = np.zeros(len(corpus.users), dtype=bool)
     if heavy.size:
         suspects = corpus.take(heavy)  # each heavy user's rows, all of them in order: no user's first row moves
-        _, _, _, _, users, top = _cell_runs(suspects.user, *_grid_cells(suspects, ref))
+        _, _, _, users, top, _ = _cell_runs(suspects, ref)
         dropped[users[top >= STATIC_FRACTION * tweets_per_user[users]]] = True
     return _kept("bot-removal", corpus, ~dropped[corpus.user])
 
@@ -640,32 +664,30 @@ def infer_home_locations(corpus, ref: GeoPoint):
 
     Cells are computed for the whole corpus at once, with the operations of
     :func:`project` and :func:`snap_to_grid` in the same order, so each is
-    bit for bit the cell the scalar functions give.
+    bit for bit the cell the scalar functions give, grouped by one packed key
+    (:func:`_cell_runs`) and read back from a run's key; the sort order, read
+    only for users whose top count ties, goes before the homes are built.
     """
     if not len(corpus):
         return Homes(corpus.users, [], [], [], [])
-    name_rank = np.empty(len(corpus.users), dtype=np.int64)  # before the cells, so its Python ints are gone by then
-    name_rank[sorted(range(len(corpus.users)), key=corpus.users.__getitem__)] = np.arange(len(corpus.users))
-    ix, iy = _grid_cells(corpus, ref)
-    order, starts, counts, group, users, top = _cell_runs(corpus.user, ix, iy)
-    top_runs = np.flatnonzero(counts == top[group])
-    # each user group's top runs are top_runs[first_top[g]: first_top[g + 1]]
-    first_top = np.searchsorted(group[top_runs], np.arange(len(top) + 1))
+    order, bounds, first, users, top, cells = _cell_runs(corpus, ref)
+    top_runs = np.flatnonzero(np.diff(bounds) == np.repeat(top, np.diff(first, append=len(bounds) - 1)))
+    first_top = np.searchsorted(top_runs, np.append(first, len(bounds) - 1))  # user g's top runs: top_runs[first_top[g]: first_top[g + 1]]
     best_run = top_runs[first_top[:-1]]
-    stamp_us, ids = corpus.stamp_us, corpus.ids
 
     def earliest(run):
         # a cell's earliest (timestamp, id); an exact tie goes to the cell seen first
-        members = order[starts[run]: starts[run] + counts[run]].tolist()
-        return min((stamp_us[i], ids[i]) for i in members), min(members)
+        members = order[bounds[run]: bounds[run + 1]].tolist()
+        return min((corpus.stamp_us[i], corpus.ids[i]) for i in members), min(members)
 
     for g in np.flatnonzero(np.diff(first_top) > 1).tolist():
         best_run[g] = min(top_runs[first_top[g]: first_top[g + 1]].tolist(), key=earliest)
-
-    best = order[starts[best_run]]
-    by_name = np.argsort(name_rank[users])
-    best = best[by_name]
-    return Homes(corpus.users, users[by_name], ix[best], iy[best], top[by_name])
+    del order, bounds, top_runs
+    named = np.fromiter(sorted(users.tolist(), key=corpus.users.__getitem__), np.int64, len(users))  # the codes, by name
+    at = np.empty(len(corpus.users), dtype=np.int64)
+    at[users] = np.arange(len(users))
+    by_name = at[named]
+    return Homes(corpus.users, named, *cells(best_run[by_name]), top[by_name])
 
 
 def _distinct_cells(homes: Homes):
@@ -845,12 +867,13 @@ def extract_museums(features, merge_radius_m: float = DEFAULT_MERGE_RADIUS_M):
 
 
 def _run_filters(corpus, ref: GeoPoint, stages, footprints, keywords, buffer_m: float):
-    """Run the chosen filter stages in :data:`FILTER_STAGES` order; return the survivors and each stage's count.
+    """Run the chosen filter stages in :data:`FILTER_STAGES` order, yielding each one's survivors and count.
 
     ``stages`` None runs every stage, the spatial one only when footprints
     are given. Each stage function is looked up by its module-level name as
     it runs, so a name rebound after import (a tracer's wrapper) is the one
-    called.
+    called. A caller that rebinds its name for the rows to each yield holds
+    no row a stage dropped while the next stage runs.
     """
     if stages is None:
         stages = [s for s in FILTER_STAGES if s != "spatial" or footprints is not None]
@@ -860,12 +883,10 @@ def _run_filters(corpus, ref: GeoPoint, stages, footprints, keywords, buffer_m: 
         "dedup": lambda c: dedup(c),
         "checkin": lambda c: remove_checkins(c),
     }
-    entries = []
     for stage in FILTER_STAGES:
         if stage in stages:
             corpus, entry = run[stage](corpus)
-            entries.append(entry)
-    return corpus, entries
+            yield corpus, entry
 
 
 def _located_homes(corpus: Corpus, zones, ref: GeoPoint):
@@ -892,10 +913,13 @@ def run_pipeline(
     given. Zone boundaries and footprints must be planar in the frame
     anchored at ref. ``tweets`` is a :class:`Corpus` or any sequence of
     :class:`Tweet`; this is the one place a sequence becomes a Corpus.
+    It is this frame's one name for the rows, rebound to each stage's output:
+    rows the semantic stage drops from a corpus no caller names (``flows``) go
+    before the next stage, except on 3.10, whose callers hold their arguments.
     """
-    corpus = tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets)
-    corpus, bots, homes = _located_homes(corpus, zones, ref)
-    corpus, entries = _run_filters(corpus, ref, None, footprints, keywords, buffer_m)
-    matrix, aggregate = build_observed_matrix(corpus, homes, zones, museums)
-    report = PipelineReport((bots, *entries, aggregate))
-    return PipelineResult(matrix=matrix, report=report, homes=homes, museum_tweets=corpus)
+    tweets, bots, homes = _located_homes(tweets if isinstance(tweets, Corpus) else Corpus.from_tweets(tweets), zones, ref)
+    stages = [bots]
+    for tweets, entry in _run_filters(tweets, ref, None, footprints, keywords, buffer_m):
+        stages.append(entry)
+    matrix, aggregate = build_observed_matrix(tweets, homes, zones, museums)
+    return PipelineResult(matrix=matrix, report=PipelineReport((*stages, aggregate)), homes=homes, museum_tweets=tweets)

@@ -814,8 +814,8 @@ def test_filter_keeps_every_text_it_writes_whether_or_not_it_runs_the_semantic_s
         argv += ["--museums", museums_path, "--footprints", str(footprints_path)] if spatial else []
         assert main(argv + (["--stages", stages] if stages else [])) == 0
         plain = read_tweets(tweets)
-        kept, _ = pipeline._run_filters(plain, ref, stages and stages.split(","), footprints if spatial else None,
-                                        DEFAULT_KEYWORDS, DEFAULT_BUFFER_M)
+        *_, (kept, _) = pipeline._run_filters(plain, ref, stages and stages.split(","), footprints if spatial else None,
+                                              DEFAULT_KEYWORDS, DEFAULT_BUFFER_M)
         write_tweets(kept, tmp_path / "expected.ndjson")
         assert (out / "filtered.ndjson").read_bytes() == (tmp_path / "expected.ndjson").read_bytes(), (stages, spatial)
         written = {row["id"]: row["text"] for row in map(json.loads, (out / "filtered.ndjson").read_text(encoding="utf-8").splitlines())}

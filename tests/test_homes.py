@@ -8,6 +8,8 @@ resolution through ``scalar_geometry._zone_containing``.
 """
 
 import math
+import sys
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_geometry import _zone_containing, point_in_polygon, point_on_boundary
 
+from museumflows import pipeline
 from museumflows.errors import AmbiguousZoneError, InvalidCoordinateError, InvalidParameterError
 from museumflows.geometry import (
     EARTH_RADIUS_M,
@@ -30,6 +33,7 @@ from museumflows.geometry import (
     snap_to_grid,
 )
 from museumflows.pipeline import (
+    DEFAULT_KEYWORDS,
     Corpus,
     Homes,
     StageCount,
@@ -38,8 +42,11 @@ from museumflows.pipeline import (
     assign_home_zone,
     build_observed_matrix,
     infer_home_locations,
+    run_pipeline,
 )
 from museumflows.fileio import read_tweets, write_tweets
+from museumflows.sim import Deterrence, ModelSpec
+from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
 REF = GeoPoint(53.5, -2.5)
 EPOCH = datetime(2013, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -439,3 +446,77 @@ def test_packed_cell_keys_hold_at_the_frame_corners():
     assert sum(h.zone_id is not None for h in got) > 30
     dense = [UserHome(f"d{k:03d}", cell, 1) for k, cell in enumerate(every_cell)]
     assert list(assign_home_zone(make_homes(dense), zones)) == oracle_zones_by_cell(dense, zones)
+
+
+@pytest.mark.parametrize("cells", [
+    [(4, iy) for iy in range(-3, 4)],
+    [(ix, -6) for ix in range(-3, 4)],
+    [(2, 5)],
+    [(ix, iy) for ix in range(-9, -6) for iy in range(-8, -5)],
+], ids=["one-column", "one-row-of-cells", "one-cell", "west-and-south-of-the-reference"])
+def test_packed_cell_keys_decode_at_degenerate_spans(cells):
+    # Home cells are read back from packed (user, cell) keys over the box of
+    # every cell: a box one cell wide, one high, or both, and cells of
+    # negative index, each over a corpus of 60 rows and of its first row only.
+    rng = np.random.default_rng(len(cells))
+    tweets = [
+        Tweet(f"t{k:02d}", f"u{int(rng.integers(6))}", EPOCH + timedelta(minutes=int(rng.integers(3))),
+              cell_center(*cells[int(rng.integers(len(cells)))]), "x")
+        for k in range(60)
+    ]
+    for corpus in (Corpus.from_tweets(tweets), Corpus.from_tweets(tweets[:1])):
+        assert list(infer_home_locations(corpus, REF)) == oracle_homes(corpus, REF)
+
+
+@pytest.fixture(scope="module")
+def generated_corpus(tmp_path_factory):
+    """The 20,000-row generated file of the reader's memory guard, and its region."""
+    region = demo_region(20, 5, seed=7)
+    cfg = SynthConfig(true_spec=ModelSpec(deterrence=Deterrence("exponential", 0.95)), n_trips=5000, noise=0.2, seed=3)
+    corpus, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    path = tmp_path_factory.mktemp("generated") / "t.ndjson"
+    write_tweets(corpus.take(np.arange(20_000)), path)
+    return path, region
+
+
+def traced(fn, *args):
+    """(result, memory held after, peak): what ``fn(*args)`` allocated, traced, over what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_home_inference_holds_little_beside_the_corpus(generated_corpus):
+    # The cells are folded into the packed key in place, the row-sized sorted
+    # key goes once the runs are read, and the homes are read back from the
+    # run keys: the peak stays a small share of the corpus, as flows reads it.
+    path, region = generated_corpus
+    corpus, kept, _ = traced(read_tweets, path, DEFAULT_KEYWORDS)
+    _, _, peak = traced(infer_home_locations, corpus, region.ref)
+    assert peak <= 0.3 * kept, (peak, kept)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 the caller's evaluation stack holds a call's arguments until the call returns",
+)
+def test_the_stages_after_the_semantic_one_hold_no_row_it_dropped(generated_corpus, monkeypatch):
+    # A corpus no caller names is named only by run_pipeline, which rebinds
+    # that name to each stage's survivors: once the semantic stage returns,
+    # the rows it dropped are freed before dedup, the next stage here, runs.
+    path, region = generated_corpus
+    _, kept, _ = traced(read_tweets, path, DEFAULT_KEYWORDS)
+    at_dedup, dedup = [], pipeline.dedup
+    monkeypatch.setattr(pipeline, "dedup", lambda corpus: at_dedup.append(tracemalloc.get_traced_memory()[0]) or dedup(corpus))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_pipeline(read_tweets(path, DEFAULT_KEYWORDS), region.zones, region.museums, region.ref)
+    finally:
+        tracemalloc.stop()
+    assert at_dedup[0] - before < 0.5 * kept, (at_dedup[0] - before, kept)

@@ -31,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from museumflows import fileio
-from museumflows.errors import DataFormatError
+from museumflows.errors import DataFormatError, InvalidAttributeError
 from museumflows.fileio import read_tweets, write_tweets
 from museumflows.geometry import GeoPoint
 from museumflows.pipeline import DEFAULT_KEYWORDS, Corpus, Tweet, _CorpusBuilder, _located_homes, _utc_us, run_pipeline
@@ -633,6 +633,29 @@ def test_extend_checks_as_a_tweet_does_and_appends_nothing_on_a_fault():
         (timezone.utc, plus_two, None), [0, 1, 2], np.array([53.8, 53.0, -90.0]).tobytes(),
         np.array([-1.5, -1.5, 180.0]).tobytes(), ["hi", "hé", "x" * 280], [None, "web", None],
     )
+
+
+@pytest.mark.parametrize("bad", [
+    ("b", "v", 53.8, -1.5, "hi", 7),
+    (5, "v", 53.8, -1.5, "hi", None),
+    ("b", 5, 53.8, -1.5, "hi", None),
+    ("b", "v", 53.8, -1.5, b"hi", None),
+], ids=["int-source", "int-id", "int-user-id", "bytes-text"])
+def test_extend_rejects_a_field_that_is_not_a_str_as_a_tweet_does(bad):
+    # Every other check of these rows passes, so only a test of each column's
+    # type keeps them out; a source column mixing str and None is no fault.
+    stamp = datetime(2013, 6, 1, 12, tzinfo=timezone.utc)
+    tid, user, lat, lon, text, source = bad
+    expected = outcome(tweet, tid, user, stamp, lat, lon, text, source)
+    assert expected[:2] == ("error", InvalidAttributeError)
+    good = [("a", "u", stamp, 53.8, -1.5, "hi", None), ("c", "w", stamp, 53.0, -1.5, "museum", "web")]
+    for keep_text in (None, DEFAULT_KEYWORDS, ()):
+        rows = _CorpusBuilder(keep_text)
+        extend(rows, *good)
+        before = corpus_columns(rows.corpus())
+        for rest in ((), (good[1],)):
+            assert_same_outcome(outcome(extend, rows, good[0], (tid, user, stamp, lat, lon, text, source), *rest), expected, keep_text)
+            assert corpus_columns(rows.corpus()) == before
 
 
 def tweet(tid, user, stamp, lat, lon, text, source):

@@ -513,6 +513,24 @@ def test_out_of_frame_error_names_the_tweet_a_per_user_loop_meets_first():
         spatial_filter(corpus, [], REF)
 
 
+@pytest.mark.parametrize("static", [6, 5])
+def test_bot_removal_of_a_heavy_user_whose_cells_share_one_column(static):
+    # Every cell of the heavy user is in column 3, so the packed cell keys
+    # span one column; with 10 tweets over a threshold of 8 and a fraction
+    # of 0.6, they go with 6 tweets in one cell and stay with 5.
+    def at(k, user, iy):
+        return Tweet(f"{user}{k}", user, BASE + timedelta(minutes=k), unproject(PlanarPoint(350.0, 100.0 * iy + 50.0), REF), "museum")
+
+    others = [-2, -1, 1, 2, 3][: 10 - static]
+    tweets = [at(k, "bot", 0) for k in range(static)] + [at(static + k, "bot", iy) for k, iy in enumerate(others)]
+    tweets.append(at(0, "human", 0))
+    expected = oracle_remove_automated_accounts(tweets, REF, 8, 0.6)
+    assert len(expected) == (1 if static == 6 else 11)
+    with mock.patch.object(pipeline, "ACTIVITY_THRESHOLD", 8), mock.patch.object(pipeline, "STATIC_FRACTION", 0.6):
+        check_stage(lambda c: remove_automated_accounts(c, REF), lambda c: oracle_remove_automated_accounts(c, REF, 8, 0.6),
+                    tweets, "bot-removal")
+
+
 def test_bot_removal_projects_only_the_heavy_users_rows():
     # u0, light, appears first with its one tweet abroad; u1 is heavy and
     # has a far tweet too: bot removal meets only u1's, home inference u0's
