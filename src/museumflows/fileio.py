@@ -7,8 +7,8 @@ Floats are written with repr so a write/read cycle is lossless. All
 writers emit deterministic bytes: sorted keys, fixed field order, no
 timestamps of their own. Every GeoJSON reader takes its features from
 :func:`_features`, which checks the collection, each Feature and its
-required properties, and every GeoJSON writer hands (properties,
-geometry) pairs to :func:`_write_features`.
+required properties. Zones and museums are written through :func:`_write_features`,
+and flows.geojson and sweep.json by one f-string per item, in :func:`_dump_json`'s bytes.
 
 :func:`read_tweets` reads the NDJSON file in blocks of 64 KB, each cut
 after its last ``\\n`` with the rest carried into the next, so a chunk is
@@ -31,7 +31,7 @@ read/write cycle keeps the bytes. Every reader reports input that is not
 UTF-8 as a :class:`DataFormatError` naming the file (and, for NDJSON, the
 line). Given ``keep_text`` keywords, the reader keeps the text and source
 only of rows the semantic filter keeps for them; a corpus so read is
-filtered with those keywords only.
+filtered with those keywords only, and without a scan.
 """
 
 from __future__ import annotations
@@ -281,8 +281,9 @@ def read_tweets(path, keep_text=None) -> Corpus:
     ``path:line``; a stream that cannot seek, such as a pipe, names no line.
     ``keep_text`` None keeps every text. Given keywords, a row whose text
     the semantic filter would drop for them is kept, once its checks have
-    run, with ``""`` as its text and None as its source, so the corpus is
-    filtered with those same keywords only; ``()`` keeps no text at all.
+    run, with ``""`` as its text and None as its source. The corpus records
+    them as ``keep_text``: the semantic filter reads its verdict from the
+    blanks, and raises for other keywords. ``()`` keeps no text at all.
     """
     rows = _CorpusBuilder(keep_text)
     with open(path, "rb") as fh:
@@ -598,20 +599,17 @@ def write_sweep_csv(sweep: SweepResult, path) -> None:
 
 
 def write_sweep_json(sweep: SweepResult, path) -> None:
-    def clean(x):
-        return None if math.isnan(x) else x
-
-    payload = {
-        "spec": spec_name(sweep.spec),
-        "best_beta": sweep.best_beta,
-        "best_r": sweep.best_r,
-        "best_rms": sweep.best_rms,
-        "points": [
-            {"beta": b, "r": clean(r), "rms": rms}
-            for b, r, rms in zip(sweep.betas, sweep.r_values, sweep.rms_values)
-        ],
-    }
-    _dump_json(payload, path)
+    """The bytes :func:`_dump_json` gives the sweep's payload, one f-string per point; a NaN r is ``null``."""
+    finite = np.isfinite([*sweep.betas, *sweep.rms_values, sweep.best_beta, sweep.best_r, sweep.best_rms]).all()
+    if not finite or np.isinf(sweep.r_values).any():  # as json.dumps(..., allow_nan=False) raises
+        raise ValueError("Out of range float values are not JSON compliant")
+    points = [
+        f'    {{\n      "beta": {b!r},\n      "r": {"null" if math.isnan(r) else repr(r)},\n      "rms": {rms!r}\n    }}'
+        for b, r, rms in zip(sweep.betas, sweep.r_values, sweep.rms_values)
+    ]
+    with open(path, "w", encoding="utf-8") as fh:  # the text is whole before the file is made
+        fh.write(f'{{\n  "best_beta": {sweep.best_beta!r},\n  "best_r": {sweep.best_r!r},\n  "best_rms": {sweep.best_rms!r},\n'
+                 f'  "points": {_json_list(points)},\n  "spec": {_json_str(spec_name(sweep.spec))}\n}}\n')
 
 
 def write_recovery_json(report: RecoveryReport, path) -> None:
@@ -663,24 +661,30 @@ def format_report(report: PipelineReport) -> str:
 
 
 def write_flow_lines(matrix: FlowMatrix, zones, museums, path) -> None:
-    """One straight LineString per nonzero cell, zone centroid to museum."""
-    zone_by_id = {z.id: z for z in zones}
-    museum_by_id = {m.id: m for m in museums}
-    pairs = []
-    for i, zid in enumerate(matrix.origin_ids):
-        if zid not in zone_by_id:
+    """One LineString per nonzero cell, zone centroid to museum: :func:`_write_features`' bytes, one f-string each."""
+    centroids, locations = {z.id: z.centroid for z in zones}, {m.id: m.location for m in museums}
+    unknown = [mid for mid in matrix.destination_ids if mid not in locations]
+    for zid in matrix.origin_ids:  # each row names its zone, then every museum, its zero cells too
+        if zid not in centroids:
             raise DataFormatError(f"flow matrix references unknown zone id {zid!r}")
-        for j, mid in enumerate(matrix.destination_ids):
-            if mid not in museum_by_id:
-                raise DataFormatError(f"flow matrix references unknown museum id {mid!r}")
-            count = float(matrix.values[i, j])
-            if count <= 0.0:
-                continue
-            z, m = zone_by_id[zid], museum_by_id[mid]
-            line = [[z.centroid.lon, z.centroid.lat], [m.location.lon, m.location.lat]]
-            props = {"origin": zid, "destination": mid, "count": int(count) if count.is_integer() else count}
-            pairs.append((props, {"type": "LineString", "coordinates": line}))
-    _write_features(pairs, path)
+        if unknown:
+            raise DataFormatError(f"flow matrix references unknown museum id {unknown[0]!r}")
+
+    def ends(ids, points, pad="\n" + " " * 12):  # (id, [lon, lat]) as they sit in a feature
+        return [(_json_str(i), f"[{pad}{points[i].lon!r},{pad}{points[i].lat!r}{pad[:-2]}]") for i in ids]
+    origins, destinations = ends(matrix.origin_ids, centroids), ends(matrix.destination_ids, locations)
+    rows, cols = np.nonzero(~(matrix.values <= 0.0))
+    if not np.isfinite(counts := matrix.values[rows, cols]).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    features = [
+        f'    {{\n      "geometry": {{\n        "coordinates": [\n          {origins[i][1]},\n          {destinations[j][1]}\n'
+        f'        ],\n        "type": "LineString"\n      }},\n      "properties": {{\n'
+        f'        "count": {(int(count) if count.is_integer() else count)!r},\n        "destination": {destinations[j][0]},\n'
+        f'        "origin": {origins[i][0]}\n      }},\n      "type": "Feature"\n    }}'
+        for i, j, count in zip(rows.tolist(), cols.tolist(), counts.tolist())
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n  "features": {_json_list(features)},\n  "type": "FeatureCollection"\n}}\n')
 
 
 # --- user homes ---
@@ -699,3 +703,8 @@ def _dump_json(payload, path) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _json_list(items: list) -> str:
+    """A list at depth one, its items formatted at depth two, as ``json.dumps(..., indent=2)`` nests them."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"

@@ -124,6 +124,12 @@ def planar_polygon(rings, ref: GeoPoint) -> PolygonM:
     return PolygonM(exterior=projected[0], holes=projected[1:])
 
 
+def outside_frame(delta) -> np.ndarray:
+    """``abs(delta) > MAX_FRAME_DEGREES``, :func:`project`'s test of coordinate differences, NaN too: bool arrays only."""
+    far = delta > MAX_FRAME_DEGREES
+    return np.logical_or(far, delta < -MAX_FRAME_DEGREES, out=far)
+
+
 def project_arrays(lat, lon, ref: GeoPoint):
     """:func:`project` for arrays of latitudes and longitudes; returns (x, y).
 
@@ -133,7 +139,7 @@ def project_arrays(lat, lon, ref: GeoPoint):
     """
     dlat = np.asarray(lat, dtype=np.float64) - ref.lat
     dlon = np.asarray(lon, dtype=np.float64) - ref.lon
-    far = (np.abs(dlat) > MAX_FRAME_DEGREES) | (np.abs(dlon) > MAX_FRAME_DEGREES)
+    far = outside_frame(dlat) | outside_frame(dlon)
     if far.any():
         k = int(np.argmax(far))
         project(GeoPoint(float(lat[k]), float(lon[k])), ref)

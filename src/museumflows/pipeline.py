@@ -62,6 +62,7 @@ from .geometry import (
     edge_tests,
     haversine_km,
     haversine_km_arrays,
+    outside_frame,
     planar_polygon,
     point_in_polygon,
     polygon_centroid_area,
@@ -173,12 +174,13 @@ class Corpus:
     is no indexing: one row's point for a scalar decision is
     ``GeoPoint(corpus.lat[i], corpus.lon[i])``. :meth:`take` selects rows;
     the names table is shared, so a user code means the same user in every
-    corpus taken from one source.
+    corpus taken from one source. ``keep_text``, which :meth:`take` carries, is None when every text is
+    whole, or the keywords ``read_tweets(path, keep_text)`` kept texts for: :func:`semantic_filter` answers only those.
     """
 
-    __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources")
+    __slots__ = ("ids", "users", "user", "lat", "lon", "stamp_us", "tzinfos", "tz", "texts", "sources", "keep_text")
 
-    def __init__(self, ids, users, user, lat, lon, stamp_us, tzinfos, tz, texts, sources):
+    def __init__(self, ids, users, user, lat, lon, stamp_us, tzinfos, tz, texts, sources, keep_text=None):
         self.ids = _objects(ids)
         self.users = tuple(users)
         self.user = np.asarray(user, dtype=np.int64)
@@ -189,6 +191,7 @@ class Corpus:
         self.tz = np.asarray(tz, dtype=np.int64)
         self.texts = _objects(texts)
         self.sources = _objects(sources)
+        self.keep_text = keep_text
 
     @classmethod
     def from_tweets(cls, tweets) -> "Corpus":
@@ -205,7 +208,7 @@ class Corpus:
         rows = np.asarray(rows, dtype=np.intp)
         return Corpus(
             self.ids[rows], self.users, self.user[rows], self.lat[rows], self.lon[rows],
-            self.stamp_us[rows], self.tzinfos, self.tz[rows], self.texts[rows], self.sources[rows],
+            self.stamp_us[rows], self.tzinfos, self.tz[rows], self.texts[rows], self.sources[rows], self.keep_text,
         )
 
     def user_count(self) -> int:
@@ -305,7 +308,7 @@ class _CorpusBuilder:
             setattr(self, name, _objects(getattr(self, name)))
         return Corpus(
             self.ids, self.users, self.user, self.lat, self.lon,
-            self.stamp_us, self.tzinfos, self.tz, self.texts, self.sources,
+            self.stamp_us, self.tzinfos, self.tz, self.texts, self.sources, self.keep_text,
         )
 
 
@@ -468,7 +471,7 @@ def _grid_cells(corpus: Corpus, ref: GeoPoint):
     row raises through :func:`project`: the first such row of the user who appears first.
     """
     lat, lon = corpus.lat, corpus.lon
-    far = np.flatnonzero((np.abs(lat - ref.lat) > MAX_FRAME_DEGREES) | (np.abs(lon - ref.lon) > MAX_FRAME_DEGREES))
+    far = np.flatnonzero(outside_frame(lat - ref.lat) | outside_frame(lon - ref.lon))  # one difference column at a time
     if far.size:
         first = np.full(len(corpus.users), len(corpus))
         np.minimum.at(first, corpus.user, np.arange(len(corpus)))
@@ -562,11 +565,16 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     at its bounds. Keywords holding a separator are left out, as no token
     holds one, and so is one that starts with another keyword. Texts whose
     fold changes length, such as "Straße" or "ﬁ", are tokenized and each
-    token folded. The empty keyword keeps every text with a token.
+    token folded. The empty keyword keeps every text with a token. A corpus
+    read with ``keep_text`` keywords keeps its nonempty texts, unscanned: the reader kept each text this rule keeps
+    for them, which holds a token, and blanked the rest. Keywords whose set of folds differs from theirs raise
+    :class:`InvalidParameterError`, as the texts they need are gone.
     """
     if not (keywords := tuple(keywords)):
         raise InvalidParameterError("semantic filter needs at least one keyword")
-    return _kept("semantic", corpus, _keyword_texts(corpus.texts.tolist(), keywords))
+    if (kept_for := corpus.keep_text) is not None and set(_needles(keywords)[0]) != set(_needles(tuple(kept_for))[0]):
+        raise InvalidParameterError(f"semantic filter keywords {keywords} differ from {kept_for}, those the texts were kept for")
+    return _kept("semantic", corpus, _keyword_texts(corpus.texts.tolist(), keywords) if kept_for is None else corpus.texts != "")
 
 
 def _check_distance(name: str, metres: float) -> None:

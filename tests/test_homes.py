@@ -30,6 +30,7 @@ from museumflows.geometry import (
     PlanarPoint,
     PolygonM,
     project,
+    project_arrays,
     snap_to_grid,
 )
 from museumflows.pipeline import (
@@ -499,6 +500,16 @@ def test_home_inference_holds_little_beside_the_corpus(generated_corpus):
     corpus, kept, _ = traced(read_tweets, path, DEFAULT_KEYWORDS)
     _, _, peak = traced(infer_home_locations, corpus, region.ref)
     assert peak <= 0.3 * kept, (peak, kept)
+
+
+def test_the_frame_test_allocates_no_float_column_beside_the_projection(generated_corpus):
+    # project_arrays holds two difference columns, which become x and y. The
+    # frame test compares them into bool arrays; np.abs of each made a float
+    # column of its own, for a peak of 3.25 row columns where 2.38 remain.
+    path, region = generated_corpus
+    corpus = read_tweets(path, DEFAULT_KEYWORDS)
+    _, _, peak = traced(project_arrays, corpus.lat, corpus.lon, region.ref)
+    assert peak <= 2.5 * corpus.lat.nbytes, peak / corpus.lat.nbytes
 
 
 @pytest.mark.skipif(

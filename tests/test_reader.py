@@ -12,7 +12,9 @@ value the per-line reader converts or rejects, and raw lines that are not
 records; the chunk size is patched down so that chunk boundaries fall
 between (and around) them. The last tests read with ``keep_text``, which
 blanks the texts the semantic filter would drop: every check must still
-see the real text, and the pipeline's outputs must not change.
+see the real text, the pipeline's outputs must not change, and the semantic
+stage, which takes such a read's verdict from its blanks, must keep the rows
+and counts its scan of a plain read keeps.
 """
 
 import json
@@ -30,11 +32,11 @@ from conftest import assert_same_outcome, corpus_columns, home_rows, outcome
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from museumflows import fileio
+from museumflows import fileio, pipeline
 from museumflows.errors import DataFormatError, InvalidAttributeError
 from museumflows.fileio import read_tweets, write_tweets
 from museumflows.geometry import GeoPoint
-from museumflows.pipeline import DEFAULT_KEYWORDS, Corpus, Tweet, _CorpusBuilder, _located_homes, _utc_us, run_pipeline
+from museumflows.pipeline import DEFAULT_KEYWORDS, Corpus, Tweet, _CorpusBuilder, _located_homes, _utc_us, run_pipeline, semantic_filter
 from museumflows.sim import Deterrence, ModelSpec
 from museumflows.synth import SynthConfig, demo_region, generate_corpus
 
@@ -756,3 +758,38 @@ def test_a_read_that_blanks_texts_gives_the_outputs_of_a_plain_read(tmp_path_fac
     assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
     assert corpus_columns(got.museum_tweets) == corpus_columns(want.museum_tweets)
     assert home_rows(_located_homes(no_text, region.zones, region.ref)[2]) == home_rows(want.homes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_corpora(), st.sampled_from(FOLD_KEYWORDS), st.sampled_from((1 << 16, 300)))
+def test_the_semantic_stage_keeps_of_a_keyword_read_what_its_scan_keeps_of_a_plain_read(
+    tmp_path_factory, drawn, keywords, chunk_bytes
+):
+    # The keyword read records its keywords, and the semantic stage keeps its
+    # nonempty texts without a scan: the same rows, columns and StageCount as
+    # the scan of a plain read, texts whose fold changes length and the empty
+    # keyword included.
+    _, tweets = drawn
+    path = tmp_path_factory.mktemp("verdict") / "t.ndjson"
+    write_tweets(Corpus.from_tweets(tweets), path)
+    with mock.patch.object(fileio, "_CHUNK_BYTES", chunk_bytes):
+        plain, read = read_tweets(path), read_tweets(path, keywords)
+    assert (plain.keep_text, read.keep_text) == (None, keywords)
+    want, want_count = semantic_filter(plain, keywords)
+    with mock.patch.object(pipeline, "_keyword_texts", side_effect=AssertionError("scanned")):
+        got, count = semantic_filter(read, keywords)
+    assert count == want_count
+    assert corpus_columns(got) == corpus_columns(want)
+
+
+def test_only_a_keyword_read_records_keywords_and_take_carries_them(tmp_path):
+    region = demo_region(4, 2, seed=7)
+    cfg = SynthConfig(true_spec=ModelSpec(deterrence=Deterrence("exponential", 0.95)), n_trips=40, noise=0.2, seed=3)
+    generated, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    path = tmp_path / "t.ndjson"
+    write_tweets(generated, path)
+    for whole in (generated, Corpus.from_tweets(generated), read_tweets(path), read_tweets(path).take([3, 1])):
+        assert whole.keep_text is None
+    for keep_text in (DEFAULT_KEYWORDS, ("",), ()):
+        read = read_tweets(path, keep_text)
+        assert read.keep_text == keep_text and read.take([3, 1]).take([1]).keep_text == keep_text

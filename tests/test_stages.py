@@ -20,6 +20,7 @@ a union-find whose roots ordered the output and named untagged sites.
 
 import dataclasses
 import math
+import os
 import re
 import sys
 from datetime import datetime, timedelta, timezone
@@ -35,6 +36,7 @@ from scalar_geometry import distance_to_polygon_m, point_in_polygon
 
 from museumflows import pipeline
 from museumflows.errors import InvalidAttributeError, InvalidCoordinateError, InvalidParameterError
+from museumflows.fileio import read_tweets
 from museumflows.geometry import (
     GeoPoint,
     GridCell,
@@ -464,6 +466,35 @@ def test_only_the_text_whose_fold_changes_length_is_tokenized(size):
     with mock.patch.object(pipeline, "tokenize", wraps=tokenize) as tokenized:
         assert stage_texts(semantic_filter, texts, size) == [texts[0], texts[1], texts[3]]
     assert tokenized.call_count == 1
+
+
+DEMO_CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "data", "demo", "corpus.ndjson")
+
+
+def test_a_keyword_read_answers_its_own_keywords_unscanned_and_refuses_others():
+    # A read with keep_text blanks every text its keywords do not keep, so the
+    # semantic stage cannot answer other keywords: ("gallery",) on a read kept
+    # for ("museum",) used to keep 0 rows where a plain read keeps 198, and
+    # ("museum", "gallery") 216 where it keeps 414. Now both raise, and the
+    # read's own keywords, folded, reordered or repeated, take the blanks'
+    # verdict without a scan.
+    plain = read_tweets(DEMO_CORPUS)
+    museum = read_tweets(DEMO_CORPUS, ("museum",))
+    assert museum.keep_text == ("museum",) and plain.keep_text is None
+    for keywords in (("gallery",), ("museum", "gallery")):
+        with pytest.raises(InvalidParameterError) as info:
+            semantic_filter(museum, keywords)
+        assert str(info.value) == f"semantic filter keywords {keywords} differ from ('museum',), those the texts were kept for"
+    both = read_tweets(DEMO_CORPUS, ("museum", "gallery"))
+    cases = [(museum, ("MUSEUM",), ("museum",)), (museum, ("museum", "Museum"), ("museum",)),
+             (both, ("Gallery", "museum", "gallery"), ("museum", "gallery"))]
+    for corpus, keywords, plain_keywords in cases:
+        with mock.patch.object(pipeline, "_keyword_texts", side_effect=AssertionError("scanned")):
+            got, count = semantic_filter(corpus, keywords)
+        want, want_count = semantic_filter(plain, plain_keywords)
+        assert (count, got.ids.tolist()) == (want_count, want.ids.tolist())
+        assert got.texts.tolist() == want.texts.tolist() and got.keep_text == corpus.keep_text
+    assert [len(semantic_filter(plain, k)[0]) for k in (("gallery",), ("museum", "gallery"))] == [198, 414]
 
 
 @settings(max_examples=300, deadline=None)
