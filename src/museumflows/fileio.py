@@ -21,9 +21,9 @@ column by column. Its stamps must be strict UTC, ``Z`` or ``+00:00``;
 they are grouped by shape and each group is read from the columns of its
 bytes. A chunk with any other stamp, or a line that fails any step, goes
 through the per-line reader. The ids are checked unique once, from their
-sorted hashes. A file with a bad line or a repeat is read again from its
-start by the per-line reader alone, with one id set, so the first bad
-line is reported as ``path:line``; a stream that cannot seek names none.
+sorted hashes. A file with a bad line or a repeat is read again by line,
+one id set and no row kept, so the first bad line raises as ``path:line``
+and a clean second read as changed; a stream that cannot seek names none.
 :func:`write_tweets` writes from those columns in slices of 4,096 rows,
 one f-string per row; stamps in a zero-offset ``timezone`` come from
 numpy, the rest from ``isoformat``, each in its own UTC offset, so a
@@ -277,8 +277,8 @@ def read_tweets(path, keep_text=None) -> Corpus:
     and checked column by column, or by line where that fails or a stamp is
     not strict UTC (see the module notes). Repeated ids are looked for once,
     after the last chunk. A file with a bad line or a repeated id is read
-    again by line from its start, so the first bad line in it is reported as
-    ``path:line``; a stream that cannot seek, such as a pipe, names no line.
+    again by line, keeping no rows, and raises at its first bad line as
+    ``path:line``, or as changed if none; a stream that cannot seek names none.
     ``keep_text`` None keeps every text. Given keywords, a row whose text
     the semantic filter would drop for them is kept, once its checks have
     run, with ``""`` as its text and None as its source. The corpus records
@@ -298,10 +298,10 @@ def read_tweets(path, keep_text=None) -> Corpus:
         if not fh.seekable():  # a pipe opened again would go on where it stopped
             raise DataFormatError(f"{path}: a bad line or a repeated tweet id; a stream that cannot seek is not read again to tell which")
         fh.seek(0)  # a bad line or a repeat: the first in the file raises
-        rows, seen, line_no = _CorpusBuilder(keep_text), set(), 0
+        rows, seen, line_no = None, set(), 0  # the first pass's rows go; each chunk's rows here go to a throwaway builder
         for chunk in _chunks(fh):
-            line_no += _extend_by_line(rows, seen, chunk, path, line_no)
-    return rows.corpus()
+            line_no += _extend_by_line(_CorpusBuilder(), seen, chunk, path, line_no)
+    raise DataFormatError(f"{path}: changed while it was read: a bad line or a repeated tweet id at first, none again")
 
 
 _WRITE_ROWS = 4096  # rows formatted and written together, so a slice's strings stay small beside the corpus

@@ -17,15 +17,15 @@ Every stage takes a Corpus, works on the columns with numpy, and keeps
 its rows, in their input order, through one keep mask handed to
 :func:`_kept`, as aggregation does too; helpers take a whole Corpus. Only
 :func:`run_pipeline` also takes a sequence of :class:`Tweet`, which it
-turns into a Corpus once. Text stages scan the texts in slices, each joined
-and case-folded once and searched by ``str.find``; only a text whose fold
-changes its length is tokenized alone. Where numpy may round differently
-from the math module (``hypot``, ``arcsin``), rows within a hair of a
-decision are re-decided with the math module (a footprint distance by
-``math.hypot`` of the edge kernel's own offsets), so every result is the
-one a per-message loop gives. Homes are a :class:`Homes`, a struct of
-arrays with one row per user, whose zones are resolved once per distinct
-cell; every cell is a square ``GRID_RESOLUTION_M`` (100 m) on a side.
+turns into a Corpus once. Text stages make one scan each, in slices joined
+by a newline, case-folded once and searched by ``str.find``; only a text
+whose fold changes its length is tokenized alone. Where numpy may round
+differently from the math module (``hypot``, ``arcsin``), rows within a hair
+of a decision are re-decided with the math module (a footprint distance by
+``math.hypot`` of the edge kernel's own offsets), so every result is the one
+a per-message loop gives. Homes are a :class:`Homes`, a struct of arrays
+with one row per user, whose zones are resolved once per distinct cell;
+every cell is a square ``GRID_RESOLUTION_M`` (100 m) on a side.
 
 Every planar step shares one local frame; its reference coordinate is a
 required argument wherever grid cells or footprint distances are involved,
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
@@ -94,8 +93,6 @@ _TOKEN_SPLIT = re.compile(f"[{_SEPARATORS}]+")
 # A token start followed by three non-separators: where a keyword must sit in a folded text
 _TOKEN_START = re.compile(f"(?:^|(?<=[{_SEPARATORS}]))(?=[^{_SEPARATORS}]{{3}})").match
 _TEXT_SLICE = 1 << 14  # texts joined and case-folded at a time: bounds the joined strings
-# The first code point that folds to itself and is in no check-in pattern: it joins the check-in scan's slices
-_CHECKIN_JOINER = next(c for c in map(chr, range(sys.maxunicode + 1)) if c.casefold() == c and c not in "".join(CHECKIN_PATTERNS))
 _URL = re.compile(r"\S+://\S+|\bt\.co/\S+", re.IGNORECASE)
 _URL_HINT = re.compile(r"://|t\.co/", re.IGNORECASE)  # every _URL match holds one of these
 
@@ -430,23 +427,23 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in _TOKEN_SPLIT.split(text) if len(tok) > 2]
 
 
-def _scan_texts(texts: list, joiner: str, needles, accept=None):
+def _scan_texts(texts: list, needles, accept=None):
     """(hit, changed) per text: a needle in its fold where ``accept(folded, at)`` holds (None: anywhere); a fold of another length.
 
-    Texts are joined by ``joiner``, which folds to itself and is in no
+    Texts are joined by a newline, which folds to itself and is in no
     needle, ``_TEXT_SLICE`` at a time, and each slice is case-folded once:
     str.casefold folds code point by code point, so the fold of a join is
     the join of the folds. ``str.find`` finds each needle, none empty, and
     ``np.searchsorted`` over the folded texts' cumulative lengths places
-    each occurrence in its text; the joiner itself is never searched for,
-    so a text holding it moves no boundary. Per-text folds are taken only
-    in a slice whose fold changes its length.
+    each occurrence in its text; the newline is never searched for, so a
+    text holding one moves no boundary. Per-text folds are taken only in a
+    slice whose fold changes its length.
     """
     hit = np.zeros(len(texts), dtype=bool)
     changed = np.zeros(len(texts), dtype=bool)
     for first in range(0, len(texts), _TEXT_SLICE):
         part = texts[first : first + _TEXT_SLICE]
-        joined = joiner.join(part)
+        joined = "\n".join(part)
         folded = joined.casefold()
         lengths = np.fromiter(map(len, part), np.int64, len(part))
         if len(folded) != len(joined):
@@ -544,7 +541,7 @@ def _keyword_texts(texts, keywords) -> np.ndarray:
         return np.fromiter(map(bool, map(tokenize, texts)), bool, len(texts))
     if not needles:
         return np.zeros(len(texts), dtype=bool)
-    keep, changed = _scan_texts(texts, "\n", needles, _TOKEN_START)
+    keep, changed = _scan_texts(texts, needles, _TOKEN_START)
     redo = [texts[i] for i in np.flatnonzero(changed).tolist()]
     keep[changed] = [any(tok.casefold().startswith(keywords) for tok in tokenize(t)) for t in redo]
     return keep
@@ -561,7 +558,7 @@ def semantic_filter(corpus, keywords=DEFAULT_KEYWORDS):
     folds to nothing, so then every code point folds to one, tokens keep
     their positions and lengths, and no fold of one code point crosses the
     separator class (the premise tests in ``tests/test_stages.py`` check
-    every code point). The joiner is a separator, so each text's tokens end
+    every code point). The newline is a separator, so each text's tokens end
     at its bounds. Keywords holding a separator are left out, as no token
     holds one, and so is one that starts with another keyword. Texts whose
     fold changes length, such as "Straße" or "ﬁ", are tokenized and each
@@ -654,13 +651,12 @@ def dedup(corpus):
 def remove_checkins(corpus):
     """Drop check-in relay tweets: a :data:`CHECKIN_PATTERNS` substring in the case-folded text or source.
 
-    Text and source are scanned apart, so no pattern matches across them,
-    in slices joined by ``_CHECKIN_JOINER`` (:func:`_scan_texts`), so none
-    matches across two texts.
+    Texts, then sources, are scanned as one list (:func:`_scan_texts`), so
+    no pattern, which lies inside one entry, matches across a text and its
+    source or across two rows; a row goes when either of its halves is hit.
     """
-    text_hit = _scan_texts(corpus.texts.tolist(), _CHECKIN_JOINER, CHECKIN_PATTERNS)[0]
-    source_hit = _scan_texts([s or "" for s in corpus.sources.tolist()], _CHECKIN_JOINER, CHECKIN_PATTERNS)[0]
-    return _kept("checkin-removal", corpus, ~(text_hit | source_hit))
+    hit = _scan_texts(corpus.texts.tolist() + [s or "" for s in corpus.sources.tolist()], CHECKIN_PATTERNS)[0]
+    return _kept("checkin-removal", corpus, ~(hit[: len(corpus)] | hit[len(corpus) :]))
 
 
 def infer_home_locations(corpus, ref: GeoPoint):

@@ -433,6 +433,52 @@ def test_a_pipe_with_a_bad_line_or_a_repeat_raises_rather_than_read_on(at):
     assert_same_read(read_from_pipe(clean), check_same(clean, 200))
 
 
+def test_a_file_that_reads_clean_the_second_time_raises_as_changed(tmp_path):
+    # The reporting pass keeps no rows, so it has no corpus to hand back when
+    # the file, changed between the passes, holds no bad line or repeat then.
+    path = tmp_path / "t.ndjson"
+    path.write_bytes(assemble(unique_records(40), [b"\n"] * 40))
+    with mock.patch.object(fileio, "_repeats", return_value=True), pytest.raises(DataFormatError) as info:
+        read_tweets(path)
+    assert str(info.value) == f"{path}: changed while it was read: a bad line or a repeated tweet id at first, none again"
+
+
+def traced_peak(read, path):
+    """The peak of memory traced while ``read(path)`` runs, above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        read(path)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_reporting_pass_holds_no_more_than_a_clean_read(tmp_path):
+    # The first pass's rows go before the file is read again, and the second
+    # pass appends each chunk to a builder it drops. A reporting pass that kept
+    # both passes' rows peaked at 1.18 times the clean read on the flows-large
+    # file whose last id repeats its first, and at 1.6 times on this one.
+    region = demo_region(20, 5, seed=7)
+    cfg = SynthConfig(true_spec=ModelSpec(deterrence=Deterrence("exponential", 0.95)), n_trips=5000, noise=0.2, seed=3)
+    corpus, _ = generate_corpus(region.zones, region.museums, cfg, region.ref)
+    clean, repeat = tmp_path / "clean.ndjson", tmp_path / "repeat.ndjson"
+    write_tweets(corpus.take(np.arange(20_000)), clean)
+    del corpus
+    lines = clean.read_bytes().splitlines(keepends=True)
+    first_id = json.loads(lines[0])["id"]
+    repeat.write_bytes(b"".join(lines[:-1]) + json.dumps(dict(json.loads(lines[-1]), id=first_id)).encode() + b"\n")
+    del lines
+
+    def failing(path):
+        with pytest.raises(DataFormatError, match=f":20000: duplicate tweet id '{first_id}'$"):
+            read_tweets(path, DEFAULT_KEYWORDS)
+
+    clean_peak = traced_peak(lambda path: read_tweets(path, DEFAULT_KEYWORDS), clean)
+    error_peak = traced_peak(failing, repeat)
+    assert error_peak <= 1.05 * clean_peak, (error_peak, clean_peak)
+
+
 def test_reading_holds_little_beyond_the_corpus_it_keeps(tmp_path):
     # The reader keeps no set of the ids seen, and the builder hands its
     # object columns over one at a time: the peak stays near what is kept.

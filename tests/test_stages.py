@@ -450,12 +450,20 @@ def test_the_empty_keyword_keeps_every_text_with_a_token(size):
         assert stage_texts(lambda c: semantic_filter(c, keywords), texts, size) == ["abc", "ab.cde"]
 
 
+def test_a_newline_folds_to_itself_separates_tokens_and_is_in_no_checkin_pattern():
+    # Both text scans join their slices by a newline on these premises; no
+    # keyword needle holds one either, as no needle holds a separator
+    assert "\n".casefold() == "\n"
+    assert pipeline._TOKEN_SPLIT.fullmatch("\n")
+    assert not [p for p in CHECKIN_PATTERNS if "\n" in p]
+
+
 @pytest.mark.parametrize("size", SLICES)
 def test_a_text_holding_the_checkin_joiner_moves_no_boundary(size):
-    # no check-in pattern holds U+0000, which folds to itself: it joins the slices
-    assert pipeline._CHECKIN_JOINER == "\x00"
-    texts = ["a\x00", "\x00\x004sq.com", "\x00", "nothing", "FOURSQUARE\x00"]
-    assert stage_texts(remove_checkins, texts, size) == ["a\x00", "\x00", "nothing"]
+    # the newline joins the check-in scan's slices: a text holding one, or a
+    # NUL, moves no boundary, and no pattern matches across one
+    texts = ["a\n", "\n\n4sq.com", "\x00", "4sq\n.com", "nothing\x00", "\x00FOURSQUARE\n", "4sq", ".com", "four\nsquare"]
+    assert stage_texts(remove_checkins, texts, size) == ["a\n", "\x00", "4sq\n.com", "nothing\x00", "4sq", ".com", "four\nsquare"]
 
 
 @pytest.mark.parametrize("size", SLICES)
@@ -690,8 +698,28 @@ def test_dedup_keeps_the_rows_the_dedup_normalizing_every_text_keeps(tweets):
     assert entry == expected_entry
 
 
-@settings(max_examples=60, deadline=None)
-@given(corpora())
+# Pieces of check-in patterns, the scan's joiner, a NUL and code points whose fold changes length or case
+CHECKIN_PIECES = ("4sq.com", "FOURSQUARE", "4sq", ".com", "four", "Square", "ß", "ﬁ", "İ", "ǰ", "\n", "\x00", " ")
+
+
+@st.composite
+def checkin_corpora(draw):
+    """1-12 tweets of two users whose texts and sources are strings of :data:`CHECKIN_PIECES`."""
+    pieces = st.lists(st.sampled_from(CHECKIN_PIECES), max_size=4).map("".join)
+    return [
+        Tweet(f"t{k:02d}", draw(st.sampled_from(("u0", "u1"))), BASE, POINTS[0], draw(pieces), draw(st.none() | pieces))
+        for k in range(draw(st.integers(1, 12)))
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(corpora(), checkin_corpora()))
+@example([  # a pattern split across a text and its source, or across two rows, is no hit
+    Tweet("a", "u0", BASE, POINTS[0], "at 4sq", ".com"),
+    Tweet("b", "u0", BASE, POINTS[0], "FOUR", "square\n"),
+    Tweet("c", "u1", BASE, POINTS[0], ".com", "4sq"),
+    Tweet("d", "u1", BASE, POINTS[0], "ß", "ﬁ\x00foursquare"),
+])
 def test_checkin_removal_matches_scalar_loop(corpus):
     check_in_slices(remove_checkins, lambda c: oracle_remove_checkins(c, CHECKIN_PATTERNS), corpus, "checkin-removal")
 
